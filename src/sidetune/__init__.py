@@ -9,16 +9,22 @@ savings of the arrangement.
 Layout:
 
 - :mod:`sidetune.kernels`   deterministic tensor math
-- :mod:`sidetune.backbone`  frozen decoder with activation taps
+- :mod:`sidetune.backbone`  frozen decoder with activation taps, weight file
 - :mod:`sidetune.quantize`  fp16/fp8/fp4/nf4 activation codecs
-- :mod:`sidetune.sidenet`   trainable adapter stack, forward + backward
+- :mod:`sidetune.sidenet`   trainable adapter stack, forward + backward, checkpoint
 - :mod:`sidetune.training`  losses, Adam, the per-batch training step
 - :mod:`sidetune.wire`      framed one-way activation protocol
 - :mod:`sidetune.transport` loopback / rate-limited / TCP byte streams
-- :mod:`sidetune.device`    forward-only pipeline with overlapped sends
-- :mod:`sidetune.server`    session handling, training loop, local mode
+- :mod:`sidetune.device`    forward-only pipeline with overlapped sends; builds
+                            every batch, for split and local runs alike
+- :mod:`sidetune.server`    session handling, training loop, and local mode,
+                            which reuses the device's batches and the
+                            server's step
 - :mod:`sidetune.costs`     closed-form memory and payload estimates
-- :mod:`sidetune.cli`       the `sidetune` command
+- :mod:`sidetune.cli`       the `sidetune` command; opens every TCP connection
+
+`run_device` and `run_server` take a transport from their caller, so the
+same two functions run over loopback, TCP or a rate-limited link.
 """
 
 from .backbone import (
@@ -53,7 +59,6 @@ from .sidenet import (
     AdapterParams,
     SideConfig,
     SideNetworkParams,
-    adapter_core,
     combined_infer,
     init_side,
     load_side,
@@ -86,7 +91,6 @@ __all__ = [
     "TapSet",
     "TrainState",
     "adam_step",
-    "adapter_core",
     "combined_infer",
     "dequantize",
     "device_memory_estimate",

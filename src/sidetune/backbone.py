@@ -34,7 +34,6 @@ from .binio import (
 WEIGHTS_MAGIC = b"MBWT"
 WEIGHTS_VERSION = 1
 
-LN_EPS = 1e-5
 INIT_STD = 0.02
 
 
@@ -118,13 +117,6 @@ class LayerWeights:
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
 
-    # serialization order for the weight file
-    FIELDS = (
-        "w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o",
-        "ln1_gamma", "ln1_beta", "w_up", "b_up", "w_down", "b_down",
-        "ln2_gamma", "ln2_beta",
-    )
-
 
 @dataclass
 class BackboneWeights:
@@ -132,23 +124,41 @@ class BackboneWeights:
     token_embedding: np.ndarray  # [vocab, H]
     pos_embedding: np.ndarray    # [max_seq, H]
     layers: list[LayerWeights]
-    final_ln_gamma: np.ndarray
+    final_ln_gamma: np.ndarray   # stored in the weight file; the forward never applies it
     final_ln_beta: np.ndarray
 
     def all_tensors(self):
-        yield self.token_embedding
-        yield self.pos_embedding
-        for layer in self.layers:
-            for name in LayerWeights.FIELDS:
-                yield getattr(layer, name)
-        yield self.final_ln_gamma
-        yield self.final_ln_beta
+        """Every tensor in weight-file order."""
+        for layer, name, _ in _layout(self.config):
+            yield getattr(self if layer is None else self.layers[layer], name)
 
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for t in self.all_tensors():
-            h.update(np.ascontiguousarray(t, dtype="<f4").tobytes())
-        return h.hexdigest()
+
+def _layout(config: BackboneConfig):
+    """The one shape declaration of the weight set: (layer index, or None
+    for a model-level tensor, name, shape) in weight-file order."""
+    h, f = config.hidden, config.ffn_dim
+    per_layer = {
+        "w_q": (h, h), "w_k": (h, h), "w_v": (h, h), "w_o": (h, h),
+        "b_q": (h,), "b_k": (h,), "b_v": (h,), "b_o": (h,),
+        "ln1_gamma": (h,), "ln1_beta": (h,),
+        "w_up": (h, f), "b_up": (f,), "w_down": (f, h), "b_down": (h,),
+        "ln2_gamma": (h,), "ln2_beta": (h,),
+    }
+    yield None, "token_embedding", (config.vocab_size, h)
+    yield None, "pos_embedding", (config.max_seq, h)
+    for i in range(config.layers):
+        for name, shape in per_layer.items():
+            yield i, name, shape
+    yield None, "final_ln_gamma", (h,)
+    yield None, "final_ln_beta", (h,)
+
+
+def _assemble(config: BackboneConfig, tensors) -> BackboneWeights:
+    """Weights from (layer index or None, name, array) triples."""
+    model, layers = {}, [{} for _ in range(config.layers)]
+    for layer, name, t in tensors:
+        (model if layer is None else layers[layer])[name] = t
+    return BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
 
 
 @dataclass
@@ -156,45 +166,26 @@ class TapSet:
     """Activations exported from one forward pass.
 
     ``taps`` pairs each block index with the [B, S, H] activation after
-    that block (index 0 is the embedding output when enabled); the final
-    output additionally passes the closing layer norm.
+    that block (index 0 is the embedding output when enabled).
     """
 
     taps: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    final_output: np.ndarray | None = None
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
     """Gaussian(0, 0.02) projection weights, zero biases, unit LN gains."""
     rng = kernels.make_rng(seed)
-    h, f = config.hidden, config.ffn_dim
 
-    def w(*shape):
-        return rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
-
-    def zeros(*shape):
+    def make(name, shape):
+        if name.startswith("w_") or name.endswith("_embedding"):
+            return rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
+        if name.endswith("_gamma"):
+            return np.ones(shape, dtype=np.float32)
         return np.zeros(shape, dtype=np.float32)
 
-    def ones(*shape):
-        return np.ones(shape, dtype=np.float32)
-
-    layers = []
-    for _ in range(config.layers):
-        layers.append(LayerWeights(
-            w_q=w(h, h), w_k=w(h, h), w_v=w(h, h), w_o=w(h, h),
-            b_q=zeros(h), b_k=zeros(h), b_v=zeros(h), b_o=zeros(h),
-            ln1_gamma=ones(h), ln1_beta=zeros(h),
-            w_up=w(h, f), b_up=zeros(f), w_down=w(f, h), b_down=zeros(h),
-            ln2_gamma=ones(h), ln2_beta=zeros(h),
-        ))
-    return BackboneWeights(
-        config=config,
-        token_embedding=w(config.vocab_size, h),
-        pos_embedding=w(config.max_seq, h),
-        layers=layers,
-        final_ln_gamma=ones(h),
-        final_ln_beta=zeros(h),
-    )
+    # the seed's stream draws every layer before the embeddings
+    order = sorted(_layout(config), key=lambda entry: entry[0] is None)
+    return _assemble(config, ((i, name, make(name, shape)) for i, name, shape in order))
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
@@ -222,11 +213,11 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN."""
     u = kernels.layer_norm(_self_attention(x, lw, heads) + x,
-                           lw.ln1_gamma, lw.ln1_beta, LN_EPS)
+                           lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS)
     ffn = kernels.matmul(
         kernels.gelu(kernels.matmul(u, lw.w_up) + lw.b_up), lw.w_down
     ) + lw.b_down
-    return kernels.layer_norm(ffn + u, lw.ln2_gamma, lw.ln2_beta, LN_EPS)
+    return kernels.layer_norm(ffn + u, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS)
 
 
 def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
@@ -256,9 +247,6 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
         x = layer_forward(x, lw, cfg.heads)
         if i in cuts:
             out.taps.append((i, x))
-    out.final_output = kernels.layer_norm(
-        x, weights.final_ln_gamma, weights.final_ln_beta, LN_EPS
-    )
     return out
 
 
@@ -279,25 +267,10 @@ def load_backbone(path, config: BackboneConfig | None = None) -> BackboneWeights
             raise FormatError(
                 f"weight file config {stored} does not match requested {config}"
             )
-        cfg = stored
-        h, f = cfg.hidden, cfg.ffn_dim
-        shapes = {
-            "w_q": (h, h), "w_k": (h, h), "w_v": (h, h), "w_o": (h, h),
-            "b_q": (h,), "b_k": (h,), "b_v": (h,), "b_o": (h,),
-            "ln1_gamma": (h,), "ln1_beta": (h,),
-            "w_up": (h, f), "b_up": (f,), "w_down": (f, h), "b_down": (h,),
-            "ln2_gamma": (h,), "ln2_beta": (h,),
-        }
-        token_emb = read_f32(fh, (cfg.vocab_size, h))
-        pos_emb = read_f32(fh, (cfg.max_seq, h))
-        layers = []
-        for _ in range(cfg.layers):
-            layers.append(LayerWeights(
-                **{name: read_f32(fh, shapes[name]) for name in LayerWeights.FIELDS}
-            ))
-        final_gamma = read_f32(fh, (h,))
-        final_beta = read_f32(fh, (h,))
+        weights = _assemble(
+            stored, ((i, name, read_f32(fh, shape)) for i, name, shape in _layout(stored))
+        )
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after final tensor")
-    return BackboneWeights(cfg, token_emb, pos_emb, layers, final_gamma, final_beta)
+    return weights

@@ -1,11 +1,15 @@
 """Single entry point: one subcommand per runtime or diagnostic.
 
     sidetune server    --listen :9000 --bottleneck 16 --lr 5e-4 ...
-    sidetune device    --server HOST:PORT --scheme nf4 --task synth ...
-    sidetune local     --scheme fp16 --iters 500 ...
+    sidetune device    --server HOST:PORT --scheme nf4 --rate-mbps 10 ...
+    sidetune local     --scheme fp16 --iters 500 --ckpt side.bin ...
     sidetune gradcheck
     sidetune estimate  --preset opt350m --mode mobillm --scheme nf4
     sidetune quantbench
+
+`server` and `device` talk over TCP; this module is the one place that
+opens those connections. `local` runs the same batch and training code in
+one process with no connection at all.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 Flags beat an optional key=value config file (--config PATH), which beats
@@ -15,17 +19,17 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import costs
 from .backbone import BackboneConfig
-from .device import CsvTask, DeviceConfig, SyntheticTask, load_csv_task, run_device
+from .device import DeviceConfig, SyntheticTask, load_csv_task, run_device
 from .kernels import make_rng
 from .quantize import SCHEMES, dequantize, payload_bytes, quantize
 from .server import ServerConfig, local_mode, run_server
+from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
 from .wire import HandshakeError
 
 SCHEME_ALIASES = {"fp16": "none_fp16", "fp8": "fp8_e4m3", "fp4": "fp4_grid", "nf4": "nf4"}
@@ -104,7 +108,7 @@ def _task_from_args(args):
     raise ValueError(f"unknown task {args.task!r} (expected synth or csv:PATH)")
 
 
-def _device_config_from_args(args, server_addr=None) -> DeviceConfig:
+def _device_config_from_args(args, **extra) -> DeviceConfig:
     return DeviceConfig(
         backbone=_backbone_from_args(args),
         task=_task_from_args(args),
@@ -115,11 +119,7 @@ def _device_config_from_args(args, server_addr=None) -> DeviceConfig:
         epochs=args.epochs,
         samples_per_epoch=args.samples,
         iterations=args.iters,
-        queue_depth=args.queue,
-        serial=getattr(args, "serial", False),
-        fetch_checkpoint=getattr(args, "fetch", False),
-        log_path=args.log or None,
-        server_addr=server_addr,
+        **extra,
     )
 
 
@@ -140,7 +140,7 @@ def _add_side_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--metrics", default="", help="metrics JSONL path")
 
 
-def _server_config_from_args(args, listen=None) -> ServerConfig:
+def _server_config_from_args(args, **extra) -> ServerConfig:
     return ServerConfig(
         backbone=_backbone_from_args(args),
         bottleneck=args.bottleneck,
@@ -150,10 +150,9 @@ def _server_config_from_args(args, listen=None) -> ServerConfig:
         side_seed=args.side_seed,
         lr=args.lr,
         loss_kind=args.loss,
-        queue_depth=args.queue,
         checkpoint_path=args.ckpt or None,
         metrics_path=args.metrics or None,
-        listen_addr=listen,
+        **extra,
     )
 
 
@@ -190,8 +189,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("local", formatter_class=fmt,
                        help="run the identical pipeline in one process")
-    p.add_argument("--queue", type=int, default=4, help=argparse.SUPPRESS)
-    p.add_argument("--log", default="", help="unused in local mode")
     _add_backbone_flags(p)
     _add_task_flags(p)
     _add_side_flags(p)
@@ -231,9 +228,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _host_port(addr: str, default_host: str) -> tuple[str, int]:
+    host, _, port = addr.rpartition(":")
+    return host or default_host, int(port)
+
+
 def _cmd_server(args) -> int:
-    config = _server_config_from_args(args, listen=args.listen)
-    report = run_server(config)
+    config = _server_config_from_args(args, queue_depth=args.queue)
+    transport, _ = tcp_listen_one(*_host_port(args.listen, "0.0.0.0"))
+    try:
+        report = run_server(config, transport)
+    finally:
+        transport.close()
     if report.rejected is not None:
         print(f"session rejected (status {report.rejected})")
         return 2
@@ -243,36 +249,30 @@ def _cmd_server(args) -> int:
 
 
 def _cmd_device(args) -> int:
-    from .transport import RateLimitedTransport, TcpTransport
-
-    config = _device_config_from_args(args, server_addr=args.server)
-    transport = None
+    config = _device_config_from_args(
+        args, queue_depth=args.queue, serial=args.serial,
+        fetch_checkpoint=args.fetch, log_path=args.log or None,
+    )
+    transport = TcpTransport.connect(*_host_port(args.server, "127.0.0.1"),
+                                     timeout=config.timeout_s)
     if args.rate_mbps > 0:
-        host, _, port = args.server.rpartition(":")
-        transport = RateLimitedTransport(
-            TcpTransport.connect(host or "127.0.0.1", int(port)),
-            args.rate_mbps * 1e6,
-        )
+        transport = RateLimitedTransport(transport, args.rate_mbps * 1e6)
     try:
         report = run_device(config, transport)
     finally:
-        if transport is not None:
-            transport.close()
+        transport.close()
     print(f"sent {report.iterations} batches, {report.bytes_sent} bytes "
           f"in {report.wall_s:.4f}s")
     return 2 if report.aborted else 0
 
 
 def _cmd_local(args) -> int:
-    device_cfg = _device_config_from_args(args)
-    server_cfg = _server_config_from_args(args)
-    report = local_mode(device_cfg, server_cfg)
-    acc = report.metrics[-1].acc if report.metrics else float("nan")
-    print(f"local run: {report.iterations} iterations, "
-          f"final loss {report.losses[-1]:.6f}, final batch acc {acc:.3f}")
-    if args.ckpt:
-        from .sidenet import save_side
-        save_side(args.ckpt, report.state.params, report.state.config)
+    report = local_mode(_device_config_from_args(args), _server_config_from_args(args))
+    last = report.metrics[-1]
+    line = f"local run: {report.iterations} iterations, final loss {last.loss:.6f}"
+    if last.acc is not None:
+        line += f", final batch acc {last.acc:.3f}"
+    print(line)
     return 0
 
 

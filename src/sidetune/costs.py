@@ -20,8 +20,10 @@ MODES = ("full_ft", "side_local", "mobillm", "inference")
 # (norm input/output, q/k/v, attention context and projection, residual
 # sums, the 4H-wide FFN expansion before and after the nonlinearity, FFN
 # output) plus two heads x S x S attention maps. An estimate, not a
-# measurement; exposed as a knob so other layer layouts can be modeled.
+# measurement.
 FULL_FT_HIDDEN_COEF = 18
+
+OPTIMIZER_BYTES_PER_PARAM = 8  # two f32 Adam moments
 
 
 @dataclass(frozen=True)
@@ -32,15 +34,11 @@ class ModelSpec:
     heads: int
     seq_len: int
     batch_size: int
-    ffn_dim: int = 0       # informational; the activation coefficient absorbs it
     dtype_bytes: int = 2   # 2 = half precision, 4 = single
     gamma: int = 0         # taps per iteration; defaults to layers
     trainable_params: int = 0
-    optimizer_bytes_per_param: int = 8  # two f32 moments
-    full_ft_hidden_coef: int = FULL_FT_HIDDEN_COEF
 
     def __post_init__(self):
-        object.__setattr__(self, "ffn_dim", self.ffn_dim or 4 * self.hidden)
         object.__setattr__(self, "gamma", self.gamma or self.layers)
         if self.dtype_bytes not in (2, 4):
             raise ValueError("dtype_bytes must be 2 or 4")
@@ -78,7 +76,7 @@ def _tokens(spec: ModelSpec) -> int:
 
 
 def _full_ft_layer_activation(spec: ModelSpec) -> int:
-    per_token = spec.full_ft_hidden_coef * spec.hidden + 2 * spec.heads * spec.seq_len
+    per_token = FULL_FT_HIDDEN_COEF * spec.hidden + 2 * spec.heads * spec.seq_len
     return _tokens(spec) * per_token * spec.dtype_bytes
 
 
@@ -100,13 +98,13 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
 
     if mode == "full_ft":
         activations = spec.layers * _full_ft_layer_activation(spec)
-        optimizer = spec.params * spec.optimizer_bytes_per_param
+        optimizer = spec.params * OPTIMIZER_BYTES_PER_PARAM
         trainable_weights = 0
     elif mode == "side_local":
         # taps plus the side stack's own stored intermediates (inputs,
         # bottleneck expansion, norm output per adapter ~ 3 planes)
         activations = spec.gamma * tap_plane + 3 * spec.gamma * tap_plane
-        optimizer = spec.trainable_params * spec.optimizer_bytes_per_param
+        optimizer = spec.trainable_params * OPTIMIZER_BYTES_PER_PARAM
         trainable_weights = spec.trainable_params * spec.dtype_bytes
     elif mode == "mobillm":
         activations = spec.gamma * tap_plane
@@ -139,13 +137,6 @@ def iteration_time_estimate(t_fwd_device_s: float, payload_bytes_per_iter: int,
         raise ValueError("rate must be positive")
     t_tx = payload_bytes_per_iter * 8.0 / rate_bps
     return max(t_fwd_device_s, t_tx, t_server_s)
-
-
-def side_trainable_params(hidden: int, bottleneck: int, adapters: int,
-                          classes: int) -> int:
-    """Parameter count of the side stack (projections, norms, head, gate)."""
-    per_adapter = 2 * hidden * bottleneck + 2 * hidden
-    return adapters * per_adapter + hidden * classes + classes + 1
 
 
 # Reference decoder-only configurations used throughout the accounting

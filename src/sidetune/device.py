@@ -25,9 +25,9 @@ from io import BytesIO
 import numpy as np
 
 from .backbone import BackboneConfig, BackboneWeights, forward_collect, init_backbone, load_backbone
-from .quantize import SCALE_BYTES, TAP_HEADER_BYTES, quantize
+from .quantize import payload_bytes, quantize
 from .sidenet import load_side
-from .transport import TcpTransport, TransportClosed
+from .transport import TransportClosed
 from .wire import (
     ACK_OK,
     ACK_REASONS,
@@ -114,7 +114,6 @@ class DeviceConfig:
     serial: bool = False  # wait for a per-iteration server ack (no overlap)
     fetch_checkpoint: bool = False
     log_path: str | None = None
-    server_addr: str | None = None  # "host:port" when no transport is given
     timeout_s: float = 10.0
 
     def __post_init__(self):
@@ -153,14 +152,9 @@ def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
     return init_backbone(config.backbone, config.backbone_seed)
 
 
-def _batch_wire_bytes(msg: ActBatch) -> int:
-    """Payload bytes a queued batch will occupy on the wire (codes, scales,
-    per-tap headers, labels)."""
-    taps = sum(len(q.codes) + TAP_HEADER_BYTES + SCALE_BYTES for _, q in msg.taps)
-    return taps + 4 * len(msg.labels)
-
-
-def _compute_batch(weights, config, i):
+def compute_batch(weights, config, i):
+    """Batch `i` as the device sends it: sample, frozen forward, quantize
+    every tap. Returns (ActBatch, timing dict). Local mode calls this too."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
     tap_set = forward_collect(weights, tokens)
@@ -190,15 +184,9 @@ def request_checkpoint(transport, reader: MessageReader, timeout: float):
     return load_side(BytesIO(msg.data))
 
 
-def run_device(config: DeviceConfig, transport=None) -> DeviceReport:
-    """Drive a full training session from the device end."""
-    own_transport = transport is None
-    if own_transport:
-        if not config.server_addr:
-            raise ValueError("need a transport or a server address")
-        host, _, port = config.server_addr.rpartition(":")
-        transport = TcpTransport.connect(host or "127.0.0.1", int(port),
-                                         timeout=config.timeout_s)
+def run_device(config: DeviceConfig, transport) -> DeviceReport:
+    """Drive a full training session from the device end. The caller owns
+    `transport` and closes it."""
     weights = load_device_backbone(config)
     reader = MessageReader(transport)
     report = DeviceReport(iterations=0, wall_s=0.0, bytes_sent=0, max_queued_bytes=0)
@@ -222,8 +210,6 @@ def run_device(config: DeviceConfig, transport=None) -> DeviceReport:
                 )
             transport.send(encode(Bye()))
     finally:
-        if own_transport:
-            transport.close()
         if config.log_path:
             with open(config.log_path, "w") as fh:
                 for entry in report.entries:
@@ -242,8 +228,10 @@ def _run_pipelined(config, weights, transport, reader, report) -> None:
             for i in range(config.total_iterations):
                 if state["abort"]:
                     break
-                msg, timing = _compute_batch(weights, config, i)
-                size = _batch_wire_bytes(msg)
+                msg, timing = compute_batch(weights, config, i)
+                # wire bytes the batch holds while queued: its taps and labels
+                size = (sum(payload_bytes(q.shape, q.scheme) for _, q in msg.taps)
+                        + 4 * len(msg.labels))
                 t0 = time.perf_counter()
                 work.put((msg, size, timing))
                 timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
@@ -292,7 +280,7 @@ def _run_serial(config, weights, transport, reader, report) -> None:
     """Conventional interleave: one forward, one upload, one server update,
     all strictly in sequence. Exists as the overlap baseline."""
     for i in range(config.total_iterations):
-        msg, timing = _compute_batch(weights, config, i)
+        msg, timing = compute_batch(weights, config, i)
         t0 = time.perf_counter()
         data = encode(msg)
         transport.send(data)

@@ -17,6 +17,8 @@ GELU_CUBIC = 0.044715
 
 F16_MAX = 65504.0  # largest finite binary16 value
 
+LN_EPS = 1e-5  # every layer norm, backbone and side network alike
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator with a platform-independent stream (PCG64)."""
@@ -71,7 +73,7 @@ def layer_norm(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    eps: float = 1e-5,
+    eps: float = LN_EPS,
 ) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 

@@ -1,38 +1,34 @@
 """The server side: accept one session, train the side-network, serve
-checkpoints.
+checkpoints; and local mode, the single-process baseline.
 
 Two workers share the connection. The receive worker only decodes frames
 and feeds a bounded inbound queue (backpressure flows to the transport);
 the train worker consumes messages strictly in arrival order, so
 optimizer state needs no locking and checkpoint requests are always
 served at an iteration boundary.
+
+Local mode builds each batch with the device's own
+:func:`sidetune.device.compute_batch` and trains it through the same
+step-recording helper as a split session, so the two share every line
+that computes a loss.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import queue
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from io import BytesIO
 
-from .backbone import BackboneConfig, forward_collect
-from .device import DeviceConfig, load_device_backbone, make_batch
-from .quantize import quantize
+from .backbone import BackboneConfig
+from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
-from .training import (
-    DEFAULT_BETA1,
-    DEFAULT_BETA2,
-    DEFAULT_EPS,
-    DEFAULT_LR,
-    TrainState,
-    init_adam,
-    train_iteration,
-)
-from .transport import TransportClosed, tcp_listen_one
+from .training import DEFAULT_LR, TrainState, init_adam, train_iteration
+from .transport import TransportClosed
 from .wire import (
     ACK_BAD_DIGEST,
     ACK_BAD_GAMMA,
@@ -66,15 +62,10 @@ class ServerConfig:
     init_std: float = 0.02
     side_seed: int = 1
     lr: float = DEFAULT_LR
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    eps: float = DEFAULT_EPS
     loss_kind: str = "cross_entropy"
     queue_depth: int = 4
     checkpoint_path: str | None = None
     metrics_path: str | None = None
-    metrics_interval: int = 0  # unsolicited snapshot every N iterations; 0 = off
-    listen_addr: str | None = None  # "host:port" when no transport injected
     timeout_s: float = 10.0
 
     def __post_init__(self):
@@ -106,9 +97,7 @@ class ServerReport:
 def _make_state(config: ServerConfig) -> TrainState:
     side_cfg = config.side_config()
     params = init_side(side_cfg, config.side_seed)
-    adam = init_adam(params, lr=config.lr, beta1=config.beta1,
-                     beta2=config.beta2, eps=config.eps)
-    return TrainState(config=side_cfg, params=params, adam=adam,
+    return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr),
                       loss_kind=config.loss_kind)
 
 
@@ -128,50 +117,64 @@ def _checkpoint_bytes(state: TrainState) -> bytes:
     return buf.getvalue()
 
 
-def run_server(config: ServerConfig, transport=None) -> ServerReport:
-    """Serve exactly one training session; returns once the device says
-    Bye or the connection dies."""
-    own_transport = transport is None
-    if own_transport:
-        if not config.listen_addr:
-            raise ValueError("need a transport or a listen address")
-        host, _, port = config.listen_addr.rpartition(":")
-        transport, _ = tcp_listen_one(host or "0.0.0.0", int(port))
+def _save_checkpoint(config: ServerConfig, state: TrainState) -> None:
+    if config.checkpoint_path:
+        with open(config.checkpoint_path, "wb") as fh:
+            fh.write(_checkpoint_bytes(state))
 
+
+def _metrics_log(config: ServerConfig):
+    return open(config.metrics_path, "w") if config.metrics_path else nullcontext()
+
+
+def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh):
+    """One training step, recorded in `report` and the metrics log; None
+    when the batch was dropped as out of order."""
+    metrics = train_iteration(state, batch)
+    if metrics is not None:
+        report.iterations += 1
+        report.losses.append(metrics.loss)
+        report.metrics.append(metrics)
+        if metrics_fh:
+            metrics_fh.write(metrics.to_json() + "\n")
+    return metrics
+
+
+def run_server(config: ServerConfig, transport) -> ServerReport:
+    """Serve exactly one training session; returns once the device says
+    Bye or the connection dies. The caller owns `transport` and closes it."""
     report = ServerReport()
     reader = MessageReader(transport)
-    try:
-        hello = reader.read_expected([Hello], timeout=config.timeout_s)
-        status = _validate_hello(config, hello)
-        transport.send(encode(SessionAck(session_id=next(_session_counter),
-                                         status=status)))
-        if status != ACK_OK:
-            report.rejected = status
-            return report
+    hello = reader.read_expected([Hello], timeout=config.timeout_s)
+    status = _validate_hello(config, hello)
+    transport.send(encode(SessionAck(session_id=next(_session_counter),
+                                     status=status)))
+    if status != ACK_OK:
+        report.rejected = status
+        return report
 
-        state = _make_state(config)
-        report.state = state
-        sync = hello.sync
-        inbound: queue.Queue = queue.Queue(maxsize=config.queue_depth)
+    state = _make_state(config)
+    report.state = state
+    inbound: queue.Queue = queue.Queue(maxsize=config.queue_depth)
 
-        def receive_worker():
-            try:
-                while True:
-                    msg = reader.read(timeout=None)
-                    if msg is None:
-                        inbound.put(("eof", None))
-                        return
-                    inbound.put(("msg", msg))
-                    if isinstance(msg, Bye):
-                        return
-            except (FrameError, DesyncError, TransportClosed) as exc:
-                inbound.put(("error", exc))
-
-        rx = threading.Thread(target=receive_worker, name="server-recv", daemon=True)
-        rx.start()
-
-        metrics_fh = open(config.metrics_path, "w") if config.metrics_path else None
+    def receive_worker():
         try:
+            while True:
+                msg = reader.read(timeout=None)
+                if msg is None:
+                    inbound.put(("eof", None))
+                    return
+                inbound.put(("msg", msg))
+                if isinstance(msg, Bye):
+                    return
+        except (FrameError, DesyncError, TransportClosed) as exc:
+            inbound.put(("error", exc))
+
+    rx = threading.Thread(target=receive_worker, name="server-recv", daemon=True)
+    rx.start()
+
+    try:
+        with _metrics_log(config) as metrics_fh:
             while True:
                 kind, msg = inbound.get()
                 if kind == "error":
@@ -187,31 +190,16 @@ def run_server(config: ServerConfig, transport=None) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
-                    metrics = train_iteration(state, msg)
-                    if metrics is None:  # out of order; logged and dropped
-                        continue
-                    report.iterations += 1
-                    report.losses.append(metrics.loss)
-                    report.metrics.append(metrics)
-                    if metrics_fh:
-                        metrics_fh.write(metrics.to_json() + "\n")
-                    if sync or (config.metrics_interval
-                                and state.iterations % config.metrics_interval == 0):
+                    metrics = _train_and_record(state, msg, report, metrics_fh)
+                    if metrics is not None and hello.sync:
                         transport.send(encode(MetricsSnapshot(text=metrics.to_json())))
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
-        finally:
-            if metrics_fh:
-                metrics_fh.close()
-            rx.join(timeout=5.0)
-
-        report.dropped = state.dropped
-        if config.checkpoint_path:
-            with open(config.checkpoint_path, "wb") as fh:
-                fh.write(_checkpoint_bytes(state))
     finally:
-        if own_transport:
-            transport.close()
+        rx.join(timeout=5.0)
+
+    report.dropped = state.dropped
+    _save_checkpoint(config, state)
     return report
 
 
@@ -225,11 +213,12 @@ class LocalReport:
 
 
 def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> LocalReport:
-    """Single-process baseline: identical pipeline, no wire in between.
+    """Single-process baseline: the device's batches, the server's steps,
+    no wire in between.
 
     Quantize/dequantize still runs (it is part of the model, not the
-    transport), so with matching seeds the loss trajectory is bit-equal
-    to a split run's.
+    transport), so with matching seeds the loss trajectory and the
+    checkpoint are bit-equal to a split run's.
     """
     if device_config.backbone != server_config.backbone:
         raise ValueError("device and server disagree on the backbone config")
@@ -237,24 +226,11 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Loca
     state = _make_state(server_config)
     report = LocalReport(state=state)
 
-    metrics_fh = open(server_config.metrics_path, "w") if server_config.metrics_path else None
     t0 = time.perf_counter()
-    try:
+    with _metrics_log(server_config) as metrics_fh:
         for i in range(device_config.total_iterations):
-            tokens, labels = make_batch(device_config.task, i, device_config.batch_size)
-            tap_set = forward_collect(weights, tokens)
-            qtaps = tuple(
-                (idx, quantize(act, device_config.scheme)) for idx, act in tap_set.taps
-            )
-            batch = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=qtaps)
-            metrics = train_iteration(state, batch)
-            report.iterations += 1
-            report.losses.append(metrics.loss)
-            report.metrics.append(metrics)
-            if metrics_fh:
-                metrics_fh.write(metrics.to_json() + "\n")
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
+            batch, _ = compute_batch(weights, device_config, i)
+            _train_and_record(state, batch, report, metrics_fh)
     report.wall_s = time.perf_counter() - t0
+    _save_checkpoint(server_config, state)
     return report

@@ -36,8 +36,6 @@ from .quantize import dequantize, quantize
 CHECKPOINT_MAGIC = b"MBSN"
 CHECKPOINT_VERSION = 1
 
-LN_EPS = 1e-5
-
 _SIGMA_CODES = {"gelu": 0, "relu": 1}
 _SIGMA_NAMES = {v: k for k, v in _SIGMA_CODES.items()}
 
@@ -129,25 +127,36 @@ class BackwardCache:
     logits: np.ndarray
 
 
+def _tensor_shapes(config: SideConfig) -> tuple[dict, dict]:
+    """The one shape declaration of the weight set: per-adapter and head
+    tensor shapes, each in checkpoint order. The combine gate is a scalar
+    kept in the checkpoint header."""
+    h, m = config.hidden, config.bottleneck
+    adapter = {"w_down": (h, m), "w_up": (m, h), "ln_gamma": (h,), "ln_beta": (h,)}
+    head = {"head_weight": (h, config.classes), "head_bias": (config.classes,)}
+    return adapter, head
+
+
 def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
     """Zero-mean Gaussian projections, identity layer norms, zero head."""
     rng = kernels.make_rng(seed)
-    h, m = config.hidden, config.bottleneck
-    std = config.init_std
+    adapter_shapes, head_shapes = _tensor_shapes(config)
 
-    adapters = []
-    for _ in range(config.adapters):
-        adapters.append(AdapterParams(
-            w_down=rng.normal(0.0, std, size=(h, m)).astype(np.float32),
-            w_up=rng.normal(0.0, std, size=(m, h)).astype(np.float32),
-            ln_gamma=np.ones(h, dtype=np.float32),
-            ln_beta=np.zeros(h, dtype=np.float32),
-        ))
+    def make(name, shape):
+        if name.startswith("w_"):
+            return rng.normal(0.0, config.init_std, size=shape).astype(np.float32)
+        if name.endswith("_gamma"):
+            return np.ones(shape, dtype=np.float32)
+        return np.zeros(shape, dtype=np.float32)
+
+    adapters = [
+        AdapterParams(**{name: make(name, shape) for name, shape in adapter_shapes.items()})
+        for _ in range(config.adapters)
+    ]
     return SideNetworkParams(
         adapters=adapters,
-        head_weight=np.zeros((h, config.classes), dtype=np.float32),
-        head_bias=np.zeros(config.classes, dtype=np.float32),
         combine_gate=np.zeros((), dtype=np.float32),
+        **{name: make(name, shape) for name, shape in head_shapes.items()},
     )
 
 
@@ -156,13 +165,6 @@ def zero_grads_like(params: SideNetworkParams) -> SideNetworkParams:
     for _, t in out.named_tensors():
         t[...] = 0
     return out
-
-
-def adapter_core(h_in: np.ndarray, p: AdapterParams, nonlinearity: str = "gelu") -> np.ndarray:
-    """sigma(h W_down) W_up -- the non-residual part of one adapter."""
-    return kernels.matmul(
-        kernels.nonlinearity(kernels.matmul(h_in, p.w_down), nonlinearity), p.w_up
-    )
 
 
 def side_forward(
@@ -198,7 +200,7 @@ def side_forward(
         act = kernels.nonlinearity(pre, config.nonlinearity)
         core = kernels.matmul(act, ad.w_up)
         y = core + u
-        s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, LN_EPS)
+        s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS)
         adapter_inputs.append(u)
         pre_acts.append(pre)
         acts.append(act)
@@ -281,7 +283,7 @@ def side_backward(
     for l in reversed(range(len(params.adapters))):
         ad = params.adapters[l]
         d_y, d_gamma, d_beta = _layer_norm_backward(
-            d_s, cache.ln_inputs[l], ad.ln_gamma, LN_EPS
+            d_s, cache.ln_inputs[l], ad.ln_gamma, kernels.LN_EPS
         )
         g = grads.adapters[l]
         g.ln_gamma[...] = d_gamma
@@ -321,6 +323,7 @@ def combined_infer(
 
 
 def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:
+    adapter_shapes, head_shapes = _tensor_shapes(config)
     with open_binary(path, "wb") as fh:
         write_magic(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         fh.write(struct.pack(
@@ -329,10 +332,10 @@ def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:
             _SIGMA_CODES[config.nonlinearity], float(params.combine_gate),
         ))
         for ad in params.adapters:
-            for name in AdapterParams.FIELDS:
+            for name in adapter_shapes:
                 write_f32(fh, getattr(ad, name))
-        write_f32(fh, params.head_weight)
-        write_f32(fh, params.head_bias)
+        for name in head_shapes:
+            write_f32(fh, getattr(params, name))
 
 
 def load_side(path, config: SideConfig | None = None):
@@ -352,19 +355,15 @@ def load_side(path, config: SideConfig | None = None):
             != (h, m, n_ad, c)
         ):
             raise FormatError(f"checkpoint config {stored} does not match {config}")
-        adapters = []
-        for _ in range(n_ad):
-            adapters.append(AdapterParams(
-                w_down=read_f32(fh, (h, m)),
-                w_up=read_f32(fh, (m, h)),
-                ln_gamma=read_f32(fh, (h,)),
-                ln_beta=read_f32(fh, (h,)),
-            ))
+        adapter_shapes, head_shapes = _tensor_shapes(stored)
+        adapters = [
+            AdapterParams(**{name: read_f32(fh, shape) for name, shape in adapter_shapes.items()})
+            for _ in range(n_ad)
+        ]
         params = SideNetworkParams(
             adapters=adapters,
-            head_weight=read_f32(fh, (h, c)),
-            head_bias=read_f32(fh, (c,)),
             combine_gate=np.array(gate, dtype=np.float32),
+            **{name: read_f32(fh, shape) for name, shape in head_shapes.items()},
         )
         if fh.read(1):
             raise FormatError("trailing bytes after final tensor")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +21,12 @@ from .sidenet import (
 
 log = logging.getLogger(__name__)
 
-# defaults: lr and batch size follow the reference training setup; the
-# moment coefficients are the customary Adam values
+# lr and batch size follow the reference training setup; the moment
+# coefficients and eps are the customary Adam values
 DEFAULT_LR = 5e-4
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def loss_and_grad(logits: np.ndarray, labels: np.ndarray, kind: str = "cross_entropy"):
@@ -73,16 +73,10 @@ class AdamState:
     v: SideNetworkParams
     t: int = 0
     lr: float = DEFAULT_LR
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    eps: float = DEFAULT_EPS
 
 
-def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR,
-              beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
-              eps: float = DEFAULT_EPS) -> AdamState:
-    return AdamState(m=zero_grads_like(params), v=zero_grads_like(params),
-                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR) -> AdamState:
+    return AdamState(m=zero_grads_like(params), v=zero_grads_like(params), lr=lr)
 
 
 def adam_step(params: SideNetworkParams, grads: SideNetworkParams,
@@ -91,11 +85,11 @@ def adam_step(params: SideNetworkParams, grads: SideNetworkParams,
     fixed parameter order."""
     state.t += 1
     t = state.t
-    b1, b2 = params.head_weight.dtype.type(state.beta1), params.head_weight.dtype.type(state.beta2)
+    b1, b2 = params.head_weight.dtype.type(ADAM_BETA1), params.head_weight.dtype.type(ADAM_BETA2)
     lr = params.head_weight.dtype.type(state.lr)
-    eps = params.head_weight.dtype.type(state.eps)
-    c1 = params.head_weight.dtype.type(1.0 - state.beta1 ** t)
-    c2 = params.head_weight.dtype.type(1.0 - state.beta2 ** t)
+    eps = params.head_weight.dtype.type(ADAM_EPS)
+    c1 = params.head_weight.dtype.type(1.0 - ADAM_BETA1 ** t)
+    c2 = params.head_weight.dtype.type(1.0 - ADAM_BETA2 ** t)
 
     tensors = zip(params.named_tensors(), grads.named_tensors(),
                   state.m.named_tensors(), state.v.named_tensors())
@@ -118,7 +112,7 @@ def grad_norm(grads: SideNetworkParams) -> float:
 class IterationMetrics:
     batch_id: int
     loss: float
-    acc: float
+    acc: float | None  # batch accuracy; None for a regression loss
     grad_norm: float
     t_deq_ms: float
     t_fwd_ms: float
@@ -144,9 +138,7 @@ class TrainState:
     adam: AdamState
     loss_kind: str = "cross_entropy"
     last_batch_id: int = -1
-    iterations: int = 0
     dropped: int = 0
-    metrics: list[IterationMetrics] = field(default_factory=list)
 
 
 def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
@@ -177,17 +169,13 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
     adam_step(state.params, grads, state.adam)
     t4 = time.perf_counter()
 
+    acc = None
     if state.loss_kind == "cross_entropy":
         acc = float((logits.argmax(axis=1) == labels).mean())
-    else:
-        acc = loss  # mse reported in the accuracy slot for regression
-    metrics = IterationMetrics(
+    return IterationMetrics(
         batch_id=int(batch.batch_id), loss=loss, acc=acc,
         grad_norm=grad_norm(grads),
         t_deq_ms=(t1 - t0) * 1e3, t_fwd_ms=(t2 - t1) * 1e3,
         t_bwd_ms=(t3 - t2) * 1e3, t_opt_ms=(t4 - t3) * 1e3,
         bytes_in=bytes_in,
     )
-    state.metrics.append(metrics)
-    state.iterations += 1
-    return metrics

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import queue
 import socket
-import threading
 import time
 
 
@@ -70,27 +69,6 @@ class RateLimitedTransport:
 
     def send(self, data: bytes) -> None:
         time.sleep(len(data) * 8.0 / self._rate)
-        self._inner.send(data)
-
-    def recv(self, timeout: float | None = None) -> bytes:
-        return self._inner.recv(timeout)
-
-    def close(self) -> None:
-        self._inner.close()
-
-
-class TranscriptTransport:
-    """Wrapper that records every chunk it carries, tagged by direction."""
-
-    def __init__(self, inner, label: str, log: list, lock: threading.Lock | None = None):
-        self._inner = inner
-        self._label = label
-        self._log = log
-        self._lock = lock or threading.Lock()
-
-    def send(self, data: bytes) -> None:
-        with self._lock:
-            self._log.append((self._label, bytes(data)))
         self._inner.send(data)
 
     def recv(self, timeout: float | None = None) -> bytes:

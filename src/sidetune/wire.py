@@ -34,6 +34,9 @@ MAX_PAYLOAD = 2**31 - 1
 
 FLAG_OPTIONAL = 0x01
 
+# per-tap header of an ActBatch: block_idx, scheme, shape, scale, code_len
+TAP_HEADER = struct.Struct("<HB3IfI")
+
 # msg_type codes
 T_HELLO = 1
 T_SESSION_ACK = 2
@@ -147,8 +150,8 @@ def encode(msg: WireMessage) -> bytes:
         parts.append(struct.pack(f"<{len(msg.labels)}I", *msg.labels))
         parts.append(struct.pack("<H", len(msg.taps)))
         for block_idx, q in msg.taps:
-            parts.append(struct.pack(
-                "<HB3IfI", block_idx, _SCHEME_CODE[q.scheme],
+            parts.append(TAP_HEADER.pack(
+                block_idx, _SCHEME_CODE[q.scheme],
                 q.shape[0], q.shape[1], q.shape[2], q.scale, len(q.codes),
             ))
             parts.append(q.codes)
@@ -167,21 +170,20 @@ def encode(msg: WireMessage) -> bytes:
 def _parse_act_batch(payload: memoryview) -> ActBatch:
     off = 0
 
-    def take(fmt):
+    def take(layout: struct.Struct):
         nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(payload):
+        if off + layout.size > len(payload):
             raise FrameError("batch payload truncated")
-        vals = struct.unpack_from(fmt, payload, off)
-        off += size
+        vals = layout.unpack_from(payload, off)
+        off += layout.size
         return vals
 
-    batch_id, n_labels = take("<QI")
-    labels = take(f"<{n_labels}I")
-    (n_taps,) = take("<H")
+    batch_id, n_labels = take(struct.Struct("<QI"))
+    labels = take(struct.Struct(f"<{n_labels}I"))
+    (n_taps,) = take(struct.Struct("<H"))
     taps = []
     for _ in range(n_taps):
-        block_idx, scheme_code, d0, d1, d2, scale, code_len = take("<HB3IfI")
+        block_idx, scheme_code, d0, d1, d2, scale, code_len = take(TAP_HEADER)
         if scheme_code not in _SCHEME_NAME:
             raise FrameError(f"unknown scheme code {scheme_code}")
         if off + code_len > len(payload):
