@@ -192,30 +192,30 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads)."""
     b, s, h = x.shape
     hd = h // heads
-    q = kernels.matmul(x, lw.w_q) + lw.b_q
-    k = kernels.matmul(x, lw.w_k) + lw.b_k
-    v = kernels.matmul(x, lw.w_v) + lw.b_v
+    q = kernels.fast_matmul(x, lw.w_q) + lw.b_q
+    k = kernels.fast_matmul(x, lw.w_k) + lw.b_k
+    v = kernels.fast_matmul(x, lw.w_v) + lw.b_v
 
     def split(t):  # [B, S, H] -> [B, heads, S, hd]
         return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
 
     q, k, v = split(q), split(k), split(v)
-    scale = x.dtype.type(1.0 / np.sqrt(hd))
-    scores = kernels.batched_matmul(q, k.swapaxes(-1, -2)) * scale
+    scores = kernels.fast_matmul(q, k.swapaxes(-1, -2))
+    scores *= x.dtype.type(1.0 / np.sqrt(hd))
     mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-    scores = np.where(mask, x.dtype.type(-np.inf), scores)
+    np.copyto(scores, x.dtype.type(-np.inf), where=mask)
     attn = kernels.softmax_rows(scores)
-    ctx = kernels.batched_matmul(attn, v)  # [B, heads, S, hd]
+    ctx = kernels.fast_matmul(attn, v)  # [B, heads, S, hd]
     ctx = ctx.transpose(0, 2, 1, 3).reshape(b, s, h)
-    return kernels.matmul(ctx, lw.w_o) + lw.b_o
+    return kernels.fast_matmul(ctx, lw.w_o) + lw.b_o
 
 
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN."""
     u = kernels.layer_norm(_self_attention(x, lw, heads) + x,
                            lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS)
-    ffn = kernels.matmul(
-        kernels.gelu(kernels.matmul(u, lw.w_up) + lw.b_up), lw.w_down
+    ffn = kernels.fast_matmul(
+        kernels.gelu(kernels.fast_matmul(u, lw.w_up) + lw.b_up), lw.w_down
     ) + lw.b_down
     return kernels.layer_norm(ffn + u, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS)
 

@@ -119,6 +119,10 @@ class DeviceConfig:
     def __post_init__(self):
         if self.queue_depth < 1:
             raise ValueError("queue depth must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1")
+        if self.total_iterations < 1:
+            raise ValueError("the run has no iterations: epochs or iterations must be positive")
         if self.task.seq_len > self.backbone.max_seq:
             raise ValueError("task sequence length exceeds backbone max_seq")
         if self.task.vocab_size > self.backbone.vocab_size:

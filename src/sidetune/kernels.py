@@ -1,10 +1,18 @@
 """Deterministic dense-tensor math shared by every other module.
 
 All functions operate on plain numpy arrays (row-major, float32 or
-float64) and are pure: inputs are never mutated, outputs are freshly
-allocated, and the floating-point accumulation order is fixed so that
-repeated runs -- and the local vs. split training pipelines -- produce
-bit-identical results.
+float64) and are pure: inputs are never mutated and outputs are freshly
+allocated.
+
+Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
+accumulate in ascending-k order, one product and one add per step, so
+their results are the same on every platform; they are the reference
+that tests compare against. :func:`fast_matmul` is the product the
+program runs: BLAS behind the same shape and precision checks. Its
+accumulation order belongs to the BLAS build, so its results are
+deterministic for a given build and thread count, not across them. Local
+and split runs stay bit-equal because both roles run the same code on
+the same inputs.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Accumulates over the inner index in ascending order, one product and
     one add per step, so the result is bit-identical to a naive triple
-    loop. This ordering is a contract: downstream equivalence tests
-    compare pipelines at zero ulps.
+    loop on any platform. The reference for :func:`fast_matmul`; no
+    production code calls it.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -55,8 +63,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise matrix product with matching batch dims on both operands.
 
-    Same ascending-k accumulation contract as :func:`matmul`; used for
-    per-head attention products where the rhs varies across the batch.
+    Same ascending-k accumulation contract as :func:`matmul`; the
+    reference for :func:`fast_matmul` with a batched rhs, such as the
+    per-head attention products.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -67,6 +76,26 @@ def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(a.shape[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]
     return out
+
+
+def fast_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b through BLAS, with the checks of the exact kernels.
+
+    b is either 2-D, with a carrying any batch dims (as in :func:`matmul`),
+    or carries batch dims equal to a's (as in :func:`batched_matmul`).
+    Batch dims that would only broadcast and mixed precisions raise
+    ValueError. Repeated calls give bit-equal results for a given BLAS
+    build and thread count; against the ascending-k kernels they agree to
+    rounding only.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"inner extents differ: {a.shape} x {b.shape}")
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"batch dims differ: {a.shape} x {b.shape}")
+    _check_same_dtype(a, b)
+    return np.matmul(a, b)
 
 
 def layer_norm(
@@ -127,9 +156,11 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim < 1:
         raise ValueError("softmax_rows requires rank >= 1")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True, dtype=x.dtype)
+    # one fresh buffer, same arithmetic as (e := exp(x - max)) / sum(e)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True, dtype=x.dtype)
+    return out
 
 
 def sigmoid(x):

@@ -196,9 +196,9 @@ def side_forward(
     adapter_inputs, pre_acts, acts, ln_inputs = [], [], [], []
     for tap, ad in zip(block_taps, params.adapters):
         u = s + tap
-        pre = kernels.matmul(u, ad.w_down)
+        pre = kernels.fast_matmul(u, ad.w_down)
         act = kernels.nonlinearity(pre, config.nonlinearity)
-        core = kernels.matmul(act, ad.w_up)
+        core = kernels.fast_matmul(act, ad.w_up)
         y = core + u
         s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS)
         adapter_inputs.append(u)
@@ -211,7 +211,7 @@ def side_forward(
     final_tap = block_taps[-1]
     z = blend * final_tap + (1 - blend) * s
     pooled = kernels.mean_pool(z)
-    logits = kernels.matmul(pooled, params.head_weight) + params.head_bias
+    logits = kernels.fast_matmul(pooled, params.head_weight) + params.head_bias
 
     if not training:
         return logits, None
@@ -263,9 +263,9 @@ def side_backward(
     b, s_len, _ = cache.taps[-1].shape
 
     # head
-    grads.head_weight[...] = kernels.matmul(pooled.T, d_logits)
+    grads.head_weight[...] = kernels.fast_matmul(pooled.T, d_logits)
     grads.head_bias[...] = d_logits.sum(axis=0, dtype=d_logits.dtype)
-    d_pooled = kernels.matmul(d_logits, params.head_weight.T)
+    d_pooled = kernels.fast_matmul(d_logits, params.head_weight.T)
 
     # mean pooling spreads the gradient uniformly over positions
     d_z = np.broadcast_to(
@@ -293,11 +293,11 @@ def side_backward(
         u = cache.adapter_inputs[l]
         act = cache.acts[l]
         flat = lambda t: t.reshape(-1, t.shape[-1])
-        g.w_up[...] = kernels.matmul(flat(act).T, flat(d_y))
-        d_act = kernels.matmul(d_y, ad.w_up.T)
+        g.w_up[...] = kernels.fast_matmul(flat(act).T, flat(d_y))
+        d_act = kernels.fast_matmul(d_y, ad.w_up.T)
         d_pre = d_act * kernels.nonlinearity_grad(cache.pre_acts[l], cfg.nonlinearity)
-        g.w_down[...] = kernels.matmul(flat(u).T, flat(d_pre))
-        d_u = d_y + kernels.matmul(d_pre, ad.w_down.T)
+        g.w_down[...] = kernels.fast_matmul(flat(u).T, flat(d_pre))
+        d_u = d_y + kernels.fast_matmul(d_pre, ad.w_down.T)
 
         d_s = d_u  # taps are constants; only s_{l-1} carries gradient
     return grads

@@ -1,5 +1,7 @@
 """The `sidetune` command's local subcommand and the package's exports."""
 
+import pytest
+
 import sidetune
 from sidetune.cli import main
 
@@ -19,6 +21,13 @@ def test_local_prints_no_accuracy_for_mse(capsys):
     assert main(["local", *TINY, "--loss", "mse", "--classes", "1"]) == 0
     out = capsys.readouterr().out
     assert "final loss" in out and "acc" not in out
+
+
+@pytest.mark.parametrize("flags", [["--iters", "0", "--epochs", "0"], ["--iters", "-1"],
+                                   ["--batch", "0"]])
+def test_local_rejects_a_run_without_iterations(capsys, flags):
+    assert main(["local", *TINY, *flags]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():

@@ -80,6 +80,61 @@ class TestMatmul:
             np.testing.assert_array_equal(out[i], triple_loop_matmul(a[i], b[i]))
 
 
+def exact_matmul(a, b):
+    """The ascending-k reference for a fast_matmul call of the same shapes."""
+    return kernels.matmul(a, b) if np.ndim(b) == 2 else kernels.batched_matmul(a, b)
+
+
+# BLAS may sum in any order: each element may differ from the ascending-k
+# sum by this many units of roundoff of the sum of |terms| (the textbook
+# dot-product bound is k units; measured differences stay below 2)
+FAST_ULPS = 8
+
+
+class TestFastMatmul:
+    SHAPES = {
+        "attention_qk": ((2, 4, 31, 8), (2, 4, 8, 31)),
+        "attention_av": ((2, 4, 31, 31), (2, 4, 31, 8)),
+        "ffn": ((2, 31, 32), (32, 128)),
+        "weight_grad_large_k": ((32, 4080), (4080, 16)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_agrees_with_the_exact_kernels(self, name, dtype):
+        rng = kernels.make_rng(12)
+        a_shape, b_shape = self.SHAPES[name]
+        a = rng.normal(size=a_shape).astype(dtype)
+        b = rng.normal(size=b_shape).astype(dtype)
+        fast = kernels.fast_matmul(a, b)
+        exact = exact_matmul(a, b)
+        assert fast.shape == exact.shape and fast.dtype == exact.dtype
+        terms = np.matmul(np.abs(a).astype(np.float64), np.abs(b).astype(np.float64))
+        bound = FAST_ULPS * np.finfo(dtype).eps * terms
+        assert (np.abs(fast.astype(np.float64) - exact) <= bound).all()
+
+    def test_repeated_calls_are_bit_equal(self):
+        rng = kernels.make_rng(13)
+        a = rng.normal(size=(2, 4, 31, 31)).astype(np.float32)
+        b = rng.normal(size=(2, 4, 31, 8)).astype(np.float32)
+        np.testing.assert_array_equal(kernels.fast_matmul(a, b), kernels.fast_matmul(a, b))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3), (4, 2)),           # inner extents differ
+        ((2, 3, 4), (2, 5, 6)),     # inner extents differ, batched
+        ((2, 3, 4), (1, 4, 5)),     # rhs batch dim would broadcast
+        ((3, 4), (2, 4, 5)),        # lhs would broadcast over the rhs batch
+        ((2, 2, 3, 4), (2, 4, 5)),  # batch ranks differ
+    ])
+    def test_shape_mismatch(self, a_shape, b_shape):
+        with pytest.raises(ValueError):
+            kernels.fast_matmul(np.zeros(a_shape, np.float32), np.zeros(b_shape, np.float32))
+
+    def test_mixed_precision_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.fast_matmul(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.float64))
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         x = np.full((3, 8), 2.5, dtype=np.float32)
@@ -135,6 +190,20 @@ class TestNonlinearities:
         x = rng.normal(size=(4, 7, 11)).astype(np.float32) * 10
         out = kernels.nonlinearity(x, "softmax_rows")
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_rows_keeps_the_three_step_values(self, dtype):
+        rng = kernels.make_rng(14)
+        x = (rng.normal(size=(2, 3, 9, 9)) * 10).astype(dtype)
+        x[..., np.triu(np.ones((9, 9), dtype=bool), k=1)] = -np.inf  # as attention masks it
+        before = x.copy()
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=-1, keepdims=True, dtype=x.dtype)
+        out = kernels.softmax_rows(x)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(x, before)
 
     @pytest.mark.parametrize("x,expected", sorted(GELU_REFERENCE.items()))
     def test_gelu_reference_values(self, x, expected):

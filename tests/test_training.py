@@ -1,15 +1,20 @@
-"""The analytic backward against finite differences, and the metrics a
-training step reports."""
+"""The analytic backward against finite differences, the metrics a
+training step reports, and convergence on the synthetic task."""
 
 import json
 
 import numpy as np
 
 from sidetune import (
+    BackboneConfig,
+    DeviceConfig,
+    ServerConfig,
     SideConfig,
+    SyntheticTask,
     TrainState,
     init_adam,
     init_side,
+    local_mode,
     quantize,
     train_iteration,
 )
@@ -44,3 +49,17 @@ def test_mse_step_reports_no_accuracy():
     assert metrics.acc is None
     assert metrics.loss > 0
     assert json.loads(metrics.to_json())["acc"] is None
+
+
+def test_side_tuning_learns_the_synthetic_task():
+    backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
+                              block_cuts=(1, 2, 3, 4))
+    device = DeviceConfig(backbone=backbone, task=SyntheticTask(seq_len=15, seed=3),
+                          scheme="nf4", batch_size=32, iterations=100)
+    report = local_mode(device, ServerConfig(backbone=backbone, lr=5e-3))
+    assert report.iterations == 100
+    # chance is ln 2 = 0.693; measured 0.66 over the first 20 steps, then
+    # 0.21 with batch accuracy 0.90 over the last 20
+    assert np.mean(report.losses[:20]) > 0.6
+    assert np.mean(report.losses[-20:]) < 0.35
+    assert np.mean([m.acc for m in report.metrics[-20:]]) > 0.8
