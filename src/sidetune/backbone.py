@@ -36,6 +36,9 @@ WEIGHTS_VERSION = 1
 
 INIT_STD = 0.02
 
+# query rows per attention tile; each tile's scores are [B, heads, tile, <=S]
+ATTN_TILE = 32
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -189,7 +192,16 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
-    """Causal multi-head attention with per-head scale 1/sqrt(H/heads)."""
+    """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
+
+    Queries go in tiles of ATTN_TILE rows. A tile [r0, r1) scores only
+    the keys [0, r1), since later keys are masked for every row in it, and
+    masks only its diagonal block [r0, r1). So the masked upper triangle
+    is never computed and no [B, heads, S, S] tensor is built. A sequence
+    of at most ATTN_TILE positions is one tile, the plain full formula;
+    longer ones agree with it to rounding, because each softmax row sums
+    r1 entries instead of S.
+    """
     b, s, h = x.shape
     hd = h // heads
     q = kernels.fast_matmul(x, lw.w_q) + lw.b_q
@@ -199,15 +211,18 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
     def split(t):  # [B, S, H] -> [B, heads, S, hd]
         return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
 
-    q, k, v = split(q), split(k), split(v)
-    scores = kernels.fast_matmul(q, k.swapaxes(-1, -2))
-    scores *= x.dtype.type(1.0 / np.sqrt(hd))
-    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-    np.copyto(scores, x.dtype.type(-np.inf), where=mask)
-    attn = kernels.softmax_rows(scores)
-    ctx = kernels.fast_matmul(attn, v)  # [B, heads, S, hd]
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(b, s, h)
-    return kernels.fast_matmul(ctx, lw.w_o) + lw.b_o
+    q, kt, v = split(q), split(k).swapaxes(-1, -2), split(v)
+    scale = x.dtype.type(1.0 / np.sqrt(hd))
+    mask = np.triu(np.ones((ATTN_TILE, ATTN_TILE), dtype=bool), k=1)
+    ctx = np.empty((b, s, heads, hd), dtype=x.dtype)
+    for r0 in range(0, s, ATTN_TILE):
+        r1 = min(r0 + ATTN_TILE, s)
+        scores = kernels.fast_matmul(q[:, :, r0:r1], kt[..., :r1])
+        scores *= scale
+        np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=mask[:r1 - r0, :r1 - r0])
+        attn = kernels.softmax_rows(scores)
+        ctx[:, r0:r1] = kernels.fast_matmul(attn, v[:, :, :r1]).transpose(0, 2, 1, 3)
+    return kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o) + lw.b_o
 
 
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:

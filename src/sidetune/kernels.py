@@ -136,7 +136,18 @@ def gelu(x: np.ndarray) -> np.ndarray:
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
     half = x.dtype.type(0.5)
-    return half * x * (1 + np.tanh(c * (x + a * x * x * x)))
+    # two buffers, same operations in the same order as the formula above
+    # (products and sums commute bit for bit)
+    t = np.multiply(x, a, out=np.empty_like(x))
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    t += 1
+    out = np.multiply(x, half, out=np.empty_like(x))
+    out *= t
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

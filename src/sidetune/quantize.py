@@ -13,6 +13,7 @@ scale is the only side information carried besides the packed codes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,10 @@ SCHEMES = ("none_fp16", "fp8_e4m3", "fp4_grid", "nf4")
 # bits per element on the wire
 SCHEME_BITS = {"none_fp16": 16, "fp8_e4m3": 8, "fp4_grid": 4, "nf4": 4}
 
-# Per-tap byte overhead besides the raw codes: the wire header carries
-# block index (u16), scheme (u8), shape (3 x u32), code length (u4) = 19
-# bytes, and the absmax scale adds 4 more.
-TAP_HEADER_BYTES = 19
-SCALE_BYTES = 4
+# What one tap carries on the wire besides its codes: block index (u16),
+# scheme (u8), shape (3 x u32), absmax scale (f32) and code length (u32).
+# The wire codec packs it and payload_bytes counts it.
+TAP_HEADER = struct.Struct("<HB3IfI")
 
 
 def nf4_codebook() -> np.ndarray:
@@ -161,9 +161,12 @@ def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
         q = np.clip(np.rint(z * 7.0), -7, 7).astype(np.int8)
         codes = pack_nibbles((q + 8).astype(np.uint8))
     elif scheme == "nf4":
-        # nearest codebook entry; searchsorted(left) puts exact midpoints
-        # with the smaller index
-        idx = np.searchsorted(_NF4_CUTS, z, side="left").astype(np.uint8)
+        # nearest codebook entry: the count of cuts strictly below z, so
+        # exact midpoints go to the smaller index (searchsorted, side
+        # "left"); 15 vector compares beat a binary search per element
+        idx = np.zeros(z.shape, dtype=np.uint8)
+        for cut in _NF4_CUTS:
+            idx += z > cut
         codes = pack_nibbles(idx)
     else:  # fp8_e4m3
         codes = _encode_e4m3(z).tobytes()
@@ -201,8 +204,8 @@ def payload_code_bytes(num_elements: int, scheme: str) -> int:
 
 
 def payload_bytes(shape, scheme: str) -> int:
-    """Wire bytes for one quantized tap: codes + scale + per-tap header."""
+    """Wire bytes for one quantized tap: codes + per-tap header."""
     n = 1
     for d in shape:
         n *= int(d)
-    return payload_code_bytes(n, scheme) + SCALE_BYTES + TAP_HEADER_BYTES
+    return payload_code_bytes(n, scheme) + TAP_HEADER.size

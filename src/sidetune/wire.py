@@ -24,7 +24,7 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from .quantize import SCHEMES, QuantizedActivation
+from .quantize import SCHEMES, TAP_HEADER, QuantizedActivation
 
 MAGIC = b"MBLM"
 FRAME_VERSION = 1
@@ -33,9 +33,6 @@ HEADER_LEN = 12
 MAX_PAYLOAD = 2**31 - 1
 
 FLAG_OPTIONAL = 0x01
-
-# per-tap header of an ActBatch: block_idx, scheme, shape, scale, code_len
-TAP_HEADER = struct.Struct("<HB3IfI")
 
 # msg_type codes
 T_HELLO = 1

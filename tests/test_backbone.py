@@ -1,18 +1,32 @@
 """The frozen decoder's forward: the BLAS products against the ascending-k
-reference, the in-place attention against its out-of-place formula, and
-the causal mask."""
+reference, the tiled in-place attention against its full out-of-place
+formula, the attention's working set, and the causal mask."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from sidetune import BackboneConfig, backbone, forward_collect, init_backbone, kernels
 from test_kernels import exact_matmul
 
 CONFIG = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                         block_cuts=(1, 2, 3, 4))
+TILE = backbone.ATTN_TILE
+# three query tiles, the last one short
+LONG = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=3 * TILE,
+                      block_cuts=(1, 2, 3, 4))
+LONG_SEQ = 3 * TILE - 5
 
 # taps are layer-normed (unit scale), so this bounds the rounding that four
 # layers add to float32 products summed in a different order
 TAP_ATOL = 1e-5
+
+# a tiled softmax row sums its r1 <= S entries in another order than the full
+# row, and BLAS may pick another kernel for a tile's shape (a one-row tile is
+# a matrix-vector product): about 8 float32 ulps of max |output|; measured
+# gaps stay below 1.1e-7 of it
+TILED_RTOL = 1e-6
 
 
 def tokens(batch=3, seq=15, seed=0):
@@ -45,23 +59,53 @@ def test_in_place_attention_is_bit_equal_to_the_out_of_place_formula():
         x = backbone.layer_forward(x, lw, CONFIG.heads)
 
 
+@pytest.mark.parametrize("seq", [TILE, TILE + 1, LONG_SEQ])
+def test_tiled_attention_agrees_with_the_full_formula(seq):
+    weights = init_backbone(LONG, 7)
+    x = weights.token_embedding[tokens(seq=seq)] + weights.pos_embedding[:seq]
+    for lw in weights.layers:
+        tiled = backbone._self_attention(x, lw, LONG.heads)
+        full = out_of_place_attention(x, lw, LONG.heads)
+        np.testing.assert_allclose(tiled, full, rtol=0,
+                                   atol=TILED_RTOL * np.abs(full).max())
+        x = backbone.layer_forward(x, lw, LONG.heads)
+
+
+def test_attention_never_holds_a_full_score_tensor():
+    b, s, heads = 16, 255, 4
+    config = BackboneConfig(vocab_size=16, hidden=32, layers=1, heads=heads, max_seq=s)
+    lw = init_backbone(config, 7).layers[0]
+    x = kernels.make_rng(3).normal(size=(b, s, config.hidden)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        backbone._self_attention(x, lw, heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b * heads * s * s * 4  # one float32 [B, heads, S, S] tensor
+
+
 def test_taps_agree_with_the_exact_kernels(monkeypatch):
-    weights = init_backbone(CONFIG, 7)
-    fast = forward_collect(weights, tokens()).taps
+    # one tile, and three tiles with a short last one
+    runs = [(init_backbone(config, 7), tokens(seq=seq))
+            for config, seq in ((CONFIG, 15), (LONG, LONG_SEQ))]
+    fast = [forward_collect(weights, toks).taps for weights, toks in runs]
     monkeypatch.setattr(kernels, "fast_matmul", exact_matmul)
-    exact = forward_collect(weights, tokens()).taps
-    assert [i for i, _ in fast] == [i for i, _ in exact] == [0, 1, 2, 3, 4]
-    for (_, f), (_, e) in zip(fast, exact):
-        assert f.dtype == e.dtype == np.float32
-        np.testing.assert_allclose(f, e, rtol=0, atol=TAP_ATOL)
+    for (weights, toks), fast_taps in zip(runs, fast):
+        exact = forward_collect(weights, toks).taps
+        assert [i for i, _ in fast_taps] == [i for i, _ in exact] == [0, 1, 2, 3, 4]
+        for (_, f), (_, e) in zip(fast_taps, exact):
+            assert f.dtype == e.dtype == np.float32
+            np.testing.assert_allclose(f, e, rtol=0, atol=TAP_ATOL)
 
 
 def test_a_position_sees_no_later_token():
-    weights = init_backbone(CONFIG, 7)
-    toks = tokens()
+    weights = init_backbone(LONG, 7)
+    toks = tokens(seq=LONG_SEQ)
+    pos = TILE + TILE // 2  # inside the middle tile
     changed = toks.copy()
-    changed[:, -1] = (changed[:, -1] + 1) % CONFIG.vocab_size
+    changed[:, pos] = (changed[:, pos] + 1) % LONG.vocab_size
     for (_, a), (_, b) in zip(forward_collect(weights, toks).taps,
                               forward_collect(weights, changed).taps):
-        np.testing.assert_array_equal(a[:, :-1], b[:, :-1])
-        assert not np.array_equal(a[:, -1], b[:, -1])
+        np.testing.assert_array_equal(a[:, :pos], b[:, :pos])
+        assert not np.array_equal(a[:, pos], b[:, pos])

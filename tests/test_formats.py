@@ -15,15 +15,14 @@ from sidetune import (
     init_side,
     load_backbone,
     load_side,
+    payload_bytes,
     payload_per_iteration,
     quantize,
     save_backbone,
     save_side,
 )
 from sidetune.binio import FormatError
-from sidetune.quantize import SCALE_BYTES, TAP_HEADER_BYTES
 from sidetune.wire import (
-    TAP_HEADER,
     ActBatch,
     Bye,
     CheckpointData,
@@ -127,5 +126,10 @@ def test_act_batch_frame_is_payload_plus_30_bytes(scheme):
     assert len(frame) == payload_per_iteration(spec, scheme) + 30
 
 
-def test_tap_header_size_matches_the_payload_accounting():
-    assert TAP_HEADER.size == TAP_HEADER_BYTES + SCALE_BYTES
+@pytest.mark.parametrize("scheme", ["none_fp16", "fp8_e4m3", "fp4_grid", "nf4"])
+def test_one_tap_adds_its_payload_bytes_to_the_frame(scheme):
+    shape = (3, 5, 7)  # odd element count: the 4-bit codes end in a padded nibble
+    q = quantize(np.random.default_rng(1).normal(size=shape).astype(np.float32), scheme)
+    without = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=()))
+    with_tap = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=((2, q),)))
+    assert len(with_tap) - len(without) == payload_bytes(shape, scheme)

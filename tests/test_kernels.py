@@ -210,6 +210,21 @@ class TestNonlinearities:
         out = kernels.nonlinearity(np.array([x], dtype=np.float64), "gelu")
         assert abs(float(out[0]) - expected) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_the_one_expression_values(self, dtype):
+        x = np.concatenate([
+            kernels.make_rng(15).normal(size=(3, 50)).reshape(-1) * 3,
+            [0.0, -0.0, 1e-30, -1e-30],
+            [-1e4, -60.0, -12.0, 12.0, 60.0, 1e4],  # tanh saturates at +/-1
+        ]).astype(dtype).reshape(2, -1)
+        before = x.copy()
+        c, a, half = dtype(kernels.GELU_COEF), dtype(kernels.GELU_CUBIC), dtype(0.5)
+        expected = half * x * (1 + np.tanh(c * (x + a * x * x * x)))
+        out = kernels.gelu(x)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(x, before)
+
     def test_gelu_grad_matches_finite_differences(self):
         x = np.linspace(-3, 3, 13)
         g = kernels.nonlinearity_grad(x, "gelu")

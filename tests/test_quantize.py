@@ -6,6 +6,7 @@ import pytest
 
 from sidetune import kernels
 from sidetune.quantize import (
+    _NF4_CUTS,
     QuantizedActivation,
     SCHEMES,
     dequantize,
@@ -87,6 +88,21 @@ class TestQuantize:
             dist = np.abs(value - table)
             best = int(np.flatnonzero(dist == dist.min())[0])  # tie: smaller index
             assert codes[i] == best, f"element {i}: {value}"
+
+    def test_nf4_codes_equal_a_left_searchsorted_over_the_cuts(self):
+        table = nf4_codebook()
+        # the +/-1 entries pin the scale to 1, so each value is its own z
+        exact = np.concatenate([
+            _NF4_CUTS,  # midpoints: ties go to the smaller index
+            np.nextafter(_NF4_CUTS, np.float32(-2)),
+            np.nextafter(_NF4_CUTS, np.float32(2)),
+            table, [-1.0, 0.0, 1.0],
+        ]).astype(np.float32)
+        for x in (exact.reshape(1, 1, -1), random_activations(5, shape=(4, 9, 33), scale=3.0)):
+            q = quantize(x, "nf4")
+            z = x.reshape(-1) / np.float32(q.scale)
+            np.testing.assert_array_equal(unpack_nibbles(q.codes, x.size),
+                                          np.searchsorted(_NF4_CUTS, z, side="left"))
 
     def test_nan_rejected(self):
         x = np.zeros((1, 1, 2), dtype=np.float32)
