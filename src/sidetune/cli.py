@@ -19,6 +19,7 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -311,13 +312,7 @@ def _cmd_estimate(args) -> int:
             args.t_fwd, costs.payload_per_iteration(spec, scheme),
             args.rate_mbps * 1e6, args.t_server,
         )
-        report = costs.CostReport(
-            mode=report.mode, weights_bytes=report.weights_bytes,
-            activation_bytes=report.activation_bytes,
-            optimizer_bytes=report.optimizer_bytes,
-            payload_bytes_per_iter=report.payload_bytes_per_iter,
-            est_iter_time_s=est,
-        )
+        report = dataclasses.replace(report, est_iter_time_s=est)
     print(report.to_json())
     return 0
 

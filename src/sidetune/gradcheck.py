@@ -19,20 +19,6 @@ TINY_BATCH = 2
 TINY_SEQ = 4
 
 
-def _flatten(params: SideNetworkParams) -> np.ndarray:
-    return np.concatenate([t.reshape(-1) for _, t in params.named_tensors()])
-
-
-def _unflatten_into(vec: np.ndarray, params: SideNetworkParams) -> SideNetworkParams:
-    out = params.copy()
-    off = 0
-    for _, t in out.named_tensors():
-        n = t.size
-        t[...] = vec[off:off + n].reshape(t.shape)
-        off += n
-    return out
-
-
 def random_problem(seed: int, config: SideConfig = TINY,
                    batch: int = TINY_BATCH, seq: int = TINY_SEQ,
                    with_embedding_tap: bool = True):
@@ -44,9 +30,8 @@ def random_problem(seed: int, config: SideConfig = TINY,
         rng.normal(size=(batch, seq, config.hidden)).astype(np.float64)
         for _ in range(n_taps)
     ]
-    params = init_side(config, seed).astype(np.float64)
-    for _, t in params.named_tensors():
-        t += rng.normal(scale=0.3, size=t.shape)
+    params = SideNetworkParams(config, init_side(config, seed).flat.astype(np.float64))
+    params.flat += rng.normal(scale=0.3, size=params.flat.shape)
     labels = rng.integers(0, config.classes, size=batch)
     return taps, params, labels
 
@@ -66,16 +51,14 @@ def check_gradients(seed: int, step: float = 1e-6,
 
     logits, cache = side_forward(taps, params, config, training=True)
     loss, d_logits = loss_and_grad(logits, labels)
-    grads = side_backward(cache, d_logits, params)
-    analytic = _flatten(grads)
+    analytic = side_backward(cache, d_logits, params).flat
 
     def scalar_loss(theta: np.ndarray) -> float:
-        p = _unflatten_into(theta, params)
-        out, _ = side_forward(taps, p, config, training=False)
+        out, _ = side_forward(taps, SideNetworkParams(config, theta), config, training=False)
         value, _ = loss_and_grad(out, labels)
         return value
 
-    numeric = finite_diff_grad(scalar_loss, _flatten(params), step)
+    numeric = finite_diff_grad(scalar_loss, params.flat, step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_FLOOR)
     return float((np.abs(analytic - numeric) / denom).max())
 

@@ -28,7 +28,6 @@ from .backbone import BackboneConfig
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
 from .training import DEFAULT_LR, TrainState, init_adam, train_iteration
-from .transport import TransportClosed
 from .wire import (
     ACK_BAD_DIGEST,
     ACK_BAD_GAMMA,
@@ -38,8 +37,6 @@ from .wire import (
     Bye,
     CheckpointData,
     CheckpointRequest,
-    DesyncError,
-    FrameError,
     Hello,
     MessageReader,
     MetricsSnapshot,
@@ -167,7 +164,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                 inbound.put(("msg", msg))
                 if isinstance(msg, Bye):
                     return
-        except (FrameError, DesyncError, TransportClosed) as exc:
+        except Exception as exc:  # any failure ends the session, never the loop
             inbound.put(("error", exc))
 
     rx = threading.Thread(target=receive_worker, name="server-recv", daemon=True)
@@ -178,7 +175,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
             while True:
                 kind, msg = inbound.get()
                 if kind == "error":
-                    log.error("session reset: %s", msg)
+                    log.error("session reset: %s", msg, exc_info=msg)
                     break
                 if kind == "eof":
                     log.warning("peer vanished without Bye")
@@ -197,9 +194,8 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:
         rx.join(timeout=5.0)
-
-    report.dropped = state.dropped
-    _save_checkpoint(config, state)
+        report.dropped = state.dropped
+        _save_checkpoint(config, state)
     return report
 
 

@@ -15,6 +15,7 @@ the device.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -67,57 +68,64 @@ class AdapterParams:
     ln_gamma: np.ndarray
     ln_beta: np.ndarray
 
-    FIELDS = ("w_down", "w_up", "ln_gamma", "ln_beta")
+
+def _layout(config: SideConfig):
+    """The one shape declaration of the side network: (adapter index, or
+    None for a model-level tensor, name, shape) in checkpoint order. The
+    scalar combine gate comes last; the checkpoint keeps it in its header."""
+    h, m = config.hidden, config.bottleneck
+    per_adapter = {"w_down": (h, m), "w_up": (m, h), "ln_gamma": (h,), "ln_beta": (h,)}
+    for i in range(config.adapters):
+        for name, shape in per_adapter.items():
+            yield i, name, shape
+    yield None, "head_weight", (h, config.classes)
+    yield None, "head_bias", (config.classes,)
+    yield None, "combine_gate", ()
 
 
-@dataclass
 class SideNetworkParams:
-    """All trainable state. Also reused, field for field, as the gradient
-    container returned by :func:`side_backward`."""
+    """All trainable state as named views into one 1-D array `flat`, laid
+    out by :func:`_layout`. Gradients and the Adam moments share the
+    layout, so every whole-state operation is one vector expression.
 
-    adapters: list[AdapterParams]
-    head_weight: np.ndarray   # [H, C]
-    head_bias: np.ndarray     # [C]
-    combine_gate: np.ndarray  # scalar logit, shape ()
+    `flat` defaults to float32 zeros; any float dtype is accepted.
+    """
+
+    def __init__(self, config: SideConfig, flat: np.ndarray | None = None):
+        layout = list(_layout(config))
+        size = sum(math.prod(shape) for _, _, shape in layout)
+        if flat is None:
+            flat = np.zeros(size, dtype=np.float32)
+        if flat.shape != (size,):
+            raise ValueError(f"flat state of shape {flat.shape}, expected ({size},)")
+        self.flat = flat
+        self._views = []
+        model, adapters = {}, [{} for _ in range(config.adapters)]
+        off = 0
+        for i, name, shape in layout:
+            n = math.prod(shape)
+            view = flat[off:off + n].reshape(shape)
+            off += n
+            (model if i is None else adapters[i])[name] = view
+            self._views.append((name if i is None else f"adapter{i}.{name}", view))
+        self.adapters = [AdapterParams(**d) for d in adapters]
+        self.head_weight = model["head_weight"]    # [H, C]
+        self.head_bias = model["head_bias"]        # [C]
+        self.combine_gate = model["combine_gate"]  # scalar logit, shape ()
 
     def named_tensors(self):
-        for i, ad in enumerate(self.adapters):
-            for name in AdapterParams.FIELDS:
-                yield f"adapter{i}.{name}", getattr(ad, name)
-        yield "head_weight", self.head_weight
-        yield "head_bias", self.head_bias
-        yield "combine_gate", self.combine_gate
-
-    def copy(self) -> "SideNetworkParams":
-        return SideNetworkParams(
-            adapters=[
-                AdapterParams(**{f: getattr(a, f).copy() for f in AdapterParams.FIELDS})
-                for a in self.adapters
-            ],
-            head_weight=self.head_weight.copy(),
-            head_bias=self.head_bias.copy(),
-            combine_gate=self.combine_gate.copy(),
-        )
-
-    def astype(self, dtype) -> "SideNetworkParams":
-        out = self.copy()
-        out.adapters = [
-            AdapterParams(**{f: getattr(a, f).astype(dtype) for f in AdapterParams.FIELDS})
-            for a in self.adapters
-        ]
-        out.head_weight = out.head_weight.astype(dtype)
-        out.head_bias = out.head_bias.astype(dtype)
-        out.combine_gate = out.combine_gate.astype(dtype)
-        return out
+        """(name, view) pairs in layout order."""
+        yield from self._views
 
 
 @dataclass
 class BackwardCache:
-    """Intermediates saved by a training-mode forward pass."""
+    """Intermediates saved by a training-mode forward pass: only what
+    :func:`side_backward` reads."""
 
     config: SideConfig
-    taps: list[np.ndarray]
-    s_states: list[np.ndarray]        # s_0 .. s_M
+    final_tap: np.ndarray             # tap_M, blended into the output
+    final_state: np.ndarray           # s_M
     adapter_inputs: list[np.ndarray]  # u_l = s_{l-1} + tap_l
     pre_acts: list[np.ndarray]        # u_l @ w_down
     acts: list[np.ndarray]            # sigma(pre)
@@ -127,44 +135,18 @@ class BackwardCache:
     logits: np.ndarray
 
 
-def _tensor_shapes(config: SideConfig) -> tuple[dict, dict]:
-    """The one shape declaration of the weight set: per-adapter and head
-    tensor shapes, each in checkpoint order. The combine gate is a scalar
-    kept in the checkpoint header."""
-    h, m = config.hidden, config.bottleneck
-    adapter = {"w_down": (h, m), "w_up": (m, h), "ln_gamma": (h,), "ln_beta": (h,)}
-    head = {"head_weight": (h, config.classes), "head_bias": (config.classes,)}
-    return adapter, head
-
-
 def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
-    """Zero-mean Gaussian projections, identity layer norms, zero head."""
+    """Zero-mean Gaussian projections, identity layer norms, zero head.
+    Tensors are drawn in layout order."""
     rng = kernels.make_rng(seed)
-    adapter_shapes, head_shapes = _tensor_shapes(config)
-
-    def make(name, shape):
-        if name.startswith("w_"):
-            return rng.normal(0.0, config.init_std, size=shape).astype(np.float32)
-        if name.endswith("_gamma"):
-            return np.ones(shape, dtype=np.float32)
-        return np.zeros(shape, dtype=np.float32)
-
-    adapters = [
-        AdapterParams(**{name: make(name, shape) for name, shape in adapter_shapes.items()})
-        for _ in range(config.adapters)
-    ]
-    return SideNetworkParams(
-        adapters=adapters,
-        combine_gate=np.zeros((), dtype=np.float32),
-        **{name: make(name, shape) for name, shape in head_shapes.items()},
-    )
-
-
-def zero_grads_like(params: SideNetworkParams) -> SideNetworkParams:
-    out = params.copy()
-    for _, t in out.named_tensors():
-        t[...] = 0
-    return out
+    params = SideNetworkParams(config)
+    for name, t in params.named_tensors():
+        leaf = name.rpartition(".")[2]
+        if leaf.startswith("w_"):
+            t[...] = rng.normal(0.0, config.init_std, size=t.shape)
+        elif leaf.endswith("_gamma"):
+            t[...] = 1
+    return params
 
 
 def side_forward(
@@ -182,7 +164,7 @@ def side_forward(
     """
     m = config.adapters
     if len(taps) == m + 1:
-        s = taps[0].copy()
+        s = taps[0]
         block_taps = taps[1:]
     elif len(taps) == m:
         s = np.zeros_like(taps[0])
@@ -192,7 +174,6 @@ def side_forward(
             f"got {len(taps)} taps for {m} adapters (expected {m} or {m + 1})"
         )
 
-    s_states = [s]
     adapter_inputs, pre_acts, acts, ln_inputs = [], [], [], []
     for tap, ad in zip(block_taps, params.adapters):
         u = s + tap
@@ -205,7 +186,6 @@ def side_forward(
         pre_acts.append(pre)
         acts.append(act)
         ln_inputs.append(y)
-        s_states.append(s)
 
     blend = kernels.sigmoid(params.combine_gate)
     final_tap = block_taps[-1]
@@ -216,7 +196,7 @@ def side_forward(
     if not training:
         return logits, None
     cache = BackwardCache(
-        config=config, taps=list(block_taps), s_states=s_states,
+        config=config, final_tap=final_tap, final_state=s,
         adapter_inputs=adapter_inputs, pre_acts=pre_acts, acts=acts,
         ln_inputs=ln_inputs, gate_blend=float(blend), pooled=pooled,
         logits=logits,
@@ -258,9 +238,9 @@ def side_backward(
     if len(cache.acts) != len(params.adapters) or d_logits.shape != cache.logits.shape:
         raise ValueError("cache does not match the given parameters and output grad")
 
-    grads = zero_grads_like(params)
+    grads = SideNetworkParams(cfg, np.zeros_like(params.flat))
     pooled = cache.pooled
-    b, s_len, _ = cache.taps[-1].shape
+    s_len = cache.final_tap.shape[1]
 
     # head
     grads.head_weight[...] = kernels.fast_matmul(pooled.T, d_logits)
@@ -270,14 +250,13 @@ def side_backward(
     # mean pooling spreads the gradient uniformly over positions
     d_z = np.broadcast_to(
         d_pooled[:, None, :] / d_logits.dtype.type(s_len),
-        cache.taps[-1].shape,
+        cache.final_tap.shape,
     ).copy()
 
     # gate blend z = a * tap_M + (1 - a) * s_M
     a = d_logits.dtype.type(cache.gate_blend)
-    s_final = cache.s_states[-1]
     d_s = (1 - a) * d_z
-    d_blend = (d_z * (cache.taps[-1] - s_final)).sum(dtype=d_logits.dtype)
+    d_blend = (d_z * (cache.final_tap - cache.final_state)).sum(dtype=d_logits.dtype)
     grads.combine_gate[...] = d_blend * a * (1 - a)
 
     for l in reversed(range(len(params.adapters))):
@@ -292,11 +271,11 @@ def side_backward(
         # y = act @ w_up + u
         u = cache.adapter_inputs[l]
         act = cache.acts[l]
-        flat = lambda t: t.reshape(-1, t.shape[-1])
-        g.w_up[...] = kernels.fast_matmul(flat(act).T, flat(d_y))
+        rows = lambda t: t.reshape(-1, t.shape[-1])
+        g.w_up[...] = kernels.fast_matmul(rows(act).T, rows(d_y))
         d_act = kernels.fast_matmul(d_y, ad.w_up.T)
         d_pre = d_act * kernels.nonlinearity_grad(cache.pre_acts[l], cfg.nonlinearity)
-        g.w_down[...] = kernels.fast_matmul(flat(u).T, flat(d_pre))
+        g.w_down[...] = kernels.fast_matmul(rows(u).T, rows(d_pre))
         d_u = d_y + kernels.fast_matmul(d_pre, ad.w_down.T)
 
         d_s = d_u  # taps are constants; only s_{l-1} carries gradient
@@ -323,7 +302,8 @@ def combined_infer(
 
 
 def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:
-    adapter_shapes, head_shapes = _tensor_shapes(config)
+    """Header with the config and the combine gate, then every other
+    tensor as float32 in layout order, which is `flat` minus the gate."""
     with open_binary(path, "wb") as fh:
         write_magic(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         fh.write(struct.pack(
@@ -331,11 +311,7 @@ def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:
             config.hidden, config.bottleneck, config.adapters, config.classes,
             _SIGMA_CODES[config.nonlinearity], float(params.combine_gate),
         ))
-        for ad in params.adapters:
-            for name in adapter_shapes:
-                write_f32(fh, getattr(ad, name))
-        for name in head_shapes:
-            write_f32(fh, getattr(params, name))
+        write_f32(fh, params.flat[:-1])
 
 
 def load_side(path, config: SideConfig | None = None):
@@ -355,16 +331,9 @@ def load_side(path, config: SideConfig | None = None):
             != (h, m, n_ad, c)
         ):
             raise FormatError(f"checkpoint config {stored} does not match {config}")
-        adapter_shapes, head_shapes = _tensor_shapes(stored)
-        adapters = [
-            AdapterParams(**{name: read_f32(fh, shape) for name, shape in adapter_shapes.items()})
-            for _ in range(n_ad)
-        ]
-        params = SideNetworkParams(
-            adapters=adapters,
-            combine_gate=np.array(gate, dtype=np.float32),
-            **{name: read_f32(fh, shape) for name, shape in head_shapes.items()},
-        )
+        params = SideNetworkParams(stored)
+        params.flat[:-1] = read_f32(fh, (params.flat.size - 1,))
+        params.combine_gate[...] = gate
         if fh.read(1):
             raise FormatError("trailing bytes after final tensor")
     return stored, params

@@ -11,13 +11,7 @@ import numpy as np
 
 from . import kernels
 from .quantize import dequantize
-from .sidenet import (
-    SideConfig,
-    SideNetworkParams,
-    side_backward,
-    side_forward,
-    zero_grads_like,
-)
+from .sidenet import SideConfig, SideNetworkParams, side_backward, side_forward
 
 log = logging.getLogger(__name__)
 
@@ -67,45 +61,39 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, kind: str = "cross_ent
 
 @dataclass
 class AdamState:
-    """First/second moments mirroring the parameter tree, plus step count."""
+    """First/second moments in the parameters' flat layout, plus step count."""
 
-    m: SideNetworkParams
-    v: SideNetworkParams
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = DEFAULT_LR
 
 
 def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR) -> AdamState:
-    return AdamState(m=zero_grads_like(params), v=zero_grads_like(params), lr=lr)
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 def adam_step(params: SideNetworkParams, grads: SideNetworkParams,
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, elementwise and in a
-    fixed parameter order."""
+    """One bias-corrected Adam update over the whole flat state, in place."""
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ValueError(f"state shapes differ: params {p.shape}, grads {g.shape}, "
+                         f"moments {m.shape}/{v.shape}")
     state.t += 1
     t = state.t
-    b1, b2 = params.head_weight.dtype.type(ADAM_BETA1), params.head_weight.dtype.type(ADAM_BETA2)
-    lr = params.head_weight.dtype.type(state.lr)
-    eps = params.head_weight.dtype.type(ADAM_EPS)
-    c1 = params.head_weight.dtype.type(1.0 - ADAM_BETA1 ** t)
-    c2 = params.head_weight.dtype.type(1.0 - ADAM_BETA2 ** t)
+    dtype = p.dtype.type
+    b1, b2 = dtype(ADAM_BETA1), dtype(ADAM_BETA2)
+    lr, eps = dtype(state.lr), dtype(ADAM_EPS)
+    c1, c2 = dtype(1.0 - ADAM_BETA1 ** t), dtype(1.0 - ADAM_BETA2 ** t)
 
-    tensors = zip(params.named_tensors(), grads.named_tensors(),
-                  state.m.named_tensors(), state.v.named_tensors())
-    for (name, p), (gname, g), (_, m), (_, v) in tensors:
-        if p.shape != g.shape or name != gname:
-            raise ValueError(f"gradient tree mismatch at {name}/{gname}")
-        m[...] = b1 * m + (1 - b1) * g
-        v[...] = b2 * v + (1 - b2) * g * g
-        p[...] = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m[...] = b1 * m + (1 - b1) * g
+    v[...] = b2 * v + (1 - b2) * g * g
+    p[...] = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def grad_norm(grads: SideNetworkParams) -> float:
-    total = 0.0
-    for _, g in grads.named_tensors():
-        total += float((g.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.square(grads.flat, dtype=np.float64).sum()))
 
 
 @dataclass

@@ -224,7 +224,8 @@ def try_decode(buf: bytes | bytearray | memoryview):
     """Decode one frame from the head of `buf`.
 
     Returns None when more bytes are needed, otherwise (message,
-    consumed). A skippable unknown frame yields (None, consumed).
+    consumed). A skippable unknown frame yields (None, consumed). A
+    payload that does not decode as its message type is a FrameError.
     """
     view = memoryview(buf)
     if len(view) < HEADER_LEN:
@@ -247,8 +248,8 @@ def try_decode(buf: bytes | bytearray | memoryview):
         if flags & FLAG_OPTIONAL:
             return None, total  # skip-with-warning; caller logs
         raise
-    except struct.error as exc:
-        raise FrameError(f"payload too short for its message type: {exc}") from exc
+    except (struct.error, ValueError) as exc:
+        raise FrameError(f"payload does not decode as message type {msg_type}: {exc}") from exc
     return msg, total
 
 

@@ -1,8 +1,12 @@
-"""The `sidetune` command's local subcommand and the package's exports."""
+"""The `sidetune` command's local and estimate subcommands and the
+package's exports."""
+
+import json
 
 import pytest
 
 import sidetune
+from sidetune import costs
 from sidetune.cli import main
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
@@ -33,3 +37,28 @@ def test_local_rejects_a_run_without_iterations(capsys, flags):
 def test_every_exported_name_resolves():
     for name in sidetune.__all__:
         assert getattr(sidetune, name) is not None, name
+
+
+ESTIMATE = ["estimate", "--preset", "opt350m", "--scheme", "nf4", "--rate-mbps", "10",
+            "--t-fwd", "0.5", "--t-server", "0.2"]
+
+
+def estimate(capsys, mode):
+    assert main([*ESTIMATE, "--mode", mode]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_estimate_prints_the_link_bound_mobillm_report(capsys):
+    report = estimate(capsys, "mobillm")
+    payload = costs.payload_per_iteration(costs.preset_spec("opt350m"), "nf4")
+    assert report["payload_bytes_per_iter"] == payload == 50_332_264
+    assert report["optimizer_bytes"] == 0
+    # 50,332,264 B at 10 Mbps outlasts the 0.5 s forward and the 0.2 s step
+    assert report["est_iter_time_s"] == pytest.approx(payload * 8 / 10e6, rel=1e-12)
+    assert report["est_iter_time_s"] == pytest.approx(40.2658112, rel=1e-12)
+
+
+def test_estimate_orders_the_modes_by_device_memory(capsys):
+    total = {mode: estimate(capsys, mode)["total_bytes"]
+             for mode in ("full_ft", "side_local", "mobillm")}
+    assert total["full_ft"] > total["side_local"] > total["mobillm"]

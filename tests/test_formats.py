@@ -27,10 +27,14 @@ from sidetune.wire import (
     Bye,
     CheckpointData,
     CheckpointRequest,
+    DesyncError,
+    FrameError,
     Hello,
     MetricsSnapshot,
+    ProtocolError,
     SessionAck,
     StreamDecoder,
+    WireMessage,
     encode,
 )
 
@@ -133,3 +137,24 @@ def test_one_tap_adds_its_payload_bytes_to_the_frame(scheme):
     without = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=()))
     with_tap = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=((2, q),)))
     assert len(with_tap) - len(without) == payload_bytes(shape, scheme)
+
+
+# a real checkpoint, small enough to flip every bit: binary, not UTF-8
+TINY_SIDE = SideConfig(hidden=8, bottleneck=4, adapters=2, classes=2)
+FUZZ_MESSAGES = MESSAGES + [CheckpointData(data=side_bytes(init_side(TINY_SIDE, 1), TINY_SIDE))]
+
+
+@pytest.mark.parametrize("msg", FUZZ_MESSAGES,
+                         ids=[f"{type(m).__name__}{i}" for i, m in enumerate(FUZZ_MESSAGES)])
+def test_a_corrupt_frame_decodes_or_raises_a_wire_error(msg):
+    data = encode(msg)
+    for n in range(len(data)):
+        assert StreamDecoder().feed(data[:n]) == []
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            out = StreamDecoder().feed(bytes(flipped))
+        except (FrameError, DesyncError, ProtocolError):
+            continue
+        assert all(isinstance(m, WireMessage) for m in out), bit

@@ -1,0 +1,81 @@
+"""A session that ends abnormally still returns, with its report and
+checkpoint: peer input never hangs or kills the server silently."""
+
+import io
+import threading
+
+import numpy as np
+import pytest
+
+from sidetune import BackboneConfig, ServerConfig, init_side, quantize, run_server, save_side
+from sidetune.transport import loopback_pair
+from sidetune.wire import (
+    ActBatch,
+    Hello,
+    MessageReader,
+    SessionAck,
+    T_METRICS,
+    _frame,
+    encode,
+)
+
+BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
+                          block_cuts=(1, 2, 3, 4))
+RETURN_WITHIN_S = 10.0
+
+
+def serve_one(tmp_path, frames, hang_up=False):
+    """Run a session that sends `frames` after the handshake, then hangs
+    up or stays silent; returns (report or exception, checkpoint path)."""
+    ckpt = tmp_path / "side.bin"
+    config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt))
+    dev_end, srv_end = loopback_pair()
+    out = {}
+
+    def serve():
+        try:
+            out["report"] = run_server(config, srv_end)
+        except Exception as exc:
+            out["error"] = exc
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        dev_end.send(encode(Hello(config_digest=BACKBONE.digest(), scheme="nf4",
+                                  gamma=BACKBONE.gamma)))
+        MessageReader(dev_end).read_expected([SessionAck], timeout=RETURN_WITHIN_S)
+        for frame in frames:
+            dev_end.send(frame)
+        if hang_up:
+            dev_end.close()
+        server.join(timeout=RETURN_WITHIN_S)
+        assert not server.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    return out, ckpt
+
+
+def initial_checkpoint(config):
+    buf = io.BytesIO()
+    save_side(buf, init_side(config.side_config(), config.side_seed), config.side_config())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("frame", [_frame(0x7F, b""), _frame(T_METRICS, b"\xff\xfe")],
+                         ids=["unknown_type", "metrics_not_utf8"])
+def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame):
+    out, ckpt = serve_one(tmp_path, [frame])
+    report = out["report"]
+    assert not report.clean_shutdown
+    assert report.iterations == 0 and report.dropped == 0
+    assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
+
+
+def test_a_batch_that_fails_the_step_still_writes_the_checkpoint(tmp_path):
+    q = quantize(np.zeros((2, 3, BACKBONE.hidden), dtype=np.float32), "nf4")
+    wrong_tap_count = ActBatch(batch_id=0, labels=(0, 1), taps=((0, q), (1, q)))
+    # the hang-up lets the receive worker end, so the server need not wait for it
+    out, ckpt = serve_one(tmp_path, [encode(wrong_tap_count)], hang_up=True)
+    assert isinstance(out["error"], ValueError)
+    assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))

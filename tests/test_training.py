@@ -1,17 +1,21 @@
-"""The analytic backward against finite differences, the metrics a
-training step reports, and convergence on the synthetic task."""
+"""The analytic backward against finite differences, the flat state
+layout and the Adam step over it, the metrics a training step reports,
+and convergence on the synthetic task."""
 
 import json
 
 import numpy as np
+import pytest
 
 from sidetune import (
     BackboneConfig,
     DeviceConfig,
     ServerConfig,
     SideConfig,
+    SideNetworkParams,
     SyntheticTask,
     TrainState,
+    adam_step,
     init_adam,
     init_side,
     local_mode,
@@ -20,11 +24,76 @@ from sidetune import (
 )
 from sidetune.cli import GRADCHECK_TOLERANCE
 from sidetune.gradcheck import run_gradcheck
+from sidetune.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sidetune.wire import ActBatch
+
+SMALL = SideConfig(hidden=8, bottleneck=4, adapters=2, classes=3)
 
 
 def test_analytic_backward_passes_gradcheck():
     assert run_gradcheck() < GRADCHECK_TOLERANCE
+
+
+def reference_adam(params, grads, moments, t, lr):
+    """The per-tensor Adam update, one named tensor at a time."""
+    dtype = params["head_weight"].dtype.type
+    b1, b2, eps = dtype(ADAM_BETA1), dtype(ADAM_BETA2), dtype(ADAM_EPS)
+    c1, c2 = dtype(1.0 - ADAM_BETA1 ** t), dtype(1.0 - ADAM_BETA2 ** t)
+    for name, p in params.items():
+        g, (m, v) = grads[name], moments[name]
+        m[...] = b1 * m + (1 - b1) * g
+        v[...] = b2 * v + (1 - b2) * g * g
+        p[...] = p - dtype(lr) * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_over_the_flat_state_equals_the_per_tensor_update(dtype):
+    rng = np.random.default_rng(5)
+    params = SideNetworkParams(SMALL, init_side(SMALL, 2).flat.astype(dtype))
+    params.flat += rng.normal(scale=0.1, size=params.flat.shape)
+    state = init_adam(params, lr=3e-2)
+    ref = {name: t.copy() for name, t in params.named_tensors()}
+    moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in ref.items()}
+    for t in (1, 2, 3):
+        grads = SideNetworkParams(SMALL, rng.normal(size=params.flat.shape).astype(dtype))
+        adam_step(params, grads, state)
+        reference_adam(ref, dict(grads.named_tensors()), moments, t, state.lr)
+        for name, view in params.named_tensors():
+            assert view.dtype == dtype
+            assert np.array_equal(view, ref[name]), (t, name)
+    assert state.t == 3
+    assert np.array_equal(state.m, np.concatenate([m.ravel() for m, _ in moments.values()]))
+    assert np.array_equal(state.v, np.concatenate([v.ravel() for _, v in moments.values()]))
+
+
+def test_adam_rejects_gradients_of_another_layout():
+    params = init_side(SMALL, 0)
+    other = init_side(SideConfig(hidden=8, bottleneck=4, adapters=1, classes=3), 0)
+    state = init_adam(params)
+    with pytest.raises(ValueError):
+        adam_step(params, other, state)
+    assert state.t == 0
+
+
+def test_every_tensor_is_a_view_into_the_flat_state():
+    params = init_side(SMALL, 0)
+    params.adapters[0].w_down[1, 2] = 7.0
+    params.combine_gate[...] = -3.0
+    assert params.flat[1 * SMALL.bottleneck + 2] == 7.0
+    assert params.flat[-1] == -3.0
+    names = [name for name, _ in params.named_tensors()]
+    assert names[:4] == ["adapter0.w_down", "adapter0.w_up", "adapter0.ln_gamma",
+                         "adapter0.ln_beta"]
+    assert names[-3:] == ["head_weight", "head_bias", "combine_gate"]
+    assert sum(t.size for _, t in params.named_tensors()) == params.flat.size
+    assert all(np.shares_memory(t, params.flat) for _, t in params.named_tensors())
+
+
+def test_a_flat_state_of_the_wrong_size_is_rejected():
+    size = init_side(SMALL, 0).flat.size
+    for shape in [(size - 1,), (size + 1,), (1, size)]:
+        with pytest.raises(ValueError):
+            SideNetworkParams(SMALL, np.zeros(shape))
 
 
 def step(loss_kind, classes):
