@@ -10,6 +10,12 @@ downstream. Layers follow the post-norm composition
 
 with causal scaled dot-product attention and learned positional
 embeddings.
+
+The forward is cache-blocked. Each layer runs over slabs of whole
+sequences, sized from the input's shape and dtype so that a slab's
+widest buffer is about SLAB_BYTES, and attention runs over query tiles
+of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
+change no bit of the taps.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ INIT_STD = 0.02
 
 # query rows per attention tile; each tile's scores are [B, heads, tile, <=S]
 ATTN_TILE = 32
+# bytes of a layer's widest buffer per slab of sequences: a quarter of a
+# 2 MiB L2, so a slab's buffers stay in cache between passes
+SLAB_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -194,24 +203,27 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
-    Queries go in tiles of ATTN_TILE rows. A tile [r0, r1) scores only
-    the keys [0, r1), since later keys are masked for every row in it, and
-    masks only its diagonal block [r0, r1). So the masked upper triangle
-    is never computed and no [B, heads, S, S] tensor is built. A sequence
-    of at most ATTN_TILE positions is one tile, the plain full formula;
-    longer ones agree with it to rounding, because each softmax row sums
-    r1 entries instead of S.
+    q, kᵀ and v are made contiguous and head-major once per call. Queries
+    then go in tiles of ATTN_TILE rows. A tile [r0, r1) scores only the
+    keys [0, r1), since later keys are masked for every row in it, and
+    masks only its diagonal block [r0, r1); its softmax runs in place on
+    its own score buffer. So the masked upper triangle is never computed
+    and no [B, heads, S, S] tensor is built. A sequence of at most
+    ATTN_TILE positions is one tile, the plain full formula; longer ones
+    agree with it to rounding, because each softmax row sums r1 entries
+    instead of S.
     """
     b, s, h = x.shape
     hd = h // heads
-    q = kernels.fast_matmul(x, lw.w_q) + lw.b_q
-    k = kernels.fast_matmul(x, lw.w_k) + lw.b_k
-    v = kernels.fast_matmul(x, lw.w_v) + lw.b_v
 
-    def split(t):  # [B, S, H] -> [B, heads, S, hd]
-        return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
+    def project(w, bias, axes):  # [B, S, H] -> head-major, contiguous
+        t = kernels.fast_matmul(x, w)
+        t += bias
+        return np.ascontiguousarray(t.reshape(b, s, heads, hd).transpose(axes))
 
-    q, kt, v = split(q), split(k).swapaxes(-1, -2), split(v)
+    q = project(lw.w_q, lw.b_q, (0, 2, 1, 3))   # [B, heads, S, hd]
+    kt = project(lw.w_k, lw.b_k, (0, 2, 3, 1))  # [B, heads, hd, S]
+    v = project(lw.w_v, lw.b_v, (0, 2, 1, 3))   # [B, heads, S, hd]
     scale = x.dtype.type(1.0 / np.sqrt(hd))
     mask = np.triu(np.ones((ATTN_TILE, ATTN_TILE), dtype=bool), k=1)
     ctx = np.empty((b, s, heads, hd), dtype=x.dtype)
@@ -220,19 +232,35 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
         scores = kernels.fast_matmul(q[:, :, r0:r1], kt[..., :r1])
         scores *= scale
         np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=mask[:r1 - r0, :r1 - r0])
-        attn = kernels.softmax_rows(scores)
+        attn = kernels.softmax_rows(scores, out=scores)
         ctx[:, r0:r1] = kernels.fast_matmul(attn, v[:, :, :r1]).transpose(0, 2, 1, 3)
-    return kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o) + lw.b_o
+    out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o)
+    out += lw.b_o
+    return out
 
 
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
-    """One decoder layer: post-norm attention then post-norm FFN."""
-    u = kernels.layer_norm(_self_attention(x, lw, heads) + x,
-                           lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS)
-    ffn = kernels.fast_matmul(
-        kernels.gelu(kernels.fast_matmul(u, lw.w_up) + lw.b_up), lw.w_down
-    ) + lw.b_down
-    return kernels.layer_norm(ffn + u, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS)
+    """One decoder layer: post-norm attention then post-norm FFN.
+
+    Biases and residuals are added in place on buffers the layer owns,
+    in the order of the formula, so the values are those of the
+    out-of-place expression."""
+    a = _self_attention(x, lw, heads)
+    a += x
+    u = kernels.layer_norm(a, lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS)
+    up = kernels.fast_matmul(u, lw.w_up)
+    up += lw.b_up
+    ffn = kernels.fast_matmul(kernels.gelu(up), lw.w_down)
+    ffn += lw.b_down
+    ffn += u
+    return kernels.layer_norm(ffn, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS)
+
+
+def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
+    """Sequences per slab: as many as keep a layer's largest buffers (the
+    FFN expansion, or one attention tile's scores) within SLAB_BYTES."""
+    widest = max(config.ffn_dim, config.heads * ATTN_TILE)
+    return max(1, SLAB_BYTES // (seq_len * widest * np.dtype(dtype).itemsize))
 
 
 def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
@@ -241,6 +269,12 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
     Weights are read-only here; the returned activations are fresh
     arrays. Block index 0 is the embedding tap (when enabled) and block
     index c is the activation after decoder layer c.
+
+    Each layer runs over slabs of :func:`slab_sequences` whole sequences
+    and writes each slab's output into the layer's [B, S, H] output, so
+    its working set stays cache-sized. A layer treats each sequence on
+    its own, so the taps are bit-equal to running the whole batch, or
+    each sequence alone.
     """
     cfg = weights.config
     tokens = np.asarray(tokens)
@@ -257,9 +291,13 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
     if cfg.tap_embedding:
         out.taps.append((0, x.copy()))
 
+    step = slab_sequences(s, cfg, x.dtype)
     cuts = set(cfg.block_cuts)
     for i, lw in enumerate(weights.layers, start=1):
-        x = layer_forward(x, lw, cfg.heads)
+        y = np.empty_like(x)
+        for b0 in range(0, b, step):
+            y[b0:b0 + step] = layer_forward(x[b0:b0 + step], lw, cfg.heads)
+        x = y
         if i in cuts:
             out.taps.append((i, x))
     return out

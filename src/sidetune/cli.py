@@ -309,8 +309,7 @@ def _cmd_estimate(args) -> int:
     report = costs.device_memory_estimate(spec, args.mode, scheme)
     if args.rate_mbps > 0:
         est = costs.iteration_time_estimate(
-            args.t_fwd, costs.payload_per_iteration(spec, scheme),
-            args.rate_mbps * 1e6, args.t_server,
+            args.t_fwd, report.payload_bytes_per_iter, args.rate_mbps * 1e6, args.t_server,
         )
         report = dataclasses.replace(report, est_iter_time_s=est)
     print(report.to_json())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import finite_diff_grad, make_rng
+from .kernels import make_rng
 from .sidenet import SideConfig, SideNetworkParams, init_side, side_backward, side_forward
 from .training import loss_and_grad
 
@@ -42,6 +42,30 @@ def random_problem(seed: int, config: SideConfig = TINY,
 # backward pass). Coordinates under the floor are in effect held to a
 # 1e-9 absolute bound, far below any real defect.
 GRAD_FLOOR = 1e-4
+
+
+def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of scalar f at theta, one coordinate at a time.
+
+    Only supports float64 inputs; the truncation/rounding trade-off is not
+    meaningful in single precision.
+    """
+    theta = np.asarray(theta)
+    if theta.dtype != np.float64:
+        raise TypeError(f"finite differences require float64, got {theta.dtype}")
+    theta = theta.copy(order="C")  # private copy; perturbed in place below
+    grad = np.zeros_like(theta)
+    flat = theta.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(theta)
+        flat[i] = orig - h
+        fm = f(theta)
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
 
 
 def check_gradients(seed: int, step: float = 1e-6,

@@ -1,8 +1,9 @@
 """Deterministic dense-tensor math shared by every other module.
 
 All functions operate on plain numpy arrays (row-major, float32 or
-float64) and are pure: inputs are never mutated and outputs are freshly
-allocated.
+float64) and never mutate their inputs. Outputs are freshly allocated,
+except where a caller passes :func:`softmax_rows` an `out` buffer, which
+may be the input itself.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so
@@ -162,13 +163,17 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return half * (1 + t) + half * x * sech2 * c * (1 + 3 * a * x * x)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-shifted for stability."""
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, max-shifted for stability.
+
+    Writes into `out` when given (it may be `x` itself), else into one
+    fresh buffer.
+    """
     x = np.asarray(x)
     if x.ndim < 1:
         raise ValueError("softmax_rows requires rank >= 1")
-    # one fresh buffer, same arithmetic as (e := exp(x - max)) / sum(e)
-    out = np.subtract(x, x.max(axis=-1, keepdims=True))
+    # same arithmetic as (e := exp(x - max)) / sum(e)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True, dtype=x.dtype)
     return out
@@ -179,7 +184,7 @@ def sigmoid(x):
     return 1 / (1 + np.exp(-x))
 
 
-_NONLINEARITIES = {"gelu": gelu, "relu": relu, "softmax_rows": softmax_rows}
+_NONLINEARITIES = {"gelu": gelu, "relu": relu}
 _NONLINEARITY_GRADS = {
     "gelu": gelu_grad,
     "relu": lambda x: (np.asarray(x) > 0).astype(np.asarray(x).dtype),
@@ -187,7 +192,7 @@ _NONLINEARITY_GRADS = {
 
 
 def nonlinearity(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply one of {gelu, relu, softmax_rows} elementwise / row-wise."""
+    """Apply one of {gelu, relu} elementwise."""
     try:
         fn = _NONLINEARITIES[kind]
     except KeyError:
@@ -234,27 +239,3 @@ def f16_roundtrip(x: np.ndarray) -> np.ndarray:
         y = x.astype(np.float16)
     y = np.where(np.isinf(y), np.sign(y).astype(np.float16) * np.float16(F16_MAX), y)
     return y.astype(x.dtype)
-
-
-def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of scalar f at theta, one coordinate at a time.
-
-    Only supports float64 inputs; the truncation/rounding trade-off is not
-    meaningful in single precision.
-    """
-    theta = np.asarray(theta)
-    if theta.dtype != np.float64:
-        raise TypeError(f"finite differences require float64, got {theta.dtype}")
-    theta = theta.copy(order="C")  # private copy; perturbed in place below
-    grad = np.zeros_like(theta)
-    flat = theta.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(theta)
-        flat[i] = orig - h
-        fm = f(theta)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

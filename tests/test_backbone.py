@@ -1,6 +1,7 @@
 """The frozen decoder's forward: the BLAS products against the ascending-k
 reference, the tiled in-place attention against its full out-of-place
-formula, the attention's working set, and the causal mask."""
+formula, slabs of sequences against one sequence at a time, the working
+sets of the attention and of the whole forward, and the causal mask."""
 
 import tracemalloc
 
@@ -109,3 +110,37 @@ def test_a_position_sees_no_later_token():
                               forward_collect(weights, changed).taps):
         np.testing.assert_array_equal(a[:, :pos], b[:, :pos])
         assert not np.array_equal(a[:, pos], b[:, pos])
+
+
+# the benchmark's model at its longest sequence
+WIDE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
+                      block_cuts=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("seq", [255, 91])
+def test_slabs_give_the_taps_of_one_sequence_at_a_time(seq):
+    weights = init_backbone(WIDE, 7)
+    toks = kernels.make_rng(5).integers(0, WIDE.vocab_size, size=(7, seq))
+    # the last slab is short: 4 + 3 sequences at S=255, 7 of 11 at S=91
+    assert 7 % backbone.slab_sequences(seq, WIDE, np.float32) != 0
+    batched = forward_collect(weights, toks).taps
+    alone = [forward_collect(weights, toks[j:j + 1]).taps for j in range(len(toks))]
+    for n, (_, tap) in enumerate(batched):
+        np.testing.assert_array_equal(tap, np.concatenate([a[n][1] for a in alone]))
+
+
+def test_forward_peak_memory_is_the_taps_and_one_slab():
+    b, s = 16, 255
+    weights = init_backbone(WIDE, 7)
+    toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(b, s))
+    forward_collect(weights, toks)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        forward_collect(weights, toks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    taps = WIDE.gamma * b * s * WIDE.hidden * 4
+    # the taps stay alive, and a slab's buffers are a few SLAB_BYTES; one
+    # layer over the whole batch needs about 7 MiB besides the taps
+    assert peak < taps + 4 * backbone.SLAB_BYTES

@@ -58,6 +58,14 @@ def test_estimate_prints_the_link_bound_mobillm_report(capsys):
     assert report["est_iter_time_s"] == pytest.approx(40.2658112, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["side_local", "full_ft"])
+def test_estimate_sends_nothing_in_the_modes_without_a_server(capsys, mode):
+    report = estimate(capsys, mode)
+    assert report["payload_bytes_per_iter"] == 0
+    # no uplink: the 0.5 s forward is the slowest stage
+    assert report["est_iter_time_s"] == 0.5
+
+
 def test_estimate_orders_the_modes_by_device_memory(capsys):
     total = {mode: estimate(capsys, mode)["total_bytes"]
              for mode in ("full_ft", "side_local", "mobillm")}

@@ -1,0 +1,56 @@
+"""The names the benchmark (`splitbench/`) replaces from outside the
+package. Its tracer and its per-step stamps swap these attributes for
+timing wrappers, so each must resolve to a callable, and the program
+must look each one up in the patched module when it calls it."""
+
+import importlib
+
+import pytest
+
+from sidetune import BackboneConfig, DeviceConfig, SyntheticTask, backbone, device
+
+HOOKS = {
+    "device": ("make_batch", "forward_collect", "quantize", "encode"),
+    "backbone": ("layer_forward", "_self_attention"),
+    "kernels": ("matmul", "batched_matmul", "softmax_rows", "layer_norm", "mean_pool"),
+    "server": ("train_iteration",),
+    "training": ("dequantize", "side_forward", "side_backward", "loss_and_grad",
+                 "adam_step"),
+    "wire": ("StreamDecoder.feed",),
+}
+
+
+@pytest.mark.parametrize("module,path", [(m, p) for m, paths in HOOKS.items() for p in paths])
+def test_every_patched_name_resolves_to_a_callable(module, path):
+    owner = importlib.import_module(f"sidetune.{module}")
+    for name in path.split("."):
+        owner = getattr(owner, name)
+    assert callable(owner)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
+    model = BackboneConfig(vocab_size=16, hidden=16, layers=2, heads=2, max_seq=15)
+    config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15), batch_size=4,
+                          iterations=3)
+    weights = device.load_device_backbone(config)
+    forwards = counting(monkeypatch, device, "forward_collect")
+    layers = counting(monkeypatch, backbone, "layer_forward")
+    for i in range(config.total_iterations):
+        device.compute_batch(weights, config, i)
+        assert len(forwards) == i + 1
+    # one layer call per layer and slab; this small batch is one slab
+    assert backbone.slab_sequences(15, model, "float32") >= config.batch_size
+    assert len(layers) == config.total_iterations * model.layers

@@ -182,13 +182,13 @@ class TestNonlinearities:
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(
-            kernels.nonlinearity(np.array([0.0, 0.0]), "softmax_rows"), [0.5, 0.5]
+            kernels.softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5]
         )
 
     def test_softmax_rows_sum_to_one(self):
         rng = kernels.make_rng(9)
         x = rng.normal(size=(4, 7, 11)).astype(np.float32) * 10
-        out = kernels.nonlinearity(x, "softmax_rows")
+        out = kernels.softmax_rows(x)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -287,27 +287,6 @@ class TestF16Roundtrip:
 
     def test_preserves_dtype(self):
         assert kernels.f16_roundtrip(np.zeros(3, np.float64)).dtype == np.float64
-
-
-class TestFiniteDiff:
-    def test_quadratic(self):
-        grad = kernels.finite_diff_grad(lambda t: float(t[0] ** 2),
-                                        np.array([3.0]), 1e-6)
-        assert abs(grad[0] - 6.0) < 1e-6
-
-    def test_constant(self):
-        grad = kernels.finite_diff_grad(lambda t: 1.25, np.ones(4), 1e-6)
-        np.testing.assert_array_equal(grad, np.zeros(4))
-
-    def test_rejects_single_precision(self):
-        with pytest.raises(TypeError):
-            kernels.finite_diff_grad(lambda t: 0.0, np.ones(2, np.float32))
-
-    def test_does_not_mutate_input(self):
-        theta = np.array([1.0, 2.0])
-        before = theta.copy()
-        kernels.finite_diff_grad(lambda t: float((t ** 3).sum()), theta)
-        np.testing.assert_array_equal(theta, before)
 
 
 class TestRng:

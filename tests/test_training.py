@@ -23,7 +23,7 @@ from sidetune import (
     train_iteration,
 )
 from sidetune.cli import GRADCHECK_TOLERANCE
-from sidetune.gradcheck import run_gradcheck
+from sidetune.gradcheck import finite_diff_grad, run_gradcheck
 from sidetune.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sidetune.wire import ActBatch
 
@@ -32,6 +32,26 @@ SMALL = SideConfig(hidden=8, bottleneck=4, adapters=2, classes=3)
 
 def test_analytic_backward_passes_gradcheck():
     assert run_gradcheck() < GRADCHECK_TOLERANCE
+
+
+class TestFiniteDiff:
+    def test_quadratic(self):
+        grad = finite_diff_grad(lambda t: float(t[0] ** 2), np.array([3.0]), 1e-6)
+        assert abs(grad[0] - 6.0) < 1e-6
+
+    def test_constant(self):
+        grad = finite_diff_grad(lambda t: 1.25, np.ones(4), 1e-6)
+        np.testing.assert_array_equal(grad, np.zeros(4))
+
+    def test_rejects_single_precision(self):
+        with pytest.raises(TypeError):
+            finite_diff_grad(lambda t: 0.0, np.ones(2, np.float32))
+
+    def test_does_not_mutate_input(self):
+        theta = np.array([1.0, 2.0])
+        before = theta.copy()
+        finite_diff_grad(lambda t: float((t ** 3).sum()), theta)
+        np.testing.assert_array_equal(theta, before)
 
 
 def reference_adam(params, grads, moments, t, lr):
