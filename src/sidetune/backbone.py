@@ -16,6 +16,19 @@ sequences, sized from the input's shape and dtype so that a slab's
 widest buffer is about SLAB_BYTES, and attention runs over query tiles
 of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
 change no bit of the taps.
+
+One :class:`Workspace` per forward holds every intermediate of a slab,
+so the layer loop allocates nothing but the layer outputs. Tiles, slabs
+and layers reuse its buffers, and each slab's last layer norm writes
+straight into its rows of the layer output.
+
+The attention defers the softmax division to the context, as
+FlashAttention does: a tile's scores are shifted by their row max and
+exponentiated, and one product with the values, which carry a ones row,
+gives both the numerator and the row sum. The scale is folded into q.
+So the attention agrees with the full formula to rounding, not bit for
+bit: within 1e-6 × max |output| (the tests' bound; measured gaps are
+about 2e-7 of it).
 """
 
 from __future__ import annotations
@@ -200,60 +213,131 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
     return _assemble(config, ((i, name, make(name, shape)) for i, name, shape in order))
 
 
-def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
+class Workspace:
+    """The buffers of one decoder layer over a slab of up to `n` sequences
+    of length `s`, reused across attention tiles, slabs and layers.
+
+    Each buffer holds, in turn, arrays that are never alive together:
+
+    - wide[0]: one attention tile's scores, then the FFN expansion;
+    - wide[1]: the attention's head-major qᵀ and k, then the gelu of the
+      expansion;
+    - proj: each projection, then the attention output, then the FFN
+      output;
+    - ctx: the attention context, then u, the first layer norm's output.
+
+    With the usual FFN width of 4H or more, each wide one is at most
+    SLAB_BYTES when `n` comes from :func:`slab_sequences`. vᵀ has a buffer
+    of its own, because it keeps a row of ones under its hd rows: so the
+    product of the values and a tile's weights also sums each of the
+    tile's weight rows.
+    """
+
+    def __init__(self, n: int, s: int, hidden: int, heads: int, ffn_dim: int, dtype):
+        hd = hidden // heads
+        wide = n * s * max(ffn_dim, heads * min(ATTN_TILE, s), 2 * hidden)
+        self.wide = (np.empty(wide, dtype), np.empty(wide, dtype))
+        self.tile_ctx = np.empty(n * heads * (hd + 1) * ATTN_TILE, dtype)
+        self.proj = np.empty((n, s, hidden), dtype)
+        self.ctx = np.empty((n, s, heads, hd), dtype)
+        self.vt = np.empty((n, heads, hd + 1, s), dtype)
+        self.vt[:, :, hd] = 1
+        self.mask = np.triu(np.ones((ATTN_TILE, ATTN_TILE), dtype=bool), k=1)
+
+    @classmethod
+    def for_input(cls, x: np.ndarray, lw: LayerWeights, heads: int) -> "Workspace":
+        """A workspace for `x` taken as one slab."""
+        b, s, h = x.shape
+        return cls(b, s, h, heads, lw.w_up.shape[1], x.dtype)
+
+
+def _head(buf: np.ndarray, shape) -> np.ndarray:
+    """The first elements of the flat `buf` as a contiguous array of `shape`."""
+    return buf[:np.prod(shape)].reshape(shape)
+
+
+def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
+                    ws: Workspace | None = None) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
-    q, kᵀ and v are made contiguous and head-major once per call. Queries
-    then go in tiles of ATTN_TILE rows. A tile [r0, r1) scores only the
-    keys [0, r1), since later keys are masked for every row in it, and
-    masks only its diagonal block [r0, r1); its softmax runs in place on
-    its own score buffer. So the masked upper triangle is never computed
-    and no [B, heads, S, S] tensor is built. A sequence of at most
-    ATTN_TILE positions is one tile, the plain full formula; longer ones
-    agree with it to rounding, because each softmax row sums r1 entries
-    instead of S.
+    The result is a view of `ws.proj` (of a fresh workspace when `ws` is
+    None). qᵀ, pre-scaled, k and vᵀ are written head-major into the
+    workspace once per call. Queries then go in tiles of ATTN_TILE rows.
+    A tile [r0, r1) scores only the keys [0, r1), since later keys are
+    masked for every row in it, and masks only its diagonal block
+    [r0, r1). So the masked upper triangle is never computed and no
+    [B, heads, S, S] tensor is built.
+
+    A tile's scores are stored key-major: key j of every sequence, head
+    and query is one contiguous run. So the row max over the keys, and the
+    subtraction of it, run as whole-buffer passes instead of one short
+    reduction per row.
+
+    The softmax division is deferred to the context: each tile's scores
+    are only shifted by their row max and exponentiated in place
+    (:func:`kernels.exp_rows`), and vᵀ's ones row makes the product with
+    the values give each row's sum next to its numerator. Every row keeps
+    a 1 at its max, so the sum is at least 1, and only the [hd, tile]
+    context is divided. Against the full formula this agrees to rounding:
+    the scale is applied to q, not to the scores, and BLAS sums the rows.
     """
+    if ws is None:
+        ws = Workspace.for_input(x, lw, heads)
     b, s, h = x.shape
     hd = h // heads
+    proj = ws.proj[:b]
 
-    def project(w, bias, axes):  # [B, S, H] -> head-major, contiguous
-        t = kernels.fast_matmul(x, w)
+    def project(w, bias):  # [B, S, H] -> [B, S, heads, hd], a view of proj
+        t = kernels.fast_matmul(x, w, out=proj)
         t += bias
-        return np.ascontiguousarray(t.reshape(b, s, heads, hd).transpose(axes))
+        return t.reshape(b, s, heads, hd)
 
-    q = project(lw.w_q, lw.b_q, (0, 2, 1, 3))   # [B, heads, S, hd]
-    kt = project(lw.w_k, lw.b_k, (0, 2, 3, 1))  # [B, heads, hd, S]
-    v = project(lw.w_v, lw.b_v, (0, 2, 1, 3))   # [B, heads, S, hd]
-    scale = x.dtype.type(1.0 / np.sqrt(hd))
-    mask = np.triu(np.ones((ATTN_TILE, ATTN_TILE), dtype=bool), k=1)
-    ctx = np.empty((b, s, heads, hd), dtype=x.dtype)
+    qk = _head(ws.wide[1], (2, b * s * h))
+    qt, k = qk[0].reshape(b, heads, hd, s), qk[1].reshape(b, heads, s, hd)
+    vt, ctx = ws.vt[:b], ws.ctx[:b]
+    np.multiply(project(lw.w_q, lw.b_q).transpose(0, 2, 3, 1),
+                x.dtype.type(1.0 / np.sqrt(hd)), out=qt)         # [B, heads, hd, S]
+    np.copyto(k, project(lw.w_k, lw.b_k).transpose(0, 2, 1, 3))   # [B, heads, S, hd]
+    np.copyto(vt[:, :, :hd], project(lw.w_v, lw.b_v).transpose(0, 2, 3, 1))
     for r0 in range(0, s, ATTN_TILE):
         r1 = min(r0 + ATTN_TILE, s)
-        scores = kernels.fast_matmul(q[:, :, r0:r1], kt[..., :r1])
-        scores *= scale
-        np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=mask[:r1 - r0, :r1 - r0])
-        attn = kernels.softmax_rows(scores, out=scores)
-        ctx[:, r0:r1] = kernels.fast_matmul(attn, v[:, :, :r1]).transpose(0, 2, 1, 3)
-    out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o)
+        t = r1 - r0
+        # [B, heads, keys, queries], stored as [keys, B, heads, queries]
+        scores_t = _head(ws.wide[0], (r1, b, heads, t)).transpose(1, 2, 0, 3)
+        kernels.fast_matmul(k[:, :, :r1], qt[..., r0:r1], out=scores_t)
+        scores = scores_t.swapaxes(-1, -2)  # [B, heads, queries, keys]
+        np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=ws.mask[:t, :t])
+        kernels.exp_rows(scores, out=scores)
+        num = kernels.fast_matmul(vt[..., :r1], scores_t,
+                                  out=_head(ws.tile_ctx, (b, heads, hd + 1, t)))
+        np.divide(num[:, :, :hd], num[:, :, hd:], out=ctx[:, r0:r1].transpose(0, 2, 3, 1))
+    out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o, out=proj)
     out += lw.b_o
     return out
 
 
-def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
+def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int,
+                  ws: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN.
 
-    Biases and residuals are added in place on buffers the layer owns,
-    in the order of the formula, so the values are those of the
-    out-of-place expression."""
-    a = _self_attention(x, lw, heads)
+    Every intermediate lives in `ws` (a fresh workspace when None), and
+    the result is written into `out` (a fresh array when None). Biases
+    and residuals are added in place, in the order of the formula."""
+    if ws is None:
+        ws = Workspace.for_input(x, lw, heads)
+    b, s, h = x.shape
+    f = lw.w_up.shape[1]
+    a = _self_attention(x, lw, heads, ws)
     a += x
-    u = kernels.layer_norm(a, lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS)
-    up = kernels.fast_matmul(u, lw.w_up)
+    u = kernels.layer_norm(a, lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS,
+                           out=ws.ctx[:b].reshape(b, s, h))
+    up = kernels.fast_matmul(u, lw.w_up, out=_head(ws.wide[0], (b, s, f)))
     up += lw.b_up
-    ffn = kernels.fast_matmul(kernels.gelu(up), lw.w_down)
+    act = kernels.gelu(up, out=_head(ws.wide[1], (b, s, f)))
+    ffn = kernels.fast_matmul(act, lw.w_down, out=ws.proj[:b])
     ffn += lw.b_down
     ffn += u
-    return kernels.layer_norm(ffn, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS)
+    return kernels.layer_norm(ffn, lw.ln2_gamma, lw.ln2_beta, kernels.LN_EPS, out=out)
 
 
 def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
@@ -270,11 +354,13 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
     arrays. Block index 0 is the embedding tap (when enabled) and block
     index c is the activation after decoder layer c.
 
-    Each layer runs over slabs of :func:`slab_sequences` whole sequences
-    and writes each slab's output into the layer's [B, S, H] output, so
-    its working set stays cache-sized. A layer treats each sequence on
-    its own, so the taps are bit-equal to running the whole batch, or
-    each sequence alone.
+    Each layer runs over slabs of :func:`slab_sequences` whole sequences,
+    in one :class:`Workspace` sized for a slab, and each slab's last
+    layer norm writes straight into its rows of the layer's [B, S, H]
+    output. So the layer loop allocates only the outputs, and its working
+    set stays cache-sized. A layer treats each sequence on its own, so
+    the taps are bit-equal to running the whole batch, or each sequence
+    alone.
     """
     cfg = weights.config
     tokens = np.asarray(tokens)
@@ -289,14 +375,15 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
     x = weights.token_embedding[tokens] + weights.pos_embedding[:s]
     out = TapSet()
     if cfg.tap_embedding:
-        out.taps.append((0, x.copy()))
+        out.taps.append((0, x))  # a fresh array, and no layer writes its input
 
     step = slab_sequences(s, cfg, x.dtype)
+    ws = Workspace(min(step, b), s, cfg.hidden, cfg.heads, cfg.ffn_dim, x.dtype)
     cuts = set(cfg.block_cuts)
     for i, lw in enumerate(weights.layers, start=1):
         y = np.empty_like(x)
         for b0 in range(0, b, step):
-            y[b0:b0 + step] = layer_forward(x[b0:b0 + step], lw, cfg.heads)
+            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws, out=y[b0:b0 + step])
         x = y
         if i in cuts:
             out.taps.append((i, x))

@@ -2,8 +2,15 @@
 
 All functions operate on plain numpy arrays (row-major, float32 or
 float64) and never mutate their inputs. Outputs are freshly allocated,
-except where a caller passes :func:`softmax_rows` an `out` buffer, which
-may be the input itself.
+except where a caller passes an `out` buffer to :func:`fast_matmul`,
+:func:`layer_norm`, :func:`gelu`, :func:`exp_rows` or
+:func:`softmax_rows`. Such an `out` must have exactly the result's shape
+and dtype (else ValueError), and the values written into it are
+bit-equal to those of the fresh-output call. :func:`exp_rows` and
+:func:`softmax_rows` may write over their input; :func:`layer_norm` and
+:func:`gelu` read their input after writing `out`, so an `out` that
+overlaps it raises ValueError. This lets a caller keep one set of
+buffers across many calls instead of allocating a result per call.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so
@@ -38,6 +45,19 @@ def _check_same_dtype(*arrays: np.ndarray) -> None:
     dtypes = {a.dtype for a in arrays}
     if len(dtypes) > 1:
         raise ValueError(f"mixed precisions: {sorted(map(str, dtypes))}")
+
+
+def _out(out, shape, dtype, *inputs) -> np.ndarray:
+    """`out` checked against the result's shape and dtype, and against
+    overlap with `inputs`; a fresh buffer when it is None."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ValueError(f"out is {out.dtype}{list(out.shape)}, "
+                         f"the result is {np.dtype(dtype)}{list(shape)}")
+    if any(np.may_share_memory(out, x) for x in inputs):
+        raise ValueError("out overlaps an input this kernel reads after writing out")
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,7 +99,7 @@ def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def fast_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def fast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product a @ b through BLAS, with the checks of the exact kernels.
 
     b is either 2-D, with a carrying any batch dims (as in :func:`matmul`),
@@ -96,7 +116,7 @@ def fast_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"batch dims differ: {a.shape} x {b.shape}")
     _check_same_dtype(a, b)
-    return np.matmul(a, b)
+    return np.matmul(a, b, out=_out(out, a.shape[:-1] + b.shape[-1:], a.dtype))
 
 
 def layer_norm(
@@ -104,11 +124,14 @@ def layer_norm(
     gamma: np.ndarray,
     beta: np.ndarray,
     eps: float = LN_EPS,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     y = gamma * (x - mean) / sqrt(var + eps) + beta, statistics taken per
-    row over the last axis (biased variance).
+    row over the last axis (biased variance). Works in `out` alone: the
+    centred rows are formed twice, once to square them for the variance
+    and once to scale them.
     """
     x = np.asarray(x)
     gamma = np.asarray(gamma)
@@ -118,37 +141,47 @@ def layer_norm(
         raise ValueError(
             f"affine shape {gamma.shape}/{beta.shape} does not match last extent {h}"
         )
+    out = _out(out, x.shape, x.dtype, x)
     mu = x.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True, dtype=x.dtype)
-    xhat = (x - mu) / np.sqrt(var + x.dtype.type(eps))
-    return gamma * xhat + beta
+    np.subtract(x, mu, out=out)
+    out *= out
+    var = out.mean(axis=-1, keepdims=True, dtype=x.dtype)
+    np.subtract(x, mu, out=out)
+    out /= np.sqrt(var + x.dtype.type(eps))
+    out *= gamma
+    out += beta
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x), 0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit, tanh approximation.
 
     gelu(x) = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
+
+    Works in `out` alone, with the operations of the formula in its
+    order except the last product: (1 + tanh(...)) is halved first, then
+    times x. Halving 1 + tanh(...) is exact, and so is halving x unless
+    |x| is within a factor two of the smallest normal number, so the
+    values are the formula's bit for bit outside that range.
     """
     x = np.asarray(x)
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
     half = x.dtype.type(0.5)
-    # two buffers, same operations in the same order as the formula above
-    # (products and sums commute bit for bit)
-    t = np.multiply(x, a, out=np.empty_like(x))
+    t = np.multiply(x, a, out=_out(out, x.shape, x.dtype, x))
     t *= x
     t *= x
     t += x
     t *= c
     np.tanh(t, out=t)
     t += 1
-    out = np.multiply(x, half, out=np.empty_like(x))
-    out *= t
-    return out
+    t *= half
+    t *= x
+    return t
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -163,19 +196,30 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return half * (1 + t) + half * x * sech2 * c * (1 + 3 * a * x * x)
 
 
-def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, max-shifted for stability.
+def exp_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max(x)) over the last axis: the numerator of a max-shifted
+    softmax. Every row with a finite entry keeps a 1 at its max, so its
+    sum is at least 1.
 
     Writes into `out` when given (it may be `x` itself), else into one
     fresh buffer.
     """
     x = np.asarray(x)
     if x.ndim < 1:
-        raise ValueError("softmax_rows requires rank >= 1")
-    # same arithmetic as (e := exp(x - max)) / sum(e)
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True, dtype=x.dtype)
+        raise ValueError("exp_rows requires rank >= 1")
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=_out(out, x.shape, x.dtype))
+    return np.exp(out, out=out)
+
+
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis: :func:`exp_rows`, then each row divided
+    by its sum, the same arithmetic as (e := exp(x - max)) / sum(e).
+
+    Writes into `out` when given (it may be `x` itself), else into one
+    fresh buffer.
+    """
+    out = exp_rows(x, out=out)
+    out /= out.sum(axis=-1, keepdims=True, dtype=out.dtype)
     return out
 
 

@@ -49,6 +49,12 @@ log = logging.getLogger(__name__)
 
 _session_counter = itertools.count(1)
 
+# the longest the receive worker blocks on one read, or on a full inbound
+# queue, before it checks whether the train loop has ended; each timed-out
+# wait costs CPU (about 0.2 ms on a small VM), so this trades the delay of
+# an abnormal exit against idle wakeups on a slow link
+RECV_POLL_S = 0.25
+
 
 @dataclass
 class ServerConfig:
@@ -153,19 +159,32 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     state = _make_state(config)
     report.state = state
     inbound: queue.Queue = queue.Queue(maxsize=config.queue_depth)
+    done = threading.Event()  # set once the train loop has ended
+
+    def deliver(item) -> bool:
+        """Queue `item` for the train loop; False once nothing will take it."""
+        while not done.is_set():
+            try:
+                inbound.put(item, timeout=RECV_POLL_S)
+                return True
+            except queue.Full:
+                pass
+        return False
 
     def receive_worker():
         try:
-            while True:
-                msg = reader.read(timeout=None)
+            while not done.is_set():
+                try:
+                    msg = reader.read(timeout=RECV_POLL_S)
+                except TimeoutError:
+                    continue  # the reader keeps a partial frame for the next read
                 if msg is None:
-                    inbound.put(("eof", None))
+                    deliver(("eof", None))
                     return
-                inbound.put(("msg", msg))
-                if isinstance(msg, Bye):
+                if not deliver(("msg", msg)) or isinstance(msg, Bye):
                     return
         except Exception as exc:  # any failure ends the session, never the loop
-            inbound.put(("error", exc))
+            deliver(("error", exc))
 
     rx = threading.Thread(target=receive_worker, name="server-recv", daemon=True)
     rx.start()
@@ -193,6 +212,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:
+        done.set()
         rx.join(timeout=5.0)
         report.dropped = state.dropped
         _save_checkpoint(config, state)

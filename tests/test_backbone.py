@@ -1,7 +1,8 @@
 """The frozen decoder's forward: the BLAS products against the ascending-k
 reference, the tiled in-place attention against its full out-of-place
-formula, slabs of sequences against one sequence at a time, the working
-sets of the attention and of the whole forward, and the causal mask."""
+formula, slabs of sequences against one sequence at a time, a batch
+rerun after a batch of another shape, the working sets of the attention
+and of the whole forward, and the causal mask."""
 
 import tracemalloc
 
@@ -23,10 +24,11 @@ LONG_SEQ = 3 * TILE - 5
 # layers add to float32 products summed in a different order
 TAP_ATOL = 1e-5
 
-# a tiled softmax row sums its r1 <= S entries in another order than the full
-# row, and BLAS may pick another kernel for a tile's shape (a one-row tile is
-# a matrix-vector product): about 8 float32 ulps of max |output|; measured
-# gaps stay below 1.1e-7 of it
+# the attention scales q instead of the scores and divides the context by a
+# row sum that BLAS adds up in the product with vᵀ's ones row; a tiled row
+# also sums its r1 <= S entries, not S, and BLAS may pick another kernel for a
+# tile's shape (a one-row tile is a matrix-vector product): about 8 float32
+# ulps of max |output|; measured gaps stay below 2.2e-7 of it
 TILED_RTOL = 1e-6
 
 
@@ -51,12 +53,13 @@ def out_of_place_attention(x, lw, heads):
     return kernels.fast_matmul(ctx, lw.w_o) + lw.b_o
 
 
-def test_in_place_attention_is_bit_equal_to_the_out_of_place_formula():
+def test_one_tile_attention_agrees_with_the_out_of_place_formula():
     weights = init_backbone(CONFIG, 7)
     x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
     for lw in weights.layers:
-        np.testing.assert_array_equal(backbone._self_attention(x, lw, CONFIG.heads),
-                                      out_of_place_attention(x, lw, CONFIG.heads))
+        full = out_of_place_attention(x, lw, CONFIG.heads)
+        np.testing.assert_allclose(backbone._self_attention(x, lw, CONFIG.heads), full,
+                                   rtol=0, atol=TILED_RTOL * np.abs(full).max())
         x = backbone.layer_forward(x, lw, CONFIG.heads)
 
 
@@ -144,3 +147,19 @@ def test_forward_peak_memory_is_the_taps_and_one_slab():
     # the taps stay alive, and a slab's buffers are a few SLAB_BYTES; one
     # layer over the whole batch needs about 7 MiB besides the taps
     assert peak < taps + 4 * backbone.SLAB_BYTES
+
+
+def test_taps_repeat_after_a_batch_of_another_shape():
+    weights = init_backbone(WIDE, 7)
+    a = kernels.make_rng(6).integers(0, WIDE.vocab_size, size=(7, 255))
+    # b is a's first 91 positions: its taps are a's there, up to the tile
+    # bound, since the causal mask hides every later token
+    b = a[:, :91]
+    first = forward_collect(weights, a).taps
+    prefix = forward_collect(weights, b).taps
+    again = forward_collect(weights, a).taps
+    for (_, t1), (_, tb), (_, t2) in zip(first, prefix, again):
+        assert np.isfinite(t1).all() and np.isfinite(tb).all()
+        np.testing.assert_array_equal(t1, t2)
+        np.testing.assert_allclose(tb, t1[:, :91], rtol=0,
+                                   atol=TILED_RTOL * np.abs(t1).max())

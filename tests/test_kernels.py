@@ -1,5 +1,5 @@
 """Tensor-kernel contracts: exact accumulation order, reference values,
-and reproducible randomness."""
+the `out` buffers, and reproducible randomness."""
 
 import numpy as np
 import pytest
@@ -80,9 +80,14 @@ class TestMatmul:
             np.testing.assert_array_equal(out[i], triple_loop_matmul(a[i], b[i]))
 
 
-def exact_matmul(a, b):
-    """The ascending-k reference for a fast_matmul call of the same shapes."""
-    return kernels.matmul(a, b) if np.ndim(b) == 2 else kernels.batched_matmul(a, b)
+def exact_matmul(a, b, out=None):
+    """The ascending-k reference for a fast_matmul call of the same shapes,
+    written into `out` when given."""
+    result = kernels.matmul(a, b) if np.ndim(b) == 2 else kernels.batched_matmul(a, b)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 # BLAS may sum in any order: each element may differ from the ascending-k
@@ -235,6 +240,71 @@ class TestNonlinearities:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             kernels.nonlinearity(np.zeros(3), "swish")
+
+
+def out_cases(dtype):
+    """(kernel, inputs) for every kernel that takes an `out` buffer."""
+    rng = kernels.make_rng(16)
+
+    def arr(*shape):
+        return (rng.normal(size=shape) * 3).astype(dtype)
+
+    scores = arr(2, 4, 9, 9)
+    scores[..., np.triu(np.ones((9, 9), dtype=bool), k=1)] = -np.inf
+    return {
+        "fast_matmul": (kernels.fast_matmul, (arr(2, 31, 32), arr(32, 128))),
+        "fast_matmul_batched": (kernels.fast_matmul, (arr(2, 4, 31, 8), arr(2, 4, 8, 31))),
+        "layer_norm": (kernels.layer_norm, (arr(2, 31, 32), arr(32), arr(32))),
+        "gelu": (kernels.gelu, (arr(2, 31, 128),)),
+        "exp_rows": (kernels.exp_rows, (scores,)),
+        "softmax_rows": (kernels.softmax_rows, (scores,)),
+    }
+
+
+OUT_KERNELS = sorted(out_cases(np.float32))
+
+
+class TestOutBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", OUT_KERNELS)
+    def test_out_is_bit_equal_to_the_fresh_output(self, name, dtype):
+        fn, args = out_cases(dtype)[name]
+        before = [a.copy() for a in args]
+        fresh = fn(*args)
+        out = np.full(fresh.shape, np.nan, dtype=dtype)
+        assert fn(*args, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", OUT_KERNELS)
+    def test_an_out_of_the_wrong_shape_or_dtype_raises(self, name):
+        fn, args = out_cases(np.float32)[name]
+        shape = fn(*args).shape
+        wider = shape[:-1] + (shape[-1] + 1,)
+        for bad in (np.empty((1,) + shape, np.float32), np.empty(wider, np.float32),
+                    np.empty(shape, np.float64)):
+            with pytest.raises(ValueError):
+                fn(*args, out=bad)
+
+    @pytest.mark.parametrize("name", ["exp_rows", "softmax_rows"])
+    def test_the_row_kernels_may_write_over_their_input(self, name):
+        fn, (x,) = out_cases(np.float32)[name]
+        fresh = fn(x)
+        assert fn(x, out=x) is x
+        np.testing.assert_array_equal(x, fresh)
+
+    @pytest.mark.parametrize("name", ["layer_norm", "gelu"])
+    def test_an_out_that_overlaps_the_input_raises(self, name):
+        fn, args = out_cases(np.float32)[name]
+        with pytest.raises(ValueError):
+            fn(*args, out=args[0])
+
+    def test_exp_rows_keeps_a_one_at_each_row_max(self):
+        _, (x,) = out_cases(np.float32)["exp_rows"]
+        e = kernels.exp_rows(x)
+        np.testing.assert_array_equal(e.max(axis=-1), 1)
+        assert (e.sum(axis=-1) >= 1).all()
 
 
 class TestMeanPool:

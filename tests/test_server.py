@@ -1,8 +1,9 @@
-"""A session that ends abnormally still returns, with its report and
-checkpoint: peer input never hangs or kills the server silently."""
+"""A session that ends abnormally still returns promptly, with its report
+and checkpoint: peer input never hangs or kills the server silently."""
 
 import io
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -72,10 +73,20 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
-def test_a_batch_that_fails_the_step_still_writes_the_checkpoint(tmp_path):
+def wrong_tap_count_frame():
     q = quantize(np.zeros((2, 3, BACKBONE.hidden), dtype=np.float32), "nf4")
-    wrong_tap_count = ActBatch(batch_id=0, labels=(0, 1), taps=((0, q), (1, q)))
-    # the hang-up lets the receive worker end, so the server need not wait for it
-    out, ckpt = serve_one(tmp_path, [encode(wrong_tap_count)], hang_up=True)
+    return encode(ActBatch(batch_id=0, labels=(0, 1), taps=((0, q), (1, q))))
+
+
+def test_a_batch_that_fails_the_step_still_writes_the_checkpoint(tmp_path):
+    out, ckpt = serve_one(tmp_path, [wrong_tap_count_frame()], hang_up=True)
+    assert isinstance(out["error"], ValueError)
+    assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
+
+
+def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_path):
+    t0 = time.monotonic()
+    out, ckpt = serve_one(tmp_path, [wrong_tap_count_frame()])
+    assert time.monotonic() - t0 < 1.0  # the receive worker stops reading
     assert isinstance(out["error"], ValueError)
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
