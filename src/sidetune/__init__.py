@@ -30,7 +30,6 @@ same two functions run over loopback, TCP or a rate-limited link.
 from .backbone import (
     BackboneConfig,
     BackboneWeights,
-    TapSet,
     forward_collect,
     init_backbone,
     layer_forward,
@@ -88,7 +87,6 @@ __all__ = [
     "SideConfig",
     "SideNetworkParams",
     "SyntheticTask",
-    "TapSet",
     "TrainState",
     "adam_step",
     "combined_infer",

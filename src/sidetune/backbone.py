@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,17 +184,6 @@ def _assemble(config: BackboneConfig, tensors) -> BackboneWeights:
     for layer, name, t in tensors:
         (model if layer is None else layers[layer])[name] = t
     return BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
-
-
-@dataclass
-class TapSet:
-    """Activations exported from one forward pass.
-
-    ``taps`` pairs each block index with the [B, S, H] activation after
-    that block (index 0 is the embedding output when enabled).
-    """
-
-    taps: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
@@ -347,9 +336,11 @@ def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
     return max(1, SLAB_BYTES // (seq_len * widest * np.dtype(dtype).itemsize))
 
 
-def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
+def forward_collect(weights: BackboneWeights,
+                    tokens: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Run the frozen decoder and record taps at the configured cuts.
 
+    Returns (block index, [B, S, H] activation) pairs in block order.
     Weights are read-only here; the returned activations are fresh
     arrays. Block index 0 is the embedding tap (when enabled) and block
     index c is the activation after decoder layer c.
@@ -373,9 +364,9 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
         raise ValueError("token id out of range")
 
     x = weights.token_embedding[tokens] + weights.pos_embedding[:s]
-    out = TapSet()
+    taps = []
     if cfg.tap_embedding:
-        out.taps.append((0, x))  # a fresh array, and no layer writes its input
+        taps.append((0, x))  # a fresh array, and no layer writes its input
 
     step = slab_sequences(s, cfg, x.dtype)
     ws = Workspace(min(step, b), s, cfg.hidden, cfg.heads, cfg.ffn_dim, x.dtype)
@@ -386,8 +377,8 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray) -> TapSet:
             layer_forward(x[b0:b0 + step], lw, cfg.heads, ws, out=y[b0:b0 + step])
         x = y
         if i in cuts:
-            out.taps.append((i, x))
-    return out
+            taps.append((i, x))
+    return taps
 
 
 def save_backbone(path, weights: BackboneWeights) -> None:

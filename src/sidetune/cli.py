@@ -157,20 +157,22 @@ def _server_config_from_args(args, **extra) -> ServerConfig:
     )
 
 
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default="", help="key=value file supplying flag defaults")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="sidetune",
         description="Server-assisted side-tuning over a one-way activation stream.",
     )
-    parser.add_argument("--config", default="",
-                        help="key=value file supplying flag defaults")
+    _add_config_flag(parser)
     sub = parser.add_subparsers(dest="command")
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("server", formatter_class=fmt,
                        help="train side-networks for one incoming session")
     p.add_argument("--listen", default=":9000", help="bind address host:port")
-    p.add_argument("--queue", type=int, default=4, help="inbound batch queue depth")
     _add_backbone_flags(p)
     _add_side_flags(p)
 
@@ -235,7 +237,7 @@ def _host_port(addr: str, default_host: str) -> tuple[str, int]:
 
 
 def _cmd_server(args) -> int:
-    config = _server_config_from_args(args, queue_depth=args.queue)
+    config = _server_config_from_args(args)
     transport, _ = tcp_listen_one(*_host_port(args.listen, "0.0.0.0"))
     try:
         report = run_server(config, transport)
@@ -354,10 +356,15 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    """Make the --config file's values every subcommand's defaults; a key
+    that no subcommand takes, or a value a flag would refuse, is an error."""
+    pre = _Parser(prog="sidetune", add_help=False)
+    _add_config_flag(pre)  # so every spelling the full parser accepts is found
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
         return
-    path = argv[argv.index("--config") + 1]
     raw = _load_config_file(path)
+    taken = set()
     for action_parser in parser._subparsers._group_actions[0].choices.values():
         defaults = {}
         for action in action_parser._actions:
@@ -367,8 +374,15 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
                     value = action.type(value)
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
                     value = value.lower() in ("1", "true", "yes")
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"{action.dest} = {value!r} is not one of "
+                                     f"{', '.join(map(str, action.choices))}")
                 defaults[action.dest] = value
         action_parser.set_defaults(**defaults)
+        taken.update(defaults)
+    unknown = sorted(set(raw) - taken)
+    if unknown:
+        raise ValueError(f"no subcommand takes {', '.join(unknown)}")
 
 
 def main(argv=None) -> int:
@@ -376,9 +390,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         _apply_config_file(parser, argv)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"sidetune: config file error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --config without a path
+        return int(exc.code or 0)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -161,9 +161,9 @@ def compute_batch(weights, config, i):
     every tap. Returns (ActBatch, timing dict). Local mode calls this too."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
-    tap_set = forward_collect(weights, tokens)
+    taps = forward_collect(weights, tokens)
     t1 = time.perf_counter()
-    qtaps = tuple((idx, quantize(act, config.scheme)) for idx, act in tap_set.taps)
+    qtaps = tuple((idx, quantize(act, config.scheme)) for idx, act in taps)
     t2 = time.perf_counter()
     msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=qtaps)
     timing = {"iter": i, "t_fwd_ms": (t1 - t0) * 1e3, "t_quant_ms": (t2 - t1) * 1e3}

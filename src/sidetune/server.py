@@ -1,11 +1,11 @@
 """The server side: accept one session, train the side-network, serve
 checkpoints; and local mode, the single-process baseline.
 
-Two workers share the connection. The receive worker only decodes frames
-and feeds a bounded inbound queue (backpressure flows to the transport);
-the train worker consumes messages strictly in arrival order, so
-optimizer state needs no locking and checkpoint requests are always
-served at an iteration boundary.
+A session is one loop on the calling thread: read the next message, act
+on it. Messages are handled strictly in arrival order, so optimizer
+state needs no locking and checkpoint requests are always served at an
+iteration boundary. While a step runs, the transport's own buffer holds
+the frames that arrive, and the device keeps computing.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import queue
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -49,12 +47,6 @@ log = logging.getLogger(__name__)
 
 _session_counter = itertools.count(1)
 
-# the longest the receive worker blocks on one read, or on a full inbound
-# queue, before it checks whether the train loop has ended; each timed-out
-# wait costs CPU (about 0.2 ms on a small VM), so this trades the delay of
-# an abnormal exit against idle wakeups on a slow link
-RECV_POLL_S = 0.25
-
 
 @dataclass
 class ServerConfig:
@@ -66,14 +58,10 @@ class ServerConfig:
     side_seed: int = 1
     lr: float = DEFAULT_LR
     loss_kind: str = "cross_entropy"
-    queue_depth: int = 4
+    queue_depth: int = 4  # unused: the session reads straight from the transport
     checkpoint_path: str | None = None
     metrics_path: str | None = None
     timeout_s: float = 10.0
-
-    def __post_init__(self):
-        if self.queue_depth < 1:
-            raise ValueError("queue depth must be at least 1")
 
     def side_config(self) -> SideConfig:
         return SideConfig(
@@ -158,45 +146,15 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
 
     state = _make_state(config)
     report.state = state
-    inbound: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-    done = threading.Event()  # set once the train loop has ended
-
-    def deliver(item) -> bool:
-        """Queue `item` for the train loop; False once nothing will take it."""
-        while not done.is_set():
-            try:
-                inbound.put(item, timeout=RECV_POLL_S)
-                return True
-            except queue.Full:
-                pass
-        return False
-
-    def receive_worker():
-        try:
-            while not done.is_set():
-                try:
-                    msg = reader.read(timeout=RECV_POLL_S)
-                except TimeoutError:
-                    continue  # the reader keeps a partial frame for the next read
-                if msg is None:
-                    deliver(("eof", None))
-                    return
-                if not deliver(("msg", msg)) or isinstance(msg, Bye):
-                    return
-        except Exception as exc:  # any failure ends the session, never the loop
-            deliver(("error", exc))
-
-    rx = threading.Thread(target=receive_worker, name="server-recv", daemon=True)
-    rx.start()
-
     try:
         with _metrics_log(config) as metrics_fh:
             while True:
-                kind, msg = inbound.get()
-                if kind == "error":
-                    log.error("session reset: %s", msg, exc_info=msg)
+                try:
+                    msg = reader.read()
+                except Exception as exc:  # any failure ends the session, never the server
+                    log.error("session reset: %s", exc, exc_info=exc)
                     break
-                if kind == "eof":
+                if msg is None:
                     log.warning("peer vanished without Bye")
                     break
                 if isinstance(msg, Bye):
@@ -212,8 +170,6 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:
-        done.set()
-        rx.join(timeout=5.0)
         report.dropped = state.dropped
         _save_checkpoint(config, state)
     return report

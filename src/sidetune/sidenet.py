@@ -295,8 +295,7 @@ def combined_infer(
     Bit-identical to the logits the server computes for the same batch
     and scheme, because it is the same code path.
     """
-    tap_set = forward_collect(backbone_weights, tokens)
-    taps = [dequantize(quantize(t, scheme)) for _, t in tap_set.taps]
+    taps = [dequantize(quantize(t, scheme)) for _, t in forward_collect(backbone_weights, tokens)]
     logits, _ = side_forward(taps, side_params, side_config, training=False)
     return logits
 

@@ -93,10 +93,10 @@ def test_taps_agree_with_the_exact_kernels(monkeypatch):
     # one tile, and three tiles with a short last one
     runs = [(init_backbone(config, 7), tokens(seq=seq))
             for config, seq in ((CONFIG, 15), (LONG, LONG_SEQ))]
-    fast = [forward_collect(weights, toks).taps for weights, toks in runs]
+    fast = [forward_collect(weights, toks) for weights, toks in runs]
     monkeypatch.setattr(kernels, "fast_matmul", exact_matmul)
     for (weights, toks), fast_taps in zip(runs, fast):
-        exact = forward_collect(weights, toks).taps
+        exact = forward_collect(weights, toks)
         assert [i for i, _ in fast_taps] == [i for i, _ in exact] == [0, 1, 2, 3, 4]
         for (_, f), (_, e) in zip(fast_taps, exact):
             assert f.dtype == e.dtype == np.float32
@@ -109,8 +109,8 @@ def test_a_position_sees_no_later_token():
     pos = TILE + TILE // 2  # inside the middle tile
     changed = toks.copy()
     changed[:, pos] = (changed[:, pos] + 1) % LONG.vocab_size
-    for (_, a), (_, b) in zip(forward_collect(weights, toks).taps,
-                              forward_collect(weights, changed).taps):
+    for (_, a), (_, b) in zip(forward_collect(weights, toks),
+                              forward_collect(weights, changed)):
         np.testing.assert_array_equal(a[:, :pos], b[:, :pos])
         assert not np.array_equal(a[:, pos], b[:, pos])
 
@@ -126,8 +126,8 @@ def test_slabs_give_the_taps_of_one_sequence_at_a_time(seq):
     toks = kernels.make_rng(5).integers(0, WIDE.vocab_size, size=(7, seq))
     # the last slab is short: 4 + 3 sequences at S=255, 7 of 11 at S=91
     assert 7 % backbone.slab_sequences(seq, WIDE, np.float32) != 0
-    batched = forward_collect(weights, toks).taps
-    alone = [forward_collect(weights, toks[j:j + 1]).taps for j in range(len(toks))]
+    batched = forward_collect(weights, toks)
+    alone = [forward_collect(weights, toks[j:j + 1]) for j in range(len(toks))]
     for n, (_, tap) in enumerate(batched):
         np.testing.assert_array_equal(tap, np.concatenate([a[n][1] for a in alone]))
 
@@ -155,9 +155,9 @@ def test_taps_repeat_after_a_batch_of_another_shape():
     # b is a's first 91 positions: its taps are a's there, up to the tile
     # bound, since the causal mask hides every later token
     b = a[:, :91]
-    first = forward_collect(weights, a).taps
-    prefix = forward_collect(weights, b).taps
-    again = forward_collect(weights, a).taps
+    first = forward_collect(weights, a)
+    prefix = forward_collect(weights, b)
+    again = forward_collect(weights, a)
     for (_, t1), (_, tb), (_, t2) in zip(first, prefix, again):
         assert np.isfinite(t1).all() and np.isfinite(tb).all()
         np.testing.assert_array_equal(t1, t2)

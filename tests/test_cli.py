@@ -1,5 +1,5 @@
-"""The `sidetune` command's local and estimate subcommands and the
-package's exports."""
+"""The `sidetune` command's local and estimate subcommands, its config
+file, and the package's exports."""
 
 import json
 
@@ -32,6 +32,41 @@ def test_local_prints_no_accuracy_for_mse(capsys):
 def test_local_rejects_a_run_without_iterations(capsys, flags):
     assert main(["local", *TINY, *flags]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+# TINY without --iters: one iteration unless a config file sets iters
+ONE_ITER = [*TINY[:-2], "--epochs", "1", "--samples", "4"]
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("spelling", ["separate", "joined"])
+def test_a_config_file_supplies_flag_defaults(capsys, tmp_path, spelling):
+    path = config_file(tmp_path, "# a comment\n\niters = 3\n")
+    flag = ["--config", path] if spelling == "separate" else [f"--config={path}"]
+    assert main([*flag, "local", *ONE_ITER]) == 0
+    assert "local run: 3 iterations" in capsys.readouterr().out
+
+
+def test_a_command_line_flag_beats_the_config_file(capsys, tmp_path):
+    assert main(["--config", config_file(tmp_path, "iters = 3\n"), "local", *TINY]) == 0
+    assert "local run: 2 iterations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["batchsize = 4\n", "scheme = bogus\n", "iters 3\n"],
+                         ids=["unknown_key", "value_outside_choices", "line_without_equals"])
+def test_a_bad_config_file_is_a_configuration_error(capsys, tmp_path, text):
+    assert main(["--config", config_file(tmp_path, text), "local", *TINY]) == 1
+    assert "config file error" in capsys.readouterr().err
+
+
+def test_a_missing_config_file_is_a_configuration_error(capsys, tmp_path):
+    assert main([f"--config={tmp_path / 'absent.cfg'}", "local", *TINY]) == 1
+    assert "config file error" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():
