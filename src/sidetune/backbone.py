@@ -15,7 +15,8 @@ The forward is cache-blocked. Each layer runs over slabs of whole
 sequences, sized from the input's shape and dtype so that a slab's
 widest buffer is about SLAB_BYTES, and attention runs over query tiles
 of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
-change no bit of the taps.
+change no bit of the taps, unless the attention's score bound, taken
+per slab, falls on both sides of EXP_SAFE (see :func:`_self_attention`).
 
 One :class:`Workspace` per forward holds every intermediate of a slab,
 so the layer loop allocates nothing but the layer outputs. Tiles, slabs
@@ -23,12 +24,16 @@ and layers reuse its buffers, and each slab's last layer norm writes
 straight into its rows of the layer output.
 
 The attention defers the softmax division to the context, as
-FlashAttention does: a tile's scores are shifted by their row max and
-exponentiated, and one product with the values, which carry a ones row,
-gives both the numerator and the row sum. The scale is folded into q.
-So the attention agrees with the full formula to rounding, not bit for
-bit: within 1e-6 × max |output| (the tests' bound; measured gaps are
-about 2e-7 of it).
+FlashAttention does: a tile's scores are exponentiated, and one product
+with the values, which carry a ones row, gives both the numerator and
+the row sum. The scale is folded into q. The usual shift of each row by
+its max only guards exp against overflow, so it is skipped when a
+Cauchy–Schwarz bound on the scores, max ‖q_i‖·max ‖k_j‖, is at most
+EXP_SAFE: then no score can overflow a row sum or underflow a whole row
+to zero. A larger or non-finite bound takes the max-shifted path. So the
+attention agrees with the full formula to rounding, not bit for bit:
+within 1e-6 × max |output| (the tests' bound; measured gaps are about
+2e-7 of it).
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ ATTN_TILE = 32
 # bytes of a layer's widest buffer per slab of sequences: a quarter of a
 # 2 MiB L2, so a slab's buffers stay in cache between passes
 SLAB_BYTES = 512 * 1024
+# the largest score bound for which the attention exponentiates its scores
+# without the row-max shift: e^30 is about 1e13, so a row of up to 1e25
+# keys sums far below float32's 3.4e38, and e^-30 is about 1e-13, a normal
+# float32 whose rows cannot sum to zero
+EXP_SAFE = 30.0
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,15 @@ class BackboneConfig:
         return len(self.block_cuts)
 
     @property
+    def tap_blocks(self) -> tuple[int, ...]:
+        """The block index of each tap of a forward pass, in order: 0 for
+        the embedding tap, when enabled, then the block cuts."""
+        return ((0,) if self.tap_embedding else ()) + self.block_cuts
+
+    @property
     def gamma(self) -> int:
         """Taps per forward pass: one per block, plus the embedding tap."""
-        return self.num_blocks + (1 if self.tap_embedding else 0)
+        return len(self.tap_blocks)
 
     def config_block(self) -> bytes:
         """Canonical binary form; also the digest input for handshakes."""
@@ -220,18 +236,31 @@ class Workspace:
     of its own, because it keeps a row of ones under its hd rows: so the
     product of the values and a tile's weights also sums each of the
     tile's weight rows.
+
+    Two constant arrays mask a tile's diagonal block, where key j comes
+    after query i when j > i. `causal` is the block in the memory
+    order of a tile's key-major scores, [tile, n, heads, tile], holding
+    -inf at (j, ·, ·, i) for j > i and 0 elsewhere: one contiguous add
+    masks the block and leaves the value of every finite score. Its
+    [tile, n × heads × tile] floats are 64 KiB at n = 4 and 256 KiB at
+    n = 16 in float32. `mask` is the same pattern as a [query, key] bool
+    array, for the max-shifted path, which writes -inf where the scores
+    may not be finite.
     """
 
     def __init__(self, n: int, s: int, hidden: int, heads: int, ffn_dim: int, dtype):
         hd = hidden // heads
-        wide = n * s * max(ffn_dim, heads * min(ATTN_TILE, s), 2 * hidden)
+        tile = min(ATTN_TILE, s)
+        wide = n * s * max(ffn_dim, heads * tile, 2 * hidden)
         self.wide = (np.empty(wide, dtype), np.empty(wide, dtype))
-        self.tile_ctx = np.empty(n * heads * (hd + 1) * ATTN_TILE, dtype)
+        self.tile_ctx = np.empty(n * heads * (hd + 1) * tile, dtype)
         self.proj = np.empty((n, s, hidden), dtype)
         self.ctx = np.empty((n, s, heads, hd), dtype)
         self.vt = np.empty((n, heads, hd + 1, s), dtype)
         self.vt[:, :, hd] = 1
-        self.mask = np.triu(np.ones((ATTN_TILE, ATTN_TILE), dtype=bool), k=1)
+        self.mask = np.triu(np.ones((tile, tile), dtype=bool), k=1)
+        self.causal = np.zeros((tile, n, heads, tile), dtype)
+        self.causal.transpose(1, 2, 3, 0)[..., self.mask] = -np.inf
 
     @classmethod
     def for_input(cls, x: np.ndarray, lw: LayerWeights, heads: int) -> "Workspace":
@@ -243,6 +272,16 @@ class Workspace:
 def _head(buf: np.ndarray, shape) -> np.ndarray:
     """The first elements of the flat `buf` as a contiguous array of `shape`."""
     return buf[:np.prod(shape)].reshape(shape)
+
+
+def _score_bound(qt: np.ndarray, k: np.ndarray) -> float:
+    """An upper bound on every |q_i · k_j| of the head-major qᵀ [B, heads,
+    hd, S] and k [B, heads, S, hd]: by Cauchy–Schwarz, the largest
+    product of the longest query and the longest key of one sequence and
+    head. NaN or inf when an entry is not finite."""
+    qq = np.einsum("bhds,bhds->bhs", qt, qt).max(axis=-1)
+    kk = np.einsum("bhsd,bhsd->bhs", k, k).max(axis=-1)
+    return float(np.sqrt((qq * kk).max()))
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
@@ -258,17 +297,25 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     [B, heads, S, S] tensor is built.
 
     A tile's scores are stored key-major: key j of every sequence, head
-    and query is one contiguous run. So the row max over the keys, and the
-    subtraction of it, run as whole-buffer passes instead of one short
-    reduction per row.
+    and query is one contiguous run. So the mask and the exponent run as
+    whole-buffer passes instead of one short pass per row.
 
-    The softmax division is deferred to the context: each tile's scores
-    are only shifted by their row max and exponentiated in place
-    (:func:`kernels.exp_rows`), and vᵀ's ones row makes the product with
-    the values give each row's sum next to its numerator. Every row keeps
-    a 1 at its max, so the sum is at least 1, and only the [hd, tile]
-    context is divided. Against the full formula this agrees to rounding:
-    the scale is applied to q, not to the scores, and BLAS sums the rows.
+    The softmax division is deferred to the context: vᵀ's ones row makes
+    the product with the values give each row's sum next to its
+    numerator, and only the [hd, tile] context is divided. Before the
+    tiles, :func:`_score_bound` bounds every score of the call. When the
+    bound is at most EXP_SAFE, each tile adds ``ws.causal`` to its
+    diagonal block and exponentiates its scores as they are: every
+    weight then lies in [e^-EXP_SAFE, e^EXP_SAFE] or is an exact 0 where
+    masked, so no row sum can overflow, and each row keeps its diagonal
+    weight, so no sum is 0. Otherwise, and when the bound is NaN, each
+    tile writes -inf over its masked scores and shifts them by their row
+    max before the exponent (:func:`kernels.exp_rows`); every row keeps
+    a 1 at its max, so its sum is at least 1. Both paths agree with the
+    full formula to rounding: the scale is applied to q, not to the
+    scores, and BLAS sums the rows. The bound is taken over the call's
+    whole slab, so slabs change no bit of the taps unless their bounds
+    fall on both sides of EXP_SAFE.
     """
     if ws is None:
         ws = Workspace.for_input(x, lw, heads)
@@ -288,15 +335,21 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
                 x.dtype.type(1.0 / np.sqrt(hd)), out=qt)         # [B, heads, hd, S]
     np.copyto(k, project(lw.w_k, lw.b_k).transpose(0, 2, 1, 3))   # [B, heads, S, hd]
     np.copyto(vt[:, :, :hd], project(lw.w_v, lw.b_v).transpose(0, 2, 3, 1))
+    shift = not _score_bound(qt, k) <= EXP_SAFE
     for r0 in range(0, s, ATTN_TILE):
         r1 = min(r0 + ATTN_TILE, s)
         t = r1 - r0
         # [B, heads, keys, queries], stored as [keys, B, heads, queries]
-        scores_t = _head(ws.wide[0], (r1, b, heads, t)).transpose(1, 2, 0, 3)
+        mem = _head(ws.wide[0], (r1, b, heads, t))
+        scores_t = mem.transpose(1, 2, 0, 3)
         kernels.fast_matmul(k[:, :, :r1], qt[..., r0:r1], out=scores_t)
-        scores = scores_t.swapaxes(-1, -2)  # [B, heads, queries, keys]
-        np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=ws.mask[:t, :t])
-        kernels.exp_rows(scores, out=scores)
+        if shift:
+            scores = scores_t.swapaxes(-1, -2)  # [B, heads, queries, keys]
+            np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=ws.mask[:t, :t])
+            kernels.exp_rows(scores, out=scores)
+        else:
+            np.add(mem[r0:], ws.causal[:t, :b, :, :t], out=mem[r0:])
+            np.exp(mem, out=mem)
         num = kernels.fast_matmul(vt[..., :r1], scores_t,
                                   out=_head(ws.tile_ctx, (b, heads, hd + 1, t)))
         np.divide(num[:, :, :hd], num[:, :, hd:], out=ctx[:, r0:r1].transpose(0, 2, 3, 1))
@@ -351,7 +404,8 @@ def forward_collect(weights: BackboneWeights,
     output. So the layer loop allocates only the outputs, and its working
     set stays cache-sized. A layer treats each sequence on its own, so
     the taps are bit-equal to running the whole batch, or each sequence
-    alone.
+    alone, unless the attention's score bound falls on both sides of
+    EXP_SAFE across the slabs; then they agree to rounding.
     """
     cfg = weights.config
     tokens = np.asarray(tokens)

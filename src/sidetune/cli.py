@@ -246,7 +246,8 @@ def _cmd_server(args) -> int:
     if report.rejected is not None:
         print(f"session rejected (status {report.rejected})")
         return 2
-    print(f"trained {report.iterations} iterations, dropped {report.dropped}; "
+    print(f"trained {report.iterations} iterations, dropped {report.dropped}, "
+          f"invalid {sum(report.invalid.values())}; "
           f"final loss {report.losses[-1] if report.losses else float('nan'):.6f}")
     return 0 if report.clean_shutdown else 2
 
@@ -355,6 +356,10 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
     """Make the --config file's values every subcommand's defaults; a key
     that no subcommand takes, or a value a flag would refuse, is an error."""
@@ -373,7 +378,10 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
                 if action.type is not None:
                     value = action.type(value)
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                    value = value.lower() in ("1", "true", "yes")
+                    if value.lower() not in _CONFIG_BOOLS:
+                        raise ValueError(f"{action.dest} = {value!r} is not one of "
+                                         f"{', '.join(_CONFIG_BOOLS)}")
+                    value = _CONFIG_BOOLS[value.lower()]
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(f"{action.dest} = {value!r} is not one of "
                                      f"{', '.join(map(str, action.choices))}")

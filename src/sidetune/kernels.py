@@ -129,9 +129,17 @@ def layer_norm(
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     y = gamma * (x - mean) / sqrt(var + eps) + beta, statistics taken per
-    row over the last axis (biased variance). Works in `out` alone: the
-    centred rows are formed twice, once to square them for the variance
-    and once to scale them.
+    row over the last axis (biased variance). Works in `out`, plus one
+    value per row for each statistic: the centred rows are formed once in
+    `out`, and their squares are summed there without a temporary.
+
+    The row sums run in :func:`numpy.einsum` over the rows as one [N, h]
+    matrix: its per-row loop beats numpy's reductions over short rows,
+    and each row's sum depends only on that row, so a row gets the same
+    bits in a batch of any size. (A product with a ones vector, through
+    BLAS, does not: its kernel changes with the row count.) The matrix is
+    only read: where `x` or `out` cannot be viewed as one, it is a copy,
+    and every write goes to `out` itself.
     """
     x = np.asarray(x)
     gamma = np.asarray(gamma)
@@ -142,12 +150,17 @@ def layer_norm(
             f"affine shape {gamma.shape}/{beta.shape} does not match last extent {h}"
         )
     out = _out(out, x.shape, x.dtype, x)
-    mu = x.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    np.subtract(x, mu, out=out)
-    out *= out
-    var = out.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    np.subtract(x, mu, out=out)
-    out /= np.sqrt(var + x.dtype.type(eps))
+    per_row = x.shape[:-1] + (1,)
+    size = x.dtype.type(h)
+    mu = np.einsum("ij->i", x.reshape(-1, h))
+    mu /= size
+    np.subtract(x, mu.reshape(per_row), out=out)
+    centred = out.reshape(-1, h)
+    std = np.einsum("ij,ij->i", centred, centred)
+    std /= size
+    std += x.dtype.type(eps)
+    np.sqrt(std, out=std)
+    out /= std.reshape(per_row)
     out *= gamma
     out += beta
     return out

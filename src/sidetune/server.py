@@ -5,7 +5,9 @@ A session is one loop on the calling thread: read the next message, act
 on it. Messages are handled strictly in arrival order, so optimizer
 state needs no locking and checkpoint requests are always served at an
 iteration boundary. While a step runs, the transport's own buffer holds
-the frames that arrive, and the device keeps computing.
+the frames that arrive, and the device keeps computing. A batch that
+arrives intact but does not fit the session (:func:`validate_batch`) is
+dropped and counted by reason; the session goes on.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -18,12 +20,14 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from io import BytesIO
 
 from .backbone import BackboneConfig
 from .device import DeviceConfig, compute_batch, load_device_backbone
+from .quantize import payload_code_bytes
 from .sidenet import SideConfig, init_side, save_side
 from .training import DEFAULT_LR, TrainState, init_adam, train_iteration
 from .wire import (
@@ -77,7 +81,8 @@ class ServerConfig:
 @dataclass
 class ServerReport:
     iterations: int = 0
-    dropped: int = 0
+    dropped: int = 0  # out of order
+    invalid: Counter = field(default_factory=Counter)  # rejected batches by reason
     losses: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     rejected: int | None = None  # ack status when the handshake failed
@@ -100,6 +105,39 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     if hello.gamma != config.backbone.gamma:
         return ACK_BAD_GAMMA
     return ACK_OK
+
+
+def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch) -> str | None:
+    """Why `batch` does not fit the session, or None when it does.
+
+    The reasons, checked in this order:
+
+    - "scheme": a tap quantized under another scheme than the Hello's;
+    - "taps": not one tap per configured block index, in order;
+    - "shape": a tap that is not [B, S, hidden] with B, S >= 1 and the
+      first tap's B and S;
+    - "label_count": a label count other than B;
+    - "label_range": a class label outside [0, classes), under cross
+      entropy;
+    - "code_length": a tap whose code length does not fit its shape.
+    """
+    if any(q.scheme != hello.scheme for _, q in batch.taps):
+        return "scheme"
+    if tuple(i for i, _ in batch.taps) != config.backbone.tap_blocks:
+        return "taps"
+    b, s, h = batch.taps[0][1].shape
+    if min(b, s) < 1 or h != config.backbone.hidden or any(
+            q.shape != (b, s, h) for _, q in batch.taps):
+        return "shape"
+    if len(batch.labels) != b:
+        return "label_count"
+    if config.loss_kind == "cross_entropy" and not all(
+            0 <= y < config.classes for y in batch.labels):
+        return "label_range"
+    if any(len(q.codes) != payload_code_bytes(q.num_elements(), q.scheme)
+           for _, q in batch.taps):
+        return "code_length"
+    return None
 
 
 def _checkpoint_bytes(state: TrainState) -> bytes:
@@ -164,6 +202,11 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
+                    reason = validate_batch(config, hello, msg)
+                    if reason is not None:
+                        report.invalid[reason] += 1
+                        log.warning("rejecting batch %d: %s", msg.batch_id, reason)
+                        continue
                     metrics = _train_and_record(state, msg, report, metrics_fh)
                     if metrics is not None and hello.sync:
                         transport.send(encode(MetricsSnapshot(text=metrics.to_json())))

@@ -1,15 +1,18 @@
 """The frozen decoder's forward: the BLAS products against the ascending-k
 reference, the tiled in-place attention against its full out-of-place
-formula, slabs of sequences against one sequence at a time, a batch
-rerun after a batch of another shape, the working sets of the attention
-and of the whole forward, and the causal mask."""
+formula, the choice between the shift-free and the max-shifted softmax,
+slabs of sequences against one sequence at a time, a batch rerun after a
+batch of another shape, the working sets of the attention and of the
+whole forward, and the causal mask."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sidetune import BackboneConfig, backbone, forward_collect, init_backbone, kernels
+from test_hooks import counting
 from test_kernels import exact_matmul
 
 CONFIG = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
@@ -75,6 +78,39 @@ def test_tiled_attention_agrees_with_the_full_formula(seq):
         x = backbone.layer_forward(x, lw, LONG.heads)
 
 
+def shifted_tiles(monkeypatch):
+    """The calls of the max-shifted exponent, one per tile that takes it."""
+    return counting(monkeypatch, kernels, "exp_rows")
+
+
+def test_large_query_and_key_weights_take_the_shifted_path(monkeypatch):
+    weights = init_backbone(LONG, 7)
+    x = weights.token_embedding[tokens(seq=LONG_SEQ)] + weights.pos_embedding[:LONG_SEQ]
+    lw = weights.layers[0]
+    # a score bound of about 39, past EXP_SAFE; the largest score is about
+    # 30, small enough that float32 scores still agree to TILED_RTOL
+    lw = dataclasses.replace(lw, w_q=lw.w_q * 600, w_k=lw.w_k * 600)
+    shifted = shifted_tiles(monkeypatch)
+    tiled = backbone._self_attention(x, lw, LONG.heads)
+    assert len(shifted) == 3
+    assert np.isfinite(tiled).all()
+    full = out_of_place_attention(x, lw, LONG.heads)
+    np.testing.assert_allclose(tiled, full, rtol=0, atol=TILED_RTOL * np.abs(full).max())
+
+
+def test_a_non_finite_input_takes_the_shifted_path(monkeypatch):
+    weights = init_backbone(CONFIG, 7)
+    x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
+    x[1, 9, 0] = np.nan  # the score bound is NaN
+    shifted = shifted_tiles(monkeypatch)
+    tiled = backbone._self_attention(x, weights.layers[0], CONFIG.heads)
+    assert len(shifted) == 1
+    full = out_of_place_attention(x, weights.layers[0], CONFIG.heads)
+    for j in (0, 2):  # the sequences without the NaN
+        np.testing.assert_allclose(tiled[j], full[j], rtol=0,
+                                   atol=TILED_RTOL * np.abs(full[j]).max())
+
+
 def test_attention_never_holds_a_full_score_tensor():
     b, s, heads = 16, 255, 4
     config = BackboneConfig(vocab_size=16, hidden=32, layers=1, heads=heads, max_seq=s)
@@ -118,6 +154,15 @@ def test_a_position_sees_no_later_token():
 # the benchmark's model at its longest sequence
 WIDE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
                       block_cuts=(1, 2, 3, 4))
+
+
+def test_the_benchmark_model_takes_the_shift_free_path(monkeypatch):
+    weights = init_backbone(WIDE, 7)
+    toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(16, 255))
+    shifted = shifted_tiles(monkeypatch)
+    taps = forward_collect(weights, toks)
+    assert not shifted
+    assert all(np.isfinite(tap).all() for _, tap in taps)
 
 
 @pytest.mark.parametrize("seq", [255, 91])

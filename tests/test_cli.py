@@ -7,7 +7,7 @@ import pytest
 
 import sidetune
 from sidetune import costs
-from sidetune.cli import main
+from sidetune.cli import _apply_config_file, build_parser, main
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
         "--bottleneck", "8", "--batch", "4", "--seq", "7", "--iters", "2"]
@@ -57,8 +57,20 @@ def test_a_command_line_flag_beats_the_config_file(capsys, tmp_path):
     assert "local run: 2 iterations" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", ["batchsize = 4\n", "scheme = bogus\n", "iters 3\n"],
-                         ids=["unknown_key", "value_outside_choices", "line_without_equals"])
+@pytest.mark.parametrize("word,value", [("1", True), ("true", True), ("Yes", True),
+                                        ("ON", True), ("0", False), ("FALSE", False),
+                                        ("no", False), ("Off", False)])
+def test_a_config_file_sets_a_boolean_flag_from_any_truth_word(tmp_path, word, value):
+    parser = build_parser()
+    argv = ["--config", config_file(tmp_path, f"no_embedding_tap = {word}\n"), "local", *TINY]
+    _apply_config_file(parser, argv)
+    assert parser.parse_args(argv).no_embedding_tap is value
+
+
+@pytest.mark.parametrize("text", ["batchsize = 4\n", "scheme = bogus\n", "iters 3\n",
+                                  "no_embedding_tap = maybe\n"],
+                         ids=["unknown_key", "value_outside_choices", "line_without_equals",
+                              "boolean_not_a_truth_word"])
 def test_a_bad_config_file_is_a_configuration_error(capsys, tmp_path, text):
     assert main(["--config", config_file(tmp_path, text), "local", *TINY]) == 1
     assert "config file error" in capsys.readouterr().err

@@ -300,6 +300,31 @@ class TestOutBuffers:
         with pytest.raises(ValueError):
             fn(*args, out=args[0])
 
+    @pytest.mark.parametrize("strided", ["x", "out", "both"])
+    @pytest.mark.parametrize("rows", ["every_other_row", "sequence_prefix"])
+    def test_layer_norm_reads_and_writes_strided_rows(self, strided, rows):
+        # every other row of a larger buffer merges into one [N, h] view; a
+        # prefix of each sequence does not, so its [N, h] form is a copy
+        fn, (x, gamma, beta) = out_cases(np.float32)["layer_norm"]
+        fresh = fn(x, gamma, beta)
+        b, s, h = x.shape
+        pick = np.s_[:, ::2] if rows == "every_other_row" else np.s_[:, :s]
+
+        def inside_a_larger_buffer(a):
+            big = np.full((b, 2 * s, h), np.nan, np.float32)
+            big[pick] = a
+            return big, big[pick]
+
+        if strided != "out":
+            x = inside_a_larger_buffer(x)[1]
+        out_buf, out = inside_a_larger_buffer(np.nan)
+        if strided == "x":
+            out_buf, out = None, np.full(fresh.shape, np.nan, np.float32)
+        assert fn(x, gamma, beta, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        if out_buf is not None:  # the rows around out's are left alone
+            assert np.isnan(out_buf).sum() == out_buf.size - fresh.size
+
     def test_exp_rows_keeps_a_one_at_each_row_max(self):
         _, (x,) = out_cases(np.float32)["exp_rows"]
         e = kernels.exp_rows(x)

@@ -1,6 +1,8 @@
 """A session that ends abnormally still returns promptly, with its report
-and checkpoint: peer input never hangs or kills the server silently."""
+and checkpoint, and a batch that does not fit the session is rejected and
+counted: peer input never hangs or kills the server silently."""
 
+import dataclasses
 import io
 import threading
 import time
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 from sidetune import BackboneConfig, ServerConfig, init_side, quantize, run_server, save_side
+from sidetune import server
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ActBatch,
+    Bye,
     Hello,
     MessageReader,
     SessionAck,
@@ -73,20 +77,50 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
-def wrong_tap_count_frame():
-    q = quantize(np.zeros((2, 3, BACKBONE.hidden), dtype=np.float32), "nf4")
-    return encode(ActBatch(batch_id=0, labels=(0, 1), taps=((0, q), (1, q))))
+def batch(batch_id=0, labels=(0, 1), blocks=range(BACKBONE.gamma), shape=(2, 3, BACKBONE.hidden),
+          scheme="nf4", codes=slice(None)):
+    """An ActBatch frame that fits the session unless an argument says otherwise."""
+    q = quantize(np.zeros(shape, dtype=np.float32), scheme)
+    q = dataclasses.replace(q, codes=q.codes[codes])
+    return encode(ActBatch(batch_id=batch_id, labels=labels, taps=tuple((i, q) for i in blocks)))
 
 
-def test_a_batch_that_fails_the_step_still_writes_the_checkpoint(tmp_path):
-    out, ckpt = serve_one(tmp_path, [wrong_tap_count_frame()], hang_up=True)
+def failing_step(state, batch):
+    raise ValueError("the step failed")
+
+
+def test_a_batch_that_fails_the_step_still_writes_the_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr(server, "train_iteration", failing_step)
+    out, ckpt = serve_one(tmp_path, [batch()], hang_up=True)
     assert isinstance(out["error"], ValueError)
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
-def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_path):
+def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_path, monkeypatch):
+    monkeypatch.setattr(server, "train_iteration", failing_step)
     t0 = time.monotonic()
-    out, ckpt = serve_one(tmp_path, [wrong_tap_count_frame()])
-    assert time.monotonic() - t0 < 1.0  # the receive worker stops reading
+    out, ckpt = serve_one(tmp_path, [batch()])
+    assert time.monotonic() - t0 < 1.0  # the session ends with the step
     assert isinstance(out["error"], ValueError)
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
+
+
+INVALID = {
+    "scheme": ("scheme", {"scheme": "fp8_e4m3"}),
+    "tap_count": ("taps", {"blocks": range(BACKBONE.gamma - 1)}),
+    "block_index": ("taps", {"blocks": (0, 1, 2, 3, 5)}),
+    "hidden_width": ("shape", {"shape": (2, 3, 16)}),
+    "label_count": ("label_count", {"labels": (0,)}),
+    "label_range": ("label_range", {"labels": (0, 2)}),
+    "code_length": ("code_length", {"codes": slice(-1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path, case):
+    reason, bad = INVALID[case]
+    out, _ = serve_one(tmp_path, [batch(0, **bad), batch(1), encode(Bye())])
+    report = out["report"]
+    assert report.clean_shutdown
+    assert report.invalid == {reason: 1}
+    assert report.iterations == 1 and report.dropped == 0
