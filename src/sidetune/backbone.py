@@ -417,7 +417,8 @@ def forward_collect(weights: BackboneWeights,
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
-    x = weights.token_embedding[tokens] + weights.pos_embedding[:s]
+    x = weights.token_embedding[tokens]  # the gather makes a fresh array
+    x += weights.pos_embedding[:s]
     taps = []
     if cfg.tap_embedding:
         taps.append((0, x))  # a fresh array, and no layer writes its input

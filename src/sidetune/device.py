@@ -282,15 +282,22 @@ def _run_pipelined(config, weights, transport, reader, report) -> None:
 
 def _run_serial(config, weights, transport, reader, report) -> None:
     """Conventional interleave: one forward, one upload, one server update,
-    all strictly in sequence. Exists as the overlap baseline."""
+    all strictly in sequence. Exists as the overlap baseline.
+
+    The server answers each batch with one snapshot; a batch it did not
+    train on is logged and its entry names the server's reason."""
     for i in range(config.total_iterations):
         msg, timing = compute_batch(weights, config, i)
         t0 = time.perf_counter()
         data = encode(msg)
         transport.send(data)
-        reader.read_expected([MetricsSnapshot], timeout=config.timeout_s, skip=())
+        snap = reader.read_expected([MetricsSnapshot], timeout=config.timeout_s, skip=())
         t1 = time.perf_counter()
         timing.update(t_send_ms=(t1 - t0) * 1e3, queue_depth=0, t_queue_ms=0.0)
+        rejected = json.loads(snap.text).get("rejected")
+        if rejected is not None:
+            log.warning("server did not train on batch %d: %s", i, rejected)
+            timing["rejected"] = rejected
         report.entries.append(timing)
         report.bytes_sent += len(data)
         report.iterations += 1

@@ -7,7 +7,9 @@ state needs no locking and checkpoint requests are always served at an
 iteration boundary. While a step runs, the transport's own buffer holds
 the frames that arrive, and the device keeps computing. A batch that
 arrives intact but does not fit the session (:func:`validate_batch`) is
-dropped and counted by reason; the session goes on.
+dropped and counted by reason; the session goes on. In a sync session
+(``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
+the step's metrics, or the reason the batch was rejected or dropped.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -18,6 +20,7 @@ that computes a loss.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import time
 from collections import Counter
@@ -202,14 +205,18 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
+                    metrics = None
                     reason = validate_batch(config, hello, msg)
                     if reason is not None:
                         report.invalid[reason] += 1
                         log.warning("rejecting batch %d: %s", msg.batch_id, reason)
-                        continue
-                    metrics = _train_and_record(state, msg, report, metrics_fh)
-                    if metrics is not None and hello.sync:
-                        transport.send(encode(MetricsSnapshot(text=metrics.to_json())))
+                    else:
+                        metrics = _train_and_record(state, msg, report, metrics_fh)
+                    if hello.sync:
+                        # one answer per batch, so a serial device never waits it out
+                        text = metrics.to_json() if metrics is not None else json.dumps(
+                            {"batch_id": msg.batch_id, "rejected": reason or "out_of_order"})
+                        transport.send(encode(MetricsSnapshot(text=text)))
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:

@@ -1,0 +1,48 @@
+"""Importing the package loads no third-party module that pyproject.toml
+does not declare: a device or server process pays in memory and start-up
+time for every module it imports, so a new one must be a stated
+dependency."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Lists the top-level modules the imports add, beyond those the
+# interpreter's start-up already loaded (site hooks, for one).
+PROBE = """
+import json, sys
+before = {name.partition(".")[0] for name in sys.modules}
+import sidetune, sidetune.device, sidetune.server
+after = {name.partition(".")[0] for name in sys.modules}
+print(json.dumps(sorted(after - before)))
+"""
+
+
+def declared_dependencies() -> set[str]:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+            for dep in deps}
+
+
+def test_the_package_imports_only_declared_third_party_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    added = json.loads(result.stdout)
+    assert "sidetune" in added
+    third_party = {name for name in added
+                   if name != "sidetune" and name not in sys.stdlib_module_names}
+    assert third_party <= declared_dependencies(), (
+        f"undeclared imports: {sorted(third_party - declared_dependencies())}")

@@ -39,6 +39,14 @@ NF4_GOLDEN = np.array([
 ])
 
 
+# The float32 table, little-endian, as scipy.special.ndtri built it
+# before the quantiles came from the standard library.
+NF4_FLOAT32_HEX = (
+    "000080bfb13932bf2e6b06bf9e32cabe4ba291be3d353dbe6978babd00000000"
+    "01fba23ddfca243eda047c3e3603ad3eb5a4e13ea907103fb013393f0000803f"
+)
+
+
 def random_activations(seed, shape=(2, 3, 8), scale=1.0):
     rng = kernels.make_rng(seed)
     return (rng.normal(size=shape) * scale).astype(np.float32)
@@ -60,6 +68,18 @@ class TestCodebook:
 
     def test_matches_golden_table(self):
         np.testing.assert_allclose(nf4_codebook(), NF4_GOLDEN, rtol=0, atol=2e-7)
+
+    def test_float32_bytes_are_unchanged(self):
+        assert nf4_codebook().astype("<f4").tobytes() == bytes.fromhex(NF4_FLOAT32_HEX)
+
+    def test_equals_the_scipy_ndtri_formula(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        offset = 1.0 - (1.0 / 30 + 1.0 / 32) / 2.0
+        pos = ndtri(np.linspace(offset, 0.5, 9)[:-1])
+        neg = -ndtri(np.linspace(offset, 0.5, 8)[:-1])
+        vals = np.sort(np.concatenate([neg, [0.0], pos]))
+        vals /= np.abs(vals).max()
+        assert nf4_codebook().tobytes() == vals.astype(np.float32).tobytes()
 
 
 class TestQuantize:
@@ -109,6 +129,14 @@ class TestQuantize:
         x[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             quantize(x, "nf4")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_rejected(self, scheme, value):
+        x = np.zeros((1, 1, 2), dtype=np.float32)
+        x[0, 0, 1] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            quantize(x, scheme)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -192,6 +220,12 @@ class TestProperties:
     def test_pack_odd_count(self):
         codes = np.array([1, 2, 3], dtype=np.uint8)
         np.testing.assert_array_equal(unpack_nibbles(pack_nibbles(codes), 3), codes)
+
+    def test_pack_accepts_strided_input_and_takes_codes_modulo_16(self):
+        codes = kernels.make_rng(8).integers(0, 256, size=(6, 7)).astype(np.uint8)
+        for view in (codes[:, ::2], codes.T, codes[1::2], codes[::2, ::3]):
+            np.testing.assert_array_equal(unpack_nibbles(pack_nibbles(view), view.size),
+                                          view.reshape(-1) % 16)
 
     def test_nibble_layout(self):
         # element 0 in the low nibble, element 1 in the high nibble

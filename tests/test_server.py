@@ -1,16 +1,29 @@
 """A session that ends abnormally still returns promptly, with its report
 and checkpoint, and a batch that does not fit the session is rejected and
-counted: peer input never hangs or kills the server silently."""
+counted: peer input never hangs or kills the server silently. In a sync
+session every batch gets one snapshot, so a serial device never waits
+out its timeout on a rejected batch."""
 
 import dataclasses
 import io
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from sidetune import BackboneConfig, ServerConfig, init_side, quantize, run_server, save_side
+from sidetune import (
+    BackboneConfig,
+    DeviceConfig,
+    ServerConfig,
+    SyntheticTask,
+    init_side,
+    quantize,
+    run_device,
+    run_server,
+    save_side,
+)
 from sidetune import server
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
@@ -18,6 +31,7 @@ from sidetune.wire import (
     Bye,
     Hello,
     MessageReader,
+    MetricsSnapshot,
     SessionAck,
     T_METRICS,
     _frame,
@@ -124,3 +138,66 @@ def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path,
     assert report.clean_shutdown
     assert report.invalid == {reason: 1}
     assert report.iterations == 1 and report.dropped == 0
+
+
+SYNC_SESSIONS = {
+    # batches sent, and the "rejected" reason each snapshot must name (None: trained)
+    "label_range": ([batch(0, labels=(0, 2)), batch(1)], ["label_range", None]),
+    "out_of_order": ([batch(0), batch(0), batch(1)], [None, "out_of_order", None]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNC_SESSIONS))
+def test_a_sync_session_answers_every_batch_with_one_snapshot(case):
+    frames, reasons = SYNC_SESSIONS[case]
+    dev_end, srv_end = loopback_pair()
+    out = {}
+    server_thread = threading.Thread(
+        target=lambda: out.update(report=run_server(ServerConfig(backbone=BACKBONE), srv_end)),
+        daemon=True)
+    server_thread.start()
+    try:
+        dev_end.send(encode(Hello(config_digest=BACKBONE.digest(), scheme="nf4",
+                                  gamma=BACKBONE.gamma, sync=True)))
+        reader = MessageReader(dev_end)
+        reader.read_expected([SessionAck], timeout=RETURN_WITHIN_S)
+        for frame, reason in zip(frames, reasons):
+            dev_end.send(frame)
+            snap = reader.read_expected([MetricsSnapshot], timeout=1.0, skip=())
+            doc = json.loads(snap.text)
+            assert doc.get("rejected") == reason
+            assert ("loss" in doc) == (reason is None)
+        dev_end.send(encode(Bye()))
+        server_thread.join(timeout=RETURN_WITHIN_S)
+        assert not server_thread.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert out["report"].iterations == reasons.count(None)
+
+
+def test_a_serial_device_learns_of_each_rejected_batch_at_once():
+    # a one-class server rejects every batch holding a label 1
+    iterations = 3
+    device_cfg = DeviceConfig(backbone=BACKBONE, task=SyntheticTask(seq_len=15, seed=3),
+                              scheme="nf4", batch_size=8, iterations=iterations, serial=True,
+                              timeout_s=RETURN_WITHIN_S)
+    server_cfg = ServerConfig(backbone=BACKBONE, classes=1)
+    dev_end, srv_end = loopback_pair()
+    out = {}
+    server_thread = threading.Thread(target=lambda: out.update(report=run_server(server_cfg, srv_end)),
+                                     daemon=True)
+    server_thread.start()
+    try:
+        t0 = time.monotonic()
+        device_report = run_device(device_cfg, dev_end)
+        assert time.monotonic() - t0 < RETURN_WITHIN_S / 2
+        server_thread.join(timeout=RETURN_WITHIN_S)
+        assert not server_thread.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert not device_report.aborted and device_report.iterations == iterations
+    assert [e.get("rejected") for e in device_report.entries] == ["label_range"] * iterations
+    assert out["report"].invalid == {"label_range": iterations}
+    assert out["report"].clean_shutdown
