@@ -15,7 +15,7 @@ Layout:
 - :mod:`sidetune.training`  losses, Adam, the per-batch training step
 - :mod:`sidetune.wire`      framed one-way activation protocol
 - :mod:`sidetune.transport` loopback / rate-limited / TCP byte streams
-- :mod:`sidetune.device`    forward-only pipeline with overlapped sends; builds
+- :mod:`sidetune.device`    forward-only loop with one send thread; builds
                             every batch, for split and local runs alike
 - :mod:`sidetune.server`    session handling, training loop, and local mode,
                             which reuses the device's batches and the
@@ -53,7 +53,7 @@ from .quantize import (
     payload_bytes,
     quantize,
 )
-from .server import LocalReport, ServerConfig, ServerReport, local_mode, run_server
+from .server import ServerConfig, ServerReport, local_mode, run_server
 from .sidenet import (
     AdapterParams,
     SideConfig,
@@ -78,7 +78,6 @@ __all__ = [
     "CsvTask",
     "DeviceConfig",
     "IterationMetrics",
-    "LocalReport",
     "ModelSpec",
     "QuantizedActivation",
     "SCHEMES",

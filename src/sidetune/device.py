@@ -1,11 +1,13 @@
 """The device side: forward-only backbone runs feeding a one-way uplink.
 
-Two cooperating workers form the steady-state pipeline. The compute
-worker samples a batch, runs the frozen backbone, quantizes the taps,
-and pushes the result onto a bounded queue; the send worker pops,
-encodes, and transmits. The queue bound is the backpressure mechanism:
-when the uplink is the bottleneck, the compute worker blocks on `put`
-instead of piling up payloads.
+A session is one loop on the calling thread: compute batch `i` (sample,
+frozen forward, quantize the taps) and hand it to a single sender
+thread, which encodes and sends the batches in order. At most
+`queue_depth` handed-off batches wait behind the one being sent; past
+that the loop waits for the oldest send, which is the backpressure when
+the uplink is the bottleneck. A serial run waits for each batch's send
+and the server's answer before it computes the next: the baseline the
+overlap is measured against.
 
 The device never touches gradients or optimizer state -- this module
 deliberately has no import path into the backward/optimizer code -- and
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
-import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import BytesIO
 
@@ -199,19 +201,14 @@ def run_device(config: DeviceConfig, transport) -> DeviceReport:
         _do_handshake(config, transport, reader)
         t_start = time.perf_counter()
         try:
-            if config.serial:
-                _run_serial(config, weights, transport, reader, report)
-            else:
-                _run_pipelined(config, weights, transport, reader, report)
+            _run_batches(config, weights, transport, reader, report)
         except TransportClosed as exc:
             log.error("transport failed after %d iterations: %s", report.iterations, exc)
             report.aborted = True
         report.wall_s = time.perf_counter() - t_start
         if not report.aborted:
             if config.fetch_checkpoint:
-                report.fetched_checkpoint = request_checkpoint(
-                    transport, reader, config.timeout_s
-                )
+                report.fetched_checkpoint = request_checkpoint(transport, reader, config.timeout_s)
             transport.send(encode(Bye()))
     finally:
         if config.log_path:
@@ -221,83 +218,57 @@ def run_device(config: DeviceConfig, transport) -> DeviceReport:
     return report
 
 
-def _run_pipelined(config, weights, transport, reader, report) -> None:
-    depth = config.queue_depth
-    work: queue.Queue = queue.Queue(maxsize=depth)
-    lock = threading.Lock()
-    state = {"queued": 0, "max_queued": 0, "error": None, "abort": False}
+def _run_batches(config, weights, transport, reader, report) -> None:
+    """Compute every batch on this thread; one sender thread encodes and
+    sends them in order. A batch is recorded in `report` once its send is
+    collected, so a failed send ends the run at the next batch.
 
-    def compute_worker():
-        try:
-            for i in range(config.total_iterations):
-                if state["abort"]:
-                    break
-                msg, timing = compute_batch(weights, config, i)
-                # wire bytes the batch holds while queued: its taps and labels
-                size = (sum(payload_bytes(q.shape, q.scheme) for _, q in msg.taps)
-                        + 4 * len(msg.labels))
-                t0 = time.perf_counter()
-                work.put((msg, size, timing))
-                timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
-                with lock:
-                    state["queued"] += size
-                    state["max_queued"] = max(state["max_queued"], state["queued"])
-        except Exception as exc:  # surfaced by the send loop
-            state["error"] = exc
-        finally:
-            work.put(None)
-
-    worker = threading.Thread(target=compute_worker, name="device-compute", daemon=True)
-    worker.start()
-    try:
-        while True:
-            item = work.get()
-            if item is None:
-                break
-            msg, size, timing = item
-            depth_seen = work.qsize()
-            with lock:
-                state["queued"] -= size
-            t0 = time.perf_counter()
-            data = encode(msg)
-            transport.send(data)
-            t1 = time.perf_counter()
-            timing.update(t_send_ms=(t1 - t0) * 1e3, queue_depth=depth_seen)
-            report.entries.append(timing)
-            report.bytes_sent += len(data)
-            report.iterations += 1
-    except BaseException:
-        # unblock the producer so it can reach its sentinel and exit
-        state["abort"] = True
-        while work.get() is not None:
-            pass
-        worker.join()
-        raise
-    worker.join()
-    report.max_queued_bytes = state["max_queued"]
-    if state["error"] is not None:
-        report.aborted = True
-        raise state["error"]
-
-
-def _run_serial(config, weights, transport, reader, report) -> None:
-    """Conventional interleave: one forward, one upload, one server update,
-    all strictly in sequence. Exists as the overlap baseline.
-
-    The server answers each batch with one snapshot; a batch it did not
+    A serial run waits for each batch's send and for the server's one
+    snapshot before it computes the next; a batch the server did not
     train on is logged and its entry names the server's reason."""
-    for i in range(config.total_iterations):
-        msg, timing = compute_batch(weights, config, i)
+    pending = deque()  # (send future, wire bytes the batch holds while queued), oldest first
+    handed_off = 0  # batches given to the sender so far
+
+    def send(msg, timing):
+        depth = handed_off - msg.batch_id - 1  # batches waiting behind this one
         t0 = time.perf_counter()
         data = encode(msg)
         transport.send(data)
-        snap = reader.read_expected([MetricsSnapshot], timeout=config.timeout_s, skip=())
-        t1 = time.perf_counter()
-        timing.update(t_send_ms=(t1 - t0) * 1e3, queue_depth=0, t_queue_ms=0.0)
-        rejected = json.loads(snap.text).get("rejected")
-        if rejected is not None:
-            log.warning("server did not train on batch %d: %s", i, rejected)
-            timing["rejected"] = rejected
+        timing.update(t_send_ms=(time.perf_counter() - t0) * 1e3, queue_depth=depth)
+        return timing, len(data)
+
+    def record(timing, nbytes):
         report.entries.append(timing)
-        report.bytes_sent += len(data)
+        report.bytes_sent += nbytes
         report.iterations += 1
+
+    sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")
+    try:
+        for i in range(config.total_iterations):
+            msg, timing = compute_batch(weights, config, i)
+            t0 = time.perf_counter()
+            # collect finished sends; wait while more than queue_depth are outstanding
+            while pending and (pending[0][0].done() or len(pending) > config.queue_depth):
+                record(*pending.popleft()[0].result())
+            t1 = time.perf_counter()
+            timing["t_queue_ms"] = (t1 - t0) * 1e3
+            handed_off = i + 1
+            future = sender.submit(send, msg, timing)
+            if config.serial:
+                _, nbytes = future.result()
+                snap = reader.read_expected([MetricsSnapshot], timeout=config.timeout_s, skip=())
+                timing["t_send_ms"] = (time.perf_counter() - t1) * 1e3
+                rejected = json.loads(snap.text).get("rejected")
+                if rejected is not None:
+                    log.warning("server did not train on batch %d: %s", i, rejected)
+                    timing["rejected"] = rejected
+                record(timing, nbytes)
+                continue
+            size = sum(payload_bytes(q.shape, q.scheme) for _, q in msg.taps) + 4 * len(msg.labels)
+            pending.append((future, size))
+            queued = sum(n for f, n in pending if not (f.running() or f.done()))
+            report.max_queued_bytes = max(report.max_queued_bytes, queued)
+        while pending:
+            record(*pending.popleft()[0].result())
+    finally:
+        sender.shutdown(cancel_futures=True)

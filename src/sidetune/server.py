@@ -9,7 +9,9 @@ the frames that arrive, and the device keeps computing. A batch that
 arrives intact but does not fit the session (:func:`validate_batch`) is
 dropped and counted by reason; the session goes on. In a sync session
 (``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
-the step's metrics, or the reason the batch was rejected or dropped.
+the step's metrics, or the reason the batch was rejected or dropped. A
+Hello that is malformed, missing or late ends the session before it
+starts, with no checkpoint.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -174,10 +175,15 @@ def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh):
 
 def run_server(config: ServerConfig, transport) -> ServerReport:
     """Serve exactly one training session; returns once the device says
-    Bye or the connection dies. The caller owns `transport` and closes it."""
+    Bye, the connection dies or the handshake fails. The caller owns
+    `transport` and closes it."""
     report = ServerReport()
     reader = MessageReader(transport)
-    hello = reader.read_expected([Hello], timeout=config.timeout_s)
+    try:
+        hello = reader.read_expected([Hello], timeout=config.timeout_s)
+    except Exception as exc:  # a malformed, missing or late Hello ends the session
+        log.error("handshake failed: %s", exc, exc_info=exc)
+        return report
     status = _validate_hello(config, hello)
     transport.send(encode(SessionAck(session_id=next(_session_counter),
                                      status=status)))
@@ -225,16 +231,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     return report
 
 
-@dataclass
-class LocalReport:
-    iterations: int = 0
-    losses: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
-    state: TrainState | None = None
-    wall_s: float = 0.0
-
-
-def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> LocalReport:
+def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> ServerReport:
     """Single-process baseline: the device's batches, the server's steps,
     no wire in between.
 
@@ -246,13 +243,10 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Loca
         raise ValueError("device and server disagree on the backbone config")
     weights = load_device_backbone(device_config)
     state = _make_state(server_config)
-    report = LocalReport(state=state)
-
-    t0 = time.perf_counter()
+    report = ServerReport(state=state)
     with _metrics_log(server_config) as metrics_fh:
         for i in range(device_config.total_iterations):
             batch, _ = compute_batch(weights, device_config, i)
             _train_and_record(state, batch, report, metrics_fh)
-    report.wall_s = time.perf_counter() - t0
     _save_checkpoint(server_config, state)
     return report

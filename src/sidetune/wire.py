@@ -51,14 +51,12 @@ ACK_OK = 0
 ACK_BAD_VERSION = 1
 ACK_BAD_DIGEST = 2
 ACK_BAD_GAMMA = 3
-ACK_BAD_SCHEME = 4
 
 ACK_REASONS = {
     ACK_OK: "ok",
     ACK_BAD_VERSION: "protocol version mismatch",
     ACK_BAD_DIGEST: "backbone config digest mismatch",
     ACK_BAD_GAMMA: "tap count mismatch",
-    ACK_BAD_SCHEME: "unsupported quantization scheme",
 }
 
 

@@ -1,5 +1,6 @@
 """A session that ends abnormally still returns promptly, with its report
-and checkpoint, and a batch that does not fit the session is rejected and
+and checkpoint; one whose handshake fails returns its report without a
+checkpoint; and a batch that does not fit the session is rejected and
 counted: peer input never hangs or kills the server silently. In a sync
 session every batch gets one snapshot, so a serial device never waits
 out its timeout on a rejected batch."""
@@ -7,6 +8,7 @@ out its timeout on a rejected batch."""
 import dataclasses
 import io
 import json
+import struct
 import threading
 import time
 
@@ -32,7 +34,9 @@ from sidetune.wire import (
     Hello,
     MessageReader,
     MetricsSnapshot,
+    PROTOCOL_VERSION,
     SessionAck,
+    T_HELLO,
     T_METRICS,
     _frame,
     encode,
@@ -89,6 +93,34 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame
     assert not report.clean_shutdown
     assert report.iterations == 0 and report.dropped == 0
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
+
+
+# what the device end does before the server's handshake read gives up;
+# scheme code 9 names no scheme, so that Hello does not decode
+HANDSHAKE_FAILURES = {
+    "malformed_hello": lambda end: end.send(_frame(T_HELLO, struct.pack(
+        "<HBHB", PROTOCOL_VERSION, 9, BACKBONE.gamma, 0) + BACKBONE.digest())),
+    "eof_before_hello": lambda end: end.close(),
+    "silent_peer": lambda end: None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDSHAKE_FAILURES))
+def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case):
+    ckpt = tmp_path / "side.bin"
+    config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=0.2)
+    dev_end, srv_end = loopback_pair()
+    try:
+        HANDSHAKE_FAILURES[case](dev_end)
+        t0 = time.monotonic()
+        report = run_server(config, srv_end)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert not report.clean_shutdown
+    assert report.iterations == 0 and report.rejected is None and report.state is None
+    assert not ckpt.exists()
 
 
 def batch(batch_id=0, labels=(0, 1), blocks=range(BACKBONE.gamma), shape=(2, 3, BACKBONE.hidden),
