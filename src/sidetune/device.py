@@ -82,6 +82,8 @@ def load_csv_task(path) -> CsvTask:
     tokens, labels = rows[:, :-1], rows[:, -1]
     if tokens.min() < 0:
         raise ValueError("negative token id in csv")
+    if labels.min() < 0 or labels.max() >= 2**32:
+        raise ValueError("csv label outside [0, 2^32)")
     return CsvTask(tokens=tokens, labels=labels, seq_len=tokens.shape[1],
                    vocab_size=int(tokens.max()) + 1)
 

@@ -3,12 +3,20 @@
 Four schemes share one container type:
 
 * ``none_fp16``  -- binary16 round-trip, two bytes per element (baseline).
-* ``fp8_e4m3``   -- emulated 8-bit float (4 exponent / 3 mantissa bits).
-* ``fp4_grid``   -- symmetric signed integer grid, clamp(round(7 x / absmax)).
-* ``nf4``        -- 16-entry normal-quantile codebook lookup.
+* ``fp8_e4m3``   -- 8-bit float (4 exponent / 3 mantissa bits).
+* ``fp4_grid``   -- symmetric signed grid, clamp(rint(7 x / absmax)).
+* ``nf4``        -- 16-entry normal-quantile codebook.
 
 Every scheme normalizes by the tensor's absolute maximum; the resulting
 scale is the only side information carried besides the packed codes.
+
+The three low-bit schemes are code tables built at import: a wire byte
+indexes a row of the values of the codes it holds, and dequantize is that
+gather times the scale. nf4 and fp8 encode a normalized value z as the
+count of table midpoints ("cuts") strictly below it. nf4 ties go to the
+smaller index; fp8 counts on |z|, adds the sign bit, and sends ties to
+the even code by moving each cut below an even code one float32 step
+down; fp4 encodes as rint(7 z), which float32 midpoints would not match.
 
 The nf4 codebook's normal quantiles come from the standard library's
 ``statistics.NormalDist().inv_cdf``, so the module needs numpy only.
@@ -59,11 +67,6 @@ def nf4_codebook() -> np.ndarray:
     return vals.astype(np.float32)
 
 
-_NF4_TABLE = nf4_codebook()
-# decision boundaries: midpoints between adjacent entries
-_NF4_CUTS = (_NF4_TABLE[:-1] + _NF4_TABLE[1:]) / 2
-
-
 @dataclass(frozen=True)
 class QuantizedActivation:
     """Packed low-bit codes for one activation tensor plus its scale."""
@@ -103,6 +106,36 @@ def unpack_nibbles(packed: bytes, count: int) -> np.ndarray:
     return out[:count]
 
 
+def _e4m3_values() -> np.ndarray:
+    """The value of every E4M3 byte: sign(1) | exponent(4, bias 7) |
+    mantissa(3); exponent 0 holds subnormals with step 2^-9."""
+    codes = np.arange(256)
+    sign = np.where(codes & 0x80, -1.0, 1.0).astype(np.float32)
+    exp = (codes >> 3) & 0xF
+    man = (codes & 0x7).astype(np.float32)
+    nrm = (1 + man / 8) * np.exp2((exp - 7).astype(np.float32))
+    return sign * np.where(exp == 0, man * np.float32(2.0**-9), nrm)
+
+
+_NF4_TABLE = nf4_codebook()
+# decision boundaries: midpoints between adjacent entries
+_NF4_CUTS = (_NF4_TABLE[:-1] + _NF4_TABLE[1:]) / 2
+
+_FP8_TABLE = _e4m3_values()
+# |z| <= 1 reaches codes 0..0x38; a z on a cut below an even code must
+# count that cut, so those cuts move one float32 step down
+_FP8_CUTS = (_FP8_TABLE[:0x38] + _FP8_TABLE[1:0x39]) / 2
+_FP8_CUTS[1::2] = np.nextafter(_FP8_CUTS[1::2], np.float32(0))
+
+# [256, k]: the values of the k codes that each wire byte holds
+_NIBBLES = unpack_nibbles(bytes(range(256)), 512).reshape(256, 2)
+_DECODE = {
+    "fp8_e4m3": _FP8_TABLE.reshape(256, 1),
+    "fp4_grid": ((np.arange(16, dtype=np.float32) - 8) / np.float32(7))[_NIBBLES],
+    "nf4": _NF4_TABLE[_NIBBLES],
+}
+
+
 def _absmax_scale(x: np.ndarray) -> np.float32:
     """The tensor's absolute maximum as float32; one max/min pair also
     rejects NaN and Inf, which either reduction carries through."""
@@ -114,46 +147,15 @@ def _absmax_scale(x: np.ndarray) -> np.float32:
     return np.float32(1.0) if scale == 0 else scale
 
 
-def _encode_e4m3(normalized: np.ndarray) -> np.ndarray:
-    """Round finite values in [-448, 448] to the nearest E4M3 code byte.
-
-    Layout: sign(1) | exponent(4, bias 7) | mantissa(3); exponent 0 holds
-    subnormals with step 2^-9; the all-ones NaN pattern is never emitted.
-    """
-    a = np.abs(normalized).astype(np.float64)
-    sign = (np.signbit(normalized)).astype(np.uint8) << 7
-    a = np.minimum(a, 448.0)
-
-    mant, exp = np.frexp(a)  # a = mant * 2^exp, mant in [0.5, 1)
-    e_unb = exp - 1  # unbiased exponent with mantissa in [1, 2)
-    # normal range: round mantissa to 3 bits, rint gives round-half-even
-    m2 = mant * 2.0
-    frac = np.rint((m2 - 1.0) * 8.0).astype(np.int64)
-    carry = frac == 8
-    frac = np.where(carry, 0, frac)
-    e_unb = np.where(carry, e_unb + 1, e_unb)
-    biased = e_unb + 7
-    normal = (sign | (np.clip(biased, 0, 15).astype(np.uint8) << 3)
-              | frac.astype(np.uint8))
-
-    # subnormal range: |x| < 2^-6, quantize on the 2^-9 grid
-    sub_codes = np.rint(a * 512.0).astype(np.int64)  # 512 = 2^9
-    is_sub = sub_codes < 8
-    subnormal = sign | np.clip(sub_codes, 0, 7).astype(np.uint8)
-    # values that round up to exactly 2^-6 become the smallest normal
-    promoted = sign | np.uint8(1 << 3)
-
-    out = np.where(a < 2.0**-6, np.where(is_sub, subnormal, promoted), normal)
-    return out.astype(np.uint8)
-
-
-def _decode_e4m3(codes: np.ndarray) -> np.ndarray:
-    sign = np.where(codes & 0x80, -1.0, 1.0).astype(np.float32)
-    exp = ((codes >> 3) & 0xF).astype(np.int64)
-    man = (codes & 0x7).astype(np.float32)
-    sub = man * np.float32(2.0**-9)
-    nrm = (1 + man / 8) * np.exp2((exp - 7).astype(np.float32))
-    return sign * np.where(exp == 0, sub, nrm)
+def _count_cuts_below(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The number of cuts strictly below each z, as uint8: a left
+    searchsorted, but vector compares beat a binary search per element."""
+    idx = np.zeros(z.shape, dtype=np.uint8)
+    above = np.empty(z.shape, dtype=np.bool_)
+    for cut in cuts:
+        np.greater(z, cut, out=above)
+        idx += above.view(np.uint8)
+    return idx
 
 
 def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
@@ -181,17 +183,11 @@ def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
         q = np.clip(np.rint(z * 7.0), -7, 7).astype(np.int8)
         codes = pack_nibbles((q + 8).astype(np.uint8))
     elif scheme == "nf4":
-        # nearest codebook entry: the count of cuts strictly below z, so
-        # exact midpoints go to the smaller index (searchsorted, side
-        # "left"); 15 vector compares beat a binary search per element
-        idx = np.zeros(z.shape, dtype=np.uint8)
-        above = np.empty(z.shape, dtype=np.bool_)
-        for cut in _NF4_CUTS:
-            np.greater(z, cut, out=above)
-            idx += above.view(np.uint8)
-        codes = pack_nibbles(idx)
+        codes = pack_nibbles(_count_cuts_below(z, _NF4_CUTS))
     else:  # fp8_e4m3
-        codes = _encode_e4m3(z).tobytes()
+        idx = _count_cuts_below(np.abs(z), _FP8_CUTS)
+        idx |= np.signbit(z).view(np.uint8) << 7
+        codes = idx.tobytes()
 
     return QuantizedActivation(scheme, shape, float(scale), codes)
 
@@ -205,17 +201,12 @@ def dequantize(q: QuantizedActivation) -> np.ndarray:
             f"code length {len(q.codes)} inconsistent with shape {q.shape} "
             f"under {q.scheme} (expected {expected})"
         )
-    scale = np.float32(q.scale)
     if q.scheme == "none_fp16":
         vals = np.frombuffer(q.codes, dtype=np.float16).astype(np.float32)
-    elif q.scheme == "fp4_grid":
-        nib = unpack_nibbles(q.codes, n)
-        vals = (nib.astype(np.float32) - 8) / np.float32(7.0) * scale
-    elif q.scheme == "nf4":
-        nib = unpack_nibbles(q.codes, n)
-        vals = _NF4_TABLE[nib] * scale
-    else:  # fp8_e4m3
-        vals = _decode_e4m3(np.frombuffer(q.codes, dtype=np.uint8)) * scale
+    else:
+        raw = np.frombuffer(q.codes, dtype=np.uint8)
+        vals = _DECODE[q.scheme].take(raw, axis=0).reshape(-1)[:n]
+        vals *= np.float32(q.scale)
     return vals.reshape(q.shape)
 
 

@@ -233,6 +233,8 @@ def try_decode(buf: bytes | bytearray | memoryview):
     version, msg_type, flags, payload_len = struct.unpack_from("<HBBI", view, 4)
     if version != FRAME_VERSION:
         raise FrameError(f"frame version {version} unsupported")
+    if payload_len > MAX_PAYLOAD:
+        raise FrameError(f"payload length {payload_len} exceeds {MAX_PAYLOAD}")
     total = HEADER_LEN + payload_len + 4
     if len(view) < total:
         return None

@@ -1,5 +1,5 @@
-"""The `sidetune` command's local and estimate subcommands, its config
-file, and the package's exports."""
+"""The `sidetune` command's local, estimate and quantbench subcommands,
+its config file, and the package's exports."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 import sidetune
 from sidetune import costs
 from sidetune.cli import _apply_config_file, build_parser, main
+from sidetune.quantize import SCHEMES, payload_bytes
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
         "--bottleneck", "8", "--batch", "4", "--seq", "7", "--iters", "2"]
@@ -117,3 +118,11 @@ def test_estimate_orders_the_modes_by_device_memory(capsys):
     total = {mode: estimate(capsys, mode)["total_bytes"]
              for mode in ("full_ft", "side_local", "mobillm")}
     assert total["full_ft"] > total["side_local"] > total["mobillm"]
+
+
+def test_quantbench_prints_one_row_per_scheme(capsys):
+    assert main(["quantbench"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(SCHEMES)
+    # defaults: batch 16, seq 64, hidden 64
+    assert [int(row[1]) for row in rows] == [payload_bytes((16, 64, 64), s) for s in SCHEMES]

@@ -187,7 +187,9 @@ def test_a_csv_task_takes_its_shape_from_the_file(tmp_path):
 @pytest.mark.parametrize("rows, message", [
     ([(1,), (0,)], "at least one token and a label"),
     ([(1, -2, 0), (0, 1, 1)], "negative token id"),
-], ids=["single_column", "negative_token"])
+    ([(1, 2, -1), (0, 1, 1)], "label outside"),
+    ([(1, 2, 2**32), (0, 1, 1)], "label outside"),
+], ids=["single_column", "negative_token", "negative_label", "label_past_u32"])
 def test_a_malformed_csv_task_is_rejected(tmp_path, rows, message):
     with pytest.raises(ValueError, match=message):
         load_csv_task(write_csv(tmp_path / "task.csv", rows))

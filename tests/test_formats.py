@@ -3,6 +3,7 @@ and rejection of malformed input."""
 
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -28,12 +29,15 @@ from sidetune.wire import (
     CheckpointData,
     CheckpointRequest,
     DesyncError,
+    FRAME_VERSION,
     FrameError,
     Hello,
+    MAGIC,
     MetricsSnapshot,
     ProtocolError,
     SessionAck,
     StreamDecoder,
+    T_ACT_BATCH,
     WireMessage,
     encode,
 )
@@ -158,3 +162,9 @@ def test_a_corrupt_frame_decodes_or_raises_a_wire_error(msg):
         except (FrameError, DesyncError, ProtocolError):
             continue
         assert all(isinstance(m, WireMessage) for m in out), bit
+
+
+def test_a_frame_header_past_max_payload_is_refused_at_once():
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, 2**32 - 1)
+    with pytest.raises(FrameError, match="exceeds"):
+        StreamDecoder().feed(header)

@@ -1,5 +1,8 @@
-"""Quantizer contracts: golden codebook, round-trip bounds, brute-force
-nearest-entry agreement, packing, and payload arithmetic."""
+"""Quantizer contracts: golden codebook, golden codes and decodes,
+round-trip bounds, brute-force nearest-entry agreement, packing, and
+payload arithmetic."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from sidetune import kernels
 from sidetune.quantize import (
     _NF4_CUTS,
     QuantizedActivation,
+    SCHEME_BITS,
     SCHEMES,
     dequantize,
     nf4_codebook,
@@ -50,6 +54,65 @@ NF4_FLOAT32_HEX = (
 def random_activations(seed, shape=(2, 3, 8), scale=1.0):
     rng = kernels.make_rng(seed)
     return (rng.normal(size=shape) * scale).astype(np.float32)
+
+
+def e4m3_magnitudes():
+    """The 57 E4M3 magnitudes from 0 to 1, in code order: subnormals on the
+    2^-9 grid, then 8 per binade."""
+    subnormal = [m * 2.0**-9 for m in range(8)]
+    normal = [(1 + m / 8) * 2.0**e for e in range(-6, 0) for m in range(8)]
+    return np.array(subnormal + normal + [1.0], dtype=np.float32)
+
+
+def boundary_input(steps=3):
+    """Every float32 within `steps` steps of each nf4, fp4 and fp8 table
+    entry and midpoint, both signs, inside [-1, 1]; then +/-0 and +/-1,
+    which pin the scale to 1 so each value is its own z."""
+    points = []
+    for table in (nf4_codebook(), np.arange(-7, 8, dtype=np.float32) / np.float32(7),
+                  e4m3_magnitudes()):
+        both = np.unique(np.concatenate([table, -table]))
+        points += [both, (both[:-1] + both[1:]) / 2]
+    lo = hi = np.concatenate(points)
+    values = [lo]
+    for _ in range(steps):
+        lo = np.nextafter(lo, np.float32(-2))
+        hi = np.nextafter(hi, np.float32(2))
+        values += [lo, hi]
+    x = np.concatenate(values)
+    x = np.concatenate([x[np.abs(x) <= 1], np.float32([0.0, -0.0, 1.0, -1.0])])
+    return x.reshape(1, 1, -1)
+
+
+# sha256 of the codes of boundary_input() and of the float32 values that
+# the 256 byte values decode to at scale 1, frozen before the low-bit
+# schemes became code tables: a change here is a change of wire format
+CODES_SHA256 = {
+    "none_fp16": "73561e1a0fac4bc625cbcd9a506f70dd9d697b96164fcb3899dcc9232f4652c0",
+    "fp8_e4m3": "8dc93842f8ecb9b57cf07a40f166def46e22acd897db0820cac8c53e3e996370",
+    "fp4_grid": "46826f7e60767981466ebd710f63b7bb9b717729d612765b7c7986a65ea4f3db",
+    "nf4": "d8e222048107fc14d502d64889a30099812ca480cf641c9f05211ac138c2ce6d",
+}
+DECODE_SHA256 = {
+    "fp8_e4m3": "72c73e709129eccdfce8d342e6eb511608b6878415467876a3b9772041c24589",
+    "fp4_grid": "ceddc0e9aec33c6e9e38da9bcba55087073c651f7a23f0382bfc265b025c0625",
+    "nf4": "ddd38157dfaf097d975d21f823c082898aee657ac3977c92ca4d4b6f16294c67",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_boundary_codes_match_golden(scheme):
+    q = quantize(boundary_input(), scheme)
+    assert q.scale == 1.0
+    assert hashlib.sha256(q.codes).hexdigest() == CODES_SHA256[scheme]
+
+
+@pytest.mark.parametrize("scheme", sorted(DECODE_SHA256))
+def test_every_byte_decodes_to_golden_values(scheme):
+    n = 8 * 256 // SCHEME_BITS[scheme]
+    deq = dequantize(QuantizedActivation(scheme, (1, 1, n), 1.0, bytes(range(256))))
+    assert deq.dtype == np.float32
+    assert hashlib.sha256(deq.tobytes()).hexdigest() == DECODE_SHA256[scheme]
 
 
 class TestCodebook:
@@ -108,6 +171,22 @@ class TestQuantize:
             dist = np.abs(value - table)
             best = int(np.flatnonzero(dist == dist.min())[0])  # tie: smaller index
             assert codes[i] == best, f"element {i}: {value}"
+
+    def test_fp8_matches_brute_force_search(self):
+        mags = e4m3_magnitudes().astype(np.float64)
+        draws = np.clip(random_activations(9, shape=(1, 1, 1000), scale=0.3), -1, 1)
+        x = np.concatenate([boundary_input(), draws], axis=2)
+        q = quantize(x, "fp8_e4m3")
+        assert q.scale == 1.0  # each value is its own z, ties included
+        codes = np.frombuffer(q.codes, dtype=np.uint8)
+        z = x.reshape(-1)
+        for i, value in enumerate(z):
+            dist = np.abs(abs(float(value)) - mags)
+            nearest = np.flatnonzero(dist == dist.min())
+            # tie: the even code
+            best = int(nearest[nearest % 2 == 0][0] if nearest.size > 1 else nearest[0])
+            sign = 0x80 if np.signbit(value) else 0
+            assert codes[i] == best | sign, f"element {i}: {value}"
 
     def test_nf4_codes_equal_a_left_searchsorted_over_the_cuts(self):
         table = nf4_codebook()

@@ -31,11 +31,14 @@ from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ActBatch,
     Bye,
+    FRAME_VERSION,
     Hello,
+    MAGIC,
     MessageReader,
     MetricsSnapshot,
     PROTOCOL_VERSION,
     SessionAck,
+    T_ACT_BATCH,
     T_HELLO,
     T_METRICS,
     _frame,
@@ -47,9 +50,11 @@ BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=3
 RETURN_WITHIN_S = 10.0
 
 
-def serve_one(tmp_path, frames, hang_up=False):
+def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S):
     """Run a session that sends `frames` after the handshake, then hangs
-    up or stays silent; returns (report or exception, checkpoint path)."""
+    up or stays silent; returns (report or exception, checkpoint path)
+    once run_server has returned, which must be within `within_s` of the
+    last frame."""
     ckpt = tmp_path / "side.bin"
     config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt))
     dev_end, srv_end = loopback_pair()
@@ -71,7 +76,7 @@ def serve_one(tmp_path, frames, hang_up=False):
             dev_end.send(frame)
         if hang_up:
             dev_end.close()
-        server.join(timeout=RETURN_WITHIN_S)
+        server.join(timeout=within_s)
         assert not server.is_alive(), "run_server did not return"
     finally:
         dev_end.close()
@@ -93,6 +98,12 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame
     assert not report.clean_shutdown
     assert report.iterations == 0 and report.dropped == 0
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
+
+
+def test_a_frame_header_past_max_payload_ends_the_session_at_once(tmp_path):
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, 2**32 - 1)
+    out, _ = serve_one(tmp_path, [header], within_s=1.0)
+    assert not out["report"].clean_shutdown
 
 
 # what the device end does before the server's handshake read gives up;
