@@ -13,7 +13,7 @@ Layout:
 - :mod:`sidetune.quantize`  fp16/fp8/fp4/nf4 activation codecs
 - :mod:`sidetune.sidenet`   trainable adapter stack, forward + backward, checkpoint
 - :mod:`sidetune.training`  losses, Adam, the per-batch training step
-- :mod:`sidetune.wire`      framed one-way activation protocol
+- :mod:`sidetune.wire`      framed one-way activation protocol and its byte counts
 - :mod:`sidetune.transport` loopback / rate-limited / TCP byte streams
 - :mod:`sidetune.device`    forward-only loop with one send thread; builds
                             every batch, for split and local runs alike
@@ -50,7 +50,6 @@ from .quantize import (
     SCHEMES,
     dequantize,
     nf4_codebook,
-    payload_bytes,
     quantize,
 )
 from .server import ServerConfig, ServerReport, local_mode, run_server
@@ -66,6 +65,7 @@ from .sidenet import (
     side_forward,
 )
 from .training import AdamState, IterationMetrics, TrainState, adam_step, init_adam, loss_and_grad, train_iteration
+from .wire import payload_bytes
 
 __version__ = "0.1.0"
 

@@ -102,15 +102,9 @@ class BackboneConfig:
         return len(self.block_cuts)
 
     @property
-    def tap_blocks(self) -> tuple[int, ...]:
-        """The block index of each tap of a forward pass, in order: 0 for
-        the embedding tap, when enabled, then the block cuts."""
-        return ((0,) if self.tap_embedding else ()) + self.block_cuts
-
-    @property
     def gamma(self) -> int:
         """Taps per forward pass: one per block, plus the embedding tap."""
-        return len(self.tap_blocks)
+        return self.num_blocks + (1 if self.tap_embedding else 0)
 
     def config_block(self) -> bytes:
         """Canonical binary form; also the digest input for handshakes."""

@@ -28,10 +28,10 @@ from . import costs
 from .backbone import BackboneConfig
 from .device import DeviceConfig, SyntheticTask, load_csv_task, run_device
 from .kernels import make_rng
-from .quantize import SCHEMES, dequantize, payload_bytes, quantize
+from .quantize import SCHEMES, dequantize, quantize
 from .server import ServerConfig, local_mode, run_server
 from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
-from .wire import HandshakeError
+from .wire import HandshakeError, payload_bytes
 
 SCHEME_ALIASES = {"fp16": "none_fp16", "fp8": "fp8_e4m3", "fp4": "fp4_grid", "nf4": "nf4"}
 

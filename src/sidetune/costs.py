@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .quantize import payload_bytes
+from .wire import batch_bytes
 
 MODES = ("full_ft", "side_local", "mobillm", "inference")
 
@@ -126,8 +126,7 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
 
 def payload_per_iteration(spec: ModelSpec, scheme: str) -> int:
     """Uplink bytes for one training step: gamma quantized taps + labels."""
-    shape = (spec.batch_size, spec.seq_len, spec.hidden)
-    return spec.gamma * payload_bytes(shape, scheme) + 4 * spec.batch_size
+    return batch_bytes((spec.batch_size, spec.seq_len, spec.hidden), scheme, spec.gamma)
 
 
 def iteration_time_estimate(t_fwd_device_s: float, payload_bytes_per_iter: int,

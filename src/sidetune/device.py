@@ -27,7 +27,7 @@ from io import BytesIO
 import numpy as np
 
 from .backbone import BackboneConfig, BackboneWeights, forward_collect, init_backbone, load_backbone
-from .quantize import payload_bytes, quantize
+from .quantize import quantize
 from .sidenet import load_side
 from .transport import TransportClosed
 from .wire import (
@@ -42,6 +42,7 @@ from .wire import (
     MessageReader,
     MetricsSnapshot,
     SessionAck,
+    batch_bytes,
     encode,
 )
 
@@ -167,7 +168,7 @@ def compute_batch(weights, config, i):
     tokens, labels = make_batch(config.task, i, config.batch_size)
     taps = forward_collect(weights, tokens)
     t1 = time.perf_counter()
-    qtaps = tuple((idx, quantize(act, config.scheme)) for idx, act in taps)
+    qtaps = tuple(quantize(act, config.scheme) for _, act in taps)
     t2 = time.perf_counter()
     msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=qtaps)
     timing = {"iter": i, "t_fwd_ms": (t1 - t0) * 1e3, "t_quant_ms": (t2 - t1) * 1e3}
@@ -176,9 +177,9 @@ def compute_batch(weights, config, i):
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:
     hello = Hello(config_digest=config.backbone.digest(), scheme=config.scheme,
-                  gamma=config.backbone.gamma, sync=config.serial)
+                  batch_size=config.batch_size, sync=config.serial)
     transport.send(encode(hello))
-    ack = reader.read_expected([SessionAck], timeout=config.timeout_s)
+    ack = reader.read_expected(SessionAck, timeout=config.timeout_s)
     if ack.status != ACK_OK:
         raise HandshakeError(
             f"server rejected session: {ACK_REASONS.get(ack.status, ack.status)}"
@@ -188,7 +189,7 @@ def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> Non
 def request_checkpoint(transport, reader: MessageReader, timeout: float):
     """Fetch the server's current side-network parameters."""
     transport.send(encode(CheckpointRequest()))
-    msg = reader.read_expected([CheckpointData], timeout=timeout)
+    msg = reader.read_expected(CheckpointData, timeout=timeout)
     return load_side(BytesIO(msg.data))
 
 
@@ -228,8 +229,10 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     A serial run waits for each batch's send and for the server's one
     snapshot before it computes the next; a batch the server did not
     train on is logged and its entry names the server's reason."""
-    pending = deque()  # (send future, wire bytes the batch holds while queued), oldest first
+    pending = deque()  # send futures, oldest first
     handed_off = 0  # batches given to the sender so far
+    size = batch_bytes((config.batch_size, config.task.seq_len, config.backbone.hidden),
+                       config.scheme, config.backbone.gamma)  # wire bytes a queued batch holds
 
     def send(msg, timing):
         depth = handed_off - msg.batch_id - 1  # batches waiting behind this one
@@ -250,15 +253,15 @@ def _run_batches(config, weights, transport, reader, report) -> None:
             msg, timing = compute_batch(weights, config, i)
             t0 = time.perf_counter()
             # collect finished sends; wait while more than queue_depth are outstanding
-            while pending and (pending[0][0].done() or len(pending) > config.queue_depth):
-                record(*pending.popleft()[0].result())
+            while pending and (pending[0].done() or len(pending) > config.queue_depth):
+                record(*pending.popleft().result())
             t1 = time.perf_counter()
             timing["t_queue_ms"] = (t1 - t0) * 1e3
             handed_off = i + 1
             future = sender.submit(send, msg, timing)
             if config.serial:
                 _, nbytes = future.result()
-                snap = reader.read_expected([MetricsSnapshot], timeout=config.timeout_s, skip=())
+                snap = reader.read_expected(MetricsSnapshot, timeout=config.timeout_s)
                 timing["t_send_ms"] = (time.perf_counter() - t1) * 1e3
                 rejected = json.loads(snap.text).get("rejected")
                 if rejected is not None:
@@ -266,11 +269,10 @@ def _run_batches(config, weights, transport, reader, report) -> None:
                     timing["rejected"] = rejected
                 record(timing, nbytes)
                 continue
-            size = sum(payload_bytes(q.shape, q.scheme) for _, q in msg.taps) + 4 * len(msg.labels)
-            pending.append((future, size))
-            queued = sum(n for f, n in pending if not (f.running() or f.done()))
+            pending.append(future)
+            queued = size * sum(not (f.running() or f.done()) for f in pending)
             report.max_queued_bytes = max(report.max_queued_bytes, queued)
         while pending:
-            record(*pending.popleft()[0].result())
+            record(*pending.popleft().result())
     finally:
         sender.shutdown(cancel_futures=True)

@@ -8,7 +8,7 @@ Four schemes share one container type:
 * ``nf4``        -- 16-entry normal-quantile codebook.
 
 Every scheme normalizes by the tensor's absolute maximum; the resulting
-scale is the only side information carried besides the packed codes.
+scale is all that dequantize needs besides the packed codes.
 
 The three low-bit schemes are code tables built at import: a wire byte
 indexes a row of the values of the codes it holds, and dequantize is that
@@ -24,7 +24,6 @@ The nf4 codebook's normal quantiles come from the standard library's
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -36,11 +35,6 @@ SCHEMES = ("none_fp16", "fp8_e4m3", "fp4_grid", "nf4")
 
 # bits per element on the wire
 SCHEME_BITS = {"none_fp16": 16, "fp8_e4m3": 8, "fp4_grid": 4, "nf4": 4}
-
-# What one tap carries on the wire besides its codes: block index (u16),
-# scheme (u8), shape (3 x u32), absmax scale (f32) and code length (u32).
-# The wire codec packs it and payload_bytes counts it.
-TAP_HEADER = struct.Struct("<HB3IfI")
 
 
 def nf4_codebook() -> np.ndarray:
@@ -167,8 +161,10 @@ def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
         raise ValueError(f"expected a [B, S, H] tensor, got shape {x.shape}")
     shape = tuple(int(d) for d in x.shape)
 
-    scale = _absmax_scale(x)
-    x32 = x.astype(np.float32, copy=False)
+    # cast first, so a value past float32's range is refused as infinite
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32, copy=False)
+    scale = _absmax_scale(x32)
 
     if scheme == "none_fp16":
         # values travel as binary16 directly; the scale rides along for
@@ -214,11 +210,3 @@ def payload_code_bytes(num_elements: int, scheme: str) -> int:
     """Raw code bytes for `num_elements` values under `scheme`."""
     bits = SCHEME_BITS[scheme]
     return (num_elements * bits + 7) // 8
-
-
-def payload_bytes(shape, scheme: str) -> int:
-    """Wire bytes for one quantized tap: codes + per-tap header."""
-    n = 1
-    for d in shape:
-        n *= int(d)
-    return payload_code_bytes(n, scheme) + TAP_HEADER.size

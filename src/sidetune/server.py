@@ -11,7 +11,8 @@ dropped and counted by reason; the session goes on. In a sync session
 (``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
 the step's metrics, or the reason the batch was rejected or dropped. A
 Hello that is malformed, missing or late ends the session before it
-starts, with no checkpoint.
+starts, with no checkpoint. After it, a frame longer than the session's
+largest batch ends the session at once.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -21,7 +22,6 @@ that computes a loss.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from collections import Counter
@@ -29,14 +29,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from io import BytesIO
 
+import numpy as np
+
 from .backbone import BackboneConfig
 from .device import DeviceConfig, compute_batch, load_device_backbone
-from .quantize import payload_code_bytes
 from .sidenet import SideConfig, init_side, save_side
 from .training import DEFAULT_LR, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_DIGEST,
-    ACK_BAD_GAMMA,
     ACK_BAD_VERSION,
     ACK_OK,
     ActBatch,
@@ -52,8 +52,6 @@ from .wire import (
 )
 
 log = logging.getLogger(__name__)
-
-_session_counter = itertools.count(1)
 
 
 @dataclass
@@ -106,8 +104,6 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
         return ACK_BAD_VERSION
     if hello.config_digest != config.backbone.digest():
         return ACK_BAD_DIGEST
-    if hello.gamma != config.backbone.gamma:
-        return ACK_BAD_GAMMA
     return ACK_OK
 
 
@@ -117,30 +113,31 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch) -> str |
     The reasons, checked in this order:
 
     - "scheme": a tap quantized under another scheme than the Hello's;
-    - "taps": not one tap per configured block index, in order;
-    - "shape": a tap that is not [B, S, hidden] with B, S >= 1 and the
-      first tap's B and S;
+    - "taps": not one tap per configured tap block;
+    - "shape": a tap that is not [B, S, hidden] with the Hello's B >= 1,
+      S >= 1 and the first tap's S;
     - "label_count": a label count other than B;
     - "label_range": a class label outside [0, classes), under cross
       entropy;
-    - "code_length": a tap whose code length does not fit its shape.
+    - "non_finite": a tap whose scale, or whose fp16 codes, hold a NaN or
+      an infinity.
     """
-    if any(q.scheme != hello.scheme for _, q in batch.taps):
+    if any(q.scheme != hello.scheme for q in batch.taps):
         return "scheme"
-    if tuple(i for i, _ in batch.taps) != config.backbone.tap_blocks:
+    if len(batch.taps) != config.backbone.gamma:
         return "taps"
-    b, s, h = batch.taps[0][1].shape
-    if min(b, s) < 1 or h != config.backbone.hidden or any(
-            q.shape != (b, s, h) for _, q in batch.taps):
+    b, s, h = batch.taps[0].shape
+    if b != hello.batch_size or min(b, s) < 1 or h != config.backbone.hidden or any(
+            q.shape != (b, s, h) for q in batch.taps):
         return "shape"
     if len(batch.labels) != b:
         return "label_count"
     if config.loss_kind == "cross_entropy" and not all(
             0 <= y < config.classes for y in batch.labels):
         return "label_range"
-    if any(len(q.codes) != payload_code_bytes(q.num_elements(), q.scheme)
-           for _, q in batch.taps):
-        return "code_length"
+    if any(not np.isfinite(q.scale) or q.scheme == "none_fp16" and not np.isfinite(
+            np.frombuffer(q.codes, dtype=np.float16)).all() for q in batch.taps):
+        return "non_finite"
     return None
 
 
@@ -180,16 +177,17 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     report = ServerReport()
     reader = MessageReader(transport)
     try:
-        hello = reader.read_expected([Hello], timeout=config.timeout_s)
+        hello = reader.read_expected(Hello, timeout=config.timeout_s)
     except Exception as exc:  # a malformed, missing or late Hello ends the session
         log.error("handshake failed: %s", exc, exc_info=exc)
         return report
     status = _validate_hello(config, hello)
-    transport.send(encode(SessionAck(session_id=next(_session_counter),
-                                     status=status)))
+    transport.send(encode(SessionAck(status=status)))
     if status != ACK_OK:
         report.rejected = status
         return report
+    reader.limit_to_batches((hello.batch_size, config.backbone.max_seq, config.backbone.hidden),
+                            hello.scheme, config.backbone.gamma)
 
     state = _make_state(config)
     report.state = state

@@ -143,10 +143,10 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
         return None
     state.last_batch_id = batch.batch_id
 
-    bytes_in = sum(len(q.codes) for _, q in batch.taps)
+    bytes_in = sum(len(q.codes) for q in batch.taps)
 
     t0 = time.perf_counter()
-    taps = [dequantize(q) for _, q in batch.taps]
+    taps = [dequantize(q) for q in batch.taps]
     t1 = time.perf_counter()
     logits, cache = side_forward(taps, state.params, state.config, training=True)
     labels = np.asarray(batch.labels)

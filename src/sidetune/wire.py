@@ -10,25 +10,33 @@ an empty-payload frame exactly 16 bytes. Flag bit 0 marks a frame the
 receiver may skip when it does not know the type; everything else is
 fatal on mismatch.
 
-ActBatch payload layout (the steady-state workhorse):
+The session setup, then the steady-state workhorse. The Hello fixes the
+backbone (its digest covers the tap blocks), the scheme and the batch
+size B; a tap's code length follows from its scheme and shape.
 
-    batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
-    per tap: block_idx u16 | scheme u8 | shape 3 x u32 | scale f32 |
-             code_len u32 | codes
+    Hello:      protocol_version u16 | scheme u8 | batch_size u32 | sync u8 |
+                config_digest 32 bytes
+    SessionAck: status u8
+    ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
+                per tap, in tap-block order: scheme u8 | shape 3 x u32 | scale f32 | codes
+
+:func:`batch_bytes` counts a batch's taps and labels; the frame, batch
+id, label count and tap count add 30 bytes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import zlib
 from dataclasses import dataclass
 
-from .quantize import SCHEMES, TAP_HEADER, QuantizedActivation
+from .quantize import SCHEMES, QuantizedActivation, payload_code_bytes
 
 MAGIC = b"MBLM"
 FRAME_VERSION = 1
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 HEADER_LEN = 12
 MAX_PAYLOAD = 2**31 - 1
 
@@ -46,17 +54,21 @@ T_BYE = 7
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 _SCHEME_NAME = {i: name for i, name in enumerate(SCHEMES)}
 
+_HELLO = struct.Struct("<HBIB")  # then the 32-byte digest
+_BATCH_HEAD = struct.Struct("<QI")  # batch id, label count
+_TAP_COUNT = struct.Struct("<H")
+# What one tap carries besides its codes: scheme, shape and absmax scale.
+TAP_HEADER = struct.Struct("<B3If")
+
 # SessionAck status codes
 ACK_OK = 0
 ACK_BAD_VERSION = 1
 ACK_BAD_DIGEST = 2
-ACK_BAD_GAMMA = 3
 
 ACK_REASONS = {
     ACK_OK: "ok",
     ACK_BAD_VERSION: "protocol version mismatch",
     ACK_BAD_DIGEST: "backbone config digest mismatch",
-    ACK_BAD_GAMMA: "tap count mismatch",
 }
 
 
@@ -80,14 +92,13 @@ class HandshakeError(Exception):
 class Hello:
     config_digest: bytes  # sha256 of the backbone config block
     scheme: str
-    gamma: int
+    batch_size: int
     sync: bool = False  # request a per-iteration ack (forced-serial mode)
     protocol_version: int = PROTOCOL_VERSION
 
 
 @dataclass(frozen=True)
 class SessionAck:
-    session_id: int
     status: int = ACK_OK
 
 
@@ -95,7 +106,7 @@ class SessionAck:
 class ActBatch:
     batch_id: int
     labels: tuple[int, ...]
-    taps: tuple[tuple[int, QuantizedActivation], ...]  # (block_idx, payload)
+    taps: tuple[QuantizedActivation, ...]  # in tap-block order
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,17 @@ class Bye:
 WireMessage = Hello | SessionAck | ActBatch | MetricsSnapshot | CheckpointRequest | CheckpointData | Bye
 
 
+def payload_bytes(shape, scheme: str) -> int:
+    """Wire bytes for one quantized tap: codes + per-tap header."""
+    return payload_code_bytes(math.prod(int(d) for d in shape), scheme) + TAP_HEADER.size
+
+
+def batch_bytes(shape, scheme: str, gamma: int) -> int:
+    """Wire bytes of one batch's `gamma` taps of `shape` ([B, S, H]) and
+    its B labels; its ActBatch frame is 30 bytes longer."""
+    return gamma * payload_bytes(shape, scheme) + 4 * int(shape[0])
+
+
 def _frame(msg_type: int, payload: bytes, flags: int = 0) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds frame limit")
@@ -133,22 +155,17 @@ def encode(msg: WireMessage) -> bytes:
     if isinstance(msg, Hello):
         if len(msg.config_digest) != 32:
             raise ValueError("config digest must be 32 bytes")
-        payload = struct.pack(
-            "<HBHB", msg.protocol_version, _SCHEME_CODE[msg.scheme],
-            msg.gamma, 1 if msg.sync else 0,
-        ) + msg.config_digest
+        payload = _HELLO.pack(msg.protocol_version, _SCHEME_CODE[msg.scheme],
+                              msg.batch_size, 1 if msg.sync else 0) + msg.config_digest
         return _frame(T_HELLO, payload)
     if isinstance(msg, SessionAck):
-        return _frame(T_SESSION_ACK, struct.pack("<QB", msg.session_id, msg.status))
+        return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
     if isinstance(msg, ActBatch):
-        parts = [struct.pack("<QI", msg.batch_id, len(msg.labels))]
-        parts.append(struct.pack(f"<{len(msg.labels)}I", *msg.labels))
-        parts.append(struct.pack("<H", len(msg.taps)))
-        for block_idx, q in msg.taps:
-            parts.append(TAP_HEADER.pack(
-                block_idx, _SCHEME_CODE[q.scheme],
-                q.shape[0], q.shape[1], q.shape[2], q.scale, len(q.codes),
-            ))
+        parts = [_BATCH_HEAD.pack(msg.batch_id, len(msg.labels)),
+                 struct.pack(f"<{len(msg.labels)}I", *msg.labels),
+                 _TAP_COUNT.pack(len(msg.taps))]
+        for q in msg.taps:
+            parts.append(TAP_HEADER.pack(_SCHEME_CODE[q.scheme], *q.shape, q.scale))
             parts.append(q.codes)
         return _frame(T_ACT_BATCH, b"".join(parts))
     if isinstance(msg, MetricsSnapshot):
@@ -173,22 +190,20 @@ def _parse_act_batch(payload: memoryview) -> ActBatch:
         off += layout.size
         return vals
 
-    batch_id, n_labels = take(struct.Struct("<QI"))
+    batch_id, n_labels = take(_BATCH_HEAD)
     labels = take(struct.Struct(f"<{n_labels}I"))
-    (n_taps,) = take(struct.Struct("<H"))
+    (n_taps,) = take(_TAP_COUNT)
     taps = []
     for _ in range(n_taps):
-        block_idx, scheme_code, d0, d1, d2, scale, code_len = take(TAP_HEADER)
+        scheme_code, d0, d1, d2, scale = take(TAP_HEADER)
         if scheme_code not in _SCHEME_NAME:
             raise FrameError(f"unknown scheme code {scheme_code}")
-        if off + code_len > len(payload):
+        scheme = _SCHEME_NAME[scheme_code]
+        end = off + payload_code_bytes(d0 * d1 * d2, scheme)
+        if end > len(payload):
             raise FrameError("tap codes truncated")
-        codes = bytes(payload[off:off + code_len])
-        off += code_len
-        taps.append((block_idx, QuantizedActivation(
-            scheme=_SCHEME_NAME[scheme_code], shape=(d0, d1, d2),
-            scale=scale, codes=codes,
-        )))
+        taps.append(QuantizedActivation(scheme, (d0, d1, d2), scale, bytes(payload[off:end])))
+        off = end
     if off != len(payload):
         raise FrameError("trailing bytes in batch payload")
     return ActBatch(batch_id=batch_id, labels=tuple(labels), taps=tuple(taps))
@@ -196,15 +211,14 @@ def _parse_act_batch(payload: memoryview) -> ActBatch:
 
 def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     if msg_type == T_HELLO:
-        ver, scheme_code, gamma, sync = struct.unpack_from("<HBHB", payload, 0)
-        digest = bytes(payload[6:])
+        ver, scheme_code, batch_size, sync = _HELLO.unpack_from(payload, 0)
+        digest = bytes(payload[_HELLO.size:])
         if len(digest) != 32 or scheme_code not in _SCHEME_NAME:
             raise FrameError("malformed hello")
         return Hello(config_digest=digest, scheme=_SCHEME_NAME[scheme_code],
-                     gamma=gamma, sync=bool(sync), protocol_version=ver)
+                     batch_size=batch_size, sync=bool(sync), protocol_version=ver)
     if msg_type == T_SESSION_ACK:
-        session_id, status = struct.unpack_from("<QB", payload, 0)
-        return SessionAck(session_id=session_id, status=status)
+        return SessionAck(*struct.unpack_from("<B", payload, 0))
     if msg_type == T_ACT_BATCH:
         return _parse_act_batch(payload)
     if msg_type == T_METRICS:
@@ -218,12 +232,13 @@ def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     raise ProtocolError(f"unknown message type {msg_type}")
 
 
-def try_decode(buf: bytes | bytearray | memoryview):
+def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD):
     """Decode one frame from the head of `buf`.
 
     Returns None when more bytes are needed, otherwise (message,
     consumed). A skippable unknown frame yields (None, consumed). A
-    payload that does not decode as its message type is a FrameError.
+    header whose payload length exceeds `max_payload`, or a payload that
+    does not decode as its message type, is a FrameError.
     """
     view = memoryview(buf)
     if len(view) < HEADER_LEN:
@@ -233,8 +248,8 @@ def try_decode(buf: bytes | bytearray | memoryview):
     version, msg_type, flags, payload_len = struct.unpack_from("<HBBI", view, 4)
     if version != FRAME_VERSION:
         raise FrameError(f"frame version {version} unsupported")
-    if payload_len > MAX_PAYLOAD:
-        raise FrameError(f"payload length {payload_len} exceeds {MAX_PAYLOAD}")
+    if payload_len > max_payload:
+        raise FrameError(f"payload length {payload_len} exceeds {max_payload}")
     total = HEADER_LEN + payload_len + 4
     if len(view) < total:
         return None
@@ -259,13 +274,14 @@ class StreamDecoder:
     def __init__(self):
         self._buf = bytearray()
         self.skipped = 0
+        self.max_payload = MAX_PAYLOAD
 
     def feed(self, data: bytes) -> list[WireMessage]:
         """Absorb bytes; return every complete message now available."""
         self._buf.extend(data)
         out = []
         while True:
-            result = try_decode(self._buf)
+            result = try_decode(self._buf, self.max_payload)
             if result is None:
                 return out
             msg, consumed = result
@@ -307,16 +323,18 @@ class MessageReader:
             self._pending.extend(self._decoder.feed(chunk))
         return self._pending.pop(0)
 
-    def read_expected(self, msg_types, timeout: float | None = None,
-                      skip=(MetricsSnapshot,)) -> WireMessage:
-        """Read until a message of one of `msg_types` arrives; messages in
-        `skip` are silently discarded, anything else is a protocol error."""
-        while True:
-            msg = self.read(timeout=timeout)
-            if msg is None:
-                raise ProtocolError("stream closed while waiting for "
-                                    + "/".join(t.__name__ for t in msg_types))
-            if isinstance(msg, tuple(msg_types)):
-                return msg
-            if not isinstance(msg, tuple(skip)):
-                raise ProtocolError(f"unexpected {type(msg).__name__}")
+    def read_expected(self, msg_type, timeout: float | None = None) -> WireMessage:
+        """The next message, which must be a `msg_type`; anything else,
+        or the end of the stream, is a protocol error."""
+        msg = self.read(timeout=timeout)
+        if msg is None:
+            raise ProtocolError(f"stream closed while waiting for {msg_type.__name__}")
+        if not isinstance(msg, msg_type):
+            raise ProtocolError(f"unexpected {type(msg).__name__}")
+        return msg
+
+    def limit_to_batches(self, shape, scheme: str, gamma: int) -> None:
+        """From now on refuse any frame longer than an ActBatch of `gamma`
+        taps of `shape` under `scheme`."""
+        self._decoder.max_payload = min(
+            MAX_PAYLOAD, _BATCH_HEAD.size + _TAP_COUNT.size + batch_bytes(shape, scheme, gamma))

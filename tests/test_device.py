@@ -17,13 +17,12 @@ from sidetune import (
     SyntheticTask,
     device,
     load_csv_task,
-    payload_bytes,
     run_device,
     run_server,
 )
 from sidetune.cli import main
 from sidetune.transport import TransportClosed, loopback_pair
-from sidetune.wire import T_ACT_BATCH, T_BYE
+from sidetune.wire import T_ACT_BATCH, T_BYE, batch_bytes
 
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                           block_cuts=(1, 2, 3, 4))
@@ -120,7 +119,7 @@ def test_a_stalled_uplink_holds_the_forward_at_queue_depth_plus_two(monkeypatch,
     assert not runner.is_alive(), "run_device did not return"
     report = out["report"]
     assert not report.aborted and report.iterations == config.total_iterations
-    one_batch = BACKBONE.gamma * payload_bytes((BATCH, SEQ, BACKBONE.hidden), "nf4") + 4 * BATCH
+    one_batch = batch_bytes((BATCH, SEQ, BACKBONE.hidden), "nf4", BACKBONE.gamma)
     assert depth * one_batch <= report.max_queued_bytes <= (depth + 1) * one_batch
     assert session.server_report().clean_shutdown
 

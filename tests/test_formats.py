@@ -97,16 +97,14 @@ def test_mismatched_config_is_rejected():
 
 def act_batch(scheme="nf4", batch=4, seq=7):
     rng = np.random.default_rng(0)
-    taps = tuple(
-        (idx, quantize(rng.normal(size=(batch, seq, 32)).astype(np.float32), scheme))
-        for idx in range(BACKBONE.gamma)
-    )
+    taps = tuple(quantize(rng.normal(size=(batch, seq, 32)).astype(np.float32), scheme)
+                 for _ in range(BACKBONE.gamma))
     return ActBatch(batch_id=9, labels=tuple(range(batch)), taps=taps)
 
 
 MESSAGES = [
-    Hello(config_digest=BACKBONE.digest(), scheme="nf4", gamma=5, sync=True),
-    SessionAck(session_id=3, status=2),
+    Hello(config_digest=BACKBONE.digest(), scheme="nf4", batch_size=4, sync=True),
+    SessionAck(status=2),
     act_batch(),
     MetricsSnapshot(text='{"loss": 0.5}'),
     CheckpointRequest(),
@@ -139,7 +137,7 @@ def test_one_tap_adds_its_payload_bytes_to_the_frame(scheme):
     shape = (3, 5, 7)  # odd element count: the 4-bit codes end in a padded nibble
     q = quantize(np.random.default_rng(1).normal(size=shape).astype(np.float32), scheme)
     without = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=()))
-    with_tap = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=((2, q),)))
+    with_tap = encode(ActBatch(batch_id=1, labels=(0, 1, 0), taps=(q,)))
     assert len(with_tap) - len(without) == payload_bytes(shape, scheme)
 
 

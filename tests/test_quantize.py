@@ -16,10 +16,10 @@ from sidetune.quantize import (
     dequantize,
     nf4_codebook,
     pack_nibbles,
-    payload_bytes,
     quantize,
     unpack_nibbles,
 )
+from sidetune.wire import payload_bytes
 
 # Normal-quantile codebook computed once with a 50-digit mpmath script
 # (erfinv-based inverse CDF, offset 1 - (1/30 + 1/32)/2), frozen here.
@@ -217,6 +217,11 @@ class TestQuantize:
         with pytest.raises(ValueError, match="NaN or Inf"):
             quantize(x, scheme)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_value_past_the_float32_range_is_rejected_as_inf(self, scheme):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            quantize(np.array([[[1e39, 1.0, -2.0]]]), scheme)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             quantize(np.zeros((1, 1, 2), np.float32), "int3")
@@ -328,5 +333,5 @@ class TestPayloadBytes:
         assert abs(fp16 / fp4 - 4.0) < 0.01  # packing/header overhead only
 
     def test_counts_scale_and_header(self):
-        # 10 elements at 4 bits -> 5 code bytes, plus 4 scale + 19 header
-        assert payload_bytes((1, 2, 5), "nf4") == 5 + 4 + 19
+        # 10 elements at 4 bits -> 5 code bytes, plus 4 scale + 13 scheme and shape
+        assert payload_bytes((1, 2, 5), "nf4") == 5 + 4 + 13

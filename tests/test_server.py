@@ -1,6 +1,7 @@
 """A session that ends abnormally still returns promptly, with its report
 and checkpoint; one whose handshake fails returns its report without a
-checkpoint; and a batch that does not fit the session is rejected and
+checkpoint; a frame longer than the session's largest batch ends it at
+once; and a batch that does not fit the session is rejected and
 counted: peer input never hangs or kills the server silently. In a sync
 session every batch gets one snapshot, so a serial device never waits
 out its timeout on a rejected batch."""
@@ -29,9 +30,12 @@ from sidetune import (
 from sidetune import server
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
+    ACK_BAD_DIGEST,
+    ACK_BAD_VERSION,
     ActBatch,
     Bye,
     FRAME_VERSION,
+    HandshakeError,
     Hello,
     MAGIC,
     MessageReader,
@@ -48,13 +52,19 @@ from sidetune.wire import (
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                           block_cuts=(1, 2, 3, 4))
 RETURN_WITHIN_S = 10.0
+BATCH = 2  # the batch size every session here declares in its Hello
 
 
-def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S):
-    """Run a session that sends `frames` after the handshake, then hangs
-    up or stays silent; returns (report or exception, checkpoint path)
-    once run_server has returned, which must be within `within_s` of the
-    last frame."""
+def hello(scheme="nf4", **fields):
+    return encode(Hello(config_digest=BACKBONE.digest(), scheme=scheme, batch_size=BATCH,
+                        **fields))
+
+
+def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme="nf4"):
+    """Run a session under `scheme` that sends `frames` after the
+    handshake, then hangs up or stays silent; returns (report or
+    exception, checkpoint path) once run_server has returned, which must
+    be within `within_s` of the last frame."""
     ckpt = tmp_path / "side.bin"
     config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt))
     dev_end, srv_end = loopback_pair()
@@ -69,9 +79,8 @@ def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S):
     server = threading.Thread(target=serve, daemon=True)
     server.start()
     try:
-        dev_end.send(encode(Hello(config_digest=BACKBONE.digest(), scheme="nf4",
-                                  gamma=BACKBONE.gamma)))
-        MessageReader(dev_end).read_expected([SessionAck], timeout=RETURN_WITHIN_S)
+        dev_end.send(hello(scheme))
+        MessageReader(dev_end).read_expected(SessionAck, timeout=RETURN_WITHIN_S)
         for frame in frames:
             dev_end.send(frame)
         if hang_up:
@@ -110,7 +119,7 @@ def test_a_frame_header_past_max_payload_ends_the_session_at_once(tmp_path):
 # scheme code 9 names no scheme, so that Hello does not decode
 HANDSHAKE_FAILURES = {
     "malformed_hello": lambda end: end.send(_frame(T_HELLO, struct.pack(
-        "<HBHB", PROTOCOL_VERSION, 9, BACKBONE.gamma, 0) + BACKBONE.digest())),
+        "<HBIB", PROTOCOL_VERSION, 9, BATCH, 0) + BACKBONE.digest())),
     "eof_before_hello": lambda end: end.close(),
     "silent_peer": lambda end: None,
 }
@@ -134,12 +143,63 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
     assert not ckpt.exists()
 
 
-def batch(batch_id=0, labels=(0, 1), blocks=range(BACKBONE.gamma), shape=(2, 3, BACKBONE.hidden),
-          scheme="nf4", codes=slice(None)):
-    """An ActBatch frame that fits the session unless an argument says otherwise."""
-    q = quantize(np.zeros(shape, dtype=np.float32), scheme)
-    q = dataclasses.replace(q, codes=q.codes[codes])
-    return encode(ActBatch(batch_id=batch_id, labels=labels, taps=tuple((i, q) for i in blocks)))
+def test_a_handshake_with_another_protocol_version_is_refused(tmp_path):
+    ckpt = tmp_path / "side.bin"
+    config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=1.0)
+    dev_end, srv_end = loopback_pair()
+    try:
+        dev_end.send(hello(protocol_version=PROTOCOL_VERSION + 1))
+        report = run_server(config, srv_end)
+        ack = MessageReader(dev_end).read_expected(SessionAck, timeout=1.0)
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert ack.status == report.rejected == ACK_BAD_VERSION
+    assert not ckpt.exists()
+
+
+def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path):
+    ckpt = tmp_path / "side.bin"
+    other = dataclasses.replace(BACKBONE, tap_embedding=False)
+    device_cfg = DeviceConfig(backbone=other, task=SyntheticTask(seq_len=15), iterations=1,
+                              timeout_s=RETURN_WITHIN_S)
+    dev_end, srv_end = loopback_pair()
+    out = {}
+    server_thread = threading.Thread(target=lambda: out.update(report=run_server(
+        ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt)), srv_end)), daemon=True)
+    server_thread.start()
+    try:
+        with pytest.raises(HandshakeError, match="digest"):
+            run_device(device_cfg, dev_end)
+        server_thread.join(timeout=RETURN_WITHIN_S)
+        assert not server_thread.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert out["report"].rejected == ACK_BAD_DIGEST
+    assert not ckpt.exists()
+
+
+def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, 3, BACKBONE.hidden),
+          scheme="nf4", **fields):
+    """An ActBatch frame that fits the session unless an argument says
+    otherwise; `fields` replace the taps' scale or codes."""
+    q = dataclasses.replace(quantize(np.zeros(shape, dtype=np.float32), scheme), **fields)
+    return encode(ActBatch(batch_id=batch_id, labels=labels, taps=(q,) * taps))
+
+
+# the longest batch the session allows: S = max_seq
+LONGEST = batch(shape=(BATCH, BACKBONE.max_seq, BACKBONE.hidden))
+
+
+def test_a_batch_of_max_seq_trains_and_a_longer_frame_ends_the_session(tmp_path):
+    out, _ = serve_one(tmp_path, [LONGEST, encode(Bye())])
+    assert out["report"].iterations == 1 and out["report"].clean_shutdown
+    # 16 bytes of frame around the payload; one byte more than the longest
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, len(LONGEST) - 16 + 1)
+    out, ckpt = serve_one(tmp_path, [header], within_s=1.0)
+    assert not out["report"].clean_shutdown
+    assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
 def failing_step(state, batch):
@@ -162,21 +222,25 @@ def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_pat
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
-INVALID = {
-    "scheme": ("scheme", {"scheme": "fp8_e4m3"}),
-    "tap_count": ("taps", {"blocks": range(BACKBONE.gamma - 1)}),
-    "block_index": ("taps", {"blocks": (0, 1, 2, 3, 5)}),
-    "hidden_width": ("shape", {"shape": (2, 3, 16)}),
-    "label_count": ("label_count", {"labels": (0,)}),
-    "label_range": ("label_range", {"labels": (0, 2)}),
-    "code_length": ("code_length", {"codes": slice(-1)}),
+INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
+    "scheme": ("scheme", "nf4", {"scheme": "fp8_e4m3"}),
+    "tap_count": ("taps", "nf4", {"taps": BACKBONE.gamma - 1}),
+    "batch_size": ("shape", "nf4", {"shape": (BATCH + 1, 3, BACKBONE.hidden),
+                                    "labels": (0, 1, 0)}),
+    "hidden_width": ("shape", "nf4", {"shape": (BATCH, 3, 16)}),
+    "label_count": ("label_count", "nf4", {"labels": (0,)}),
+    "label_range": ("label_range", "nf4", {"labels": (0, 2)}),
+    "non_finite_scale": ("non_finite", "nf4", {"scale": float("nan")}),
+    "non_finite_codes": ("non_finite", "none_fp16", {"codes": np.full(
+        (BATCH, 3, BACKBONE.hidden), np.nan, dtype=np.float16).tobytes()}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID))
 def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path, case):
-    reason, bad = INVALID[case]
-    out, _ = serve_one(tmp_path, [batch(0, **bad), batch(1), encode(Bye())])
+    reason, scheme, bad = INVALID[case]
+    frames = [batch(0, **{"scheme": scheme, **bad}), batch(1, scheme=scheme), encode(Bye())]
+    out, _ = serve_one(tmp_path, frames, scheme=scheme)
     report = out["report"]
     assert report.clean_shutdown
     assert report.invalid == {reason: 1}
@@ -200,13 +264,12 @@ def test_a_sync_session_answers_every_batch_with_one_snapshot(case):
         daemon=True)
     server_thread.start()
     try:
-        dev_end.send(encode(Hello(config_digest=BACKBONE.digest(), scheme="nf4",
-                                  gamma=BACKBONE.gamma, sync=True)))
+        dev_end.send(hello(sync=True))
         reader = MessageReader(dev_end)
-        reader.read_expected([SessionAck], timeout=RETURN_WITHIN_S)
+        reader.read_expected(SessionAck, timeout=RETURN_WITHIN_S)
         for frame, reason in zip(frames, reasons):
             dev_end.send(frame)
-            snap = reader.read_expected([MetricsSnapshot], timeout=1.0, skip=())
+            snap = reader.read_expected(MetricsSnapshot, timeout=1.0)
             doc = json.loads(snap.text)
             assert doc.get("rejected") == reason
             assert ("loss" in doc) == (reason is None)

@@ -122,8 +122,8 @@ def step(loss_kind, classes):
     state = TrainState(config=config, params=params, adam=init_adam(params),
                        loss_kind=loss_kind)
     rng = np.random.default_rng(0)
-    taps = tuple((i, quantize(rng.normal(size=(4, 5, 8)).astype(np.float32), "none_fp16"))
-                 for i in range(3))
+    taps = tuple(quantize(rng.normal(size=(4, 5, 8)).astype(np.float32), "none_fp16")
+                 for _ in range(3))
     return train_iteration(state, ActBatch(batch_id=0, labels=(0, 1, 1, 0), taps=taps))
 
 
