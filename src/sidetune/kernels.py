@@ -1,16 +1,20 @@
 """Deterministic dense-tensor math shared by every other module.
 
 All functions operate on plain numpy arrays (row-major, float32 or
-float64) and never mutate their inputs. Outputs are freshly allocated,
-except where a caller passes an `out` buffer to :func:`fast_matmul`,
-:func:`layer_norm`, :func:`gelu`, :func:`exp_rows` or
-:func:`softmax_rows`. Such an `out` must have exactly the result's shape
-and dtype (else ValueError), and the values written into it are
-bit-equal to those of the fresh-output call. :func:`exp_rows` and
-:func:`softmax_rows` may write over their input; :func:`layer_norm` and
-:func:`gelu` read their input after writing `out`, so an `out` that
-overlaps it raises ValueError. This lets a caller keep one set of
-buffers across many calls instead of allocating a result per call.
+float64) and never mutate their inputs, except
+:func:`nonlinearity_backward`, which works in its arguments' buffers.
+Outputs are freshly allocated, except where a caller passes an `out`
+buffer to :func:`fast_matmul`, :func:`layer_norm`, :func:`relu`,
+:func:`gelu`, :func:`nonlinearity`, :func:`exp_rows` or
+:func:`softmax_rows`, or the buffers for what :func:`layer_norm` and
+:func:`gelu` also keep for a backward pass. Such a buffer must have
+exactly the result's shape and dtype (else ValueError), and the values
+written into it are bit-equal to those of the fresh-output call.
+:func:`exp_rows` and :func:`softmax_rows` may write over their input;
+:func:`layer_norm` and :func:`gelu` read their input after writing
+`out`, so an `out` that overlaps it raises ValueError. This lets a
+caller keep one set of buffers across many calls instead of allocating
+a result per call.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so
@@ -125,6 +129,8 @@ def layer_norm(
     beta: np.ndarray,
     eps: float = LN_EPS,
     out: np.ndarray | None = None,
+    xhat: np.ndarray | None = None,
+    std: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -133,13 +139,19 @@ def layer_norm(
     value per row for each statistic: the centred rows are formed once in
     `out`, and their squares are summed there without a temporary.
 
+    A backward pass needs x̂ = (x - mean) / sqrt(var + eps) and each row's
+    σ = sqrt(var + eps). Given `xhat` (x's shape), the rows are centred
+    and normalized there instead, and kept; given `std` (x's shape
+    without the last axis), σ is copied there. Neither costs a pass over
+    the rows, and `out` gets the same bits.
+
     The row sums run in :func:`numpy.einsum` over the rows as one [N, h]
     matrix: its per-row loop beats numpy's reductions over short rows,
     and each row's sum depends only on that row, so a row gets the same
     bits in a batch of any size. (A product with a ones vector, through
     BLAS, does not: its kernel changes with the row count.) The matrix is
-    only read: where `x` or `out` cannot be viewed as one, it is a copy,
-    and every write goes to `out` itself.
+    only read: where `x` or the buffer of the rows cannot be viewed as
+    one, it is a copy, and every write goes to the buffer itself.
     """
     x = np.asarray(x)
     gamma = np.asarray(gamma)
@@ -150,27 +162,35 @@ def layer_norm(
             f"affine shape {gamma.shape}/{beta.shape} does not match last extent {h}"
         )
     out = _out(out, x.shape, x.dtype, x)
+    rows = out if xhat is None else _out(xhat, x.shape, x.dtype, x, out)
     per_row = x.shape[:-1] + (1,)
     size = x.dtype.type(h)
     mu = np.einsum("ij->i", x.reshape(-1, h))
     mu /= size
-    np.subtract(x, mu.reshape(per_row), out=out)
-    centred = out.reshape(-1, h)
-    std = np.einsum("ij,ij->i", centred, centred)
-    std /= size
-    std += x.dtype.type(eps)
-    np.sqrt(std, out=std)
-    out /= std.reshape(per_row)
-    out *= gamma
+    np.subtract(x, mu.reshape(per_row), out=rows)
+    centred = rows.reshape(-1, h)
+    sd = np.einsum("ij,ij->i", centred, centred)
+    sd /= size
+    sd += x.dtype.type(eps)
+    np.sqrt(sd, out=sd)
+    rows /= sd.reshape(per_row)
+    if std is not None:
+        np.copyto(_out(std, x.shape[:-1], x.dtype), sd.reshape(x.shape[:-1]))
+    if xhat is None:
+        out *= gamma
+    else:
+        np.multiply(xhat, gamma, out=out)
     out += beta
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    x = np.asarray(x)
+    return np.maximum(x, 0, out=_out(out, x.shape, x.dtype))
 
 
-def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None,
+         tanh: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit, tanh approximation.
 
     gelu(x) = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
@@ -180,33 +200,66 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     times x. Halving 1 + tanh(...) is exact, and so is halving x unless
     |x| is within a factor two of the smallest normal number, so the
     values are the formula's bit for bit outside that range.
+
+    Given `tanh` (x's shape), the tanh(...) is written there and kept
+    for :func:`nonlinearity_backward`, with no extra pass.
     """
     x = np.asarray(x)
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
     half = x.dtype.type(0.5)
-    t = np.multiply(x, a, out=_out(out, x.shape, x.dtype, x))
-    t *= x
-    t *= x
-    t += x
-    t *= c
-    np.tanh(t, out=t)
-    t += 1
-    t *= half
-    t *= x
-    return t
+    out = _out(out, x.shape, x.dtype, x)
+    t = out if tanh is None else _out(tanh, x.shape, x.dtype, x, out)
+    np.multiply(x, a, out=out)
+    out *= x
+    out *= x
+    out += x
+    out *= c
+    np.tanh(out, out=t)
+    np.add(t, 1, out=out)
+    out *= half
+    out *= x
+    return out
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of the tanh-approximated gelu at x."""
-    x = np.asarray(x)
+def nonlinearity_backward(d: np.ndarray, x: np.ndarray, kind: str,
+                          tanh: np.ndarray | None = None) -> np.ndarray:
+    """d times the derivative of the nonlinearity at x, in place in `d`.
+
+    Works without a buffer of its own: it also writes over `x`, and over
+    gelu's `tanh`, which must be what :func:`gelu` kept for this x. For
+    gelu, with t = tanh(c (x + a x^3)) and k = 0.5 c x (1 + 3a x^2),
+
+        gelu'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2)
+                 = (1 + t) (0.5 + k (1 - t)),
+
+    with 1 - t taken as 2 - (1 + t): each of those two roundings is at
+    most half a unit in the last place of 1, so the derivative agrees
+    with the formula to rounding. For relu the derivative is 1 where
+    x > 0, else 0.
+    """
+    if kind == "relu":
+        np.greater(x, 0, out=x)
+        d *= x
+        return d
+    if kind != "gelu":
+        raise ValueError(f"no elementwise gradient for {kind!r}")
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
     half = x.dtype.type(0.5)
-    inner = c * (x + a * x * x * x)
-    t = np.tanh(inner)
-    sech2 = 1 - t * t
-    return half * (1 + t) + half * x * sech2 * c * (1 + 3 * a * x * x)
+    t = tanh
+    t += 1
+    d *= t
+    np.subtract(2, t, out=t)
+    t *= x
+    x *= x
+    x *= 3 * a
+    x += 1
+    t *= x
+    t *= half * c
+    t += half
+    d *= t
+    return d
 
 
 def exp_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -241,47 +294,36 @@ def sigmoid(x):
     return 1 / (1 + np.exp(-x))
 
 
-_NONLINEARITIES = {"gelu": gelu, "relu": relu}
-_NONLINEARITY_GRADS = {
-    "gelu": gelu_grad,
-    "relu": lambda x: (np.asarray(x) > 0).astype(np.asarray(x).dtype),
-}
-
-
-def nonlinearity(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply one of {gelu, relu} elementwise."""
-    try:
-        fn = _NONLINEARITIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown nonlinearity {kind!r}") from None
-    return fn(x)
-
-
-def nonlinearity_grad(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise derivative for the differentiable kinds (gelu, relu)."""
-    try:
-        fn = _NONLINEARITY_GRADS[kind]
-    except KeyError:
-        raise ValueError(f"no elementwise gradient for {kind!r}") from None
-    return fn(x)
+def nonlinearity(x: np.ndarray, kind: str, out: np.ndarray | None = None,
+                 tanh: np.ndarray | None = None) -> np.ndarray:
+    """Apply one of {gelu, relu} elementwise, into `out` when given; gelu
+    also keeps its tanh in `tanh` when given (relu has none)."""
+    if kind == "gelu":
+        return gelu(x, out=out, tanh=tanh)
+    if kind == "relu":
+        return relu(x, out=out)
+    raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
 def mean_pool(x: np.ndarray) -> np.ndarray:
     """Mean over the sequence axis of a [B, S, H] tensor.
 
-    Accumulates positions in ascending order (bit-identical to a naive
-    loop), then divides by S.
+    One reduction over the positions, then a division by S. Where the
+    positions are not x's innermost axis in memory (a [B, S, H] array in
+    C order with H > 1), the reduction's inner loop runs along another
+    axis and adds whole positions in ascending order, so the result is
+    bit-identical to a naive loop. (Where they are innermost, as with
+    H = 1, numpy sums them pairwise.)
     """
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"mean_pool expects rank 3, got shape {x.shape}")
-    b, s, h = x.shape
+    s = x.shape[1]
     if s == 0:
         raise ValueError("mean_pool over an empty sequence")
-    acc = np.zeros((b, h), dtype=x.dtype)
-    for j in range(s):
-        acc += x[:, j, :]
-    return acc / x.dtype.type(s)
+    acc = np.add.reduce(x, axis=1)
+    acc /= x.dtype.type(s)
+    return acc
 
 
 def f16_roundtrip(x: np.ndarray) -> np.ndarray:

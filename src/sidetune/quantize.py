@@ -115,6 +115,9 @@ _NF4_TABLE = nf4_codebook()
 # decision boundaries: midpoints between adjacent entries
 _NF4_CUTS = (_NF4_TABLE[:-1] + _NF4_TABLE[1:]) / 2
 
+# code bytes per gather in dequantize: a chunk's intp indices are 64 KiB
+_DECODE_CHUNK = 8192
+
 _FP8_TABLE = _e4m3_values()
 # |z| <= 1 reaches codes 0..0x38; a z on a cut below an even code must
 # count that cut, so those cuts move one float32 step down
@@ -188,8 +191,12 @@ def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
     return QuantizedActivation(scheme, shape, float(scale), codes)
 
 
-def dequantize(q: QuantizedActivation) -> np.ndarray:
-    """Reconstruct a float32 [B, S, H] tensor from packed codes."""
+def dequantize(q: QuantizedActivation, out: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct a float32 [B, S, H] tensor from packed codes.
+
+    Writes into `out` when given: a C-contiguous float32 array of q's
+    shape (else ValueError), with the values of the fresh-output call.
+    """
     n = q.num_elements()
     expected = payload_code_bytes(n, q.scheme)
     if len(q.codes) != expected:
@@ -197,13 +204,29 @@ def dequantize(q: QuantizedActivation) -> np.ndarray:
             f"code length {len(q.codes)} inconsistent with shape {q.shape} "
             f"under {q.scheme} (expected {expected})"
         )
+    if out is None:
+        out = np.empty(q.shape, dtype=np.float32)
+    elif out.shape != q.shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError(f"out is {out.dtype}{list(out.shape)}, need C-contiguous "
+                         f"float32{list(q.shape)}")
+    flat = out.reshape(-1)
     if q.scheme == "none_fp16":
-        vals = np.frombuffer(q.codes, dtype=np.float16).astype(np.float32)
-    else:
-        raw = np.frombuffer(q.codes, dtype=np.uint8)
-        vals = _DECODE[q.scheme].take(raw, axis=0).reshape(-1)[:n]
-        vals *= np.float32(q.scale)
-    return vals.reshape(q.shape)
+        np.copyto(flat, np.frombuffer(q.codes, dtype=np.float16))
+        return out
+    table = _DECODE[q.scheme]
+    k = table.shape[1]
+    whole = n // k  # bytes whose every code is a value; an odd nibble count pads the last
+    raw = np.frombuffer(q.codes, dtype=np.uint8)
+    codes, rows = raw[:whole], flat[:whole * k].reshape(whole, k)
+    # take copies its indices as intp, 8 B per byte, so it gathers a chunk
+    # at a time; a byte indexes all 256 rows, so "clip" never clips, and
+    # unlike the default "raise" it writes straight into `out`
+    for i in range(0, whole, _DECODE_CHUNK):
+        table.take(codes[i:i + _DECODE_CHUNK], axis=0, out=rows[i:i + _DECODE_CHUNK],
+                   mode="clip")
+    flat[whole * k:] = table[raw[whole:], :n - whole * k].reshape(-1)
+    flat *= np.float32(q.scale)
+    return out
 
 
 def payload_code_bytes(num_elements: int, scheme: str) -> int:

@@ -7,7 +7,9 @@ state needs no locking and checkpoint requests are always served at an
 iteration boundary. While a step runs, the transport's own buffer holds
 the frames that arrive, and the device keeps computing. A batch that
 arrives intact but does not fit the session (:func:`validate_batch`) is
-dropped and counted by reason; the session goes on. In a sync session
+dropped and counted by reason; the session goes on. So is a batch whose
+step overflows to a loss or gradient that is not finite ("non_finite"):
+the parameters and the optimizer state stay as they were. In a sync session
 (``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
 the step's metrics, or the reason the batch was rejected or dropped. A
 Hello that is malformed, missing or late ends the session before it
@@ -34,7 +36,7 @@ import numpy as np
 from .backbone import BackboneConfig
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
-from .training import DEFAULT_LR, TrainState, init_adam, train_iteration
+from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_DIGEST,
     ACK_BAD_VERSION,
@@ -157,17 +159,25 @@ def _metrics_log(config: ServerConfig):
     return open(config.metrics_path, "w") if config.metrics_path else nullcontext()
 
 
-def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh):
-    """One training step, recorded in `report` and the metrics log; None
-    when the batch was dropped as out of order."""
-    metrics = train_iteration(state, batch)
-    if metrics is not None:
-        report.iterations += 1
-        report.losses.append(metrics.loss)
-        report.metrics.append(metrics)
-        if metrics_fh:
-            metrics_fh.write(metrics.to_json() + "\n")
-    return metrics
+def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh) -> str | None:
+    """One training step, recorded in `report` and the metrics log.
+    Returns None when the batch trained, else why it did not:
+    "out_of_order" (counted in the state's `dropped`) or "non_finite" (a
+    loss or gradient that is not, counted in ``report.invalid``)."""
+    try:
+        metrics = train_iteration(state, batch)
+    except NonFiniteStep as exc:
+        report.invalid["non_finite"] += 1
+        log.warning("rejecting batch %d: %s", batch.batch_id, exc)
+        return "non_finite"
+    if metrics is None:
+        return "out_of_order"
+    report.iterations += 1
+    report.losses.append(metrics.loss)
+    report.metrics.append(metrics)
+    if metrics_fh:
+        metrics_fh.write(metrics.to_json() + "\n")
+    return None
 
 
 def run_server(config: ServerConfig, transport) -> ServerReport:
@@ -209,17 +219,16 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
-                    metrics = None
                     reason = validate_batch(config, hello, msg)
                     if reason is not None:
                         report.invalid[reason] += 1
                         log.warning("rejecting batch %d: %s", msg.batch_id, reason)
                     else:
-                        metrics = _train_and_record(state, msg, report, metrics_fh)
+                        reason = _train_and_record(state, msg, report, metrics_fh)
                     if hello.sync:
                         # one answer per batch, so a serial device never waits it out
-                        text = metrics.to_json() if metrics is not None else json.dumps(
-                            {"batch_id": msg.batch_id, "rejected": reason or "out_of_order"})
+                        text = report.metrics[-1].to_json() if reason is None else json.dumps(
+                            {"batch_id": msg.batch_id, "rejected": reason})
                         transport.send(encode(MetricsSnapshot(text=text)))
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)

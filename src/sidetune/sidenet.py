@@ -8,9 +8,17 @@ Each adapter refines the running side activation ``s`` with the matching
 
 The final side state is blended with the last backbone tap through a
 learnable sigmoid gate, mean-pooled over positions, and classified by a
-linear head. Forward caches enough intermediates for an exact analytic
-reverse pass; backbone taps are constants, so no gradient ever points at
+linear head. Backbone taps are constants, so no gradient ever points at
 the device.
+
+A training-mode forward keeps what its exact analytic reverse pass reads
+(:class:`BackwardCache`): each adapter's input u, its pre-activation, the
+activation and, for gelu, the tanh inside it, and the layer norm's x̂
+and 1/σ, which the kernels hand out as they compute them. So the
+backward recomputes neither a layer-norm statistic nor a tanh. Both
+passes work in one :class:`Workspace` of buffers sized for a batch shape,
+written in place, so a caller that keeps the workspace (the server keeps
+one per session) allocates nothing batch-sized after its first step.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from .quantize import dequantize, quantize
 CHECKPOINT_MAGIC = b"MBSN"
 CHECKPOINT_VERSION = 1
 
-_SIGMA_CODES = {"gelu": 0, "relu": 1}
+NONLINEARITIES = ("gelu", "relu")
+_SIGMA_CODES = {name: code for code, name in enumerate(NONLINEARITIES)}
 _SIGMA_NAMES = {v: k for k, v in _SIGMA_CODES.items()}
 
 
@@ -118,19 +127,74 @@ class SideNetworkParams:
         yield from self._views
 
 
+class Workspace:
+    """The buffers of a side forward and backward over [B, S] batches.
+
+    Each buffer holds, in turn, arrays that are never alive together:
+
+    - taps: M + 1 slots. Slot 0 holds the side state's seed (the
+      embedding tap, or zeros without it), slot l ≥ 1 tap l. Adapter l's
+      input u_l = s_{l-1} + tap_l goes into slot l - 1, which holds s_0
+      (l = 1) or tap_{l-1}, already added into u_{l-1}. So the slots end
+      up holding u_1 … u_M, and slot M keeps tap_M, which the gate blend
+      then turns into its output z;
+    - work[0]: each adapter's y = core + u, the layer norm's input; in
+      the backward, the gradient of one adapter's output, then of the
+      one before;
+    - work[1]: each adapter's output s_l; in the backward, the other
+      half of that pair;
+    - pre, acts, tanh (gelu only), xhat, inv_std: per adapter, what the
+      backward reads. It then writes over an adapter's pre, acts and tanh
+      as it finishes with them.
+
+    A caller that keeps one workspace allocates nothing batch-sized per
+    step; the server builds it from its first batch's (B, S) and again
+    only when a batch's shape differs. Its buffers hold one step's
+    intermediates, so the next forward overwrites the last one's cache.
+    """
+
+    def __init__(self, config: SideConfig, batch: int, seq: int, dtype=np.float32):
+        n, h = config.adapters, config.hidden
+        self.shape = (batch, seq, h)
+        self.taps = tuple(np.empty(self.shape, dtype) for _ in range(n + 1))
+        self.work = (np.empty(self.shape, dtype), np.empty(self.shape, dtype))
+        self.xhat = np.empty((n, batch, seq, h), dtype)
+        self.inv_std = np.empty((n, batch, seq), dtype)
+        narrow = (n, batch, seq, config.bottleneck)
+        self.pre = np.empty(narrow, dtype)
+        self.acts = np.empty(narrow, dtype)
+        self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
+
+    def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
+        """The slots that `count` taps go in, in order: the last M of them,
+        or all M + 1 when the first tap is the embedding tap."""
+        return self.taps[len(self.taps) - count:]
+
+
 @dataclass
 class BackwardCache:
-    """Intermediates saved by a training-mode forward pass: only what
-    :func:`side_backward` reads."""
+    """What :func:`side_backward` reads of a training-mode forward, as
+    views into that forward's workspace; the backward also works in the
+    workspace and writes over pre_acts, acts and tanh. So a cache serves
+    one backward, before the next forward in the workspace.
+
+    The layer norm keeps x̂ and 1/σ rather than its input, so its backward
+    needs no statistic of its own. gelu keeps its tanh, from which gelu′
+    takes a few passes instead of a second tanh. The gate's gradient needs
+    tap_M − s_M only summed over positions, since the pooling spreads one
+    gradient evenly over them; the forward keeps that [B, H] sum.
+    """
 
     config: SideConfig
-    final_tap: np.ndarray             # tap_M, blended into the output
-    final_state: np.ndarray           # s_M
-    adapter_inputs: list[np.ndarray]  # u_l = s_{l-1} + tap_l
-    pre_acts: list[np.ndarray]        # u_l @ w_down
-    acts: list[np.ndarray]            # sigma(pre)
-    ln_inputs: list[np.ndarray]       # core + u, fed to each layer norm
-    gate_blend: float                 # sigmoid(combine_gate)
+    workspace: Workspace
+    adapter_inputs: tuple[np.ndarray, ...]  # u_l = s_{l-1} + tap_l
+    pre_acts: np.ndarray                    # u_l @ w_down, per adapter
+    tanh: np.ndarray | None                 # gelu's tanh of each pre-activation
+    acts: np.ndarray                        # sigma(pre)
+    xhat: np.ndarray                        # each layer norm's normalized input
+    inv_std: np.ndarray                     # and 1/σ of each of its rows
+    gate_blend: float                       # sigmoid(combine_gate)
+    final_gap: np.ndarray                   # Σ over positions of tap_M − s_M
     pooled: np.ndarray
     logits: np.ndarray
 
@@ -154,72 +218,92 @@ def side_forward(
     params: SideNetworkParams,
     config: SideConfig,
     training: bool = False,
+    ws: Workspace | None = None,
 ):
     """Run the side stack over dequantized taps.
 
     `taps` holds either M arrays (one per adapter) or M+1 when the first
     entry is the embedding tap seeding the side state; extra or missing
-    taps are a configuration error. Returns logits [B, C], plus a
-    :class:`BackwardCache` when `training` is set.
+    taps are a configuration error. The work runs in `ws` (a fresh
+    workspace when None): each tap is copied into its slot, unless it is
+    that slot already, as :func:`sidetune.quantize.dequantize` leaves it
+    when given the slot as `out`. The caller's own arrays are only read.
+    Returns logits [B, C], plus a :class:`BackwardCache` when `training`
+    is set.
     """
     m = config.adapters
-    if len(taps) == m + 1:
-        s = taps[0]
-        block_taps = taps[1:]
-    elif len(taps) == m:
-        s = np.zeros_like(taps[0])
-        block_taps = taps
-    else:
+    if len(taps) not in (m, m + 1):
         raise ValueError(
             f"got {len(taps)} taps for {m} adapters (expected {m} or {m + 1})"
         )
+    if ws is None:
+        ws = Workspace(config, *taps[0].shape[:2], taps[0].dtype)
+    if any(t.shape != ws.shape for t in taps):
+        raise ValueError(f"tap shapes {[t.shape for t in taps]}, workspace {ws.shape}")
+    for tap, slot in zip(taps, ws.tap_slots(len(taps))):
+        if tap is not slot:
+            np.copyto(slot, tap)
+    if len(taps) == m:
+        ws.taps[0].fill(0)
 
-    adapter_inputs, pre_acts, acts, ln_inputs = [], [], [], []
-    for tap, ad in zip(block_taps, params.adapters):
-        u = s + tap
-        pre = kernels.fast_matmul(u, ad.w_down)
-        act = kernels.nonlinearity(pre, config.nonlinearity)
-        core = kernels.fast_matmul(act, ad.w_up)
-        y = core + u
-        s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS)
-        adapter_inputs.append(u)
-        pre_acts.append(pre)
-        acts.append(act)
-        ln_inputs.append(y)
+    y, s = ws.work
+    state = ws.taps[0]
+    for l, ad in enumerate(params.adapters):
+        u = np.add(state, ws.taps[l + 1], out=ws.taps[l])
+        pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
+        act = kernels.nonlinearity(pre, config.nonlinearity, out=ws.acts[l],
+                                   tanh=None if ws.tanh is None else ws.tanh[l])
+        kernels.fast_matmul(act, ad.w_up, out=y)
+        y += u
+        state = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
+                                   xhat=ws.xhat[l], std=ws.inv_std[l])
+        np.divide(1, ws.inv_std[l], out=ws.inv_std[l])
 
     blend = kernels.sigmoid(params.combine_gate)
-    final_tap = block_taps[-1]
-    z = blend * final_tap + (1 - blend) * s
+    final_tap = ws.taps[m]
+    gap = np.add.reduce(final_tap, axis=1) - np.add.reduce(s, axis=1) if training else None
+    # z = blend * tap_M + (1 - blend) * s_M, in the slot of tap_M
+    z = np.multiply(final_tap, blend, out=final_tap)
+    s *= 1 - blend
+    z += s
     pooled = kernels.mean_pool(z)
     logits = kernels.fast_matmul(pooled, params.head_weight) + params.head_bias
 
     if not training:
         return logits, None
     cache = BackwardCache(
-        config=config, final_tap=final_tap, final_state=s,
-        adapter_inputs=adapter_inputs, pre_acts=pre_acts, acts=acts,
-        ln_inputs=ln_inputs, gate_blend=float(blend), pooled=pooled,
-        logits=logits,
+        config=config, workspace=ws, adapter_inputs=ws.taps[:m], pre_acts=ws.pre,
+        tanh=ws.tanh, acts=ws.acts, xhat=ws.xhat, inv_std=ws.inv_std,
+        gate_blend=float(blend), final_gap=gap, pooled=pooled, logits=logits,
     )
     return logits, cache
 
 
-def _layer_norm_backward(d_out, x, gamma, eps):
-    """Gradients of layer_norm wrt its input and affine parameters."""
-    mu = x.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True, dtype=x.dtype)
-    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = (x - mu) * inv_std
+def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch):
+    """Layer norm's backward in place: `d` comes in as the gradient of
+    the output and leaves as that of the input; the gradients of gamma
+    and beta go into `grads`. With d̂ = d · gamma,
 
-    axes = tuple(range(x.ndim - 1))
-    d_gamma = (d_out * xhat).sum(axis=axes, dtype=x.dtype)
-    d_beta = d_out.sum(axis=axes, dtype=x.dtype)
+        dx = (d̂ - mean(d̂) - x̂ · mean(d̂ · x̂)) / σ,
 
-    d_xhat = d_out * gamma
-    mean1 = d_xhat.mean(axis=-1, keepdims=True, dtype=x.dtype)
-    mean2 = (d_xhat * xhat).mean(axis=-1, keepdims=True, dtype=x.dtype)
-    d_x = (d_xhat - mean1 - xhat * mean2) * inv_std
-    return d_x, d_gamma, d_beta
+    the means taken over each row. Row and column sums run in
+    :func:`numpy.einsum`, as in the forward; `scratch` holds x̂ · mean(d̂ · x̂).
+    """
+    h = d.shape[-1]
+    dm, xm = d.reshape(-1, h), xhat.reshape(-1, h)
+    np.einsum("ij,ij->j", dm, xm, out=grads.ln_gamma)
+    np.einsum("ij->j", dm, out=grads.ln_beta)
+    dm *= gamma
+    size = d.dtype.type(h)
+    mean = np.einsum("ij->i", dm)
+    mean /= size
+    mean_x = np.einsum("ij,ij->i", dm, xm)
+    mean_x /= size
+    dm -= mean[:, None]
+    sm = np.multiply(xm, mean_x[:, None], out=scratch.reshape(-1, h))
+    dm -= sm
+    dm *= inv_std.reshape(-1, 1)
+    return d
 
 
 def side_backward(
@@ -230,7 +314,8 @@ def side_backward(
     """Exact reverse pass; returns gradients shaped like `params`.
 
     Backbone taps are treated as constants -- the gradient set contains
-    only side-network tensors.
+    only side-network tensors. Works in the forward's workspace (see
+    :class:`BackwardCache`).
     """
     if cache is None:
         raise ValueError("backward needs the cache from a training-mode forward")
@@ -239,46 +324,41 @@ def side_backward(
         raise ValueError("cache does not match the given parameters and output grad")
 
     grads = SideNetworkParams(cfg, np.zeros_like(params.flat))
-    pooled = cache.pooled
-    s_len = cache.final_tap.shape[1]
+    dtype = d_logits.dtype.type
+    s_len = cache.workspace.shape[1]
 
     # head
-    grads.head_weight[...] = kernels.fast_matmul(pooled.T, d_logits)
+    grads.head_weight[...] = kernels.fast_matmul(cache.pooled.T, d_logits)
     grads.head_bias[...] = d_logits.sum(axis=0, dtype=d_logits.dtype)
-    d_pooled = kernels.fast_matmul(d_logits, params.head_weight.T)
-
     # mean pooling spreads the gradient uniformly over positions
-    d_z = np.broadcast_to(
-        d_pooled[:, None, :] / d_logits.dtype.type(s_len),
-        cache.final_tap.shape,
-    ).copy()
+    d_z = kernels.fast_matmul(d_logits, params.head_weight.T)
+    d_z /= dtype(s_len)
 
-    # gate blend z = a * tap_M + (1 - a) * s_M
-    a = d_logits.dtype.type(cache.gate_blend)
-    d_s = (1 - a) * d_z
-    d_blend = (d_z * (cache.final_tap - cache.final_state)).sum(dtype=d_logits.dtype)
+    # gate blend z = a * tap_M + (1 - a) * s_M; d_z is the same at every
+    # position, so the gate's gradient needs tap_M - s_M summed over them
+    a = dtype(cache.gate_blend)
+    d_blend = (d_z * cache.final_gap).sum(dtype=d_logits.dtype)
     grads.combine_gate[...] = d_blend * a * (1 - a)
+    d_s, spare = cache.workspace.work
+    np.multiply(d_z[:, None, :], 1 - a, out=d_s)
 
+    rows = lambda t: t.reshape(-1, t.shape[-1])
     for l in reversed(range(len(params.adapters))):
-        ad = params.adapters[l]
-        d_y, d_gamma, d_beta = _layer_norm_backward(
-            d_s, cache.ln_inputs[l], ad.ln_gamma, kernels.LN_EPS
-        )
-        g = grads.adapters[l]
-        g.ln_gamma[...] = d_gamma
-        g.ln_beta[...] = d_beta
+        ad, g = params.adapters[l], grads.adapters[l]
+        d_y = _layer_norm_backward(d_s, cache.xhat[l], cache.inv_std[l], ad.ln_gamma, g,
+                                   spare)
 
-        # y = act @ w_up + u
-        u = cache.adapter_inputs[l]
+        # y = act @ w_up + u; act's buffer takes d_act once w_up's gradient has read it
         act = cache.acts[l]
-        rows = lambda t: t.reshape(-1, t.shape[-1])
-        g.w_up[...] = kernels.fast_matmul(rows(act).T, rows(d_y))
-        d_act = kernels.fast_matmul(d_y, ad.w_up.T)
-        d_pre = d_act * kernels.nonlinearity_grad(cache.pre_acts[l], cfg.nonlinearity)
-        g.w_down[...] = kernels.fast_matmul(rows(u).T, rows(d_pre))
-        d_u = d_y + kernels.fast_matmul(d_pre, ad.w_down.T)
-
-        d_s = d_u  # taps are constants; only s_{l-1} carries gradient
+        kernels.fast_matmul(rows(act).T, rows(d_y), out=g.w_up)
+        d_pre = kernels.fast_matmul(d_y, ad.w_up.T, out=act)
+        kernels.nonlinearity_backward(d_pre, cache.pre_acts[l], cfg.nonlinearity,
+                                      tanh=None if cache.tanh is None else cache.tanh[l])
+        kernels.fast_matmul(rows(cache.adapter_inputs[l]).T, rows(d_pre), out=g.w_down)
+        if l:  # taps are constants; only s_{l-1} carries gradient, and s_0 is a tap
+            d_u = kernels.fast_matmul(d_pre, ad.w_down.T, out=spare)
+            d_u += d_y
+            d_s, spare = d_u, d_y
     return grads
 
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .quantize import dequantize
-from .sidenet import SideConfig, SideNetworkParams, side_backward, side_forward
+from .sidenet import SideConfig, SideNetworkParams, Workspace, side_backward, side_forward
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +120,11 @@ class IterationMetrics:
 
 @dataclass
 class TrainState:
-    """Everything the server mutates while consuming activation batches."""
+    """Everything the server mutates while consuming activation batches.
+
+    `workspace` holds the side network's buffers for the session's batch
+    shape: built by the first step, and again by a step whose batch has
+    another (B, S)."""
 
     config: SideConfig
     params: SideNetworkParams
@@ -127,6 +132,12 @@ class TrainState:
     loss_kind: str = "cross_entropy"
     last_batch_id: int = -1
     dropped: int = 0
+    workspace: Workspace | None = field(default=None, repr=False, compare=False)
+
+
+class NonFiniteStep(ValueError):
+    """A step whose loss or gradient is not finite; it left the parameters
+    and the optimizer state as they were."""
 
 
 def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
@@ -134,7 +145,10 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
 
     `batch` is an ActBatch-shaped object carrying ``batch_id``, ``labels``
     and ``taps`` (quantized, in block order). Batches must arrive with
-    strictly increasing ids; anything else is logged and dropped.
+    strictly increasing ids; anything else is logged and dropped. A
+    finite but huge tap can still overflow the side network; when the
+    loss or the gradient is not finite, the step raises
+    :class:`NonFiniteStep` before the optimizer moves.
     """
     if batch.batch_id <= state.last_batch_id:
         state.dropped += 1
@@ -144,15 +158,25 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
     state.last_batch_id = batch.batch_id
 
     bytes_in = sum(len(q.codes) for q in batch.taps)
+    b, s, _ = batch.taps[0].shape
+    ws = state.workspace
+    if ws is None or ws.shape[:2] != (b, s):
+        ws = state.workspace = Workspace(state.config, b, s)
+    slots = ws.tap_slots(len(batch.taps))
 
     t0 = time.perf_counter()
-    taps = [dequantize(q) for q in batch.taps]
+    taps = [dequantize(q, out=slot) for q, slot in zip(batch.taps, slots)]
     t1 = time.perf_counter()
-    logits, cache = side_forward(taps, state.params, state.config, training=True)
+    logits, cache = side_forward(taps, state.params, state.config, training=True, ws=ws)
     labels = np.asarray(batch.labels)
     loss, d_logits = loss_and_grad(logits, labels, state.loss_kind)
+    if not math.isfinite(loss):
+        raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
     t2 = time.perf_counter()
     grads = side_backward(cache, d_logits, state.params)
+    norm = grad_norm(grads)
+    if not math.isfinite(norm):
+        raise NonFiniteStep(f"batch {batch.batch_id}: gradient norm {norm}")
     t3 = time.perf_counter()
     adam_step(state.params, grads, state.adam)
     t4 = time.perf_counter()
@@ -162,7 +186,7 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
         acc = float((logits.argmax(axis=1) == labels).mean())
     return IterationMetrics(
         batch_id=int(batch.batch_id), loss=loss, acc=acc,
-        grad_norm=grad_norm(grads),
+        grad_norm=norm,
         t_deq_ms=(t1 - t0) * 1e3, t_fwd_ms=(t2 - t1) * 1e3,
         t_bwd_ms=(t3 - t2) * 1e3, t_opt_ms=(t4 - t3) * 1e3,
         bytes_in=bytes_in,

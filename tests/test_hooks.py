@@ -7,7 +7,17 @@ import importlib
 
 import pytest
 
-from sidetune import BackboneConfig, DeviceConfig, SyntheticTask, backbone, device
+from sidetune import (
+    BackboneConfig,
+    DeviceConfig,
+    ServerConfig,
+    SyntheticTask,
+    backbone,
+    device,
+    kernels,
+    server,
+    training,
+)
 
 HOOKS = {
     "device": ("make_batch", "forward_collect", "quantize", "encode"),
@@ -54,3 +64,21 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
     # one layer call per layer and slab; this small batch is one slab
     assert backbone.slab_sequences(15, model, "float32") >= config.batch_size
     assert len(layers) == config.total_iterations * model.layers
+
+
+def test_train_iteration_calls_each_patched_server_kernel_once_per_use(monkeypatch):
+    model = BackboneConfig(vocab_size=16, hidden=16, layers=2, heads=2, max_seq=15,
+                           block_cuts=(1, 2))
+    config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15), batch_size=4,
+                          iterations=2)
+    weights = device.load_device_backbone(config)
+    batches = [device.compute_batch(weights, config, i)[0] for i in range(2)]
+    state = server._make_state(ServerConfig(backbone=model, bottleneck=8))
+    dequantizes = counting(monkeypatch, training, "dequantize")
+    layer_norms = counting(monkeypatch, kernels, "layer_norm")
+    mean_pools = counting(monkeypatch, kernels, "mean_pool")
+    for i, batch in enumerate(batches, start=1):  # the first step builds the workspace
+        training.train_iteration(state, batch)
+        assert len(dequantizes) == i * model.gamma
+        assert len(layer_norms) == i * model.num_blocks
+        assert len(mean_pools) == i

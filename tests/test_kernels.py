@@ -232,7 +232,9 @@ class TestNonlinearities:
 
     def test_gelu_grad_matches_finite_differences(self):
         x = np.linspace(-3, 3, 13)
-        g = kernels.nonlinearity_grad(x, "gelu")
+        t = np.empty_like(x)
+        kernels.gelu(x, tanh=t)
+        g = kernels.nonlinearity_backward(np.ones_like(x), x.copy(), "gelu", tanh=t)
         h = 1e-7
         num = (kernels.gelu(x + h) - kernels.gelu(x - h)) / (2 * h)
         np.testing.assert_allclose(g, num, atol=1e-6)
@@ -299,6 +301,30 @@ class TestOutBuffers:
         fn, args = out_cases(np.float32)[name]
         with pytest.raises(ValueError):
             fn(*args, out=args[0])
+
+    def test_layer_norm_keeps_xhat_and_sigma_without_changing_a_bit(self):
+        fn, (x, gamma, beta) = out_cases(np.float32)["layer_norm"]
+        xhat, std = np.empty_like(x), np.empty(x.shape[:-1], np.float32)
+        out = fn(x, gamma, beta, xhat=xhat, std=std)
+        np.testing.assert_array_equal(out, fn(x, gamma, beta))
+        np.testing.assert_array_equal(out, xhat * gamma + beta)
+        x64 = x.astype(np.float64)
+        np.testing.assert_allclose(std, np.sqrt(x64.var(axis=-1) + kernels.LN_EPS), rtol=1e-6)
+        for bad in ({"xhat": x}, {"xhat": out}, {"std": std[:, 1:]}):
+            with pytest.raises(ValueError):
+                fn(x, gamma, beta, out=out, **{"xhat": xhat, "std": std, **bad})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_its_tanh_without_changing_a_bit(self, dtype):
+        fn, (x,) = out_cases(dtype)["gelu"]
+        t = np.empty_like(x)
+        out = fn(x, tanh=t)
+        np.testing.assert_array_equal(out, fn(x))
+        c, a = dtype(kernels.GELU_COEF), dtype(kernels.GELU_CUBIC)
+        np.testing.assert_array_equal(t, np.tanh(c * (x + a * x * x * x)))
+        for bad in (x, out):
+            with pytest.raises(ValueError):
+                fn(x, out=out, tanh=bad)
 
     @pytest.mark.parametrize("strided", ["x", "out", "both"])
     @pytest.mark.parametrize("rows", ["every_other_row", "sequence_prefix"])

@@ -1,10 +1,10 @@
 """A session that ends abnormally still returns promptly, with its report
 and checkpoint; one whose handshake fails returns its report without a
 checkpoint; a frame longer than the session's largest batch ends it at
-once; and a batch that does not fit the session is rejected and
-counted: peer input never hangs or kills the server silently. In a sync
-session every batch gets one snapshot, so a serial device never waits
-out its timeout on a rejected batch."""
+once; and a batch that does not fit the session, or whose step
+overflows, is rejected and counted: peer input never hangs or kills the
+server silently. In a sync session every batch gets one snapshot, so a
+serial device never waits out its timeout on a rejected batch."""
 
 import dataclasses
 import io
@@ -222,6 +222,10 @@ def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_pat
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
+# a batch that passes validate_batch but overflows the step: every code is
+# nf4's +1, and the scale is finite but near float32's largest value
+OVERFLOWING = {"scale": 3e38, "codes": b"\xff" * (BATCH * 3 * BACKBONE.hidden // 2)}
+
 INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
     "scheme": ("scheme", "nf4", {"scheme": "fp8_e4m3"}),
     "tap_count": ("taps", "nf4", {"taps": BACKBONE.gamma - 1}),
@@ -233,6 +237,7 @@ INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
     "non_finite_scale": ("non_finite", "nf4", {"scale": float("nan")}),
     "non_finite_codes": ("non_finite", "none_fp16", {"codes": np.full(
         (BATCH, 3, BACKBONE.hidden), np.nan, dtype=np.float16).tobytes()}),
+    "non_finite_step": ("non_finite", "nf4", OVERFLOWING),
 }
 
 
@@ -247,9 +252,28 @@ def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path,
     assert report.iterations == 1 and report.dropped == 0
 
 
+def test_a_step_that_overflows_changes_nothing_the_next_step_reads(tmp_path):
+    # nonzero taps, so that the two good steps move the parameters
+    good = {"codes": bytes(range(BATCH * 3 * BACKBONE.hidden // 2))}
+    runs = {}
+    for name, frames in {
+        "with": [batch(0, **good), batch(1, **OVERFLOWING), batch(2, **good)],
+        "without": [batch(0, **good), batch(2, **good)],
+    }.items():
+        out, ckpt = serve_one(tmp_path, frames + [encode(Bye())])
+        runs[name] = out["report"], ckpt.read_bytes()
+    (report, ckpt), (expected, expected_ckpt) = runs["with"], runs["without"]
+    assert report.invalid == {"non_finite": 1} and report.iterations == 2
+    assert report.losses == expected.losses and all(np.isfinite(report.losses))
+    assert report.state.adam.t == 2
+    assert ckpt == expected_ckpt
+
+
 SYNC_SESSIONS = {
     # batches sent, and the "rejected" reason each snapshot must name (None: trained)
     "label_range": ([batch(0, labels=(0, 2)), batch(1)], ["label_range", None]),
+    "non_finite_step": ([batch(0), batch(1, **OVERFLOWING), batch(2)],
+                        [None, "non_finite", None]),
     "out_of_order": ([batch(0), batch(0), batch(1)], [None, "out_of_order", None]),
 }
 

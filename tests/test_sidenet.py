@@ -1,0 +1,175 @@
+"""The side network's step against the formulas it replaced, and its
+workspace: after a session's first batch a step allocates less than one
+tap, and a workspace kept across steps of changing shape gives the bits
+of a fresh one per step."""
+
+import dataclasses
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sidetune import SideConfig, TrainState, init_adam, init_side, kernels, quantize, save_side
+from sidetune.sidenet import NONLINEARITIES, SideNetworkParams, side_backward, side_forward
+from sidetune.training import loss_and_grad, train_iteration
+from sidetune.wire import ActBatch
+
+CONFIG = SideConfig(hidden=32, bottleneck=16, adapters=4, classes=2)
+GAMMA = CONFIG.adapters + 1  # with the embedding tap
+
+
+def oracle_gelu_grad(x):
+    """gelu'(x) from its own tanh: the formula the backward used before it
+    read the forward's tanh."""
+    c = x.dtype.type(kernels.GELU_COEF)
+    a = x.dtype.type(kernels.GELU_CUBIC)
+    half = x.dtype.type(0.5)
+    t = np.tanh(c * (x + a * x * x * x))
+    sech2 = 1 - t * t
+    return half * (1 + t) + half * x * sech2 * c * (1 + 3 * a * x * x)
+
+
+def oracle_layer_norm_backward(d_out, x, gamma, eps):
+    """Layer norm's gradients from its input x, recomputing mean, variance
+    and x̂: the formula the backward used before the forward kept x̂, 1/σ."""
+    mu = x.mean(axis=-1, keepdims=True, dtype=x.dtype)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True, dtype=x.dtype)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mu) * inv_std
+    axes = tuple(range(x.ndim - 1))
+    d_gamma = (d_out * xhat).sum(axis=axes, dtype=x.dtype)
+    d_beta = d_out.sum(axis=axes, dtype=x.dtype)
+    d_xhat = d_out * gamma
+    mean1 = d_xhat.mean(axis=-1, keepdims=True, dtype=x.dtype)
+    mean2 = (d_xhat * xhat).mean(axis=-1, keepdims=True, dtype=x.dtype)
+    return (d_xhat - mean1 - xhat * mean2) * inv_std, d_gamma, d_beta
+
+
+def oracle_step(taps, params, config, labels):
+    """(logits, gradients) of one step with fresh arrays throughout, the
+    forward keeping each layer norm's input and the backward recomputing
+    from it."""
+    s, block_taps = (taps[0], taps[1:]) if len(taps) > config.adapters else (
+        np.zeros_like(taps[0]), taps)
+    kept = []
+    for tap, ad in zip(block_taps, params.adapters):
+        u = s + tap
+        pre = u @ ad.w_down
+        act = kernels.gelu(pre) if config.nonlinearity == "gelu" else np.maximum(pre, 0)
+        y = act @ ad.w_up + u
+        s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS)
+        kept.append((u, pre, act, y))
+    blend = kernels.sigmoid(params.combine_gate)
+    final_tap = block_taps[-1]
+    pooled = kernels.mean_pool(blend * final_tap + (1 - blend) * s)
+    logits = pooled @ params.head_weight + params.head_bias
+    _, d_logits = loss_and_grad(logits, labels)
+
+    grads = SideNetworkParams(config, np.zeros_like(params.flat))
+    grads.head_weight[...] = pooled.T @ d_logits
+    grads.head_bias[...] = d_logits.sum(axis=0)
+    d_pooled = d_logits @ params.head_weight.T
+    d_z = np.broadcast_to(d_pooled[:, None, :] / final_tap.shape[1], final_tap.shape)
+    a = d_logits.dtype.type(blend)
+    d_s = (1 - a) * d_z
+    grads.combine_gate[...] = (d_z * (final_tap - s)).sum() * a * (1 - a)
+    for l in reversed(range(config.adapters)):
+        u, pre, act, y = kept[l]
+        ad, g = params.adapters[l], grads.adapters[l]
+        d_y, g.ln_gamma[...], g.ln_beta[...] = oracle_layer_norm_backward(
+            d_s, y, ad.ln_gamma, kernels.LN_EPS)
+        rows = lambda t: t.reshape(-1, t.shape[-1])
+        g.w_up[...] = rows(act).T @ rows(d_y)
+        sigma_grad = oracle_gelu_grad(pre) if config.nonlinearity == "gelu" else pre > 0
+        d_pre = (d_y @ ad.w_up.T) * sigma_grad
+        g.w_down[...] = rows(u).T @ rows(d_pre)
+        d_s = d_y + d_pre @ ad.w_down.T
+    return logits, grads
+
+
+def random_batch(rng, batch_id, shape, scheme="nf4"):
+    taps = tuple(quantize(rng.normal(size=shape).astype(np.float32), scheme)
+                 for _ in range(GAMMA))
+    labels = tuple(int(y) for y in rng.integers(0, CONFIG.classes, size=shape[0]))
+    return ActBatch(batch_id=batch_id, labels=labels, taps=taps)
+
+
+def new_state():
+    params = init_side(CONFIG, 1)
+    return TrainState(config=CONFIG, params=params, adam=init_adam(params, lr=5e-3))
+
+
+def trained_params():
+    """Parameters after 20 steps, so the head is no longer zero."""
+    rng = np.random.default_rng(3)
+    state = new_state()
+    for i in range(20):
+        train_iteration(state, random_batch(rng, i, (8, 15, CONFIG.hidden)))
+    assert np.abs(state.params.head_weight).min() > 0
+    return state.params
+
+
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+@pytest.mark.parametrize("embedding_tap", [True, False], ids=["embedding_tap", "no_embedding_tap"])
+def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
+    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+    params = trained_params()
+    rng = np.random.default_rng(4)
+    taps = [(rng.normal(size=(8, 15, CONFIG.hidden)) * 2).astype(np.float32)
+            for _ in range(GAMMA)][0 if embedding_tap else 1:]
+    labels = rng.integers(0, CONFIG.classes, size=8)
+    before = [t.copy() for t in taps]
+
+    logits, cache = side_forward(taps, params, config, training=True)
+    grads = side_backward(cache, loss_and_grad(logits, labels)[1], params)
+    expected_logits, expected = oracle_step(taps, params, config, labels)
+
+    assert logits.tobytes() == expected_logits.tobytes()
+    for (name, got), (_, want) in zip(grads.named_tensors(), expected.named_tensors()):
+        assert got.dtype == np.float32
+        # measured at most 4e-7 of each tensor's largest entry
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
+    for t, b in zip(taps, before):
+        np.testing.assert_array_equal(t, b)
+
+
+def test_after_the_first_step_a_step_allocates_less_than_one_tap():
+    shape = (16, 127, CONFIG.hidden)
+    tap_bytes = np.prod(shape) * 4
+    rng = np.random.default_rng(5)
+    batches = [random_batch(rng, i, shape) for i in range(3)]
+    state = new_state()
+    train_iteration(state, batches[0])
+    tracemalloc.start()
+    try:
+        train_iteration(state, batches[1])
+        tracemalloc.reset_peak()
+        train_iteration(state, batches[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what a steady step still allocates is parameter-sized (the gradients,
+    # Adam's temporaries) or smaller (per-row statistics); about 100 KB here
+    assert peak < tap_bytes
+
+
+def run(batches, fresh_workspace):
+    state = new_state()
+    losses = []
+    for b in batches:
+        if fresh_workspace:
+            state.workspace = None
+        losses.append(train_iteration(state, b).loss)
+    buf = io.BytesIO()
+    save_side(buf, state.params, state.config)
+    return losses, buf.getvalue()
+
+
+@pytest.mark.parametrize("scheme", ["none_fp16", "nf4"])
+def test_a_workspace_kept_across_changing_shapes_changes_no_bit(scheme):
+    rng = np.random.default_rng(6)
+    batches = [random_batch(rng, i, (4, s, CONFIG.hidden), scheme)
+               for i, s in enumerate((15, 31, 15, 15))]
+    kept = run(batches, fresh_workspace=False)
+    assert kept == run(batches, fresh_workspace=True)
