@@ -16,29 +16,39 @@ sequences, sized from the input's shape and dtype so that a slab's
 widest buffer is about SLAB_BYTES, and attention runs over query tiles
 of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
 change no bit of the taps, unless the attention's score bound, taken
-per slab, falls on both sides of EXP_SAFE (see :func:`_self_attention`).
+per slab, falls on both sides of its limit (see :func:`_self_attention`).
 
-One :class:`Workspace` per forward holds every intermediate of a slab,
-so the layer loop allocates nothing but the layer outputs. Tiles, slabs
-and layers reuse its buffers, and each slab's last layer norm writes
-straight into its rows of the layer output.
+One :class:`Workspace` holds every intermediate of a slab, so the layer
+loop allocates nothing. Tiles, slabs and layers reuse its buffers, and
+each slab's last layer norm writes straight into its rows of the layer
+output. A caller that runs many forwards keeps a
+:class:`ForwardWorkspace`: that workspace, the taps and the fused
+weights' buffers, built once per batch shape, so a forward allocates
+nothing batch-sized.
 
-The attention defers the softmax division to the context, as
+The attention projects a slab in one product: a fused weight
+(:func:`_fuse_qkv`) times each sequence's xᵀ gives qᵀ, kᵀ and, per head,
+vᵀ over a row of ones, already head-major, so no projection is copied
+into another layout. It defers the softmax division to the context, as
 FlashAttention does: a tile's scores are exponentiated, and one product
-with the values, which carry a ones row, gives both the numerator and
-the row sum. The scale is folded into q. The usual shift of each row by
-its max only guards exp against overflow, so it is skipped when a
-Cauchy–Schwarz bound on the scores, max ‖q_i‖·max ‖k_j‖, is at most
-EXP_SAFE: then no score can overflow a row sum or underflow a whole row
-to zero. A larger or non-finite bound takes the max-shifted path. So the
-attention agrees with the full formula to rounding, not bit for bit:
-within 1e-6 × max |output| (the tests' bound; measured gaps are about
-2e-7 of it).
+with the values, whose ones row rides along, gives both the numerator
+and the row sum. The scale, times log2(e), is folded into the fused
+weight's q rows, so the exponent is exp2, as in FlashAttention-2. The
+usual shift of each row by its max only guards the exponent against
+overflow, so it is skipped when a Cauchy–Schwarz bound on the scores,
+max ‖q_i‖·max ‖k_j‖, is at most EXP_SAFE·log2(e): then no score can
+overflow a row sum or underflow a whole row to zero. The causal mask is
+then a 0/1 product after the exponent, so exp2 never meets -inf and
+stays on numpy's fast path. A larger or non-finite bound takes the
+max-shifted path. So the attention agrees with the full formula to
+rounding, not bit for bit: within 1e-6 × max |output| (the tests'
+bound; measured gaps are about 2e-7 of it).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -70,6 +80,10 @@ SLAB_BYTES = 512 * 1024
 # keys sums far below float32's 3.4e38, and e^-30 is about 1e-13, a normal
 # float32 whose rows cannot sum to zero
 EXP_SAFE = 30.0
+# the exponent runs in base 2: q carries log2(e), and the max-shifted path
+# takes its scores back to base e by ln(2)
+LOG2E = 1.4426950408889634
+LN2 = 0.6931471805599453
 
 
 @dataclass(frozen=True)
@@ -219,42 +233,39 @@ class Workspace:
     Each buffer holds, in turn, arrays that are never alive together:
 
     - wide[0]: one attention tile's scores, then the FFN expansion;
-    - wide[1]: the attention's head-major qᵀ and k, then the gelu of the
-      expansion;
-    - proj: each projection, then the attention output, then the FFN
-      output;
+    - wide[1]: the product of the fused QKV weight (:func:`_fuse_qkv`) and
+      the slab, [n, 2H + heads·(hd + 1), s]: the head-major qᵀ, then kᵀ,
+      then per head its vᵀ with a row of ones under it; then the gelu of
+      the expansion. The ones row makes the product of the values and a
+      tile's weights also sum each of the tile's weight rows;
+    - proj: the slab's xᵀ, the fused product's right operand, then the
+      attention output, then the FFN output;
     - ctx: the attention context, then u, the first layer norm's output.
 
     With the usual FFN width of 4H or more, each wide one is at most
-    SLAB_BYTES when `n` comes from :func:`slab_sequences`. vᵀ has a buffer
-    of its own, because it keeps a row of ones under its hd rows: so the
-    product of the values and a tile's weights also sums each of the
-    tile's weight rows.
+    SLAB_BYTES when `n` comes from :func:`slab_sequences`.
 
     Two constant arrays mask a tile's diagonal block, where key j comes
-    after query i when j > i. `causal` is the block in the memory
-    order of a tile's key-major scores, [tile, n, heads, tile], holding
-    -inf at (j, ·, ·, i) for j > i and 0 elsewhere: one contiguous add
-    masks the block and leaves the value of every finite score. Its
-    [tile, n × heads × tile] floats are 64 KiB at n = 4 and 256 KiB at
-    n = 16 in float32. `mask` is the same pattern as a [query, key] bool
-    array, for the max-shifted path, which writes -inf where the scores
-    may not be finite.
+    after query i when j > i. `keep` is the block in the memory order of
+    a tile's key-major weights, [tile, n, heads, tile], holding 0 at
+    (j, ·, ·, i) for j > i and 1 elsewhere: one contiguous product
+    after the exponent zeroes the masked weights. Its [tile, n × heads ×
+    tile] floats are 64 KiB at n = 4 and 256 KiB at n = 16 in float32.
+    `mask` is the same pattern as a [query, key] bool array, for the
+    max-shifted path, which writes -inf over its masked scores.
     """
 
     def __init__(self, n: int, s: int, hidden: int, heads: int, ffn_dim: int, dtype):
         hd = hidden // heads
         tile = min(ATTN_TILE, s)
-        wide = n * s * max(ffn_dim, heads * tile, 2 * hidden)
+        wide = n * s * max(ffn_dim, heads * tile, _qkv_rows(hidden, heads))
         self.wide = (np.empty(wide, dtype), np.empty(wide, dtype))
         self.tile_ctx = np.empty(n * heads * (hd + 1) * tile, dtype)
         self.proj = np.empty((n, s, hidden), dtype)
         self.ctx = np.empty((n, s, heads, hd), dtype)
-        self.vt = np.empty((n, heads, hd + 1, s), dtype)
-        self.vt[:, :, hd] = 1
         self.mask = np.triu(np.ones((tile, tile), dtype=bool), k=1)
-        self.causal = np.zeros((tile, n, heads, tile), dtype)
-        self.causal.transpose(1, 2, 3, 0)[..., self.mask] = -np.inf
+        self.keep = np.ones((tile, n, heads, tile), dtype)
+        self.keep.transpose(1, 2, 3, 0)[..., self.mask] = 0
 
     @classmethod
     def for_input(cls, x: np.ndarray, lw: LayerWeights, heads: int) -> "Workspace":
@@ -263,73 +274,114 @@ class Workspace:
         return cls(b, s, h, heads, lw.w_up.shape[1], x.dtype)
 
 
+def _qkv_rows(hidden: int, heads: int) -> int:
+    """Rows of the fused QKV weight: qᵀ, kᵀ, and vᵀ with a ones row per head."""
+    return 2 * hidden + heads * (hidden // heads + 1)
+
+
+def _fuse_qkv(lw: LayerWeights, heads: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The weight and bias whose product with a sequence's xᵀ [H, S] is its
+    attention input, head-major: [2H + heads·(hd + 1), H] and the matching
+    bias, written into `out` (a (weight, bias) pair) when given.
+
+    The rows are Wqᵀ scaled by log2(e)/√hd, then Wkᵀ, then for each head
+    its hd rows of Wvᵀ and a zero row; the bias is b_q, scaled the same
+    way, then b_k, then for each head its b_v and a 1. So the product
+    gives qᵀ in the base-2 units of :func:`_self_attention`'s exponent,
+    kᵀ, and each head's vᵀ over a row of ones.
+    """
+    h = lw.w_q.shape[0]
+    hd = h // heads
+    dtype = lw.w_q.dtype
+    if out is None:
+        rows = _qkv_rows(h, heads)
+        out = np.empty((rows, h), dtype), np.empty(rows, dtype)
+    w, bias = out
+    scale = dtype.type(LOG2E / np.sqrt(hd))
+    np.multiply(lw.w_q.T, scale, out=w[:h])
+    np.copyto(w[h:2 * h], lw.w_k.T)
+    wv, bv = w[2 * h:].reshape(heads, hd + 1, h), bias[2 * h:].reshape(heads, hd + 1)
+    np.copyto(wv[:, :hd], lw.w_v.T.reshape(heads, hd, h))
+    wv[:, hd] = 0
+    np.multiply(lw.b_q, scale, out=bias[:h])
+    np.copyto(bias[h:2 * h], lw.b_k)
+    np.copyto(bv[:, :hd], lw.b_v.reshape(heads, hd))
+    bv[:, hd] = 1
+    return w, bias
+
+
 def _head(buf: np.ndarray, shape) -> np.ndarray:
     """The first elements of the flat `buf` as a contiguous array of `shape`."""
-    return buf[:np.prod(shape)].reshape(shape)
+    return buf[:math.prod(shape)].reshape(shape)
 
 
-def _score_bound(qt: np.ndarray, k: np.ndarray) -> float:
-    """An upper bound on every |q_i · k_j| of the head-major qᵀ [B, heads,
-    hd, S] and k [B, heads, S, hd]: by Cauchy–Schwarz, the largest
-    product of the longest query and the longest key of one sequence and
-    head. NaN or inf when an entry is not finite."""
+def _score_bound(qt: np.ndarray, kt: np.ndarray) -> float:
+    """An upper bound on every |q_i · k_j| of the head-major qᵀ and kᵀ
+    [B, heads, hd, S]: by Cauchy–Schwarz, the largest product of the
+    longest query and the longest key of one sequence and head. NaN or
+    inf when an entry is not finite."""
     qq = np.einsum("bhds,bhds->bhs", qt, qt).max(axis=-1)
-    kk = np.einsum("bhsd,bhsd->bhs", k, k).max(axis=-1)
+    kk = np.einsum("bhds,bhds->bhs", kt, kt).max(axis=-1)
     return float(np.sqrt((qq * kk).max()))
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
-                    ws: Workspace | None = None) -> np.ndarray:
+                    ws: Workspace | None = None, qkv=None) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
     The result is a view of `ws.proj` (of a fresh workspace when `ws` is
-    None). qᵀ, pre-scaled, k and vᵀ are written head-major into the
-    workspace once per call. Queries then go in tiles of ATTN_TILE rows.
-    A tile [r0, r1) scores only the keys [0, r1), since later keys are
-    masked for every row in it, and masks only its diagonal block
-    [r0, r1). So the masked upper triangle is never computed and no
-    [B, heads, S, S] tensor is built.
+    None). One product of the fused weight `qkv` (:func:`_fuse_qkv` of
+    `lw`, built here when None) and the slab's xᵀ, plus the fused bias,
+    writes qᵀ, pre-scaled, kᵀ and vᵀ with its ones row head-major into
+    ``ws.wide[1]``. Queries then go in tiles of ATTN_TILE rows. A tile
+    [r0, r1) scores only the keys [0, r1), since later keys are masked
+    for every row in it, and masks only its diagonal block [r0, r1). So
+    the masked upper triangle is never computed and no [B, heads, S, S]
+    tensor is built.
 
     A tile's scores are stored key-major: key j of every sequence, head
     and query is one contiguous run. So the mask and the exponent run as
     whole-buffer passes instead of one short pass per row.
 
-    The softmax division is deferred to the context: vᵀ's ones row makes
-    the product with the values give each row's sum next to its
-    numerator, and only the [hd, tile] context is divided. Before the
-    tiles, :func:`_score_bound` bounds every score of the call. When the
-    bound is at most EXP_SAFE, each tile adds ``ws.causal`` to its
-    diagonal block and exponentiates its scores as they are: every
-    weight then lies in [e^-EXP_SAFE, e^EXP_SAFE] or is an exact 0 where
-    masked, so no row sum can overflow, and each row keeps its diagonal
-    weight, so no sum is 0. Otherwise, and when the bound is NaN, each
-    tile writes -inf over its masked scores and shifts them by their row
-    max before the exponent (:func:`kernels.exp_rows`); every row keeps
-    a 1 at its max, so its sum is at least 1. Both paths agree with the
-    full formula to rounding: the scale is applied to q, not to the
+    The scores come in base 2: q carries log2(e), so 2^score is e^(q·k/√hd),
+    as in FlashAttention-2. The softmax division is deferred to the
+    context: vᵀ's ones row makes the product with the values give each
+    row's sum next to its numerator, and only the [hd, tile] context is
+    divided. Before the tiles, :func:`_score_bound` bounds every score of
+    the call. When the bound is at most EXP_SAFE·log2(e), each tile takes
+    exp2 of all its scores as they are, then multiplies its diagonal
+    block by ``ws.keep``: every weight lies in [2^-bound, 2^bound], so
+    the exponent meets no -inf and nothing underflows, which keeps numpy
+    on its fast exp2; no row sum can overflow, and each row keeps its
+    diagonal weight, so no sum is 0; the masked weights are exact zeros.
+    Otherwise, and when the bound is NaN, each tile takes its scores back
+    to base e, writes -inf over its masked ones and shifts them by their
+    row max before the exponent (:func:`kernels.exp_rows`); every row
+    keeps a 1 at its max, so its sum is at least 1. Both paths agree with
+    the full formula to rounding: the scale is applied to q, not to the
     scores, and BLAS sums the rows. The bound is taken over the call's
     whole slab, so slabs change no bit of the taps unless their bounds
-    fall on both sides of EXP_SAFE.
+    fall on both sides of the limit.
     """
     if ws is None:
         ws = Workspace.for_input(x, lw, heads)
+    if qkv is None:
+        qkv = _fuse_qkv(lw, heads)
     b, s, h = x.shape
     hd = h // heads
-    proj = ws.proj[:b]
-
-    def project(w, bias):  # [B, S, H] -> [B, S, heads, hd], a view of proj
-        t = kernels.fast_matmul(x, w, out=proj)
-        t += bias
-        return t.reshape(b, s, heads, hd)
-
-    qk = _head(ws.wide[1], (2, b * s * h))
-    qt, k = qk[0].reshape(b, heads, hd, s), qk[1].reshape(b, heads, s, hd)
-    vt, ctx = ws.vt[:b], ws.ctx[:b]
-    np.multiply(project(lw.w_q, lw.b_q).transpose(0, 2, 3, 1),
-                x.dtype.type(1.0 / np.sqrt(hd)), out=qt)         # [B, heads, hd, S]
-    np.copyto(k, project(lw.w_k, lw.b_k).transpose(0, 2, 1, 3))   # [B, heads, S, hd]
-    np.copyto(vt[:, :, :hd], project(lw.w_v, lw.b_v).transpose(0, 2, 3, 1))
-    shift = not _score_bound(qt, k) <= EXP_SAFE
+    w, bias = qkv
+    # BLAS takes a contiguous xᵀ in about half the time of a transposed view
+    xt = _head(ws.proj.reshape(-1), (b, h, s))
+    np.copyto(xt, x.transpose(0, 2, 1))
+    t_all = kernels.fast_matmul(np.broadcast_to(w, (b,) + w.shape), xt,
+                                out=_head(ws.wide[1], (b, w.shape[0], s)))
+    t_all += bias[:, None]
+    qt = t_all[:, :h].reshape(b, heads, hd, s)
+    kt = t_all[:, h:2 * h].reshape(b, heads, hd, s)
+    vt = t_all[:, 2 * h:].reshape(b, heads, hd + 1, s)
+    k = kt.swapaxes(-1, -2)  # [B, heads, S, hd]
+    ctx = ws.ctx[:b]
+    shift = not _score_bound(qt, kt) <= EXP_SAFE * LOG2E
     for r0 in range(0, s, ATTN_TILE):
         r1 = min(r0 + ATTN_TILE, s)
         t = r1 - r0
@@ -338,32 +390,35 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
         scores_t = mem.transpose(1, 2, 0, 3)
         kernels.fast_matmul(k[:, :, :r1], qt[..., r0:r1], out=scores_t)
         if shift:
+            mem *= x.dtype.type(LN2)
             scores = scores_t.swapaxes(-1, -2)  # [B, heads, queries, keys]
             np.copyto(scores[..., r0:], x.dtype.type(-np.inf), where=ws.mask[:t, :t])
             kernels.exp_rows(scores, out=scores)
         else:
-            np.add(mem[r0:], ws.causal[:t, :b, :, :t], out=mem[r0:])
-            np.exp(mem, out=mem)
+            np.exp2(mem, out=mem)
+            mem[r0:] *= ws.keep[:t, :b, :, :t]
         num = kernels.fast_matmul(vt[..., :r1], scores_t,
                                   out=_head(ws.tile_ctx, (b, heads, hd + 1, t)))
         np.divide(num[:, :, :hd], num[:, :, hd:], out=ctx[:, r0:r1].transpose(0, 2, 3, 1))
-    out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o, out=proj)
+    out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o, out=ws.proj[:b])
     out += lw.b_o
     return out
 
 
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int,
-                  ws: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                  ws: Workspace | None = None, out: np.ndarray | None = None,
+                  qkv=None) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN.
 
     Every intermediate lives in `ws` (a fresh workspace when None), and
-    the result is written into `out` (a fresh array when None). Biases
-    and residuals are added in place, in the order of the formula."""
+    the result is written into `out` (a fresh array when None). `qkv` is
+    :func:`_fuse_qkv` of `lw`, built here when None. Biases and residuals
+    are added in place, in the order of the formula."""
     if ws is None:
         ws = Workspace.for_input(x, lw, heads)
     b, s, h = x.shape
     f = lw.w_up.shape[1]
-    a = _self_attention(x, lw, heads, ws)
+    a = _self_attention(x, lw, heads, ws, qkv)
     a += x
     u = kernels.layer_norm(a, lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS,
                            out=ws.ctx[:b].reshape(b, s, h))
@@ -378,28 +433,72 @@ def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int,
 
 def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
     """Sequences per slab: as many as keep a layer's largest buffers (the
-    FFN expansion, or one attention tile's scores) within SLAB_BYTES."""
-    widest = max(config.ffn_dim, config.heads * ATTN_TILE)
+    FFN expansion, one attention tile's scores, or the fused QKV product)
+    within SLAB_BYTES."""
+    widest = max(config.ffn_dim, config.heads * ATTN_TILE,
+                 _qkv_rows(config.hidden, config.heads))
     return max(1, SLAB_BYTES // (seq_len * widest * np.dtype(dtype).itemsize))
 
 
-def forward_collect(weights: BackboneWeights,
-                    tokens: np.ndarray) -> list[tuple[int, np.ndarray]]:
+class ForwardWorkspace:
+    """Every buffer of :func:`forward_collect` for one batch shape, kept
+    by a caller that runs many forwards: the layer :class:`Workspace` for
+    a slab, one [B, S, H] buffer per tap, at most two more for the
+    activations between taps, and the fused QKV weight and bias of each
+    layer (:func:`_fuse_qkv`), refilled by every forward.
+
+    Each call fits the workspace to its batch: the buffers are built on
+    the first call and again only when a batch's (B, S) or dtype
+    differs. The taps a call returns are views of the workspace, so the
+    next call writes over them.
+    """
+
+    def __init__(self, config: BackboneConfig):
+        self.config = config
+        self.key = None
+
+    def fit(self, b: int, s: int, dtype) -> None:
+        """Build the buffers for a [b, s] batch of `dtype`, unless they
+        are built for one already."""
+        key = (b, s, np.dtype(dtype))
+        if key == self.key:
+            return
+        cfg = self.config
+        h, heads = cfg.hidden, cfg.heads
+        self.key = key
+        self.step = slab_sequences(s, cfg, dtype)
+        self.layer = Workspace(min(self.step, b), s, h, heads, cfg.ffn_dim, dtype)
+        tapped = set(cfg.block_cuts) | ({0} if cfg.tap_embedding else set())
+        spares = [np.empty((b, s, h), dtype)
+                  for _ in range(min(2, cfg.layers + 1 - len(tapped)))]
+        # activation i is the embedding (i = 0) or layer i's output; a
+        # spare never holds two activations in a row
+        self.acts = [np.empty((b, s, h), dtype) if i in tapped else spares[i % len(spares)]
+                     for i in range(cfg.layers + 1)]
+        rows = _qkv_rows(h, heads)
+        self.qkv = [(np.empty((rows, h), dtype), np.empty(rows, dtype))
+                    for _ in range(cfg.layers)]
+
+
+def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
+                    ws: ForwardWorkspace | None = None) -> list[tuple[int, np.ndarray]]:
     """Run the frozen decoder and record taps at the configured cuts.
 
     Returns (block index, [B, S, H] activation) pairs in block order.
-    Weights are read-only here; the returned activations are fresh
-    arrays. Block index 0 is the embedding tap (when enabled) and block
-    index c is the activation after decoder layer c.
+    Weights are read-only here. Block index 0 is the embedding tap (when
+    enabled) and block index c is the activation after decoder layer c.
+    Every buffer comes from `ws`, fitted to the batch, so the returned
+    activations are views of it; with no `ws` they come from a fresh
+    workspace, so they are fresh arrays.
 
     Each layer runs over slabs of :func:`slab_sequences` whole sequences,
     in one :class:`Workspace` sized for a slab, and each slab's last
     layer norm writes straight into its rows of the layer's [B, S, H]
-    output. So the layer loop allocates only the outputs, and its working
-    set stays cache-sized. A layer treats each sequence on its own, so
-    the taps are bit-equal to running the whole batch, or each sequence
-    alone, unless the attention's score bound falls on both sides of
-    EXP_SAFE across the slabs; then they agree to rounding.
+    output. So the layer loop allocates nothing, and its working set
+    stays cache-sized. A layer treats each sequence on its own, so the
+    taps are bit-equal to running the whole batch, or each sequence
+    alone, unless the attention's score bound falls on both sides of its
+    limit across the slabs; then they agree to rounding.
     """
     cfg = weights.config
     tokens = np.asarray(tokens)
@@ -411,19 +510,22 @@ def forward_collect(weights: BackboneWeights,
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
-    x = weights.token_embedding[tokens]  # the gather makes a fresh array
+    if ws is None:
+        ws = ForwardWorkspace(cfg)
+    ws.fit(b, s, weights.token_embedding.dtype)
+    x = ws.acts[0]
+    # the ids are in range, so "clip" never clips; it writes straight into x
+    np.take(weights.token_embedding, tokens, axis=0, out=x, mode="clip")
     x += weights.pos_embedding[:s]
-    taps = []
-    if cfg.tap_embedding:
-        taps.append((0, x))  # a fresh array, and no layer writes its input
-
-    step = slab_sequences(s, cfg, x.dtype)
-    ws = Workspace(min(step, b), s, cfg.hidden, cfg.heads, cfg.ffn_dim, x.dtype)
+    taps = [(0, x)] if cfg.tap_embedding else []
+    step = ws.step
     cuts = set(cfg.block_cuts)
     for i, lw in enumerate(weights.layers, start=1):
-        y = np.empty_like(x)
+        qkv = _fuse_qkv(lw, cfg.heads, out=ws.qkv[i - 1])
+        y = ws.acts[i]
         for b0 in range(0, b, step):
-            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws, out=y[b0:b0 + step])
+            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws.layer, out=y[b0:b0 + step],
+                          qkv=qkv)
         x = y
         if i in cuts:
             taps.append((i, x))

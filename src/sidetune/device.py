@@ -26,7 +26,14 @@ from io import BytesIO
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneWeights, forward_collect, init_backbone, load_backbone
+from .backbone import (
+    BackboneConfig,
+    BackboneWeights,
+    ForwardWorkspace,
+    forward_collect,
+    init_backbone,
+    load_backbone,
+)
 from .quantize import quantize
 from .sidenet import load_side
 from .transport import TransportClosed
@@ -161,14 +168,20 @@ def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
     return init_backbone(config.backbone, config.backbone_seed)
 
 
-def compute_batch(weights, config, i):
+def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
     """Batch `i` as the device sends it: sample, frozen forward, quantize
-    every tap. Returns (ActBatch, timing dict). Local mode calls this too."""
+    every tap. Returns (ActBatch, timing dict). Local mode calls this too.
+
+    A session keeps one :class:`ForwardWorkspace` and hands it to every
+    batch: the forward's buffers and the taps then live there, and each
+    tap, spent once quantized, is lent to :func:`quantize` as its
+    scratch. So a batch allocates little beyond its code bytes. With no
+    `ws`, the forward builds a fresh one."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
-    taps = forward_collect(weights, tokens)
+    taps = forward_collect(weights, tokens, ws)
     t1 = time.perf_counter()
-    qtaps = tuple(quantize(act, config.scheme) for _, act in taps)
+    qtaps = tuple(quantize(act, config.scheme, scratch=act) for _, act in taps)
     t2 = time.perf_counter()
     msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=qtaps)
     timing = {"iter": i, "t_fwd_ms": (t1 - t0) * 1e3, "t_quant_ms": (t2 - t1) * 1e3}
@@ -247,10 +260,11 @@ def _run_batches(config, weights, transport, reader, report) -> None:
         report.bytes_sent += nbytes
         report.iterations += 1
 
+    ws = ForwardWorkspace(config.backbone)
     sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")
     try:
         for i in range(config.total_iterations):
-            msg, timing = compute_batch(weights, config, i)
+            msg, timing = compute_batch(weights, config, i, ws)
             t0 = time.perf_counter()
             # collect finished sends; wait while more than queue_depth are outstanding
             while pending and (pending[0].done() or len(pending) > config.queue_depth):

@@ -14,7 +14,8 @@ written into it are bit-equal to those of the fresh-output call.
 :func:`layer_norm` and :func:`gelu` read their input after writing
 `out`, so an `out` that overlaps it raises ValueError. This lets a
 caller keep one set of buffers across many calls instead of allocating
-a result per call.
+a result per call; :func:`sidetune.quantize.quantize` takes its scratch
+buffer the same way.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so
@@ -24,7 +25,9 @@ program runs: BLAS behind the same shape and precision checks. Its
 accumulation order belongs to the BLAS build, so its results are
 deterministic for a given build and thread count, not across them. Local
 and split runs stay bit-equal because both roles run the same code on
-the same inputs.
+the same inputs. An operand shared by every batch entry, like the
+backbone's fused QKV weight, goes in as a :func:`numpy.broadcast_to`
+view with the other operand's batch dims.
 """
 
 from __future__ import annotations
@@ -112,15 +115,19 @@ def fast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     ValueError. Repeated calls give bit-equal results for a given BLAS
     build and thread count; against the ascending-k kernels they agree to
     rounding only.
+
+    It runs twice per attention tile, so the checks read the arrays'
+    attributes as they are, without converting them.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"inner extents differ: {a.shape} x {b.shape}")
     if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"batch dims differ: {a.shape} x {b.shape}")
-    _check_same_dtype(a, b)
-    return np.matmul(a, b, out=_out(out, a.shape[:-1] + b.shape[-1:], a.dtype))
+    if a.dtype != b.dtype:
+        raise ValueError(f"mixed precisions: {a.dtype} x {b.dtype}")
+    if out is not None:
+        _out(out, a.shape[:-1] + b.shape[-1:], a.dtype)
+    return np.matmul(a, b, out=out)
 
 
 def layer_norm(

@@ -82,13 +82,15 @@ def pack_nibbles(codes: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
     if flat.size % 2:
         flat = np.concatenate([flat, np.zeros(1, dtype=np.uint8)])
-    # a little-endian pair (lo, hi) reads as lo | hi << 8; shifting the
-    # masked pair right by 4 puts hi in bits 4-7, and the low byte of
-    # the or is the packed byte
-    pairs = flat.view("<u2") & 0x0F0F
-    packed = pairs >> 4
-    packed |= pairs
-    return packed.astype(np.uint8).tobytes()
+    return _pack_pairs(flat.view("<u2") & 0x0F0F)
+
+
+def _pack_pairs(pairs: np.ndarray) -> bytes:
+    """The packed bytes of little-endian code pairs lo + 256 hi, both
+    below 16, working in `pairs`: times 0x110 such a pair is, modulo
+    2^16, 16 lo + 256 (lo + 16 hi), so its high byte is the packed byte."""
+    pairs *= 0x110
+    return pairs.view(np.uint8)[1::2].tobytes()
 
 
 def unpack_nibbles(packed: bytes, count: int) -> np.ndarray:
@@ -155,13 +157,24 @@ def _count_cuts_below(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return idx
 
 
-def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
-    """Quantize a [B, S, H] activation tensor under the given scheme."""
+def quantize(x: np.ndarray, scheme: str, scratch: np.ndarray | None = None) -> QuantizedActivation:
+    """Quantize a [B, S, H] activation tensor under the given scheme.
+
+    The low-bit schemes normalize x by its scale into a float32 buffer:
+    `scratch` when given, a C-contiguous float32 array of x's shape (else
+    ValueError), which may be x itself; the codes are the same. So a
+    caller whose tap is spent once it is quantized lends the tap, and the
+    nf4 encode allocates only its code bytes and two bytes per element.
+    """
     x = np.asarray(x)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if x.ndim != 3:
         raise ValueError(f"expected a [B, S, H] tensor, got shape {x.shape}")
+    if scratch is not None and (scratch.shape != x.shape or scratch.dtype != np.float32
+                                or not scratch.flags.c_contiguous):
+        raise ValueError(f"scratch is {scratch.dtype}{list(scratch.shape)}, need "
+                         f"C-contiguous float32{list(x.shape)}")
     shape = tuple(int(d) for d in x.shape)
 
     # cast first, so a value past float32's range is refused as infinite
@@ -175,14 +188,15 @@ def quantize(x: np.ndarray, scheme: str) -> QuantizedActivation:
         h = f16_roundtrip(x32).astype(np.float16)
         return QuantizedActivation(scheme, shape, float(scale), h.tobytes())
 
-    z = (x32 / scale).reshape(-1)
+    z = np.divide(x32, scale, out=scratch).reshape(-1)
 
     if scheme == "fp4_grid":
         # symmetric signed grid +/-7, stored offset by 8 in one nibble
         q = np.clip(np.rint(z * 7.0), -7, 7).astype(np.int8)
         codes = pack_nibbles((q + 8).astype(np.uint8))
     elif scheme == "nf4":
-        codes = pack_nibbles(_count_cuts_below(z, _NF4_CUTS))
+        idx = _count_cuts_below(z, _NF4_CUTS)  # every code is below 16
+        codes = pack_nibbles(idx) if idx.size % 2 else _pack_pairs(idx.view("<u2"))
     else:  # fp8_e4m3
         idx = _count_cuts_below(np.abs(z), _FP8_CUTS)
         idx |= np.signbit(z).view(np.uint8) << 7

@@ -33,7 +33,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
@@ -251,9 +251,10 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     weights = load_device_backbone(device_config)
     state = _make_state(server_config)
     report = ServerReport(state=state)
+    ws = ForwardWorkspace(device_config.backbone)
     with _metrics_log(server_config) as metrics_fh:
         for i in range(device_config.total_iterations):
-            batch, _ = compute_batch(weights, device_config, i)
+            batch, _ = compute_batch(weights, device_config, i, ws)
             _train_and_record(state, batch, report, metrics_fh)
     _save_checkpoint(server_config, state)
     return report

@@ -145,7 +145,9 @@ class Workspace:
       half of that pair;
     - pre, acts, tanh (gelu only), xhat, inv_std: per adapter, what the
       backward reads. It then writes over an adapter's pre, acts and tanh
-      as it finishes with them.
+      as it finishes with them;
+    - grads: the gradient in the parameters' flat layout, built by the
+      first backward and written over by each one after it.
 
     A caller that keeps one workspace allocates nothing batch-sized per
     step; the server builds it from its first batch's (B, S) and again
@@ -164,6 +166,7 @@ class Workspace:
         self.pre = np.empty(narrow, dtype)
         self.acts = np.empty(narrow, dtype)
         self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
+        self.grads = None
 
     def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
         """The slots that `count` taps go in, in order: the last M of them,
@@ -315,7 +318,8 @@ def side_backward(
 
     Backbone taps are treated as constants -- the gradient set contains
     only side-network tensors. Works in the forward's workspace (see
-    :class:`BackwardCache`).
+    :class:`BackwardCache`), and writes the gradients into its `grads`,
+    so the next backward in that workspace writes over them.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a training-mode forward")
@@ -323,13 +327,16 @@ def side_backward(
     if len(cache.acts) != len(params.adapters) or d_logits.shape != cache.logits.shape:
         raise ValueError("cache does not match the given parameters and output grad")
 
-    grads = SideNetworkParams(cfg, np.zeros_like(params.flat))
+    ws = cache.workspace
+    if ws.grads is None:
+        ws.grads = SideNetworkParams(cfg, np.empty_like(params.flat))
+    grads = ws.grads  # every tensor of it is written below
     dtype = d_logits.dtype.type
-    s_len = cache.workspace.shape[1]
+    s_len = ws.shape[1]
 
     # head
-    grads.head_weight[...] = kernels.fast_matmul(cache.pooled.T, d_logits)
-    grads.head_bias[...] = d_logits.sum(axis=0, dtype=d_logits.dtype)
+    kernels.fast_matmul(cache.pooled.T, d_logits, out=grads.head_weight)
+    d_logits.sum(axis=0, dtype=d_logits.dtype, out=grads.head_bias)
     # mean pooling spreads the gradient uniformly over positions
     d_z = kernels.fast_matmul(d_logits, params.head_weight.T)
     d_z /= dtype(s_len)
@@ -339,7 +346,7 @@ def side_backward(
     a = dtype(cache.gate_blend)
     d_blend = (d_z * cache.final_gap).sum(dtype=d_logits.dtype)
     grads.combine_gate[...] = d_blend * a * (1 - a)
-    d_s, spare = cache.workspace.work
+    d_s, spare = ws.work
     np.multiply(d_z[:, None, :], 1 - a, out=d_s)
 
     rows = lambda t: t.reshape(-1, t.shape[-1])

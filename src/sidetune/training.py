@@ -62,12 +62,17 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray, kind: str = "cross_ent
 
 @dataclass
 class AdamState:
-    """First/second moments in the parameters' flat layout, plus step count."""
+    """First/second moments in the parameters' flat layout, plus step count,
+    and the two vectors of that layout a step works in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = DEFAULT_LR
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape, self.m.dtype)
 
 
 def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR) -> AdamState:
@@ -76,7 +81,15 @@ def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR) -> AdamState:
 
 def adam_step(params: SideNetworkParams, grads: SideNetworkParams,
               state: AdamState) -> None:
-    """One bias-corrected Adam update over the whole flat state, in place."""
+    """One bias-corrected Adam update over the whole flat state, in place:
+
+        m = b1 m + (1 - b1) g
+        v = b2 v + (1 - b2) g g
+        p = p - lr (m / c1) / (sqrt(v / c2) + eps)
+
+    Each operation runs in the order of the formula, into m, v, p or one
+    of the two scratch vectors, so the step allocates nothing and its
+    bits are the formula's."""
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     if not p.shape == g.shape == m.shape == v.shape:
         raise ValueError(f"state shapes differ: params {p.shape}, grads {g.shape}, "
@@ -87,14 +100,29 @@ def adam_step(params: SideNetworkParams, grads: SideNetworkParams,
     b1, b2 = dtype(ADAM_BETA1), dtype(ADAM_BETA2)
     lr, eps = dtype(state.lr), dtype(ADAM_EPS)
     c1, c2 = dtype(1.0 - ADAM_BETA1 ** t), dtype(1.0 - ADAM_BETA2 ** t)
+    step, denom = state.scratch
 
-    m[...] = b1 * m + (1 - b1) * g
-    v[...] = b2 * v + (1 - b2) * g * g
-    p[...] = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=step)
+    v *= b2
+    np.multiply(g, 1 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(m, c1, out=step)
+    step *= lr
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    p -= step
 
 
 def grad_norm(grads: SideNetworkParams) -> float:
-    return float(np.sqrt(np.square(grads.flat, dtype=np.float64).sum()))
+    """The gradient's L2 norm, from one BLAS dot product in the gradient's
+    precision: no copy. In float32 a norm past about 1.8e19 reads inf,
+    as does Adam's g·g for such a gradient."""
+    g = grads.flat
+    return math.sqrt(float(np.dot(g, g)))
 
 
 @dataclass
@@ -167,14 +195,17 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
     t0 = time.perf_counter()
     taps = [dequantize(q, out=slot) for q, slot in zip(batch.taps, slots)]
     t1 = time.perf_counter()
-    logits, cache = side_forward(taps, state.params, state.config, training=True, ws=ws)
-    labels = np.asarray(batch.labels)
-    loss, d_logits = loss_and_grad(logits, labels, state.loss_kind)
-    if not math.isfinite(loss):
-        raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
-    t2 = time.perf_counter()
-    grads = side_backward(cache, d_logits, state.params)
-    norm = grad_norm(grads)
+    # a huge tap from the peer may overflow in here; the finiteness checks
+    # then refuse the step, so numpy's warnings would only echo peer input
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = side_forward(taps, state.params, state.config, training=True, ws=ws)
+        labels = np.asarray(batch.labels)
+        loss, d_logits = loss_and_grad(logits, labels, state.loss_kind)
+        if not math.isfinite(loss):
+            raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
+        t2 = time.perf_counter()
+        grads = side_backward(cache, d_logits, state.params)
+        norm = grad_norm(grads)
     if not math.isfinite(norm):
         raise NonFiniteStep(f"batch {batch.batch_id}: gradient norm {norm}")
     t3 = time.perf_counter()

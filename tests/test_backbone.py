@@ -208,3 +208,48 @@ def test_taps_repeat_after_a_batch_of_another_shape():
         np.testing.assert_array_equal(t1, t2)
         np.testing.assert_allclose(tb, t1[:, :91], rtol=0,
                                    atol=TILED_RTOL * np.abs(t1).max())
+
+
+def test_a_kept_workspace_gives_the_taps_of_fresh_arrays_across_shapes():
+    weights = init_backbone(WIDE, 7)
+    rng = kernels.make_rng(8)
+    # several slabs with a short last one, then one slab, then the first shape again
+    batches = [rng.integers(0, WIDE.vocab_size, size=shape)
+               for shape in ((7, 255), (3, 91), (7, 255))]
+    ws = backbone.ForwardWorkspace(WIDE)
+    for toks in batches:
+        kept = forward_collect(weights, toks, ws)
+        fresh = forward_collect(weights, toks)
+        assert [i for i, _ in kept] == [i for i, _ in fresh]
+        for (_, k), (_, f) in zip(kept, fresh):
+            np.testing.assert_array_equal(k, f)
+    again = forward_collect(weights, batches[-1], ws)
+    assert all(np.shares_memory(a, k) for (_, a), (_, k) in zip(again, kept))
+
+
+@pytest.mark.parametrize("cuts,embedding", [((2, 4), False), ((1, 3, 4), True), ((4,), False)])
+def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding):
+    config = dataclasses.replace(CONFIG, block_cuts=cuts, tap_embedding=embedding)
+    weights = init_backbone(config, 7)
+    toks = tokens()
+    x = weights.token_embedding[toks] + weights.pos_embedding[:15]
+    expected = [(0, x)] if embedding else []
+    for i, lw in enumerate(weights.layers, start=1):
+        x = backbone.layer_forward(x, lw, config.heads)
+        if i in cuts:
+            expected.append((i, x))
+    ws = backbone.ForwardWorkspace(config)
+    for taps in (forward_collect(weights, toks), forward_collect(weights, toks, ws),
+                 forward_collect(weights, toks, ws)):
+        assert [i for i, _ in taps] == [i for i, _ in expected]
+        for (_, got), (_, want) in zip(taps, expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_forwards_without_a_workspace_share_no_memory():
+    weights = init_backbone(CONFIG, 7)
+    first = [tap for _, tap in forward_collect(weights, tokens(seed=1))]
+    second = [tap for _, tap in forward_collect(weights, tokens(seed=2))]
+    taps = first + second
+    for i, a in enumerate(taps):
+        assert not any(np.shares_memory(a, b) for b in taps[i + 1:])

@@ -7,6 +7,7 @@ csv task, which the device samples batches from."""
 import json
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from sidetune import (
     DeviceConfig,
     ServerConfig,
     SyntheticTask,
+    backbone,
     device,
     load_csv_task,
     run_device,
@@ -89,8 +91,8 @@ def count_computed(monkeypatch):
     computed = []
     inner = device.compute_batch
 
-    def counted(weights, config, i):
-        result = inner(weights, config, i)
+    def counted(weights, config, i, *rest):
+        result = inner(weights, config, i, *rest)
         computed.append(i)
         return result
 
@@ -141,10 +143,10 @@ def test_a_failed_send_aborts_the_run_at_once_without_a_bye(k):
 def test_a_failed_forward_leaves_run_device_and_still_writes_the_log(tmp_path, monkeypatch):
     inner = device.compute_batch
 
-    def failing(weights, config, i):
+    def failing(weights, config, i, *rest):
         if i == 3:
             raise ValueError("the forward failed")
-        return inner(weights, config, i)
+        return inner(weights, config, i, *rest)
 
     monkeypatch.setattr(device, "compute_batch", failing)
     log_path = tmp_path / "device.jsonl"
@@ -201,3 +203,26 @@ def test_local_trains_on_a_csv_task(tmp_path, capsys):
              "--bottleneck", "8", "--batch", "4"]
     assert main(["local", *flags, "--task", f"csv:{path}", "--iters", "2"]) == 0
     assert "local run: 2 iterations" in capsys.readouterr().out
+
+
+def test_a_steady_batch_allocates_less_than_its_codes_and_one_tap():
+    model = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
+                           block_cuts=(1, 2, 3, 4))
+    config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=255), scheme="nf4",
+                          batch_size=16, iterations=4)
+    weights = device.load_device_backbone(config)
+    ws = backbone.ForwardWorkspace(model)
+    device.compute_batch(weights, config, 0, ws)  # builds the workspace
+    tracemalloc.start()
+    try:
+        msg, _ = device.compute_batch(weights, config, 1, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fresh, _ = device.compute_batch(weights, config, 1)
+    assert msg.taps == fresh.taps
+    tap_bytes = 16 * 255 * model.hidden * 4
+    codes = sum(len(q.codes) for q in msg.taps)
+    # the forward and the encode work in the workspace and in the spent taps;
+    # without them a batch peaked at about 4 MiB here, the taps and a slab
+    assert peak < codes + tap_bytes

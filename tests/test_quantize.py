@@ -230,6 +230,21 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.zeros((2, 2), np.float32), "nf4")
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", [(2, 5, 8), (1, 3, 3)])  # an odd count pads
+    def test_a_scratch_buffer_gives_the_same_codes(self, scheme, shape):
+        x = kernels.make_rng(4).normal(size=shape).astype(np.float32)
+        want = quantize(x, scheme)
+        assert quantize(x, scheme, scratch=np.empty_like(x)) == want
+        assert quantize(x, scheme, scratch=x) == want  # x may lend itself
+
+    def test_a_scratch_of_another_shape_or_dtype_is_rejected(self):
+        x = np.ones((2, 3, 4), np.float32)
+        for bad in (np.empty((2, 3, 5), np.float32), np.empty((2, 3, 4), np.float64),
+                    np.empty((2, 4, 3), np.float32).transpose(0, 2, 1)):
+            with pytest.raises(ValueError):
+                quantize(x, "nf4", scratch=bad)
+
 
 class TestDequantize:
     def test_nf4_round_trip_bound(self):

@@ -149,9 +149,27 @@ def test_after_the_first_step_a_step_allocates_less_than_one_tap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # what a steady step still allocates is parameter-sized (the gradients,
-    # Adam's temporaries) or smaller (per-row statistics); about 100 KB here
+    # what a steady step still allocates is per-row statistics and smaller
     assert peak < tap_bytes
+
+
+def test_a_steady_step_of_a_tiny_batch_allocates_a_few_kilobytes():
+    rng = np.random.default_rng(7)
+    batches = [random_batch(rng, i, (2, 3, CONFIG.hidden)) for i in range(3)]
+    state = new_state()
+    train_iteration(state, batches[0])
+    train_iteration(state, batches[1])
+    tracemalloc.start()
+    try:
+        train_iteration(state, batches[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gradient, Adam's scratch and the workspace are kept; what is left
+    # is per-row statistics and the metrics (about 6 KB). A step that made
+    # its gradient, Adam's temporaries and a float64 copy for the norm
+    # peaked at about 97 KB here, whatever the batch
+    assert peak < 16 * 1024
 
 
 def run(batches, fresh_workspace):
