@@ -2,9 +2,12 @@
 
 A frozen GPT-style backbone runs forward-only on a device process and
 streams low-bit intermediate activations to a server process, which
-trains a parallel-adapter side-network against them. The package also
-ships the analytic cost model that accounts for the memory and payload
-savings of the arrangement.
+trains a parallel-adapter side-network against them. The uplink carries
+the backbone's config, the quantized taps and the labels in clear, never
+the tokens; yet a server that knows the backbone can recover the tokens
+from the taps (see :mod:`sidetune.device`). The package also ships the
+analytic cost model that accounts for the memory and payload savings of
+the arrangement.
 
 Layout:
 

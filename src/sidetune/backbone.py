@@ -47,7 +47,6 @@ bound; measured gaps are about 2e-7 of it).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -104,7 +103,7 @@ class BackboneConfig:
         object.__setattr__(self, "ffn_dim", ffn)
         cuts = tuple(int(c) for c in self.block_cuts) or (self.layers,)
         object.__setattr__(self, "block_cuts", cuts)
-        if self.hidden % self.heads:
+        if self.heads < 1 or self.hidden % self.heads:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not (1 <= len(cuts) <= self.layers):
             raise ValueError(f"need between 1 and {self.layers} block cuts")
@@ -121,7 +120,8 @@ class BackboneConfig:
         return self.num_blocks + (1 if self.tap_embedding else 0)
 
     def config_block(self) -> bytes:
-        """Canonical binary form; also the digest input for handshakes."""
+        """Canonical binary form: the weight file's header and the
+        Hello's backbone identity."""
         out = struct.pack(
             "<7I", self.vocab_size, self.hidden, self.layers, self.heads,
             self.ffn_dim, self.max_seq, self.num_blocks,
@@ -129,9 +129,6 @@ class BackboneConfig:
         out += struct.pack(f"<{self.num_blocks}I", *self.block_cuts)
         out += struct.pack("<B", 1 if self.tap_embedding else 0)
         return out
-
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.config_block()).digest()
 
     @classmethod
     def from_config_block(cls, fh) -> "BackboneConfig":

@@ -31,7 +31,7 @@ from .kernels import make_rng
 from .quantize import SCHEMES, dequantize, quantize
 from .server import ServerConfig, local_mode, run_server
 from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
-from .wire import HandshakeError, payload_bytes
+from .wire import ACK_REASONS, HandshakeError, payload_bytes
 
 SCHEME_ALIASES = {"fp16": "none_fp16", "fp8": "fp8_e4m3", "fp4": "fp4_grid", "nf4": "nf4"}
 
@@ -244,7 +244,7 @@ def _cmd_server(args) -> int:
     finally:
         transport.close()
     if report.rejected is not None:
-        print(f"session rejected (status {report.rejected})")
+        print(f"session rejected: {ACK_REASONS[report.rejected]}")
         return 2
     print(f"trained {report.iterations} iterations, dropped {report.dropped}, "
           f"invalid {sum(report.invalid.values())}; "

@@ -10,8 +10,12 @@ and the server's answer before it computes the next: the baseline the
 overlap is measured against.
 
 The device never touches gradients or optimizer state -- this module
-deliberately has no import path into the backward/optimizer code -- and
-raw tokens never enter any wire message.
+deliberately has no import path into the backward/optimizer code. The
+uplink carries the backbone's config, each batch's quantized taps and
+its labels in clear, never the tokens. That hides the tokens only from a
+server that does not know the backbone: on the benchmark's nf4
+workloads, the embedding tap less its position embedding lies nearest
+its own token's embedding for every token of a batch.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
 
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:
-    hello = Hello(config_digest=config.backbone.digest(), scheme=config.scheme,
+    hello = Hello(backbone=config.backbone, scheme=config.scheme,
                   batch_size=config.batch_size, sync=config.serial)
     transport.send(encode(hello))
     ack = reader.read_expected(SessionAck, timeout=config.timeout_s)

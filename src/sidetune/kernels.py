@@ -38,8 +38,6 @@ import numpy as np
 GELU_COEF = 0.7978845608028654  # sqrt(2/pi)
 GELU_CUBIC = 0.044715
 
-F16_MAX = 65504.0  # largest finite binary16 value
-
 LN_EPS = 1e-5  # every layer norm, backbone and side network alike
 
 
@@ -332,16 +330,3 @@ def mean_pool(x: np.ndarray) -> np.ndarray:
     acc /= x.dtype.type(s)
     return acc
 
-
-def f16_roundtrip(x: np.ndarray) -> np.ndarray:
-    """Convert each scalar to IEEE binary16 (round-to-nearest-even) and back.
-
-    Magnitudes beyond the binary16 range saturate to +/-65504 instead of
-    becoming infinite; dtype of the input is preserved. Models the storage
-    and wire effects of half precision without computing in it.
-    """
-    x = np.asarray(x)
-    with np.errstate(over="ignore"):
-        y = x.astype(np.float16)
-    y = np.where(np.isinf(y), np.sign(y).astype(np.float16) * np.float16(F16_MAX), y)
-    return y.astype(x.dtype)

@@ -2,7 +2,7 @@
 
 Four schemes share one container type:
 
-* ``none_fp16``  -- binary16 round-trip, two bytes per element (baseline).
+* ``none_fp16``  -- binary16 saturated at +/-65504, two bytes per element.
 * ``fp8_e4m3``   -- 8-bit float (4 exponent / 3 mantissa bits).
 * ``fp4_grid``   -- symmetric signed grid, clamp(rint(7 x / absmax)).
 * ``nf4``        -- 16-entry normal-quantile codebook.
@@ -29,12 +29,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .kernels import f16_roundtrip
-
 SCHEMES = ("none_fp16", "fp8_e4m3", "fp4_grid", "nf4")
 
 # bits per element on the wire
 SCHEME_BITS = {"none_fp16": 16, "fp8_e4m3": 8, "fp4_grid": 4, "nf4": 4}
+
+F16_MAX = 65504.0  # largest finite binary16 value; none_fp16 saturates there
 
 
 def nf4_codebook() -> np.ndarray:
@@ -160,11 +160,11 @@ def _count_cuts_below(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
 def quantize(x: np.ndarray, scheme: str, scratch: np.ndarray | None = None) -> QuantizedActivation:
     """Quantize a [B, S, H] activation tensor under the given scheme.
 
-    The low-bit schemes normalize x by its scale into a float32 buffer:
-    `scratch` when given, a C-contiguous float32 array of x's shape (else
-    ValueError), which may be x itself; the codes are the same. So a
-    caller whose tap is spent once it is quantized lends the tap, and the
-    nf4 encode allocates only its code bytes and two bytes per element.
+    Every scheme saturates (fp16) or normalizes (the rest) x into a
+    float32 buffer: `scratch` when given, a C-contiguous float32 array of
+    x's shape (else ValueError), which may be x itself; the codes are the
+    same. So a caller whose tap is spent once quantized lends the tap, and
+    the fp16 and nf4 encodes allocate only code bytes and 2 B per element.
     """
     x = np.asarray(x)
     if scheme not in SCHEMES:
@@ -183,9 +183,9 @@ def quantize(x: np.ndarray, scheme: str, scratch: np.ndarray | None = None) -> Q
     scale = _absmax_scale(x32)
 
     if scheme == "none_fp16":
-        # values travel as binary16 directly; the scale rides along for
-        # uniformity but is not applied on dequantize
-        h = f16_roundtrip(x32).astype(np.float16)
+        # binary16 saturated at +/-F16_MAX, not infinite; the scale rides
+        # along for uniformity but is not applied on dequantize
+        h = np.clip(x32, -F16_MAX, F16_MAX, out=scratch).astype(np.float16)
         return QuantizedActivation(scheme, shape, float(scale), h.tobytes())
 
     z = np.divide(x32, scale, out=scratch).reshape(-1)

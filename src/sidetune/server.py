@@ -12,9 +12,9 @@ step overflows to a loss or gradient that is not finite ("non_finite"):
 the parameters and the optimizer state stay as they were. In a sync session
 (``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
 the step's metrics, or the reason the batch was rejected or dropped. A
-Hello that is malformed, missing or late ends the session before it
-starts, with no checkpoint. After it, a frame longer than the session's
-largest batch ends the session at once.
+Hello that is malformed, longer than ``wire.MAX_HELLO``, missing or late
+ends the session before it starts, with no checkpoint. After it, a frame
+longer than the session's largest batch ends the session at once.
 
 Local mode builds each batch with the device's own
 :func:`sidetune.device.compute_batch` and trains it through the same
@@ -38,7 +38,7 @@ from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
-    ACK_BAD_DIGEST,
+    ACK_BAD_CONFIG,
     ACK_BAD_VERSION,
     ACK_OK,
     ActBatch,
@@ -46,6 +46,7 @@ from .wire import (
     CheckpointData,
     CheckpointRequest,
     Hello,
+    MAX_HELLO,
     MessageReader,
     MetricsSnapshot,
     PROTOCOL_VERSION,
@@ -104,8 +105,9 @@ def _make_state(config: ServerConfig) -> TrainState:
 def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     if hello.protocol_version != PROTOCOL_VERSION:
         return ACK_BAD_VERSION
-    if hello.config_digest != config.backbone.digest():
-        return ACK_BAD_DIGEST
+    if hello.backbone != config.backbone:
+        log.error("device backbone %s does not match %s", hello.backbone, config.backbone)
+        return ACK_BAD_CONFIG
     return ACK_OK
 
 
@@ -185,7 +187,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     Bye, the connection dies or the handshake fails. The caller owns
     `transport` and closes it."""
     report = ServerReport()
-    reader = MessageReader(transport)
+    reader = MessageReader(transport, max_payload=MAX_HELLO)
     try:
         hello = reader.read_expected(Hello, timeout=config.timeout_s)
     except Exception as exc:  # a malformed, missing or late Hello ends the session

@@ -1,8 +1,9 @@
 """Ordered byte-stream transports the wire protocol runs over.
 
 Three flavors cover every deployment the runtimes need: an in-process
-loopback pair for tests and local mode, a rate-limited wrapper for
-timing experiments, and plain TCP for real device/server splits. All of
+loopback pair for tests, a rate-limited wrapper for timing experiments,
+and plain TCP for real device/server splits. Local mode opens none: it
+hands each batch to the server's step in the same process. All of
 them move opaque byte chunks; framing lives one layer up in
 :mod:`sidetune.wire`.
 """

@@ -11,11 +11,12 @@ receiver may skip when it does not know the type; everything else is
 fatal on mismatch.
 
 The session setup, then the steady-state workhorse. The Hello fixes the
-backbone (its digest covers the tap blocks), the scheme and the batch
-size B; a tap's code length follows from its scheme and shape.
+backbone (its config block, as the weight file stores it, names the tap
+blocks), the scheme and the batch size B; a tap's code length follows
+from its scheme and shape.
 
     Hello:      protocol_version u16 | scheme u8 | batch_size u32 | sync u8 |
-                config_digest 32 bytes
+                backbone config block (:meth:`BackboneConfig.config_block`)
     SessionAck: status u8
     ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
                 per tap, in tap-block order: scheme u8 | shape 3 x u32 | scale f32 | codes
@@ -31,14 +32,18 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
+from io import BytesIO
 
+from .backbone import BackboneConfig
 from .quantize import SCHEMES, QuantizedActivation, payload_code_bytes
 
 MAGIC = b"MBLM"
 FRAME_VERSION = 1
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 HEADER_LEN = 12
 MAX_PAYLOAD = 2**31 - 1
+# the longest Hello a server reads: a backbone of about 1,000 cuts
+MAX_HELLO = 4096
 
 FLAG_OPTIONAL = 0x01
 
@@ -54,7 +59,7 @@ T_BYE = 7
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 _SCHEME_NAME = {i: name for i, name in enumerate(SCHEMES)}
 
-_HELLO = struct.Struct("<HBIB")  # then the 32-byte digest
+_HELLO = struct.Struct("<HBIB")  # then the backbone config block
 _BATCH_HEAD = struct.Struct("<QI")  # batch id, label count
 _TAP_COUNT = struct.Struct("<H")
 # What one tap carries besides its codes: scheme, shape and absmax scale.
@@ -63,12 +68,12 @@ TAP_HEADER = struct.Struct("<B3If")
 # SessionAck status codes
 ACK_OK = 0
 ACK_BAD_VERSION = 1
-ACK_BAD_DIGEST = 2
+ACK_BAD_CONFIG = 2
 
 ACK_REASONS = {
     ACK_OK: "ok",
     ACK_BAD_VERSION: "protocol version mismatch",
-    ACK_BAD_DIGEST: "backbone config digest mismatch",
+    ACK_BAD_CONFIG: "backbone config mismatch",
 }
 
 
@@ -90,7 +95,7 @@ class HandshakeError(Exception):
 
 @dataclass(frozen=True)
 class Hello:
-    config_digest: bytes  # sha256 of the backbone config block
+    backbone: BackboneConfig
     scheme: str
     batch_size: int
     sync: bool = False  # request a per-iteration ack (forced-serial mode)
@@ -153,10 +158,8 @@ def _frame(msg_type: int, payload: bytes, flags: int = 0) -> bytes:
 def encode(msg: WireMessage) -> bytes:
     """Serialize one message into a framed byte string."""
     if isinstance(msg, Hello):
-        if len(msg.config_digest) != 32:
-            raise ValueError("config digest must be 32 bytes")
         payload = _HELLO.pack(msg.protocol_version, _SCHEME_CODE[msg.scheme],
-                              msg.batch_size, 1 if msg.sync else 0) + msg.config_digest
+                              msg.batch_size, msg.sync) + msg.backbone.config_block()
         return _frame(T_HELLO, payload)
     if isinstance(msg, SessionAck):
         return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
@@ -212,10 +215,14 @@ def _parse_act_batch(payload: memoryview) -> ActBatch:
 def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     if msg_type == T_HELLO:
         ver, scheme_code, batch_size, sync = _HELLO.unpack_from(payload, 0)
-        digest = bytes(payload[_HELLO.size:])
-        if len(digest) != 32 or scheme_code not in _SCHEME_NAME:
+        block = BytesIO(payload[_HELLO.size:])
+        try:
+            backbone = BackboneConfig.from_config_block(block)
+        except (EOFError, ValueError) as exc:  # truncated, or refused by __post_init__
+            raise FrameError(f"malformed hello: {exc}") from exc
+        if block.read(1) or scheme_code not in _SCHEME_NAME:
             raise FrameError("malformed hello")
-        return Hello(config_digest=digest, scheme=_SCHEME_NAME[scheme_code],
+        return Hello(backbone=backbone, scheme=_SCHEME_NAME[scheme_code],
                      batch_size=batch_size, sync=bool(sync), protocol_version=ver)
     if msg_type == T_SESSION_ACK:
         return SessionAck(*struct.unpack_from("<B", payload, 0))
@@ -271,10 +278,10 @@ def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLO
 class StreamDecoder:
     """Incremental frame decoder over an ordered byte stream."""
 
-    def __init__(self):
+    def __init__(self, max_payload: int = MAX_PAYLOAD):
         self._buf = bytearray()
         self.skipped = 0
-        self.max_payload = MAX_PAYLOAD
+        self.max_payload = max_payload
 
     def feed(self, data: bytes) -> list[WireMessage]:
         """Absorb bytes; return every complete message now available."""
@@ -299,9 +306,9 @@ class StreamDecoder:
 class MessageReader:
     """Blocking message iterator over a transport's chunk stream."""
 
-    def __init__(self, transport):
+    def __init__(self, transport, max_payload: int = MAX_PAYLOAD):
         self._transport = transport
-        self._decoder = StreamDecoder()
+        self._decoder = StreamDecoder(max_payload)
         self._pending: list[WireMessage] = []
         self.eof = False
 

@@ -38,7 +38,9 @@ from sidetune.wire import (
     SessionAck,
     StreamDecoder,
     T_ACT_BATCH,
+    T_HELLO,
     WireMessage,
+    _frame,
     encode,
 )
 
@@ -103,7 +105,7 @@ def act_batch(scheme="nf4", batch=4, seq=7):
 
 
 MESSAGES = [
-    Hello(config_digest=BACKBONE.digest(), scheme="nf4", batch_size=4, sync=True),
+    Hello(backbone=BACKBONE, scheme="nf4", batch_size=4, sync=True),
     SessionAck(status=2),
     act_batch(),
     MetricsSnapshot(text='{"loss": 0.5}'),
@@ -121,6 +123,36 @@ def test_every_message_type_round_trips(msg):
     assert decoder.feed(data[:-1]) == []
     assert decoder.feed(data[-1:]) == [msg]
     assert decoder.pending_bytes == 0
+
+
+@pytest.mark.parametrize("cuts", [(4,), (1, 2, 3, 4)], ids=["1cut", "4cuts"])
+@pytest.mark.parametrize("tap_embedding", [True, False], ids=["embedding", "no_embedding"])
+def test_a_hello_carries_the_backbone_config(cuts, tap_embedding):
+    backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
+                              block_cuts=cuts, tap_embedding=tap_embedding)
+    msg = Hello(backbone=backbone, scheme="fp8_e4m3", batch_size=3)
+    data = encode(msg)
+    assert data[20:-4] == backbone.config_block()  # after the header and the fixed fields
+    assert StreamDecoder().feed(data) == [msg]
+
+
+def hello_frame(block: bytes) -> bytes:
+    """A Hello frame whose fixed fields are a valid Hello's and whose
+    config block is `block`."""
+    return _frame(T_HELLO, encode(Hello(backbone=BACKBONE, scheme="nf4", batch_size=4))[12:20]
+                  + block)
+
+
+@pytest.mark.parametrize("block", [
+    BACKBONE.config_block()[:-1],
+    BACKBONE.config_block() + b"\0",
+    # hidden 30 over 4 heads
+    BACKBONE.config_block()[:4] + struct.pack("<I", 30) + BACKBONE.config_block()[8:],
+], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads"])
+def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block):
+    assert StreamDecoder().feed(hello_frame(BACKBONE.config_block())) != []
+    with pytest.raises(FrameError, match="malformed hello"):
+        StreamDecoder().feed(hello_frame(block))
 
 
 @pytest.mark.parametrize("scheme", ["none_fp16", "fp8_e4m3", "fp4_grid", "nf4"])

@@ -4,6 +4,11 @@ timing wrappers, so each must resolve to a callable, and the program
 must look each one up in the patched module when it calls it."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,52 @@ HOOKS = {
                  "adam_step"),
     "wire": ("StreamDecoder.feed",),
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Installs the benchmark's own tracer on both ends of a loopback pair, then
+# runs a two-step split session through the wrappers; prints the span
+# names each role recorded. A wrapped name that is gone fails the install.
+TRACED_SESSION = """
+import json, sys, threading
+sys.path[:0] = sys.argv[1:]
+from tracing import Tracer, install_device, install_server
+from sidetune import BackboneConfig, DeviceConfig, ServerConfig, SyntheticTask
+from sidetune import device, server
+from sidetune.transport import loopback_pair
+
+model = BackboneConfig(vocab_size=16, hidden=16, layers=2, heads=2, max_seq=15)
+dev_end, srv_end = loopback_pair()
+tracers = {"device": Tracer("device"), "server": Tracer("server")}
+install_device(tracers["device"], dev_end)
+install_server(tracers["server"], srv_end)
+thread = threading.Thread(target=server.run_server,
+                          args=(ServerConfig(backbone=model, bottleneck=8), srv_end))
+thread.start()
+device.run_device(DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15), batch_size=4,
+                               iterations=2), dev_end)
+thread.join(timeout=30)
+assert not thread.is_alive(), "run_server did not return"
+dev_end.close()
+srv_end.close()
+print(json.dumps({role: sorted({span[2] for span in t.spans})
+                  for role, t in tracers.items()}))
+"""
+
+
+def test_the_benchmark_tracer_installs_on_both_roles_and_records_a_session():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", TRACED_SESSION, str(ROOT / "splitbench")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    layers = json.loads(result.stdout)
+    assert {"backbone.forward", "backbone.layer", "backbone.attn", "quantize.quantize",
+            "wire.encode", "transport.send"} <= set(layers["device"])
+    assert {"server.step", "quantize.dequantize", "sidenet.forward", "sidenet.backward",
+            "training.loss", "training.adam", "wire.decode"} <= set(layers["server"])
 
 
 @pytest.mark.parametrize("module,path", [(m, p) for m, paths in HOOKS.items() for p in paths])

@@ -1,7 +1,10 @@
 """Importing the package loads no third-party module that pyproject.toml
-does not declare: a device or server process pays in memory and start-up
-time for every module it imports, so a new one must be a stated
-dependency."""
+does not declare, and no hash library: a device or server process pays
+in memory and start-up time for every module it imports, so a new one
+must be a stated dependency. The handshake compares config blocks, not
+digests, so the package needs no hash. (numpy.random still loads
+`hashlib`, through `secrets` and `hmac`, when a role first draws a
+random number; that import is numpy's.)"""
 
 import json
 import os
@@ -34,15 +37,23 @@ def declared_dependencies() -> set[str]:
             for dep in deps}
 
 
-def test_the_package_imports_only_declared_third_party_modules():
+@pytest.fixture(scope="module")
+def added():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    added = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_the_package_imports_only_declared_third_party_modules(added):
     assert "sidetune" in added
     third_party = {name for name in added
                    if name != "sidetune" and name not in sys.stdlib_module_names}
     assert third_party <= declared_dependencies(), (
         f"undeclared imports: {sorted(third_party - declared_dependencies())}")
+
+
+def test_neither_role_imports_a_hash_library(added):
+    assert {"hashlib", "_hashlib"}.isdisjoint(added)

@@ -388,28 +388,6 @@ class TestMeanPool:
             kernels.mean_pool(np.zeros((2, 3), np.float32))
 
 
-class TestF16Roundtrip:
-    def test_exactly_representable(self):
-        assert kernels.f16_roundtrip(np.array([1.0]))[0] == 1.0
-
-    def test_tenth(self):
-        # bit-level binary16 value of 0.1
-        assert kernels.f16_roundtrip(np.array([0.1], np.float32))[0] == np.float32(0.0999755859375)
-
-    def test_saturates_at_max_finite(self):
-        out = kernels.f16_roundtrip(np.array([70000.0, -70000.0], np.float32))
-        np.testing.assert_array_equal(out, [65504.0, -65504.0])
-
-    def test_idempotent(self):
-        rng = kernels.make_rng(11)
-        x = rng.normal(size=1000).astype(np.float32) * rng.choice([1, 1e4, 1e-4], 1000)
-        once = kernels.f16_roundtrip(x)
-        np.testing.assert_array_equal(kernels.f16_roundtrip(once), once)
-
-    def test_preserves_dtype(self):
-        assert kernels.f16_roundtrip(np.zeros(3, np.float64)).dtype == np.float64
-
-
 class TestRng:
     def test_equal_seeds_equal_streams(self):
         a = kernels.make_rng(123).normal(size=10_000)

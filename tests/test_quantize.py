@@ -273,7 +273,7 @@ class TestDequantize:
     def test_fp16_round_trip_is_half_precision(self):
         x = random_activations(4, scale=3.0)
         q = quantize(x, "none_fp16")
-        np.testing.assert_array_equal(dequantize(q), kernels.f16_roundtrip(x))
+        np.testing.assert_array_equal(dequantize(q), x.astype(np.float16))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_code_level_idempotence(self, scheme):
@@ -287,6 +287,37 @@ class TestDequantize:
         q = QuantizedActivation(scheme="nf4", shape=(1, 2, 3), scale=1.0, codes=b"\x00")
         with pytest.raises(ValueError):
             dequantize(q)
+
+
+def fp16_round_trip(values):
+    x = np.array(values, np.float32).reshape(1, 1, -1)
+    return dequantize(quantize(x, "none_fp16"))[0, 0]
+
+
+class TestF16Roundtrip:
+    def test_exactly_representable(self):
+        assert fp16_round_trip([1.0])[0] == 1.0
+
+    def test_tenth(self):
+        # bit-level binary16 value of 0.1
+        assert fp16_round_trip([0.1])[0] == np.float32(0.0999755859375)
+
+    def test_saturates_at_max_finite(self):
+        # 65520 is the midpoint to 65536, which binary16 rounds to infinity
+        out = fp16_round_trip([70000.0, -70000.0, 65520.0, -1e30])
+        np.testing.assert_array_equal(out, [65504.0, -65504.0, 65504.0, -65504.0])
+
+    def test_idempotent(self):
+        rng = kernels.make_rng(11)
+        x = rng.normal(size=1000).astype(np.float32) * rng.choice([1, 1e4, 1e-4, 1e6], 1000)
+        once = fp16_round_trip(x)
+        np.testing.assert_array_equal(fp16_round_trip(once), once)
+
+    def test_float64_input_gives_the_codes_of_its_float32_cast(self):
+        x = random_activations(12, scale=1e3).astype(np.float64) * np.pi
+        q = quantize(x, "none_fp16")
+        assert q.codes == quantize(x.astype(np.float32), "none_fp16").codes
+        assert dequantize(q).dtype == np.float32
 
 
 class TestProperties:

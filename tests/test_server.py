@@ -30,7 +30,7 @@ from sidetune import (
 from sidetune import server
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
-    ACK_BAD_DIGEST,
+    ACK_BAD_CONFIG,
     ACK_BAD_VERSION,
     ActBatch,
     Bye,
@@ -38,6 +38,7 @@ from sidetune.wire import (
     HandshakeError,
     Hello,
     MAGIC,
+    MAX_HELLO,
     MessageReader,
     MetricsSnapshot,
     PROTOCOL_VERSION,
@@ -56,8 +57,7 @@ BATCH = 2  # the batch size every session here declares in its Hello
 
 
 def hello(scheme="nf4", **fields):
-    return encode(Hello(config_digest=BACKBONE.digest(), scheme=scheme, batch_size=BATCH,
-                        **fields))
+    return encode(Hello(backbone=BACKBONE, scheme=scheme, batch_size=BATCH, **fields))
 
 
 def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme="nf4"):
@@ -115,11 +115,18 @@ def test_a_frame_header_past_max_payload_ends_the_session_at_once(tmp_path):
     assert not out["report"].clean_shutdown
 
 
+# a well-formed Hello one cut past MAX_HELLO: 8 + 28 + 4 m + 1 bytes
+LONG_CUTS = (MAX_HELLO - 36) // 4 + 1
+LONG_BACKBONE = dataclasses.replace(BACKBONE, layers=LONG_CUTS,
+                                    block_cuts=tuple(range(1, LONG_CUTS + 1)))
+
 # what the device end does before the server's handshake read gives up;
 # scheme code 9 names no scheme, so that Hello does not decode
 HANDSHAKE_FAILURES = {
     "malformed_hello": lambda end: end.send(_frame(T_HELLO, struct.pack(
-        "<HBIB", PROTOCOL_VERSION, 9, BATCH, 0) + BACKBONE.digest())),
+        "<HBIB", PROTOCOL_VERSION, 9, BATCH, 0) + BACKBONE.config_block())),
+    "oversized_hello": lambda end: end.send(encode(Hello(
+        backbone=LONG_BACKBONE, scheme="nf4", batch_size=BATCH))),
     "eof_before_hello": lambda end: end.close(),
     "silent_peer": lambda end: None,
 }
@@ -158,9 +165,12 @@ def test_a_handshake_with_another_protocol_version_is_refused(tmp_path):
     assert not ckpt.exists()
 
 
-def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path):
+@pytest.mark.parametrize("field,value", [("tap_embedding", False), ("hidden", 16),
+                                         ("block_cuts", (2, 4))],
+                         ids=["tap_embedding", "hidden", "block_cuts"])
+def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path, field, value):
     ckpt = tmp_path / "side.bin"
-    other = dataclasses.replace(BACKBONE, tap_embedding=False)
+    other = dataclasses.replace(BACKBONE, **{field: value})
     device_cfg = DeviceConfig(backbone=other, task=SyntheticTask(seq_len=15), iterations=1,
                               timeout_s=RETURN_WITHIN_S)
     dev_end, srv_end = loopback_pair()
@@ -169,14 +179,14 @@ def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path):
         ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt)), srv_end)), daemon=True)
     server_thread.start()
     try:
-        with pytest.raises(HandshakeError, match="digest"):
+        with pytest.raises(HandshakeError, match="backbone config"):
             run_device(device_cfg, dev_end)
         server_thread.join(timeout=RETURN_WITHIN_S)
         assert not server_thread.is_alive(), "run_server did not return"
     finally:
         dev_end.close()
         srv_end.close()
-    assert out["report"].rejected == ACK_BAD_DIGEST
+    assert out["report"].rejected == ACK_BAD_CONFIG
     assert not ckpt.exists()
 
 
