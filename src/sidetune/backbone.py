@@ -22,34 +22,34 @@ One :class:`Workspace` holds every intermediate of a slab, so the layer
 loop allocates nothing. Tiles, slabs and layers reuse its buffers, and
 each slab's last layer norm writes straight into its rows of the layer
 output. A caller that runs many forwards keeps a
-:class:`ForwardWorkspace`: that workspace, the taps and the fused
-weights' buffers, built once per batch shape, so a forward allocates
-nothing batch-sized.
+:class:`ForwardWorkspace`: that workspace and the taps, built once per
+batch shape, so a forward allocates nothing batch-sized.
 
 The attention projects a slab in one product: a fused weight
 (:func:`_fuse_qkv`) times each sequence's xᵀ gives qᵀ, kᵀ and, per head,
 vᵀ over a row of ones, already head-major, so no projection is copied
-into another layout. It defers the softmax division to the context, as
-FlashAttention does: a tile's scores are exponentiated, and one product
-with the values, whose ones row rides along, gives both the numerator
-and the row sum. The scale, times log2(e), is folded into the fused
-weight's q rows, so the exponent is exp2, as in FlashAttention-2. The
-usual shift of each row by its max only guards the exponent against
-overflow, so it is skipped when a Cauchy–Schwarz bound on the scores,
-max ‖q_i‖·max ‖k_j‖, is at most EXP_SAFE·log2(e): then no score can
-overflow a row sum or underflow a whole row to zero. The causal mask is
-then a 0/1 product after the exponent, so exp2 never meets -inf and
-stays on numpy's fast path. A larger or non-finite bound takes the
-max-shifted path. So the attention agrees with the full formula to
-rounding, not bit for bit: within 1e-6 × max |output| (the tests'
-bound; measured gaps are about 2e-7 of it).
+into another layout. The weights are frozen, so that weight is built
+once per layer, and every weight array is read-only. The attention
+defers the softmax division to the context, as FlashAttention does: a
+tile's scores are exponentiated, and one product with the values, whose
+ones row rides along, gives both the numerator and the row sum. The
+scale, times log2(e), is folded into the fused weight's q rows, so the
+exponent is exp2, as in FlashAttention-2. The usual shift of each row by
+its max only guards the exponent against overflow, so it is skipped when
+a Cauchy–Schwarz bound on the scores, max ‖q_i‖·max ‖k_j‖, is at most
+EXP_SAFE·log2(e): then no score can overflow a row sum or underflow a
+whole row to zero. The causal mask is then a 0/1 product after the
+exponent, so exp2 never meets -inf and stays on numpy's fast path. A
+larger or non-finite bound takes the max-shifted path. So the attention
+agrees with the full formula to rounding, not bit for bit: within 1e-6 ×
+max |output| (the tests' bound; measured gaps are about 2e-7 of it).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,6 +162,10 @@ class LayerWeights:
     b_down: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
+    # (:func:`_fuse_qkv`), set by :func:`_assemble`; None on a copy made
+    # with dataclasses.replace, whose attention then fuses its own
+    qkv: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -200,11 +204,17 @@ def _layout(config: BackboneConfig):
 
 
 def _assemble(config: BackboneConfig, tensors) -> BackboneWeights:
-    """Weights from (layer index or None, name, array) triples."""
+    """Frozen weights from (layer index or None, name, array) triples:
+    each layer's fused QKV is built once, then every array is read-only."""
     model, layers = {}, [{} for _ in range(config.layers)]
     for layer, name, t in tensors:
         (model if layer is None else layers[layer])[name] = t
-    return BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
+    weights = BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
+    for lw in weights.layers:
+        lw.qkv = _fuse_qkv(lw, config.heads)
+    for t in (*weights.all_tensors(), *(a for lw in weights.layers for a in lw.qkv)):
+        t.flags.writeable = False
+    return weights
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
@@ -276,10 +286,10 @@ def _qkv_rows(hidden: int, heads: int) -> int:
     return 2 * hidden + heads * (hidden // heads + 1)
 
 
-def _fuse_qkv(lw: LayerWeights, heads: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _fuse_qkv(lw: LayerWeights, heads: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight and bias whose product with a sequence's xᵀ [H, S] is its
     attention input, head-major: [2H + heads·(hd + 1), H] and the matching
-    bias, written into `out` (a (weight, bias) pair) when given.
+    bias.
 
     The rows are Wqᵀ scaled by log2(e)/√hd, then Wkᵀ, then for each head
     its hd rows of Wvᵀ and a zero row; the bias is b_q, scaled the same
@@ -290,10 +300,8 @@ def _fuse_qkv(lw: LayerWeights, heads: int, out=None) -> tuple[np.ndarray, np.nd
     h = lw.w_q.shape[0]
     hd = h // heads
     dtype = lw.w_q.dtype
-    if out is None:
-        rows = _qkv_rows(h, heads)
-        out = np.empty((rows, h), dtype), np.empty(rows, dtype)
-    w, bias = out
+    rows = _qkv_rows(h, heads)
+    w, bias = np.empty((rows, h), dtype), np.empty(rows, dtype)
     scale = dtype.type(LOG2E / np.sqrt(hd))
     np.multiply(lw.w_q.T, scale, out=w[:h])
     np.copyto(w[h:2 * h], lw.w_k.T)
@@ -323,12 +331,12 @@ def _score_bound(qt: np.ndarray, kt: np.ndarray) -> float:
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
-                    ws: Workspace | None = None, qkv=None) -> np.ndarray:
+                    ws: Workspace | None = None) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
     The result is a view of `ws.proj` (of a fresh workspace when `ws` is
-    None). One product of the fused weight `qkv` (:func:`_fuse_qkv` of
-    `lw`, built here when None) and the slab's xᵀ, plus the fused bias,
+    None). One product of the fused weight ``lw.qkv`` (:func:`_fuse_qkv`
+    of `lw`, built here when None) and the slab's xᵀ, plus the fused bias,
     writes qᵀ, pre-scaled, kᵀ and vᵀ with its ones row head-major into
     ``ws.wide[1]``. Queries then go in tiles of ATTN_TILE rows. A tile
     [r0, r1) scores only the keys [0, r1), since later keys are masked
@@ -362,11 +370,9 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     """
     if ws is None:
         ws = Workspace.for_input(x, lw, heads)
-    if qkv is None:
-        qkv = _fuse_qkv(lw, heads)
     b, s, h = x.shape
     hd = h // heads
-    w, bias = qkv
+    w, bias = _fuse_qkv(lw, heads) if lw.qkv is None else lw.qkv
     # BLAS takes a contiguous xᵀ in about half the time of a transposed view
     xt = _head(ws.proj.reshape(-1), (b, h, s))
     np.copyto(xt, x.transpose(0, 2, 1))
@@ -403,19 +409,17 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
 
 
 def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int,
-                  ws: Workspace | None = None, out: np.ndarray | None = None,
-                  qkv=None) -> np.ndarray:
+                  ws: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN.
 
     Every intermediate lives in `ws` (a fresh workspace when None), and
-    the result is written into `out` (a fresh array when None). `qkv` is
-    :func:`_fuse_qkv` of `lw`, built here when None. Biases and residuals
-    are added in place, in the order of the formula."""
+    the result is written into `out` (a fresh array when None). Biases
+    and residuals are added in place, in the order of the formula."""
     if ws is None:
         ws = Workspace.for_input(x, lw, heads)
     b, s, h = x.shape
     f = lw.w_up.shape[1]
-    a = _self_attention(x, lw, heads, ws, qkv)
+    a = _self_attention(x, lw, heads, ws)
     a += x
     u = kernels.layer_norm(a, lw.ln1_gamma, lw.ln1_beta, kernels.LN_EPS,
                            out=ws.ctx[:b].reshape(b, s, h))
@@ -440,9 +444,8 @@ def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
 class ForwardWorkspace:
     """Every buffer of :func:`forward_collect` for one batch shape, kept
     by a caller that runs many forwards: the layer :class:`Workspace` for
-    a slab, one [B, S, H] buffer per tap, at most two more for the
-    activations between taps, and the fused QKV weight and bias of each
-    layer (:func:`_fuse_qkv`), refilled by every forward.
+    a slab, one [B, S, H] buffer per tap, and at most two more for the
+    activations between taps.
 
     Each call fits the workspace to its batch: the buffers are built on
     the first call and again only when a batch's (B, S) or dtype
@@ -472,9 +475,6 @@ class ForwardWorkspace:
         # spare never holds two activations in a row
         self.acts = [np.empty((b, s, h), dtype) if i in tapped else spares[i % len(spares)]
                      for i in range(cfg.layers + 1)]
-        rows = _qkv_rows(h, heads)
-        self.qkv = [(np.empty((rows, h), dtype), np.empty(rows, dtype))
-                    for _ in range(cfg.layers)]
 
 
 def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
@@ -518,11 +518,9 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
     step = ws.step
     cuts = set(cfg.block_cuts)
     for i, lw in enumerate(weights.layers, start=1):
-        qkv = _fuse_qkv(lw, cfg.heads, out=ws.qkv[i - 1])
         y = ws.acts[i]
         for b0 in range(0, b, step):
-            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws.layer, out=y[b0:b0 + step],
-                          qkv=qkv)
+            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws.layer, out=y[b0:b0 + step])
         x = y
         if i in cuts:
             taps.append((i, x))

@@ -157,13 +157,16 @@ class DeviceConfig:
 
 @dataclass
 class DeviceReport:
-    iterations: int
-    wall_s: float
-    bytes_sent: int
-    max_queued_bytes: int
-    entries: list = field(default_factory=list)
+    wall_s: float = 0.0
+    bytes_sent: int = 0
+    max_queued_bytes: int = 0
+    entries: list = field(default_factory=list)  # one timing dict per sent batch
     fetched_checkpoint: object = None  # (SideConfig, SideNetworkParams)
     aborted: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.entries)
 
 
 def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
@@ -215,7 +218,7 @@ def run_device(config: DeviceConfig, transport) -> DeviceReport:
     `transport` and closes it."""
     weights = load_device_backbone(config)
     reader = MessageReader(transport)
-    report = DeviceReport(iterations=0, wall_s=0.0, bytes_sent=0, max_queued_bytes=0)
+    report = DeviceReport()
 
     try:
         _do_handshake(config, transport, reader)
@@ -262,7 +265,6 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     def record(timing, nbytes):
         report.entries.append(timing)
         report.bytes_sent += nbytes
-        report.iterations += 1
 
     ws = ForwardWorkspace(config.backbone)
     sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")

@@ -82,12 +82,12 @@ def check_gradients(seed: int, step: float = 1e-6,
     """Max relative error over every parameter coordinate for one seed."""
     taps, params, labels = random_problem(seed, config)
 
-    logits, cache = side_forward(taps, params, config, training=True)
+    logits, ws = side_forward(taps, params, config)
     loss, d_logits = loss_and_grad(logits, labels)
-    analytic = side_backward(cache, d_logits, params).flat
+    analytic = side_backward(ws, d_logits, params).flat
 
     def scalar_loss(theta: np.ndarray) -> float:
-        out, _ = side_forward(taps, SideNetworkParams(config, theta), config, training=False)
+        out, _ = side_forward(taps, SideNetworkParams(config, theta), config)
         value, _ = loss_and_grad(out, labels)
         return value
 

@@ -85,14 +85,20 @@ class ServerConfig:
 
 @dataclass
 class ServerReport:
-    iterations: int = 0
     dropped: int = 0  # out of order
     invalid: Counter = field(default_factory=Counter)  # rejected batches by reason
-    losses: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)  # one IterationMetrics per trained batch
     rejected: int | None = None  # ack status when the handshake failed
     clean_shutdown: bool = False
     state: TrainState | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.metrics)
+
+    @property
+    def losses(self) -> list:
+        return [m.loss for m in self.metrics]
 
 
 def _make_state(config: ServerConfig) -> TrainState:
@@ -174,8 +180,6 @@ def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh) ->
         return "non_finite"
     if metrics is None:
         return "out_of_order"
-    report.iterations += 1
-    report.losses.append(metrics.loss)
     report.metrics.append(metrics)
     if metrics_fh:
         metrics_fh.write(metrics.to_json() + "\n")

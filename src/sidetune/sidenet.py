@@ -11,14 +11,15 @@ learnable sigmoid gate, mean-pooled over positions, and classified by a
 linear head. Backbone taps are constants, so no gradient ever points at
 the device.
 
-A training-mode forward keeps what its exact analytic reverse pass reads
-(:class:`BackwardCache`): each adapter's input u, its pre-activation, the
-activation and, for gelu, the tanh inside it, and the layer norm's x̂
-and 1/σ, which the kernels hand out as they compute them. So the
-backward recomputes neither a layer-norm statistic nor a tanh. Both
-passes work in one :class:`Workspace` of buffers sized for a batch shape,
-written in place, so a caller that keeps the workspace (the server keeps
-one per session) allocates nothing batch-sized after its first step.
+The forward keeps what its exact analytic reverse pass reads in its
+:class:`Workspace`, the one holder of both passes' buffers: each
+adapter's input u, its pre-activation, the activation and, for gelu, the
+tanh inside it, the layer norm's x̂ and 1/σ, which the kernels hand out
+as they compute them, and what the head and the gate need. So the
+backward recomputes neither a layer-norm statistic nor a tanh. The
+buffers are sized for a batch shape and written in place, so a caller
+that keeps the workspace (the server keeps one per session) allocates
+nothing batch-sized after its first step.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def _layout(config: SideConfig):
     yield None, "combine_gate", ()
 
 
+def _size(config: SideConfig) -> int:
+    """Elements of the flat parameter state."""
+    return sum(math.prod(shape) for _, _, shape in _layout(config))
+
+
 class SideNetworkParams:
     """All trainable state as named views into one 1-D array `flat`, laid
     out by :func:`_layout`. Gradients and the Adam moments share the
@@ -101,8 +107,7 @@ class SideNetworkParams:
     """
 
     def __init__(self, config: SideConfig, flat: np.ndarray | None = None):
-        layout = list(_layout(config))
-        size = sum(math.prod(shape) for _, _, shape in layout)
+        size = _size(config)
         if flat is None:
             flat = np.zeros(size, dtype=np.float32)
         if flat.shape != (size,):
@@ -111,7 +116,7 @@ class SideNetworkParams:
         self._views = []
         model, adapters = {}, [{} for _ in range(config.adapters)]
         off = 0
-        for i, name, shape in layout:
+        for i, name, shape in _layout(config):
             n = math.prod(shape)
             view = flat[off:off + n].reshape(shape)
             off += n
@@ -128,7 +133,8 @@ class SideNetworkParams:
 
 
 class Workspace:
-    """The buffers of a side forward and backward over [B, S] batches.
+    """The buffers of a side forward and backward over [B, S] batches, and
+    what the last forward left for the backward.
 
     Each buffer holds, in turn, arrays that are never alive together:
 
@@ -146,17 +152,26 @@ class Workspace:
     - pre, acts, tanh (gelu only), xhat, inv_std: per adapter, what the
       backward reads. It then writes over an adapter's pre, acts and tanh
       as it finishes with them;
-    - grads: the gradient in the parameters' flat layout, built by the
-      first backward and written over by each one after it.
+    - grads: the gradient in the parameters' flat layout, written over by
+      each backward.
+
+    The layer norm keeps x̂ and 1/σ rather than its input, so its backward
+    needs no statistic of its own; gelu keeps its tanh, from which gelu′
+    takes a few passes instead of a second tanh. A forward also sets
+    `blend`, sigmoid(combine_gate), `gap`, the [B, H] sum over positions
+    of tap_M − s_M (the pooling spreads one gradient evenly over the
+    positions, so the gate's gradient needs no more), `pooled` and
+    `logits`. The backward spends them and clears `logits`, so each
+    backward needs a forward of its own.
 
     A caller that keeps one workspace allocates nothing batch-sized per
     step; the server builds it from its first batch's (B, S) and again
-    only when a batch's shape differs. Its buffers hold one step's
-    intermediates, so the next forward overwrites the last one's cache.
+    only when a batch's shape differs.
     """
 
     def __init__(self, config: SideConfig, batch: int, seq: int, dtype=np.float32):
         n, h = config.adapters, config.hidden
+        self.config = config
         self.shape = (batch, seq, h)
         self.taps = tuple(np.empty(self.shape, dtype) for _ in range(n + 1))
         self.work = (np.empty(self.shape, dtype), np.empty(self.shape, dtype))
@@ -166,40 +181,13 @@ class Workspace:
         self.pre = np.empty(narrow, dtype)
         self.acts = np.empty(narrow, dtype)
         self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
-        self.grads = None
+        self.grads = SideNetworkParams(config, np.empty(_size(config), dtype))
+        self.blend = self.gap = self.pooled = self.logits = None
 
     def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
         """The slots that `count` taps go in, in order: the last M of them,
         or all M + 1 when the first tap is the embedding tap."""
         return self.taps[len(self.taps) - count:]
-
-
-@dataclass
-class BackwardCache:
-    """What :func:`side_backward` reads of a training-mode forward, as
-    views into that forward's workspace; the backward also works in the
-    workspace and writes over pre_acts, acts and tanh. So a cache serves
-    one backward, before the next forward in the workspace.
-
-    The layer norm keeps x̂ and 1/σ rather than its input, so its backward
-    needs no statistic of its own. gelu keeps its tanh, from which gelu′
-    takes a few passes instead of a second tanh. The gate's gradient needs
-    tap_M − s_M only summed over positions, since the pooling spreads one
-    gradient evenly over them; the forward keeps that [B, H] sum.
-    """
-
-    config: SideConfig
-    workspace: Workspace
-    adapter_inputs: tuple[np.ndarray, ...]  # u_l = s_{l-1} + tap_l
-    pre_acts: np.ndarray                    # u_l @ w_down, per adapter
-    tanh: np.ndarray | None                 # gelu's tanh of each pre-activation
-    acts: np.ndarray                        # sigma(pre)
-    xhat: np.ndarray                        # each layer norm's normalized input
-    inv_std: np.ndarray                     # and 1/σ of each of its rows
-    gate_blend: float                       # sigmoid(combine_gate)
-    final_gap: np.ndarray                   # Σ over positions of tap_M − s_M
-    pooled: np.ndarray
-    logits: np.ndarray
 
 
 def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
@@ -220,19 +208,18 @@ def side_forward(
     taps: list[np.ndarray],
     params: SideNetworkParams,
     config: SideConfig,
-    training: bool = False,
     ws: Workspace | None = None,
 ):
-    """Run the side stack over dequantized taps.
+    """Run the side stack over dequantized taps; returns (logits [B, C],
+    the workspace), which then holds what :func:`side_backward` reads.
 
     `taps` holds either M arrays (one per adapter) or M+1 when the first
     entry is the embedding tap seeding the side state; extra or missing
     taps are a configuration error. The work runs in `ws` (a fresh
-    workspace when None): each tap is copied into its slot, unless it is
-    that slot already, as :func:`sidetune.quantize.dequantize` leaves it
-    when given the slot as `out`. The caller's own arrays are only read.
-    Returns logits [B, C], plus a :class:`BackwardCache` when `training`
-    is set.
+    workspace when None), built for `config`: each tap is copied into
+    its slot, unless it is that slot already, as
+    :func:`sidetune.quantize.dequantize` leaves it when given the slot as
+    `out`. The caller's own arrays are only read.
     """
     m = config.adapters
     if len(taps) not in (m, m + 1):
@@ -241,8 +228,9 @@ def side_forward(
         )
     if ws is None:
         ws = Workspace(config, *taps[0].shape[:2], taps[0].dtype)
-    if any(t.shape != ws.shape for t in taps):
-        raise ValueError(f"tap shapes {[t.shape for t in taps]}, workspace {ws.shape}")
+    if ws.config != config or any(t.shape != ws.shape for t in taps):
+        raise ValueError(f"tap shapes {[t.shape for t in taps]} under {config}, "
+                         f"workspace {ws.shape} under {ws.config}")
     for tap, slot in zip(taps, ws.tap_slots(len(taps))):
         if tap is not slot:
             np.copyto(slot, tap)
@@ -264,22 +252,15 @@ def side_forward(
 
     blend = kernels.sigmoid(params.combine_gate)
     final_tap = ws.taps[m]
-    gap = np.add.reduce(final_tap, axis=1) - np.add.reduce(s, axis=1) if training else None
+    ws.blend = float(blend)
+    ws.gap = np.add.reduce(final_tap, axis=1) - np.add.reduce(s, axis=1)
     # z = blend * tap_M + (1 - blend) * s_M, in the slot of tap_M
     z = np.multiply(final_tap, blend, out=final_tap)
     s *= 1 - blend
     z += s
-    pooled = kernels.mean_pool(z)
-    logits = kernels.fast_matmul(pooled, params.head_weight) + params.head_bias
-
-    if not training:
-        return logits, None
-    cache = BackwardCache(
-        config=config, workspace=ws, adapter_inputs=ws.taps[:m], pre_acts=ws.pre,
-        tanh=ws.tanh, acts=ws.acts, xhat=ws.xhat, inv_std=ws.inv_std,
-        gate_blend=float(blend), final_gap=gap, pooled=pooled, logits=logits,
-    )
-    return logits, cache
+    ws.pooled = kernels.mean_pool(z)
+    ws.logits = kernels.fast_matmul(ws.pooled, params.head_weight) + params.head_bias
+    return ws.logits, ws
 
 
 def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch):
@@ -310,32 +291,30 @@ def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch)
 
 
 def side_backward(
-    cache: BackwardCache,
+    ws: Workspace,
     d_logits: np.ndarray,
     params: SideNetworkParams,
 ) -> SideNetworkParams:
-    """Exact reverse pass; returns gradients shaped like `params`.
+    """Exact reverse pass of the forward that `ws` holds; returns
+    gradients shaped like `params`.
 
     Backbone taps are treated as constants -- the gradient set contains
-    only side-network tensors. Works in the forward's workspace (see
-    :class:`BackwardCache`), and writes the gradients into its `grads`,
-    so the next backward in that workspace writes over them.
+    only side-network tensors. Works in the workspace, writing over the
+    forward's intermediates, and writes the gradients into its `grads`,
+    so the next backward in it writes over them. A workspace that holds
+    no forward, or one that a backward already spent, is refused.
     """
-    if cache is None:
-        raise ValueError("backward needs the cache from a training-mode forward")
-    cfg = cache.config
-    if len(cache.acts) != len(params.adapters) or d_logits.shape != cache.logits.shape:
-        raise ValueError("cache does not match the given parameters and output grad")
-
-    ws = cache.workspace
-    if ws.grads is None:
-        ws.grads = SideNetworkParams(cfg, np.empty_like(params.flat))
+    if ws.logits is None:
+        raise ValueError("the workspace holds no forward for a backward to read")
+    if params.flat.shape != ws.grads.flat.shape or d_logits.shape != ws.logits.shape:
+        raise ValueError("workspace does not match the given parameters and output grad")
+    ws.logits = None
     grads = ws.grads  # every tensor of it is written below
     dtype = d_logits.dtype.type
     s_len = ws.shape[1]
 
     # head
-    kernels.fast_matmul(cache.pooled.T, d_logits, out=grads.head_weight)
+    kernels.fast_matmul(ws.pooled.T, d_logits, out=grads.head_weight)
     d_logits.sum(axis=0, dtype=d_logits.dtype, out=grads.head_bias)
     # mean pooling spreads the gradient uniformly over positions
     d_z = kernels.fast_matmul(d_logits, params.head_weight.T)
@@ -343,8 +322,8 @@ def side_backward(
 
     # gate blend z = a * tap_M + (1 - a) * s_M; d_z is the same at every
     # position, so the gate's gradient needs tap_M - s_M summed over them
-    a = dtype(cache.gate_blend)
-    d_blend = (d_z * cache.final_gap).sum(dtype=d_logits.dtype)
+    a = dtype(ws.blend)
+    d_blend = (d_z * ws.gap).sum(dtype=d_logits.dtype)
     grads.combine_gate[...] = d_blend * a * (1 - a)
     d_s, spare = ws.work
     np.multiply(d_z[:, None, :], 1 - a, out=d_s)
@@ -352,16 +331,16 @@ def side_backward(
     rows = lambda t: t.reshape(-1, t.shape[-1])
     for l in reversed(range(len(params.adapters))):
         ad, g = params.adapters[l], grads.adapters[l]
-        d_y = _layer_norm_backward(d_s, cache.xhat[l], cache.inv_std[l], ad.ln_gamma, g,
-                                   spare)
+        d_y = _layer_norm_backward(d_s, ws.xhat[l], ws.inv_std[l], ad.ln_gamma, g, spare)
 
         # y = act @ w_up + u; act's buffer takes d_act once w_up's gradient has read it
-        act = cache.acts[l]
+        act = ws.acts[l]
         kernels.fast_matmul(rows(act).T, rows(d_y), out=g.w_up)
         d_pre = kernels.fast_matmul(d_y, ad.w_up.T, out=act)
-        kernels.nonlinearity_backward(d_pre, cache.pre_acts[l], cfg.nonlinearity,
-                                      tanh=None if cache.tanh is None else cache.tanh[l])
-        kernels.fast_matmul(rows(cache.adapter_inputs[l]).T, rows(d_pre), out=g.w_down)
+        kernels.nonlinearity_backward(d_pre, ws.pre[l], ws.config.nonlinearity,
+                                      tanh=None if ws.tanh is None else ws.tanh[l])
+        # tap slot l holds this adapter's input u (see Workspace)
+        kernels.fast_matmul(rows(ws.taps[l]).T, rows(d_pre), out=g.w_down)
         if l:  # taps are constants; only s_{l-1} carries gradient, and s_0 is a tap
             d_u = kernels.fast_matmul(d_pre, ad.w_down.T, out=spare)
             d_u += d_y
@@ -377,13 +356,13 @@ def combined_infer(
     scheme: str = "none_fp16",
 ) -> np.ndarray:
     """Device-style prediction: frozen forward, quantize/dequantize each
-    tap with the session scheme, then the side stack in inference mode.
+    tap with the session scheme, then the side stack's forward.
 
     Bit-identical to the logits the server computes for the same batch
     and scheme, because it is the same code path.
     """
     taps = [dequantize(quantize(t, scheme)) for _, t in forward_collect(backbone_weights, tokens)]
-    logits, _ = side_forward(taps, side_params, side_config, training=False)
+    logits, _ = side_forward(taps, side_params, side_config)
     return logits
 
 

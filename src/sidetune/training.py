@@ -1,4 +1,9 @@
-"""Losses, Adam, and the per-iteration server training step."""
+"""Losses, Adam, and the per-iteration server training step.
+
+A step runs the side forward and backward in the session's one
+:class:`sidetune.sidenet.Workspace`, which holds what the backward reads
+of the forward, then moves the parameters with Adam.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -138,12 +143,7 @@ class IterationMetrics:
     bytes_in: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "batch_id": self.batch_id, "loss": self.loss, "acc": self.acc,
-            "grad_norm": self.grad_norm, "t_deq_ms": self.t_deq_ms,
-            "t_fwd_ms": self.t_fwd_ms, "t_bwd_ms": self.t_bwd_ms,
-            "t_opt_ms": self.t_opt_ms, "bytes_in": self.bytes_in,
-        })
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -198,13 +198,13 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
     # a huge tap from the peer may overflow in here; the finiteness checks
     # then refuse the step, so numpy's warnings would only echo peer input
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = side_forward(taps, state.params, state.config, training=True, ws=ws)
+        logits, _ = side_forward(taps, state.params, state.config, ws)
         labels = np.asarray(batch.labels)
         loss, d_logits = loss_and_grad(logits, labels, state.loss_kind)
         if not math.isfinite(loss):
             raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
         t2 = time.perf_counter()
-        grads = side_backward(cache, d_logits, state.params)
+        grads = side_backward(ws, d_logits, state.params)
         norm = grad_norm(grads)
     if not math.isfinite(norm):
         raise NonFiniteStep(f"batch {batch.batch_id}: gradient norm {norm}")

@@ -13,7 +13,9 @@ fatal on mismatch.
 The session setup, then the steady-state workhorse. The Hello fixes the
 backbone (its config block, as the weight file stores it, names the tap
 blocks), the scheme and the batch size B; a tap's code length follows
-from its scheme and shape.
+from its scheme and shape. A Hello of another protocol version decodes
+to that version alone (the other fields empty), whatever its body, so
+the server can refuse it with ``ACK_BAD_VERSION``.
 
     Hello:      protocol_version u16 | scheme u8 | batch_size u32 | sync u8 |
                 backbone config block (:meth:`BackboneConfig.config_block`)
@@ -214,7 +216,10 @@ def _parse_act_batch(payload: memoryview) -> ActBatch:
 
 def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     if msg_type == T_HELLO:
-        ver, scheme_code, batch_size, sync = _HELLO.unpack_from(payload, 0)
+        (ver,) = struct.unpack_from("<H", payload, 0)
+        if ver != PROTOCOL_VERSION:
+            return Hello(backbone=None, scheme=None, batch_size=0, protocol_version=ver)
+        _, scheme_code, batch_size, sync = _HELLO.unpack_from(payload, 0)
         block = BytesIO(payload[_HELLO.size:])
         try:
             backbone = BackboneConfig.from_config_block(block)

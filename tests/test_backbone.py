@@ -3,7 +3,8 @@ reference, the tiled in-place attention against its full out-of-place
 formula, the choice between the shift-free and the max-shifted softmax,
 slabs of sequences against one sequence at a time, a batch rerun after a
 batch of another shape, the working sets of the attention and of the
-whole forward, and the causal mask."""
+whole forward, the causal mask, and the frozen weights: fused once,
+read-only after."""
 
 import dataclasses
 import tracemalloc
@@ -253,3 +254,30 @@ def test_forwards_without_a_workspace_share_no_memory():
     taps = first + second
     for i, a in enumerate(taps):
         assert not any(np.shares_memory(a, b) for b in taps[i + 1:])
+
+
+def test_a_forward_reads_the_fused_weights_the_assembly_built(monkeypatch):
+    weights = init_backbone(CONFIG, 7)
+    fused = counting(monkeypatch, backbone, "_fuse_qkv")
+    ws = backbone.ForwardWorkspace(CONFIG)
+    kept = [forward_collect(weights, tokens(seed=seed), ws) for seed in (1, 2)][-1]
+    assert not fused
+    # a copy made by dataclasses.replace fuses its own, from its weights
+    copies = [dataclasses.replace(lw) for lw in weights.layers]
+    x = weights.token_embedding[tokens(seed=2)] + weights.pos_embedding[:15]
+    for lw in copies:
+        x = backbone.layer_forward(x, lw, CONFIG.heads)
+    assert len(fused) == CONFIG.layers
+    np.testing.assert_array_equal(x, kept[-1][1])
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["initialized", "loaded"])
+def test_the_frozen_weights_refuse_an_in_place_write(tmp_path, loaded):
+    weights = init_backbone(CONFIG, 7)
+    if loaded:
+        backbone.save_backbone(tmp_path / "w.bin", weights)
+        weights = backbone.load_backbone(tmp_path / "w.bin")
+    w, bias = weights.layers[0].qkv
+    for t in (weights.token_embedding, weights.layers[0].w_q, weights.final_ln_beta, w, bias):
+        with pytest.raises(ValueError, match="read-only"):
+            t += 1

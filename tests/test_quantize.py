@@ -1,8 +1,9 @@
 """Quantizer contracts: golden codebook, golden codes and decodes,
-round-trip bounds, brute-force nearest-entry agreement, packing, and
-payload arithmetic."""
+round-trip bounds, brute-force nearest-entry agreement, the working set
+of an encode in a lent tap, packing, and payload arithmetic."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,27 @@ class TestQuantize:
         want = quantize(x, scheme)
         assert quantize(x, scheme, scratch=np.empty_like(x)) == want
         assert quantize(x, scheme, scratch=x) == want  # x may lend itself
+
+    # traced bytes per element of a lent tap: fp16 holds its float16 array
+    # and their bytes; fp8 its sign bits, cut count, compare mask and
+    # bytes; nf4 the count and the mask; fp4 one uint8 code per element and
+    # the packed bytes. Measured 4.0, 3.0, 1.5 and 2.0; an fp8 encode that
+    # takes |z| into a fresh array, or an fp4 one that rounds out of place,
+    # peaks at 6.0 or 8.0
+    PEAK_BYTES_PER_ELEMENT = {"none_fp16": 4.25, "fp8_e4m3": 3.25, "fp4_grid": 1.75,
+                              "nf4": 2.25}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_an_encode_in_a_lent_tap_allocates_little_beyond_its_codes(self, scheme):
+        x = kernels.make_rng(5).normal(size=(16, 255, 32)).astype(np.float32)
+        quantize(x.copy(), scheme)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            quantize(x, scheme, scratch=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES_PER_ELEMENT[scheme] * x.size
 
     def test_a_scratch_of_another_shape_or_dtype_is_rejected(self):
         x = np.ones((2, 3, 4), np.float32)

@@ -150,12 +150,18 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
     assert not ckpt.exists()
 
 
-def test_a_handshake_with_another_protocol_version_is_refused(tmp_path):
+# protocol 2's Hello: the fixed fields, then the sha256 of the config block
+PROTOCOL_2_HELLO = _frame(T_HELLO, struct.pack("<HBIB", 2, 3, BATCH, 0) + bytes(32))
+
+
+@pytest.mark.parametrize("frame", [hello(protocol_version=PROTOCOL_VERSION + 1),
+                                   PROTOCOL_2_HELLO], ids=["next", "protocol_2"])
+def test_a_handshake_with_another_protocol_version_is_refused(tmp_path, frame):
     ckpt = tmp_path / "side.bin"
     config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=1.0)
     dev_end, srv_end = loopback_pair()
     try:
-        dev_end.send(hello(protocol_version=PROTOCOL_VERSION + 1))
+        dev_end.send(frame)
         report = run_server(config, srv_end)
         ack = MessageReader(dev_end).read_expected(SessionAck, timeout=1.0)
     finally:

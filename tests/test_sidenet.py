@@ -1,7 +1,8 @@
 """The side network's step against the formulas it replaced, and its
-workspace: after a session's first batch a step allocates less than one
-tap, and a workspace kept across steps of changing shape gives the bits
-of a fresh one per step."""
+workspace: a backward reads only what a forward left in it, after a
+session's first batch a step allocates less than one tap, and a
+workspace kept across steps of changing shape gives the bits of a fresh
+one per step."""
 
 import dataclasses
 import io
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 
 from sidetune import SideConfig, TrainState, init_adam, init_side, kernels, quantize, save_side
-from sidetune.sidenet import NONLINEARITIES, SideNetworkParams, side_backward, side_forward
+from sidetune.sidenet import (
+    NONLINEARITIES,
+    SideNetworkParams,
+    Workspace,
+    side_backward,
+    side_forward,
+)
 from sidetune.training import loss_and_grad, train_iteration
 from sidetune.wire import ActBatch
 
@@ -121,17 +128,34 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     labels = rng.integers(0, CONFIG.classes, size=8)
     before = [t.copy() for t in taps]
 
-    logits, cache = side_forward(taps, params, config, training=True)
-    grads = side_backward(cache, loss_and_grad(logits, labels)[1], params)
+    logits, ws = side_forward(taps, params, config)
+    d_logits = loss_and_grad(logits, labels)[1]
+    grads = side_backward(ws, d_logits, params)
     expected_logits, expected = oracle_step(taps, params, config, labels)
 
     assert logits.tobytes() == expected_logits.tobytes()
+    assert grads is ws.grads
     for (name, got), (_, want) in zip(grads.named_tensors(), expected.named_tensors()):
         assert got.dtype == np.float32
         # measured at most 4e-7 of each tensor's largest entry
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
     for t, b in zip(taps, before):
         np.testing.assert_array_equal(t, b)
+    # the backward wrote over the forward it read, so it cannot run twice;
+    # a second forward in the same workspace gives the same bits again
+    with pytest.raises(ValueError, match="no forward"):
+        side_backward(ws, d_logits, params)
+    first = grads.flat.copy()
+    again, kept = side_forward(taps, params, config, ws)
+    assert kept is ws and again.tobytes() == logits.tobytes()
+    assert side_backward(ws, d_logits, params).flat.tobytes() == first.tobytes()
+
+
+def test_a_backward_refuses_a_workspace_that_holds_no_forward():
+    params = init_side(CONFIG, 1)
+    with pytest.raises(ValueError, match="no forward"):
+        side_backward(Workspace(CONFIG, 2, 3), np.zeros((2, CONFIG.classes), np.float32),
+                      params)
 
 
 def test_after_the_first_step_a_step_allocates_less_than_one_tap():
