@@ -30,6 +30,7 @@ from .device import DeviceConfig, SyntheticTask, load_csv_task, run_device
 from .kernels import make_rng
 from .quantize import SCHEMES, dequantize, quantize
 from .server import ServerConfig, local_mode, run_server
+from .training import LOSS_KINDS
 from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
 from .wire import ACK_REASONS, HandshakeError, payload_bytes
 
@@ -136,7 +137,7 @@ def _add_side_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--side-seed", type=int, default=1, help="side init seed")
     g.add_argument("--lr", type=float, default=5e-4, help="Adam learning rate")
     g.add_argument("--loss", default="cross_entropy",
-                   choices=["cross_entropy", "mse"], help="training loss")
+                   choices=LOSS_KINDS, help="training loss")
     g.add_argument("--ckpt", default="", help="final checkpoint path")
     g.add_argument("--metrics", default="", help="metrics JSONL path")
 
@@ -236,6 +237,18 @@ def _host_port(addr: str, default_host: str) -> tuple[str, int]:
     return host or default_host, int(port)
 
 
+def _summary(report) -> str:
+    """Iterations, refused batches by reason, and the last step's loss and accuracy."""
+    refused = ", ".join(f"{n} {reason}" for reason, n in sorted(report.invalid.items()))
+    line = f"{report.iterations} iterations, refused {refused or 'none'}"
+    if report.metrics:
+        last = report.metrics[-1]
+        line += f"; final loss {last.loss:.6f}"
+        if last.acc is not None:
+            line += f", final batch acc {last.acc:.3f}"
+    return line
+
+
 def _cmd_server(args) -> int:
     config = _server_config_from_args(args)
     transport, _ = tcp_listen_one(*_host_port(args.listen, "0.0.0.0"))
@@ -246,9 +259,7 @@ def _cmd_server(args) -> int:
     if report.rejected is not None:
         print(f"session rejected: {ACK_REASONS[report.rejected]}")
         return 2
-    print(f"trained {report.iterations} iterations, dropped {report.dropped}, "
-          f"invalid {sum(report.invalid.values())}; "
-          f"final loss {report.losses[-1] if report.losses else float('nan'):.6f}")
+    print(f"trained {_summary(report)}")
     return 0 if report.clean_shutdown else 2
 
 
@@ -272,12 +283,8 @@ def _cmd_device(args) -> int:
 
 def _cmd_local(args) -> int:
     report = local_mode(_device_config_from_args(args), _server_config_from_args(args))
-    last = report.metrics[-1]
-    line = f"local run: {report.iterations} iterations, final loss {last.loss:.6f}"
-    if last.acc is not None:
-        line += f", final batch acc {last.acc:.3f}"
-    print(line)
-    return 0
+    print(f"local run: {_summary(report)}")
+    return 0 if report.metrics else 2
 
 
 def _cmd_gradcheck(args) -> int:

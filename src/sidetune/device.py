@@ -38,7 +38,7 @@ from .backbone import (
     init_backbone,
     load_backbone,
 )
-from .quantize import quantize
+from .quantize import SCHEMES, quantize
 from .sidenet import load_side
 from .transport import TransportClosed
 from .wire import (
@@ -133,6 +133,8 @@ class DeviceConfig:
     timeout_s: float = 10.0
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.queue_depth < 1:
             raise ValueError("queue depth must be at least 1")
         if self.batch_size < 1:
@@ -153,6 +155,11 @@ class DeviceConfig:
         else:
             per_epoch = max(self.samples_per_epoch // self.batch_size, 1)
         return self.epochs * per_epoch
+
+    def hello(self) -> Hello:
+        """The Hello this device opens its session with."""
+        return Hello(backbone=self.backbone, scheme=self.scheme, batch_size=self.batch_size,
+                     sync=self.serial)
 
 
 @dataclass
@@ -196,9 +203,7 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
 
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:
-    hello = Hello(backbone=config.backbone, scheme=config.scheme,
-                  batch_size=config.batch_size, sync=config.serial)
-    transport.send(encode(hello))
+    transport.send(encode(config.hello()))
     ack = reader.read_expected(SessionAck, timeout=config.timeout_s)
     if ack.status != ACK_OK:
         raise HandshakeError(
@@ -275,14 +280,12 @@ def _run_batches(config, weights, transport, reader, report) -> None:
             # collect finished sends; wait while more than queue_depth are outstanding
             while pending and (pending[0].done() or len(pending) > config.queue_depth):
                 record(*pending.popleft().result())
-            t1 = time.perf_counter()
-            timing["t_queue_ms"] = (t1 - t0) * 1e3
+            timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
             handed_off = i + 1
             future = sender.submit(send, msg, timing)
             if config.serial:
                 _, nbytes = future.result()
                 snap = reader.read_expected(MetricsSnapshot, timeout=config.timeout_s)
-                timing["t_send_ms"] = (time.perf_counter() - t1) * 1e3
                 rejected = json.loads(snap.text).get("rejected")
                 if rejected is not None:
                     log.warning("server did not train on batch %d: %s", i, rejected)

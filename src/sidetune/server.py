@@ -5,21 +5,21 @@ A session is one loop on the calling thread: read the next message, act
 on it. Messages are handled strictly in arrival order, so optimizer
 state needs no locking and checkpoint requests are always served at an
 iteration boundary. While a step runs, the transport's own buffer holds
-the frames that arrive, and the device keeps computing. A batch that
-arrives intact but does not fit the session (:func:`validate_batch`) is
-dropped and counted by reason; the session goes on. So is a batch whose
-step overflows to a loss or gradient that is not finite ("non_finite"):
-the parameters and the optimizer state stay as they were. In a sync session
-(``Hello.sync``) every batch gets exactly one :class:`MetricsSnapshot`:
-the step's metrics, or the reason the batch was rejected or dropped. A
-Hello that is malformed, longer than ``wire.MAX_HELLO``, missing or late
-ends the session before it starts, with no checkpoint. After it, a frame
+the frames that arrive, and the device keeps computing. One function,
+:func:`_take_batch`, trains each batch or refuses it, counting it in
+``ServerReport.invalid`` under :func:`validate_batch`'s reason ("scheme",
+"taps", "shape", "label_count", "label_range", "non_finite" or
+"out_of_order"), or under "non_finite" when the step overflows, which
+leaves the parameters and the optimizer state as they were; the session
+goes on. In a sync session (``Hello.sync``) every batch gets exactly one
+:class:`MetricsSnapshot`: its metrics, or why it was refused. A Hello
+that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
+the session before it starts, with no checkpoint. After it, a frame
 longer than the session's largest batch ends the session at once.
 
-Local mode builds each batch with the device's own
-:func:`sidetune.device.compute_batch` and trains it through the same
-step-recording helper as a split session, so the two share every line
-that computes a loss.
+Local mode checks the Hello the device would send and hands each batch
+of :func:`sidetune.device.compute_batch` to the same :func:`_take_batch`,
+so it refuses what a split session refuses, and trains bit-equally.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ import numpy as np
 from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
-from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
+from .training import DEFAULT_LR, LOSS_KINDS, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_CONFIG,
     ACK_BAD_VERSION,
     ACK_OK,
+    ACK_REASONS,
     ActBatch,
     Bye,
     CheckpointData,
@@ -72,6 +73,13 @@ class ServerConfig:
     metrics_path: str | None = None
     timeout_s: float = 10.0
 
+    def __post_init__(self):
+        self.side_config()  # refuses a side network the backbone cannot feed
+        if self.loss_kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        if self.loss_kind == "mse" and self.classes != 1:
+            raise ValueError("an mse head has one output")
+
     def side_config(self) -> SideConfig:
         return SideConfig(
             hidden=self.backbone.hidden,
@@ -79,14 +87,12 @@ class ServerConfig:
             adapters=self.backbone.num_blocks,
             classes=self.classes,
             nonlinearity=self.nonlinearity,
-            init_std=self.init_std,
         )
 
 
 @dataclass
 class ServerReport:
-    dropped: int = 0  # out of order
-    invalid: Counter = field(default_factory=Counter)  # rejected batches by reason
+    invalid: Counter = field(default_factory=Counter)  # refused batches by reason
     metrics: list = field(default_factory=list)  # one IterationMetrics per trained batch
     rejected: int | None = None  # ack status when the handshake failed
     clean_shutdown: bool = False
@@ -100,10 +106,14 @@ class ServerReport:
     def losses(self) -> list:
         return [m.loss for m in self.metrics]
 
+    @property
+    def dropped(self) -> int:
+        return self.invalid["out_of_order"]
+
 
 def _make_state(config: ServerConfig) -> TrainState:
     side_cfg = config.side_config()
-    params = init_side(side_cfg, config.side_seed)
+    params = init_side(side_cfg, config.side_seed, std=config.init_std)
     return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr),
                       loss_kind=config.loss_kind)
 
@@ -117,7 +127,8 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     return ACK_OK
 
 
-def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch) -> str | None:
+def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
+                   last_batch_id: int) -> str | None:
     """Why `batch` does not fit the session, or None when it does.
 
     The reasons, checked in this order:
@@ -130,7 +141,8 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch) -> str |
     - "label_range": a class label outside [0, classes), under cross
       entropy;
     - "non_finite": a tap whose scale, or whose fp16 codes, hold a NaN or
-      an infinity.
+      an infinity;
+    - "out_of_order": a batch id no greater than `last_batch_id`.
     """
     if any(q.scheme != hello.scheme for q in batch.taps):
         return "scheme"
@@ -148,6 +160,8 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch) -> str |
     if any(not np.isfinite(q.scale) or q.scheme == "none_fp16" and not np.isfinite(
             np.frombuffer(q.codes, dtype=np.float16)).all() for q in batch.taps):
         return "non_finite"
+    if batch.batch_id <= last_batch_id:
+        return "out_of_order"
     return None
 
 
@@ -167,23 +181,24 @@ def _metrics_log(config: ServerConfig):
     return open(config.metrics_path, "w") if config.metrics_path else nullcontext()
 
 
-def _train_and_record(state: TrainState, batch: ActBatch, report, metrics_fh) -> str | None:
-    """One training step, recorded in `report` and the metrics log.
-    Returns None when the batch trained, else why it did not:
-    "out_of_order" (counted in the state's `dropped`) or "non_finite" (a
-    loss or gradient that is not, counted in ``report.invalid``)."""
-    try:
-        metrics = train_iteration(state, batch)
-    except NonFiniteStep as exc:
-        report.invalid["non_finite"] += 1
-        log.warning("rejecting batch %d: %s", batch.batch_id, exc)
-        return "non_finite"
-    if metrics is None:
-        return "out_of_order"
-    report.metrics.append(metrics)
-    if metrics_fh:
-        metrics_fh.write(metrics.to_json() + "\n")
-    return None
+def _take_batch(config: ServerConfig, hello: Hello, batch, report, metrics_fh) -> str | None:
+    """Train `batch` on ``report.state``, recording its metrics in `report`
+    and the metrics log, or refuse it, counting the refusal in
+    ``report.invalid``. Returns None when the batch trained, else why not."""
+    reason = validate_batch(config, hello, batch, report.state.last_batch_id)
+    if reason is None:
+        try:
+            metrics = train_iteration(report.state, batch)
+        except NonFiniteStep:
+            reason = "non_finite"
+        else:
+            report.metrics.append(metrics)
+            if metrics_fh:
+                metrics_fh.write(metrics.to_json() + "\n")
+            return None
+    report.invalid[reason] += 1
+    log.warning("refusing batch %d: %s", batch.batch_id, reason)
+    return reason
 
 
 def run_server(config: ServerConfig, transport) -> ServerReport:
@@ -205,8 +220,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     reader.limit_to_batches((hello.batch_size, config.backbone.max_seq, config.backbone.hidden),
                             hello.scheme, config.backbone.gamma)
 
-    state = _make_state(config)
-    report.state = state
+    state = report.state = _make_state(config)
     try:
         with _metrics_log(config) as metrics_fh:
             while True:
@@ -225,12 +239,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
-                    reason = validate_batch(config, hello, msg)
-                    if reason is not None:
-                        report.invalid[reason] += 1
-                        log.warning("rejecting batch %d: %s", msg.batch_id, reason)
-                    else:
-                        reason = _train_and_record(state, msg, report, metrics_fh)
+                    reason = _take_batch(config, hello, msg, report, metrics_fh)
                     if hello.sync:
                         # one answer per batch, so a serial device never waits it out
                         text = report.metrics[-1].to_json() if reason is None else json.dumps(
@@ -239,7 +248,6 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:
-        report.dropped = state.dropped
         _save_checkpoint(config, state)
     return report
 
@@ -249,11 +257,13 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     no wire in between.
 
     Quantize/dequantize still runs (it is part of the model, not the
-    transport), so with matching seeds the loss trajectory and the
-    checkpoint are bit-equal to a split run's.
+    transport), so with matching seeds the loss trajectory, the refused
+    batches and the checkpoint are those of a split run.
     """
-    if device_config.backbone != server_config.backbone:
-        raise ValueError("device and server disagree on the backbone config")
+    hello = device_config.hello()
+    status = _validate_hello(server_config, hello)
+    if status != ACK_OK:
+        raise ValueError(f"the server would refuse this device: {ACK_REASONS[status]}")
     weights = load_device_backbone(device_config)
     state = _make_state(server_config)
     report = ServerReport(state=state)
@@ -261,6 +271,6 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     with _metrics_log(server_config) as metrics_fh:
         for i in range(device_config.total_iterations):
             batch, _ = compute_batch(weights, device_config, i, ws)
-            _train_and_record(state, batch, report, metrics_fh)
+            _take_batch(server_config, hello, batch, report, metrics_fh)
     _save_checkpoint(server_config, state)
     return report

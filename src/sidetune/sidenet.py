@@ -58,7 +58,6 @@ class SideConfig:
     adapters: int
     classes: int
     nonlinearity: str = "gelu"
-    init_std: float = 0.02
 
     def __post_init__(self):
         if self.bottleneck >= self.hidden:
@@ -190,15 +189,15 @@ class Workspace:
         return self.taps[len(self.taps) - count:]
 
 
-def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
-    """Zero-mean Gaussian projections, identity layer norms, zero head.
-    Tensors are drawn in layout order."""
+def init_side(config: SideConfig, seed: int, std: float = 0.02) -> SideNetworkParams:
+    """Gaussian projections of mean 0 and deviation `std`, identity layer
+    norms, zero head. Tensors are drawn in layout order."""
     rng = kernels.make_rng(seed)
     params = SideNetworkParams(config)
     for name, t in params.named_tensors():
         leaf = name.rpartition(".")[2]
         if leaf.startswith("w_"):
-            t[...] = rng.normal(0.0, config.init_std, size=t.shape)
+            t[...] = rng.normal(0.0, std, size=t.shape)
         elif leaf.endswith("_gamma"):
             t[...] = 1
     return params

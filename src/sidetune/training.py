@@ -2,13 +2,14 @@
 
 A step runs the side forward and backward in the session's one
 :class:`sidetune.sidenet.Workspace`, which holds what the backward reads
-of the forward, then moves the parameters with Adam.
+of the forward, then moves the parameters with Adam. The step only
+trains: whether a batch fits the session, and what a refused batch
+counts as, is the server's to decide (:mod:`sidetune.server`).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -19,14 +20,14 @@ from . import kernels
 from .quantize import dequantize
 from .sidenet import SideConfig, SideNetworkParams, Workspace, side_backward, side_forward
 
-log = logging.getLogger(__name__)
-
 # lr and batch size follow the reference training setup; the moment
 # coefficients and eps are the customary Adam values
 DEFAULT_LR = 5e-4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+LOSS_KINDS = ("cross_entropy", "mse")
 
 
 def loss_and_grad(logits: np.ndarray, labels: np.ndarray, kind: str = "cross_entropy"):
@@ -159,7 +160,6 @@ class TrainState:
     adam: AdamState
     loss_kind: str = "cross_entropy"
     last_batch_id: int = -1
-    dropped: int = 0
     workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
 
@@ -168,23 +168,17 @@ class NonFiniteStep(ValueError):
     and the optimizer state as they were."""
 
 
-def train_iteration(state: TrainState, batch) -> IterationMetrics | None:
-    """Consume one activation batch: dequantize, forward, backward, step.
+def train_iteration(state: TrainState, batch) -> IterationMetrics:
+    """Train on one activation batch: dequantize, forward, backward, step.
 
     `batch` is an ActBatch-shaped object carrying ``batch_id``, ``labels``
-    and ``taps`` (quantized, in block order). Batches must arrive with
-    strictly increasing ids; anything else is logged and dropped. A
-    finite but huge tap can still overflow the side network; when the
+    and ``taps`` (quantized, in block order), which the caller has
+    checked against the session; its id becomes ``state.last_batch_id``.
+    A finite but huge tap can still overflow the side network; when the
     loss or the gradient is not finite, the step raises
     :class:`NonFiniteStep` before the optimizer moves.
     """
-    if batch.batch_id <= state.last_batch_id:
-        state.dropped += 1
-        log.warning("dropping out-of-order batch %d (last was %d)",
-                    batch.batch_id, state.last_batch_id)
-        return None
     state.last_batch_id = batch.batch_id
-
     bytes_in = sum(len(q.codes) for q in batch.taps)
     b, s, _ = batch.taps[0].shape
     ws = state.workspace

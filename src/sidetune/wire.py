@@ -12,10 +12,10 @@ fatal on mismatch.
 
 The session setup, then the steady-state workhorse. The Hello fixes the
 backbone (its config block, as the weight file stores it, names the tap
-blocks), the scheme and the batch size B; a tap's code length follows
-from its scheme and shape. A Hello of another protocol version decodes
-to that version alone (the other fields empty), whatever its body, so
-the server can refuse it with ``ACK_BAD_VERSION``.
+blocks), the scheme and the batch size B >= 1; a tap's code length
+follows from its scheme and shape. A Hello of another protocol version
+decodes to that version alone (the other fields empty), whatever its
+body, so the server can refuse it with ``ACK_BAD_VERSION``.
 
     Hello:      protocol_version u16 | scheme u8 | batch_size u32 | sync u8 |
                 backbone config block (:meth:`BackboneConfig.config_block`)
@@ -225,7 +225,7 @@ def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
             backbone = BackboneConfig.from_config_block(block)
         except (EOFError, ValueError) as exc:  # truncated, or refused by __post_init__
             raise FrameError(f"malformed hello: {exc}") from exc
-        if block.read(1) or scheme_code not in _SCHEME_NAME:
+        if block.read(1) or scheme_code not in _SCHEME_NAME or batch_size < 1:
             raise FrameError("malformed hello")
         return Hello(backbone=backbone, scheme=_SCHEME_NAME[scheme_code],
                      batch_size=batch_size, sync=bool(sync), protocol_version=ver)

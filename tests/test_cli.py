@@ -29,6 +29,12 @@ def test_local_prints_no_accuracy_for_mse(capsys):
     assert "final loss" in out and "acc" not in out
 
 
+def test_local_counts_the_batches_it_refuses(capsys):
+    # a one-class head refuses every batch that holds a label 1
+    assert main(["local", *TINY, "--classes", "1"]) == 2
+    assert "local run: 0 iterations, refused 2 label_range" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [["--iters", "0", "--epochs", "0"], ["--iters", "-1"],
                                    ["--batch", "0"]])
 def test_local_rejects_a_run_without_iterations(capsys, flags):

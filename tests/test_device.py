@@ -21,6 +21,7 @@ from sidetune import (
     load_csv_task,
     run_device,
     run_server,
+    server,
 )
 from sidetune.cli import main
 from sidetune.transport import TransportClosed, loopback_pair
@@ -169,6 +170,33 @@ def test_every_entry_carries_the_timing_keys(serial):
         assert all(e["queue_depth"] == 0 for e in report.entries)
         assert report.max_queued_bytes == 0
     assert session.server_report().clean_shutdown
+
+
+def test_a_serial_entry_times_the_send_alone(monkeypatch):
+    inner = server.train_iteration
+
+    def slow_step(state, batch):
+        time.sleep(0.2)
+        return inner(state, batch)
+
+    monkeypatch.setattr(server, "train_iteration", slow_step)
+    session = Session()
+    report = run_device(device_config(iterations=3, serial=True), session.uplink)
+    assert all(e["t_send_ms"] < 100 for e in report.entries), report.entries
+    assert session.server_report().iterations == 3
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"scheme": "bogus"}, "scheme"),
+    ({"queue_depth": 0}, "queue depth"),
+    ({"batch_size": 0}, "batch size"),
+    ({"iterations": 0, "epochs": 0}, "no iterations"),
+    ({"task": SyntheticTask(seq_len=BACKBONE.max_seq + 1)}, "max_seq"),
+    ({"task": SyntheticTask(vocab_size=BACKBONE.vocab_size + 1, seq_len=SEQ)}, "vocabulary"),
+], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size"])
+def test_a_device_config_that_cannot_run_is_refused_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        DeviceConfig(**{"backbone": BACKBONE, "task": SyntheticTask(seq_len=SEQ), **fields})
 
 
 def write_csv(path, rows):

@@ -11,6 +11,7 @@ import pytest
 from sidetune import (
     BackboneConfig,
     ModelSpec,
+    ServerConfig,
     SideConfig,
     init_backbone,
     init_side,
@@ -22,6 +23,7 @@ from sidetune import (
     save_backbone,
     save_side,
 )
+from sidetune import server
 from sidetune.binio import FormatError
 from sidetune.wire import (
     ActBatch,
@@ -77,6 +79,15 @@ def test_side_checkpoint_matches_golden_and_round_trips():
     config, params = load_side(io.BytesIO(data), SIDE)
     assert config == SIDE
     assert side_bytes(params, config) == data
+
+
+def test_a_checkpoint_loads_the_config_it_was_trained_under_at_any_init_std():
+    config = ServerConfig(backbone=BACKBONE, bottleneck=16, init_std=0.05)
+    state = server._make_state(config)
+    loaded, params = load_side(io.BytesIO(server._checkpoint_bytes(state)))
+    assert loaded == state.config == config.side_config()
+    assert params.flat.tobytes() == state.params.flat.tobytes()
+    assert params.flat.tobytes() != init_side(loaded, config.side_seed).flat.tobytes()
 
 
 def test_trailing_byte_is_rejected():
@@ -136,23 +147,25 @@ def test_a_hello_carries_the_backbone_config(cuts, tap_embedding):
     assert StreamDecoder().feed(data) == [msg]
 
 
-def hello_frame(block: bytes) -> bytes:
-    """A Hello frame whose fixed fields are a valid Hello's and whose
-    config block is `block`."""
-    return _frame(T_HELLO, encode(Hello(backbone=BACKBONE, scheme="nf4", batch_size=4))[12:20]
-                  + block)
+def hello_frame(block: bytes, batch_size: int = 4) -> bytes:
+    """A Hello frame declaring `batch_size`, whose other fixed fields are
+    a valid Hello's and whose config block is `block`."""
+    hello = Hello(backbone=BACKBONE, scheme="nf4", batch_size=batch_size)
+    return _frame(T_HELLO, encode(hello)[12:20] + block)
 
 
-@pytest.mark.parametrize("block", [
-    BACKBONE.config_block()[:-1],
-    BACKBONE.config_block() + b"\0",
+@pytest.mark.parametrize("block, batch_size", [
+    (BACKBONE.config_block()[:-1], 4),
+    (BACKBONE.config_block() + b"\0", 4),
     # hidden 30 over 4 heads
-    BACKBONE.config_block()[:4] + struct.pack("<I", 30) + BACKBONE.config_block()[8:],
-], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads"])
-def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block):
+    (BACKBONE.config_block()[:4] + struct.pack("<I", 30) + BACKBONE.config_block()[8:], 4),
+    # a valid block, but a session of no batch at all
+    (BACKBONE.config_block(), 0),
+], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads", "batch_size_0"])
+def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block, batch_size):
     assert StreamDecoder().feed(hello_frame(BACKBONE.config_block())) != []
     with pytest.raises(FrameError, match="malformed hello"):
-        StreamDecoder().feed(hello_frame(block))
+        StreamDecoder().feed(hello_frame(block, batch_size))
 
 
 @pytest.mark.parametrize("scheme", ["none_fp16", "fp8_e4m3", "fp4_grid", "nf4"])

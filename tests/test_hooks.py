@@ -1,13 +1,15 @@
 """The names the benchmark (`splitbench/`) replaces from outside the
-package. Its tracer and its per-step stamps swap these attributes for
-timing wrappers, so each must resolve to a callable, and the program
-must look each one up in the patched module when it calls it."""
+package, and the report fields it reads. Its tracer and its per-step
+stamps swap these attributes for timing wrappers, so each must resolve
+to a callable, and the program must look each one up in the patched
+module when it calls it."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from sidetune import (
     server,
     training,
 )
+from sidetune.transport import loopback_pair
 
 HOOKS = {
     "device": ("make_batch", "forward_collect", "quantize", "encode"),
@@ -79,6 +82,37 @@ def test_the_benchmark_tracer_installs_on_both_roles_and_records_a_session():
             "wire.encode", "transport.send"} <= set(layers["device"])
     assert {"server.step", "quantize.dequantize", "sidenet.forward", "sidenet.backward",
             "training.loss", "training.adam", "wire.decode"} <= set(layers["server"])
+
+
+def test_the_reports_serve_every_field_the_benchmark_records():
+    model = BackboneConfig(vocab_size=16, hidden=16, layers=2, heads=2, max_seq=15)
+    dev_end, srv_end = loopback_pair()
+    out = {}
+    thread = threading.Thread(target=lambda: out.update(report=server.run_server(
+        ServerConfig(backbone=model, bottleneck=8), srv_end)))
+    thread.start()
+    try:
+        dev = device.run_device(DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15),
+                                             batch_size=4, iterations=2), dev_end)
+    finally:
+        dev_end.close()
+        thread.join(timeout=30)
+    assert not thread.is_alive(), "run_server did not return"
+    srv_end.close()
+    srv = out["report"]
+    # the dicts splitbench/role.py writes as each role's result
+    recorded = json.loads(json.dumps({
+        "device": {"iterations": dev.iterations, "bytes_sent": dev.bytes_sent,
+                   "max_queued_bytes": dev.max_queued_bytes, "aborted": dev.aborted,
+                   "wall_s": dev.wall_s, "entries": dev.entries},
+        "server": {"iterations": srv.iterations, "dropped": srv.dropped,
+                   "losses": srv.losses, "clean_shutdown": srv.clean_shutdown,
+                   "rejected": srv.rejected},
+    }))
+    assert recorded["server"] == {"iterations": 2, "dropped": 0, "losses": srv.losses,
+                                  "clean_shutdown": True, "rejected": None}
+    assert len(recorded["device"]["entries"]) == 2 and not recorded["device"]["aborted"]
+    assert all({"t_queue_ms", "queue_depth"} <= e.keys() for e in recorded["device"]["entries"])
 
 
 @pytest.mark.parametrize("module,path", [(m, p) for m, paths in HOOKS.items() for p in paths])

@@ -12,6 +12,7 @@ import json
 import struct
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme=
     return out, ckpt
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"bottleneck": BACKBONE.hidden}, "bottleneck"),
+    ({"nonlinearity": "tanh"}, "nonlinearity"),
+    ({"loss_kind": "hinge"}, "loss kind"),
+    ({"loss_kind": "mse"}, "one output"),
+], ids=["bottleneck_not_below_hidden", "nonlinearity", "loss_kind", "mse_with_two_classes"])
+def test_a_server_config_that_cannot_be_served_is_refused_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ServerConfig(backbone=BACKBONE, **fields)
+
+
 def initial_checkpoint(config):
     buf = io.BytesIO()
     save_side(buf, init_side(config.side_config(), config.side_seed), config.side_config())
@@ -120,11 +132,20 @@ LONG_CUTS = (MAX_HELLO - 36) // 4 + 1
 LONG_BACKBONE = dataclasses.replace(BACKBONE, layers=LONG_CUTS,
                                     block_cuts=tuple(range(1, LONG_CUTS + 1)))
 
+
+def zero_batch_hello(end):
+    # then hang up, so that a server which takes this Hello ends at once
+    end.send(encode(Hello(backbone=BACKBONE, scheme="nf4", batch_size=0)))
+    end.close()
+
+
 # what the device end does before the server's handshake read gives up;
-# scheme code 9 names no scheme, so that Hello does not decode
+# scheme code 9 names no scheme, and a batch of 0 is no batch, so neither
+# Hello decodes
 HANDSHAKE_FAILURES = {
     "malformed_hello": lambda end: end.send(_frame(T_HELLO, struct.pack(
         "<HBIB", PROTOCOL_VERSION, 9, BATCH, 0) + BACKBONE.config_block())),
+    "zero_batch_hello": zero_batch_hello,
     "oversized_hello": lambda end: end.send(encode(Hello(
         backbone=LONG_BACKBONE, scheme="nf4", batch_size=BATCH))),
     "eof_before_hello": lambda end: end.close(),
@@ -319,7 +340,10 @@ def test_a_sync_session_answers_every_batch_with_one_snapshot(case):
     finally:
         dev_end.close()
         srv_end.close()
-    assert out["report"].iterations == reasons.count(None)
+    report = out["report"]
+    assert report.iterations == reasons.count(None)
+    assert report.invalid == Counter(filter(None, reasons))
+    assert report.dropped == reasons.count("out_of_order")
 
 
 def test_a_serial_device_learns_of_each_rejected_batch_at_once():

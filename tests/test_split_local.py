@@ -1,17 +1,20 @@
-"""A split run, over loopback or TCP, and a local run train bit-identically:
-the server's backward moves where the work runs, not what it computes.
-Inference on the device gives the logits of the server's step."""
+"""A split run, over loopback or TCP, and a local run train bit-identically
+and refuse the same batches: the server's backward moves where the work
+runs, not what it computes. Inference on the device gives the logits of
+the server's step."""
 
 import dataclasses
 import io
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from sidetune import (
     SCHEMES,
     BackboneConfig,
+    CsvTask,
     DeviceConfig,
     ModelSpec,
     ServerConfig,
@@ -38,8 +41,8 @@ BATCH, SEQ, ITERS = 8, 15, 5
 FRAME_OVERHEAD = 30  # 16-byte frame, batch id, label count, tap count
 
 
-def configs(scheme, serial, ckpt, backbone=BACKBONE):
-    device = DeviceConfig(backbone=backbone, task=SyntheticTask(seq_len=SEQ, seed=3),
+def configs(scheme, serial, ckpt, backbone=BACKBONE, task=SyntheticTask(seq_len=SEQ, seed=3)):
+    device = DeviceConfig(backbone=backbone, task=task,
                           scheme=scheme, batch_size=BATCH, iterations=ITERS, serial=serial,
                           fetch_checkpoint=True)
     server = ServerConfig(backbone=backbone, lr=5e-3, checkpoint_path=str(ckpt))
@@ -101,6 +104,29 @@ def test_split_and_local_runs_are_bit_equal(tmp_path, scheme, serial, link, back
                      gamma=backbone.gamma)
     frame = payload_per_iteration(spec, scheme) + FRAME_OVERHEAD
     assert device_report.bytes_sent == ITERS * frame
+
+
+def task_with_one_bad_label():
+    """A csv task whose batch 2 holds one label outside the head's 2 classes."""
+    rng = np.random.default_rng(0)
+    labels = np.arange(BATCH * ITERS) % 2
+    labels[2 * BATCH + 3] = 2
+    return CsvTask(tokens=rng.integers(0, 16, size=(BATCH * ITERS, SEQ)), labels=labels,
+                   seq_len=SEQ, vocab_size=16)
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["pipelined", "serial"])
+def test_split_and_local_runs_refuse_the_same_batch(tmp_path, serial):
+    task = task_with_one_bad_label()
+    device_cfg, server_cfg = configs("nf4", serial, tmp_path / "split.bin", task=task)
+    _, server_report = split_run(device_cfg, server_cfg, loopback_pair)
+    _, local_cfg = configs("nf4", serial, tmp_path / "local.bin", task=task)
+    local = local_mode(device_cfg, local_cfg)
+
+    assert server_report.invalid == local.invalid == {"label_range": 1}
+    assert server_report.iterations == local.iterations == ITERS - 1
+    assert server_report.losses == local.losses
+    assert (tmp_path / "split.bin").read_bytes() == (tmp_path / "local.bin").read_bytes()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
