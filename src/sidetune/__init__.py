@@ -15,7 +15,7 @@ Layout:
 - :mod:`sidetune.backbone`  frozen decoder with activation taps, weight file
 - :mod:`sidetune.quantize`  fp16/fp8/fp4/nf4 activation codecs
 - :mod:`sidetune.sidenet`   trainable adapter stack, forward + backward, checkpoint
-- :mod:`sidetune.training`  losses, Adam, the per-batch training step
+- :mod:`sidetune.training`  cross-entropy, Adam, the per-batch training step
 - :mod:`sidetune.wire`      framed one-way activation protocol and its byte counts
 - :mod:`sidetune.transport` loopback / rate-limited / TCP byte streams
 - :mod:`sidetune.device`    forward-only loop with one send thread; builds
@@ -35,7 +35,6 @@ from .backbone import (
     BackboneWeights,
     forward_collect,
     init_backbone,
-    layer_forward,
     load_backbone,
     save_backbone,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "init_backbone",
     "init_side",
     "iteration_time_estimate",
-    "layer_forward",
     "load_backbone",
     "load_csv_task",
     "load_side",

@@ -18,12 +18,12 @@ of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
 change no bit of the taps, unless the attention's score bound, taken
 per slab, falls on both sides of its limit (see :func:`_self_attention`).
 
-One :class:`Workspace` holds every intermediate of a slab, so the layer
-loop allocates nothing. Tiles, slabs and layers reuse its buffers, and
-each slab's last layer norm writes straight into its rows of the layer
-output. A caller that runs many forwards keeps a
-:class:`ForwardWorkspace`: that workspace and the taps, built once per
-batch shape, so a forward allocates nothing batch-sized.
+One :class:`ForwardWorkspace`, built for the batch's (B, S) and dtype,
+holds every buffer of a forward: the intermediates of a slab, reused
+across tiles, slabs and layers, and the activations, so the layer loop
+allocates nothing and each slab's last layer norm writes straight into
+its rows of the layer output. A caller that runs many forwards of one
+shape keeps one; a batch of another shape needs its own.
 
 The attention projects a slab in one product: a fused weight
 (:func:`_fuse_qkv`) times each sequence's xᵀ gives qᵀ, kᵀ and, per head,
@@ -233,11 +233,16 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
     return _assemble(config, ((i, name, make(name, shape)) for i, name, shape in order))
 
 
-class Workspace:
-    """The buffers of one decoder layer over a slab of up to `n` sequences
-    of length `s`, reused across attention tiles, slabs and layers.
+class ForwardWorkspace:
+    """Every buffer of :func:`forward_collect` for a [b, s] batch of
+    `dtype`, built here once. The taps a forward returns are views of
+    it, so the next forward writes over them.
 
-    Each buffer holds, in turn, arrays that are never alive together:
+    A layer runs over slabs of ``step`` (:func:`slab_sequences`)
+    sequences, and the slab buffers, sized for n = min(step, b)
+    sequences, serve one slab at a time, reused across attention tiles,
+    slabs and layers. Each holds, in turn, arrays that are never alive
+    together:
 
     - wide[0]: one attention tile's scores, then the FFN expansion;
     - wide[1]: the product of the fused QKV weight (:func:`_fuse_qkv`) and
@@ -250,7 +255,7 @@ class Workspace:
     - ctx: the attention context, then u, the first layer norm's output.
 
     With the usual FFN width of 4H or more, each wide one is at most
-    SLAB_BYTES when `n` comes from :func:`slab_sequences`.
+    SLAB_BYTES.
 
     Two constant arrays mask a tile's diagonal block, where key j comes
     after query i when j > i. `keep` is the block in the memory order of
@@ -260,25 +265,32 @@ class Workspace:
     tile] floats are 64 KiB at n = 4 and 256 KiB at n = 16 in float32.
     `mask` is the same pattern as a [query, key] bool array, for the
     max-shifted path, which writes -inf over its masked scores.
+
+    `acts` holds the activations: one [b, s, H] buffer per tap, and at
+    most two more for the activations between taps.
     """
 
-    def __init__(self, n: int, s: int, hidden: int, heads: int, ffn_dim: int, dtype):
-        hd = hidden // heads
-        tile = min(ATTN_TILE, s)
-        wide = n * s * max(ffn_dim, heads * tile, _qkv_rows(hidden, heads))
+    def __init__(self, config: BackboneConfig, b: int, s: int, dtype=np.float32):
+        h, heads = config.hidden, config.heads
+        hd, tile = h // heads, min(ATTN_TILE, s)
+        self.shape, self.dtype = (b, s), np.dtype(dtype)
+        self.step = slab_sequences(s, config, dtype)
+        n = min(self.step, b)
+        wide = n * s * max(config.ffn_dim, heads * tile, _qkv_rows(h, heads))
         self.wide = (np.empty(wide, dtype), np.empty(wide, dtype))
         self.tile_ctx = np.empty(n * heads * (hd + 1) * tile, dtype)
-        self.proj = np.empty((n, s, hidden), dtype)
+        self.proj = np.empty((n, s, h), dtype)
         self.ctx = np.empty((n, s, heads, hd), dtype)
         self.mask = np.triu(np.ones((tile, tile), dtype=bool), k=1)
         self.keep = np.ones((tile, n, heads, tile), dtype)
         self.keep.transpose(1, 2, 3, 0)[..., self.mask] = 0
-
-    @classmethod
-    def for_input(cls, x: np.ndarray, lw: LayerWeights, heads: int) -> "Workspace":
-        """A workspace for `x` taken as one slab."""
-        b, s, h = x.shape
-        return cls(b, s, h, heads, lw.w_up.shape[1], x.dtype)
+        tapped = set(config.block_cuts) | ({0} if config.tap_embedding else set())
+        spares = [np.empty((b, s, h), dtype)
+                  for _ in range(min(2, config.layers + 1 - len(tapped)))]
+        # activation i is the embedding (i = 0) or layer i's output; a
+        # spare never holds two activations in a row
+        self.acts = [np.empty((b, s, h), dtype) if i in tapped else spares[i % len(spares)]
+                     for i in range(config.layers + 1)]
 
 
 def _qkv_rows(hidden: int, heads: int) -> int:
@@ -331,11 +343,11 @@ def _score_bound(qt: np.ndarray, kt: np.ndarray) -> float:
 
 
 def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
-                    ws: Workspace | None = None) -> np.ndarray:
+                    ws: ForwardWorkspace) -> np.ndarray:
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
-    The result is a view of `ws.proj` (of a fresh workspace when `ws` is
-    None). One product of the fused weight ``lw.qkv`` (:func:`_fuse_qkv`
+    `x` is one slab of `ws`'s batch, and the result is a view of
+    `ws.proj`. One product of the fused weight ``lw.qkv`` (:func:`_fuse_qkv`
     of `lw`, built here when None) and the slab's xᵀ, plus the fused bias,
     writes qᵀ, pre-scaled, kᵀ and vᵀ with its ones row head-major into
     ``ws.wide[1]``. Queries then go in tiles of ATTN_TILE rows. A tile
@@ -368,8 +380,6 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     whole slab, so slabs change no bit of the taps unless their bounds
     fall on both sides of the limit.
     """
-    if ws is None:
-        ws = Workspace.for_input(x, lw, heads)
     b, s, h = x.shape
     hd = h // heads
     w, bias = _fuse_qkv(lw, heads) if lw.qkv is None else lw.qkv
@@ -408,15 +418,14 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     return out
 
 
-def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int,
-                  ws: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int, ws: ForwardWorkspace,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """One decoder layer: post-norm attention then post-norm FFN.
 
-    Every intermediate lives in `ws` (a fresh workspace when None), and
-    the result is written into `out` (a fresh array when None). Biases
-    and residuals are added in place, in the order of the formula."""
-    if ws is None:
-        ws = Workspace.for_input(x, lw, heads)
+    `x` is one slab of `ws`'s batch: at most ``ws.step`` of its
+    sequences. Every intermediate lives in `ws`, and the result is
+    written into `out` (a fresh array when None). Biases and residuals
+    are added in place, in the order of the formula."""
     b, s, h = x.shape
     f = lw.w_up.shape[1]
     a = _self_attention(x, lw, heads, ws)
@@ -441,42 +450,6 @@ def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
     return max(1, SLAB_BYTES // (seq_len * widest * np.dtype(dtype).itemsize))
 
 
-class ForwardWorkspace:
-    """Every buffer of :func:`forward_collect` for one batch shape, kept
-    by a caller that runs many forwards: the layer :class:`Workspace` for
-    a slab, one [B, S, H] buffer per tap, and at most two more for the
-    activations between taps.
-
-    Each call fits the workspace to its batch: the buffers are built on
-    the first call and again only when a batch's (B, S) or dtype
-    differs. The taps a call returns are views of the workspace, so the
-    next call writes over them.
-    """
-
-    def __init__(self, config: BackboneConfig):
-        self.config = config
-        self.key = None
-
-    def fit(self, b: int, s: int, dtype) -> None:
-        """Build the buffers for a [b, s] batch of `dtype`, unless they
-        are built for one already."""
-        key = (b, s, np.dtype(dtype))
-        if key == self.key:
-            return
-        cfg = self.config
-        h, heads = cfg.hidden, cfg.heads
-        self.key = key
-        self.step = slab_sequences(s, cfg, dtype)
-        self.layer = Workspace(min(self.step, b), s, h, heads, cfg.ffn_dim, dtype)
-        tapped = set(cfg.block_cuts) | ({0} if cfg.tap_embedding else set())
-        spares = [np.empty((b, s, h), dtype)
-                  for _ in range(min(2, cfg.layers + 1 - len(tapped)))]
-        # activation i is the embedding (i = 0) or layer i's output; a
-        # spare never holds two activations in a row
-        self.acts = [np.empty((b, s, h), dtype) if i in tapped else spares[i % len(spares)]
-                     for i in range(cfg.layers + 1)]
-
-
 def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
                     ws: ForwardWorkspace | None = None) -> list[tuple[int, np.ndarray]]:
     """Run the frozen decoder and record taps at the configured cuts.
@@ -484,18 +457,18 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
     Returns (block index, [B, S, H] activation) pairs in block order.
     Weights are read-only here. Block index 0 is the embedding tap (when
     enabled) and block index c is the activation after decoder layer c.
-    Every buffer comes from `ws`, fitted to the batch, so the returned
-    activations are views of it; with no `ws` they come from a fresh
-    workspace, so they are fresh arrays.
+    Every buffer comes from `ws`, which must be built for the batch's
+    (B, S) and the weights' dtype, so the returned activations are views
+    of it; with no `ws` they come from a fresh workspace, so they are
+    fresh arrays.
 
-    Each layer runs over slabs of :func:`slab_sequences` whole sequences,
-    in one :class:`Workspace` sized for a slab, and each slab's last
-    layer norm writes straight into its rows of the layer's [B, S, H]
-    output. So the layer loop allocates nothing, and its working set
-    stays cache-sized. A layer treats each sequence on its own, so the
-    taps are bit-equal to running the whole batch, or each sequence
-    alone, unless the attention's score bound falls on both sides of its
-    limit across the slabs; then they agree to rounding.
+    Each layer runs over slabs of ``ws.step`` whole sequences, and each
+    slab's last layer norm writes straight into its rows of the layer's
+    [B, S, H] output. So the layer loop allocates nothing, and its
+    working set stays cache-sized. A layer treats each sequence on its
+    own, so the taps are bit-equal to running the whole batch, or each
+    sequence alone, unless the attention's score bound falls on both
+    sides of its limit across the slabs; then they agree to rounding.
     """
     cfg = weights.config
     tokens = np.asarray(tokens)
@@ -507,9 +480,11 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
 
+    dtype = weights.token_embedding.dtype
     if ws is None:
-        ws = ForwardWorkspace(cfg)
-    ws.fit(b, s, weights.token_embedding.dtype)
+        ws = ForwardWorkspace(cfg, b, s, dtype)
+    elif (ws.shape, ws.dtype) != ((b, s), dtype):
+        raise ValueError(f"workspace built for {ws.shape} of {ws.dtype}, not {(b, s)} of {dtype}")
     x = ws.acts[0]
     # the ids are in range, so "clip" never clips; it writes straight into x
     np.take(weights.token_embedding, tokens, axis=0, out=x, mode="clip")
@@ -520,7 +495,7 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
     for i, lw in enumerate(weights.layers, start=1):
         y = ws.acts[i]
         for b0 in range(0, b, step):
-            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws.layer, out=y[b0:b0 + step])
+            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws, out=y[b0:b0 + step])
         x = y
         if i in cuts:
             taps.append((i, x))

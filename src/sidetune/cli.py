@@ -30,7 +30,7 @@ from .device import DeviceConfig, SyntheticTask, load_csv_task, run_device
 from .kernels import make_rng
 from .quantize import SCHEMES, dequantize, quantize
 from .server import ServerConfig, local_mode, run_server
-from .training import LOSS_KINDS
+from .sidenet import NONLINEARITIES
 from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
 from .wire import ACK_REASONS, HandshakeError, payload_bytes
 
@@ -130,14 +130,12 @@ def _add_side_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--bottleneck", type=int, default=16,
                    help="adapter bottleneck width m")
     g.add_argument("--classes", type=int, default=2, help="head outputs")
-    g.add_argument("--sigma", default="gelu", choices=["gelu", "relu"],
+    g.add_argument("--sigma", default="gelu", choices=NONLINEARITIES,
                    help="adapter nonlinearity")
     g.add_argument("--std", type=float, default=0.02,
                    help="adapter init standard deviation")
     g.add_argument("--side-seed", type=int, default=1, help="side init seed")
     g.add_argument("--lr", type=float, default=5e-4, help="Adam learning rate")
-    g.add_argument("--loss", default="cross_entropy",
-                   choices=LOSS_KINDS, help="training loss")
     g.add_argument("--ckpt", default="", help="final checkpoint path")
     g.add_argument("--metrics", default="", help="metrics JSONL path")
 
@@ -151,7 +149,6 @@ def _server_config_from_args(args, **extra) -> ServerConfig:
         init_std=args.std,
         side_seed=args.side_seed,
         lr=args.lr,
-        loss_kind=args.loss,
         checkpoint_path=args.ckpt or None,
         metrics_path=args.metrics or None,
         **extra,
@@ -243,9 +240,7 @@ def _summary(report) -> str:
     line = f"{report.iterations} iterations, refused {refused or 'none'}"
     if report.metrics:
         last = report.metrics[-1]
-        line += f"; final loss {last.loss:.6f}"
-        if last.acc is not None:
-            line += f", final batch acc {last.acc:.3f}"
+        line += f"; final loss {last.loss:.6f}, final batch acc {last.acc:.3f}"
     return line
 
 
@@ -291,8 +286,8 @@ def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
     worst = run_gradcheck(seeds=args.seeds, step=args.step)
-    print(f"max relative error over {args.seeds} configs each of gelu and relu adapters: "
-          f"{worst:.3e}")
+    print(f"max relative error over {args.seeds} configs each of "
+          f"{' and '.join(NONLINEARITIES)} adapters: {worst:.3e}")
     if worst < GRADCHECK_TOLERANCE:
         print(f"PASS (< {GRADCHECK_TOLERANCE:g})")
         return 0

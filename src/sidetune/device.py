@@ -73,6 +73,9 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seq_len < 1 or self.vocab_size < 1:
+            raise ValueError(f"sequence length {self.seq_len} and vocabulary size "
+                             f"{self.vocab_size} must be at least 1")
         if self.seq_len % 2 == 0:
             raise ValueError("sequence length must be odd to avoid ties")
 
@@ -186,11 +189,11 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
     """Batch `i` as the device sends it: sample, frozen forward, quantize
     every tap. Returns (ActBatch, timing dict). Local mode calls this too.
 
-    A session keeps one :class:`ForwardWorkspace` and hands it to every
-    batch: the forward's buffers and the taps then live there, and each
-    tap, spent once quantized, is lent to :func:`quantize` as its
-    scratch. So a batch allocates little beyond its code bytes. With no
-    `ws`, the forward builds a fresh one."""
+    A session builds one :class:`ForwardWorkspace` for its (batch size,
+    sequence length) and hands it to every batch: the forward's buffers
+    and the taps then live there, and each tap, spent once quantized, is
+    lent to :func:`quantize` as its scratch. So a batch allocates little
+    beyond its code bytes. With no `ws`, the forward builds a fresh one."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
     taps = forward_collect(weights, tokens, ws)
@@ -271,7 +274,7 @@ def _run_batches(config, weights, transport, reader, report) -> None:
         report.entries.append(timing)
         report.bytes_sent += nbytes
 
-    ws = ForwardWorkspace(config.backbone)
+    ws = ForwardWorkspace(config.backbone, config.batch_size, config.task.seq_len)
     sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")
     try:
         for i in range(config.total_iterations):

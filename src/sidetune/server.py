@@ -36,7 +36,7 @@ import numpy as np
 from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, init_side, save_side
-from .training import DEFAULT_LR, LOSS_KINDS, NonFiniteStep, TrainState, init_adam, train_iteration
+from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_CONFIG,
     ACK_BAD_VERSION,
@@ -67,7 +67,6 @@ class ServerConfig:
     init_std: float = 0.02
     side_seed: int = 1
     lr: float = DEFAULT_LR
-    loss_kind: str = "cross_entropy"
     queue_depth: int = 4  # unused: the session reads straight from the transport
     checkpoint_path: str | None = None
     metrics_path: str | None = None
@@ -75,10 +74,8 @@ class ServerConfig:
 
     def __post_init__(self):
         self.side_config()  # refuses a side network the backbone cannot feed
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.loss_kind == "mse" and self.classes != 1:
-            raise ValueError("an mse head has one output")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate {self.lr} must be positive and finite")
 
     def side_config(self) -> SideConfig:
         return SideConfig(
@@ -114,8 +111,7 @@ class ServerReport:
 def _make_state(config: ServerConfig) -> TrainState:
     side_cfg = config.side_config()
     params = init_side(side_cfg, config.side_seed, std=config.init_std)
-    return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr),
-                      loss_kind=config.loss_kind)
+    return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr))
 
 
 def _validate_hello(config: ServerConfig, hello: Hello) -> int:
@@ -138,8 +134,7 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
     - "shape": a tap that is not [B, S, hidden] with the Hello's B >= 1,
       S >= 1 and the first tap's S;
     - "label_count": a label count other than B;
-    - "label_range": a class label outside [0, classes), under cross
-      entropy;
+    - "label_range": a class label outside [0, classes);
     - "non_finite": a tap whose scale, or whose fp16 codes, hold a NaN or
       an infinity;
     - "out_of_order": a batch id no greater than `last_batch_id`.
@@ -154,8 +149,7 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
         return "shape"
     if len(batch.labels) != b:
         return "label_count"
-    if config.loss_kind == "cross_entropy" and not all(
-            0 <= y < config.classes for y in batch.labels):
+    if not all(0 <= y < config.classes for y in batch.labels):
         return "label_range"
     if any(not np.isfinite(q.scale) or q.scheme == "none_fp16" and not np.isfinite(
             np.frombuffer(q.codes, dtype=np.float16)).all() for q in batch.taps):
@@ -267,7 +261,8 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     weights = load_device_backbone(device_config)
     state = _make_state(server_config)
     report = ServerReport(state=state)
-    ws = ForwardWorkspace(device_config.backbone)
+    ws = ForwardWorkspace(device_config.backbone, device_config.batch_size,
+                          device_config.task.seq_len)
     with _metrics_log(server_config) as metrics_fh:
         for i in range(device_config.total_iterations):
             batch, _ = compute_batch(weights, device_config, i, ws)

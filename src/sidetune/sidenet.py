@@ -60,9 +60,9 @@ class SideConfig:
     nonlinearity: str = "gelu"
 
     def __post_init__(self):
-        if self.bottleneck >= self.hidden:
+        if not 1 <= self.bottleneck < self.hidden:
             raise ValueError(
-                f"bottleneck {self.bottleneck} must be below hidden {self.hidden}"
+                f"bottleneck {self.bottleneck} must be at least 1 and below hidden {self.hidden}"
             )
         if self.nonlinearity not in _SIGMA_CODES:
             raise ValueError(f"unsupported adapter nonlinearity {self.nonlinearity!r}")

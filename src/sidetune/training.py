@@ -1,4 +1,6 @@
-"""Losses, Adam, and the per-iteration server training step.
+"""The cross-entropy loss, Adam, and the per-iteration server training
+step. The side network is a classifier, and cross-entropy is the one
+loss it trains on.
 
 A step runs the side forward and backward in the session's one
 :class:`sidetune.sidenet.Workspace`, which holds what the backward reads
@@ -27,43 +29,25 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-LOSS_KINDS = ("cross_entropy", "mse")
-
-
-def loss_and_grad(logits: np.ndarray, labels: np.ndarray, kind: str = "cross_entropy"):
-    """Mean-over-batch loss and its exact gradient wrt the logits.
-
-    cross_entropy: log-sum-exp stabilized; d = (softmax - one_hot) / B.
-    mse: squared error against float targets (single output column);
-    d = 2 (pred - y) / B.
-    """
+def loss_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """Mean-over-batch cross-entropy and its exact gradient wrt the
+    logits: log-sum-exp stabilized; d = (softmax - one_hot) / B."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
-    b = logits.shape[0]
+    b, c = logits.shape
     if labels.shape[0] != b:
         raise ValueError(f"batch mismatch: {b} logits vs {labels.shape[0]} labels")
-
-    if kind == "cross_entropy":
-        c = logits.shape[1]
-        if labels.min() < 0 or labels.max() >= c:
-            raise ValueError(f"label outside [0, {c})")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, dtype=logits.dtype))
-        picked = shifted[np.arange(b), labels]
-        loss = float((lse - picked).mean(dtype=logits.dtype))
-        probs = kernels.softmax_rows(logits)
-        one_hot = np.zeros_like(logits)
-        one_hot[np.arange(b), labels] = 1
-        d_logits = (probs - one_hot) / logits.dtype.type(b)
-        return loss, d_logits
-    if kind == "mse":
-        pred = logits.reshape(b, -1)
-        y = labels.reshape(b, -1).astype(logits.dtype)
-        diff = pred - y
-        loss = float((diff ** 2).sum(axis=1).mean(dtype=logits.dtype))
-        d_logits = (2 * diff / logits.dtype.type(b)).reshape(logits.shape)
-        return loss, d_logits
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"label outside [0, {c})")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, dtype=logits.dtype))
+    picked = shifted[np.arange(b), labels]
+    loss = float((lse - picked).mean(dtype=logits.dtype))
+    probs = kernels.softmax_rows(logits)
+    one_hot = np.zeros_like(logits)
+    one_hot[np.arange(b), labels] = 1
+    d_logits = (probs - one_hot) / logits.dtype.type(b)
+    return loss, d_logits
 
 
 @dataclass
@@ -135,7 +119,7 @@ def grad_norm(grads: SideNetworkParams) -> float:
 class IterationMetrics:
     batch_id: int
     loss: float
-    acc: float | None  # batch accuracy; None for a regression loss
+    acc: float  # batch accuracy
     grad_norm: float
     t_deq_ms: float
     t_fwd_ms: float
@@ -158,7 +142,6 @@ class TrainState:
     config: SideConfig
     params: SideNetworkParams
     adam: AdamState
-    loss_kind: str = "cross_entropy"
     last_batch_id: int = -1
     workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
@@ -194,7 +177,7 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = side_forward(taps, state.params, state.config, ws)
         labels = np.asarray(batch.labels)
-        loss, d_logits = loss_and_grad(logits, labels, state.loss_kind)
+        loss, d_logits = loss_and_grad(logits, labels)
         if not math.isfinite(loss):
             raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
         t2 = time.perf_counter()
@@ -206,11 +189,9 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
     adam_step(state.params, grads, state.adam)
     t4 = time.perf_counter()
 
-    acc = None
-    if state.loss_kind == "cross_entropy":
-        acc = float((logits.argmax(axis=1) == labels).mean())
     return IterationMetrics(
-        batch_id=int(batch.batch_id), loss=loss, acc=acc,
+        batch_id=int(batch.batch_id), loss=loss,
+        acc=float((logits.argmax(axis=1) == labels).mean()),
         grad_norm=norm,
         t_deq_ms=(t1 - t0) * 1e3, t_fwd_ms=(t2 - t1) * 1e3,
         t_bwd_ms=(t3 - t2) * 1e3, t_opt_ms=(t4 - t3) * 1e3,

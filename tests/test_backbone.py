@@ -40,6 +40,11 @@ def tokens(batch=3, seq=15, seed=0):
     return kernels.make_rng(seed).integers(0, CONFIG.vocab_size, size=(batch, seq))
 
 
+def workspace(config, x):
+    """A forward workspace for the batch `x`, to run its layers one slab at a time."""
+    return backbone.ForwardWorkspace(config, *x.shape[:2])
+
+
 def out_of_place_attention(x, lw, heads):
     """The attention formula with a fresh array for the scale and the mask."""
     b, s, h = x.shape
@@ -60,23 +65,25 @@ def out_of_place_attention(x, lw, heads):
 def test_one_tile_attention_agrees_with_the_out_of_place_formula():
     weights = init_backbone(CONFIG, 7)
     x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
+    ws = workspace(CONFIG, x)
     for lw in weights.layers:
         full = out_of_place_attention(x, lw, CONFIG.heads)
-        np.testing.assert_allclose(backbone._self_attention(x, lw, CONFIG.heads), full,
+        np.testing.assert_allclose(backbone._self_attention(x, lw, CONFIG.heads, ws), full,
                                    rtol=0, atol=TILED_RTOL * np.abs(full).max())
-        x = backbone.layer_forward(x, lw, CONFIG.heads)
+        x = backbone.layer_forward(x, lw, CONFIG.heads, ws)
 
 
 @pytest.mark.parametrize("seq", [TILE, TILE + 1, LONG_SEQ])
 def test_tiled_attention_agrees_with_the_full_formula(seq):
     weights = init_backbone(LONG, 7)
     x = weights.token_embedding[tokens(seq=seq)] + weights.pos_embedding[:seq]
+    ws = workspace(LONG, x)
     for lw in weights.layers:
-        tiled = backbone._self_attention(x, lw, LONG.heads)
+        tiled = backbone._self_attention(x, lw, LONG.heads, ws)
         full = out_of_place_attention(x, lw, LONG.heads)
         np.testing.assert_allclose(tiled, full, rtol=0,
                                    atol=TILED_RTOL * np.abs(full).max())
-        x = backbone.layer_forward(x, lw, LONG.heads)
+        x = backbone.layer_forward(x, lw, LONG.heads, ws)
 
 
 def shifted_tiles(monkeypatch):
@@ -92,7 +99,7 @@ def test_large_query_and_key_weights_take_the_shifted_path(monkeypatch):
     # 30, small enough that float32 scores still agree to TILED_RTOL
     lw = dataclasses.replace(lw, w_q=lw.w_q * 600, w_k=lw.w_k * 600)
     shifted = shifted_tiles(monkeypatch)
-    tiled = backbone._self_attention(x, lw, LONG.heads)
+    tiled = backbone._self_attention(x, lw, LONG.heads, workspace(LONG, x))
     assert len(shifted) == 3
     assert np.isfinite(tiled).all()
     full = out_of_place_attention(x, lw, LONG.heads)
@@ -104,7 +111,7 @@ def test_a_non_finite_input_takes_the_shifted_path(monkeypatch):
     x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
     x[1, 9, 0] = np.nan  # the score bound is NaN
     shifted = shifted_tiles(monkeypatch)
-    tiled = backbone._self_attention(x, weights.layers[0], CONFIG.heads)
+    tiled = backbone._self_attention(x, weights.layers[0], CONFIG.heads, workspace(CONFIG, x))
     assert len(shifted) == 1
     full = out_of_place_attention(x, weights.layers[0], CONFIG.heads)
     for j in (0, 2):  # the sequences without the NaN
@@ -115,11 +122,12 @@ def test_a_non_finite_input_takes_the_shifted_path(monkeypatch):
 def test_attention_never_holds_a_full_score_tensor():
     b, s, heads = 16, 255, 4
     config = BackboneConfig(vocab_size=16, hidden=32, layers=1, heads=heads, max_seq=s)
-    lw = init_backbone(config, 7).layers[0]
-    x = kernels.make_rng(3).normal(size=(b, s, config.hidden)).astype(np.float32)
+    weights = init_backbone(config, 7)
+    toks = kernels.make_rng(3).integers(0, config.vocab_size, size=(b, s))
+    # the whole forward, its workspace and its taps included
     tracemalloc.start()
     try:
-        backbone._self_attention(x, lw, heads)
+        forward_collect(weights, toks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,18 +222,21 @@ def test_taps_repeat_after_a_batch_of_another_shape():
 def test_a_kept_workspace_gives_the_taps_of_fresh_arrays_across_shapes():
     weights = init_backbone(WIDE, 7)
     rng = kernels.make_rng(8)
-    # several slabs with a short last one, then one slab, then the first shape again
-    batches = [rng.integers(0, WIDE.vocab_size, size=shape)
-               for shape in ((7, 255), (3, 91), (7, 255))]
-    ws = backbone.ForwardWorkspace(WIDE)
+    # several slabs with a short last one
+    batches = [rng.integers(0, WIDE.vocab_size, size=(7, 255)) for _ in range(2)]
+    ws = backbone.ForwardWorkspace(WIDE, 7, 255)
     for toks in batches:
         kept = forward_collect(weights, toks, ws)
         fresh = forward_collect(weights, toks)
         assert [i for i, _ in kept] == [i for i, _ in fresh]
-        for (_, k), (_, f) in zip(kept, fresh):
+        for (i, k), (_, f) in zip(kept, fresh):
+            assert np.shares_memory(k, ws.acts[i])
             np.testing.assert_array_equal(k, f)
-    again = forward_collect(weights, batches[-1], ws)
-    assert all(np.shares_memory(a, k) for (_, a), (_, k) in zip(again, kept))
+    # a batch of another shape, or weights of another dtype, need their own
+    with pytest.raises(ValueError, match="workspace built for"):
+        forward_collect(weights, batches[0][:3, :91], ws)
+    with pytest.raises(ValueError, match="workspace built for"):
+        forward_collect(weights, batches[0], backbone.ForwardWorkspace(WIDE, 7, 255, np.float64))
 
 
 @pytest.mark.parametrize("cuts,embedding", [((2, 4), False), ((1, 3, 4), True), ((4,), False)])
@@ -235,11 +246,11 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
     toks = tokens()
     x = weights.token_embedding[toks] + weights.pos_embedding[:15]
     expected = [(0, x)] if embedding else []
+    ws = workspace(config, x)
     for i, lw in enumerate(weights.layers, start=1):
-        x = backbone.layer_forward(x, lw, config.heads)
+        x = backbone.layer_forward(x, lw, config.heads, ws)
         if i in cuts:
             expected.append((i, x))
-    ws = backbone.ForwardWorkspace(config)
     for taps in (forward_collect(weights, toks), forward_collect(weights, toks, ws),
                  forward_collect(weights, toks, ws)):
         assert [i for i, _ in taps] == [i for i, _ in expected]
@@ -259,14 +270,14 @@ def test_forwards_without_a_workspace_share_no_memory():
 def test_a_forward_reads_the_fused_weights_the_assembly_built(monkeypatch):
     weights = init_backbone(CONFIG, 7)
     fused = counting(monkeypatch, backbone, "_fuse_qkv")
-    ws = backbone.ForwardWorkspace(CONFIG)
+    ws = backbone.ForwardWorkspace(CONFIG, 3, 15)
     kept = [forward_collect(weights, tokens(seed=seed), ws) for seed in (1, 2)][-1]
     assert not fused
     # a copy made by dataclasses.replace fuses its own, from its weights
     copies = [dataclasses.replace(lw) for lw in weights.layers]
     x = weights.token_embedding[tokens(seed=2)] + weights.pos_embedding[:15]
     for lw in copies:
-        x = backbone.layer_forward(x, lw, CONFIG.heads)
+        x = backbone.layer_forward(x, lw, CONFIG.heads, workspace(CONFIG, x))
     assert len(fused) == CONFIG.layers
     np.testing.assert_array_equal(x, kept[-1][1])
 

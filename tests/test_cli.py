@@ -23,12 +23,6 @@ def test_local_prints_batch_accuracy_for_cross_entropy(capsys, tmp_path):
     assert ckpt.stat().st_size > 0
 
 
-def test_local_prints_no_accuracy_for_mse(capsys):
-    assert main(["local", *TINY, "--loss", "mse", "--classes", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "final loss" in out and "acc" not in out
-
-
 def test_local_counts_the_batches_it_refuses(capsys):
     # a one-class head refuses every batch that holds a label 1
     assert main(["local", *TINY, "--classes", "1"]) == 2

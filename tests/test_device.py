@@ -191,12 +191,17 @@ def test_a_serial_entry_times_the_send_alone(monkeypatch):
     ({"queue_depth": 0}, "queue depth"),
     ({"batch_size": 0}, "batch size"),
     ({"iterations": 0, "epochs": 0}, "no iterations"),
-    ({"task": SyntheticTask(seq_len=BACKBONE.max_seq + 1)}, "max_seq"),
-    ({"task": SyntheticTask(vocab_size=BACKBONE.vocab_size + 1, seq_len=SEQ)}, "vocabulary"),
-], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size"])
+    ({"task": {"seq_len": BACKBONE.max_seq + 1}}, "max_seq"),
+    ({"task": {"vocab_size": BACKBONE.vocab_size + 1}}, "task vocabulary"),
+    ({"task": {"seq_len": -1}}, "sequence length -1 and"),
+    ({"task": {"vocab_size": 0}}, "vocabulary size 0 must"),
+], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size",
+        "seq_len_not_positive", "vocab_size_not_positive"])
 def test_a_device_config_that_cannot_run_is_refused_when_built(fields, message):
+    fields = dict(fields)
     with pytest.raises(ValueError, match=message):
-        DeviceConfig(**{"backbone": BACKBONE, "task": SyntheticTask(seq_len=SEQ), **fields})
+        task = SyntheticTask(**{"seq_len": SEQ, **fields.pop("task", {})})
+        DeviceConfig(backbone=BACKBONE, task=task, **fields)
 
 
 def write_csv(path, rows):
@@ -239,8 +244,8 @@ def test_a_steady_batch_allocates_less_than_its_codes_and_one_tap():
     config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=255), scheme="nf4",
                           batch_size=16, iterations=4)
     weights = device.load_device_backbone(config)
-    ws = backbone.ForwardWorkspace(model)
-    device.compute_batch(weights, config, 0, ws)  # builds the workspace
+    ws = backbone.ForwardWorkspace(model, 16, 255)
+    device.compute_batch(weights, config, 0, ws)  # warm up outside the trace
     tracemalloc.start()
     try:
         msg, _ = device.compute_batch(weights, config, 1, ws)

@@ -70,18 +70,58 @@ print(json.dumps({role: sorted({span[2] for span in t.spans})
 """
 
 
-def test_the_benchmark_tracer_installs_on_both_roles_and_records_a_session():
+# For each workload named on the command line, runs local_mode on the
+# benchmark's own configs, as its cross-check does, and encodes one batch
+# frame; prints what the benchmark would check of them.
+BENCHMARK_CONFIGS = """
+import json, sys
+sys.path[:0] = sys.argv[1:2]
+import run, workloads
+from sidetune import local_mode
+from sidetune.device import compute_batch, load_device_backbone
+from sidetune.wire import encode
+
+out = {}
+for name in sys.argv[2:]:
+    w = workloads.WORKLOADS[name]
+    config = workloads.device_config(w, 0, steps=workloads.LOCAL_CHECK_STEPS)
+    report = local_mode(config, workloads.server_config(w))
+    msg, _ = compute_batch(load_device_backbone(config), config, 0)
+    out[name] = {"steps": workloads.LOCAL_CHECK_STEPS, "iterations": report.iterations,
+                 "refused": dict(report.invalid), "frame_bytes": len(encode(msg)),
+                 "expected_frame_bytes": run.expected_frame_bytes(w)}
+print(json.dumps(out))
+"""
+
+
+def run_with_splitbench(script, *args):
+    """Run `script` in a fresh interpreter with the source tree importable
+    and `splitbench/` first on sys.path; returns its parsed JSON output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", TRACED_SESSION, str(ROOT / "splitbench")],
+    result = subprocess.run([sys.executable, "-c", script, str(ROOT / "splitbench"), *args],
                             env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    layers = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_the_benchmark_tracer_installs_on_both_roles_and_records_a_session():
+    layers = run_with_splitbench(TRACED_SESSION)
     assert {"backbone.forward", "backbone.layer", "backbone.attn", "quantize.quantize",
             "wire.encode", "transport.send"} <= set(layers["device"])
     assert {"server.step", "quantize.dequantize", "sidenet.forward", "sidenet.backward",
             "training.loss", "training.adam", "wire.decode"} <= set(layers["server"])
+
+
+def test_the_benchmark_workloads_run_locally_and_frame_as_the_benchmark_expects():
+    with open(ROOT / "BENCHMARK.json") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    runs = run_with_splitbench(BENCHMARK_CONFIGS, *names)
+    assert sorted(runs) == sorted(names)
+    for name, run in runs.items():
+        assert run["iterations"] == run["steps"] and not run["refused"], name
+        assert run["frame_bytes"] == run["expected_frame_bytes"], name
 
 
 def test_the_reports_serve_every_field_the_benchmark_records():

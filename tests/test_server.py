@@ -97,9 +97,11 @@ def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme=
 @pytest.mark.parametrize("fields, message", [
     ({"bottleneck": BACKBONE.hidden}, "bottleneck"),
     ({"nonlinearity": "tanh"}, "nonlinearity"),
-    ({"loss_kind": "hinge"}, "loss kind"),
-    ({"loss_kind": "mse"}, "one output"),
-], ids=["bottleneck_not_below_hidden", "nonlinearity", "loss_kind", "mse_with_two_classes"])
+    ({"bottleneck": 0}, "bottleneck 0 must be at least 1"),
+    ({"lr": -1.0}, "learning rate"),
+    ({"lr": float("nan")}, "learning rate"),
+], ids=["bottleneck_not_below_hidden", "nonlinearity", "bottleneck_not_positive",
+        "lr_negative", "lr_nan"])
 def test_a_server_config_that_cannot_be_served_is_refused_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
         ServerConfig(backbone=BACKBONE, **fields)
