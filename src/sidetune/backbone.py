@@ -22,8 +22,8 @@ One :class:`ForwardWorkspace`, built for the batch's (B, S) and dtype,
 holds every buffer of a forward: the intermediates of a slab, reused
 across tiles, slabs and layers, and the activations, so the layer loop
 allocates nothing and each slab's last layer norm writes straight into
-its rows of the layer output. A caller that runs many forwards of one
-shape keeps one; a batch of another shape needs its own.
+its rows of the layer output. Every forward runs in a workspace its
+caller builds: a session builds one for its batch shape and keeps it.
 
 The attention projects a slab in one product: a fused weight
 (:func:`_fuse_qkv`) times each sequence's xᵀ gives qᵀ, kᵀ and, per head,
@@ -99,6 +99,11 @@ class BackboneConfig:
     tap_embedding: bool = True
 
     def __post_init__(self):
+        if min(self.vocab_size, self.hidden, self.max_seq) < 1:
+            raise ValueError(f"vocab_size {self.vocab_size}, hidden {self.hidden} and max_seq "
+                             f"{self.max_seq} must be at least 1")
+        if self.ffn_dim < 0:
+            raise ValueError(f"ffn_dim {self.ffn_dim} must be at least 0 (0 means 4 x hidden)")
         ffn = self.ffn_dim or 4 * self.hidden
         object.__setattr__(self, "ffn_dim", ffn)
         cuts = tuple(int(c) for c in self.block_cuts) or (self.layers,)
@@ -451,7 +456,7 @@ def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
 
 
 def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
-                    ws: ForwardWorkspace | None = None) -> list[tuple[int, np.ndarray]]:
+                    ws: ForwardWorkspace) -> list[tuple[int, np.ndarray]]:
     """Run the frozen decoder and record taps at the configured cuts.
 
     Returns (block index, [B, S, H] activation) pairs in block order.
@@ -459,8 +464,7 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
     enabled) and block index c is the activation after decoder layer c.
     Every buffer comes from `ws`, which must be built for the batch's
     (B, S) and the weights' dtype, so the returned activations are views
-    of it; with no `ws` they come from a fresh workspace, so they are
-    fresh arrays.
+    of it, and the next forward in `ws` writes over them.
 
     Each layer runs over slabs of ``ws.step`` whole sequences, and each
     slab's last layer norm writes straight into its rows of the layer's
@@ -481,9 +485,7 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
         raise ValueError("token id out of range")
 
     dtype = weights.token_embedding.dtype
-    if ws is None:
-        ws = ForwardWorkspace(cfg, b, s, dtype)
-    elif (ws.shape, ws.dtype) != ((b, s), dtype):
+    if (ws.shape, ws.dtype) != ((b, s), dtype):
         raise ValueError(f"workspace built for {ws.shape} of {ws.dtype}, not {(b, s)} of {dtype}")
     x = ws.acts[0]
     # the ids are in range, so "clip" never clips; it writes straight into x

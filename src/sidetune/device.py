@@ -142,6 +142,8 @@ class DeviceConfig:
             raise ValueError("queue depth must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.samples_per_epoch < 1:
+            raise ValueError("samples per epoch must be at least 1")
         if self.total_iterations < 1:
             raise ValueError("the run has no iterations: epochs or iterations must be positive")
         if self.task.seq_len > self.backbone.max_seq:
@@ -162,7 +164,7 @@ class DeviceConfig:
     def hello(self) -> Hello:
         """The Hello this device opens its session with."""
         return Hello(backbone=self.backbone, scheme=self.scheme, batch_size=self.batch_size,
-                     sync=self.serial)
+                     seq_len=self.task.seq_len, sync=self.serial)
 
 
 @dataclass
@@ -185,7 +187,7 @@ def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
     return init_backbone(config.backbone, config.backbone_seed)
 
 
-def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
+def compute_batch(weights, config, i, ws: ForwardWorkspace):
     """Batch `i` as the device sends it: sample, frozen forward, quantize
     every tap. Returns (ActBatch, timing dict). Local mode calls this too.
 
@@ -193,7 +195,7 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace | None = None):
     sequence length) and hands it to every batch: the forward's buffers
     and the taps then live there, and each tap, spent once quantized, is
     lent to :func:`quantize` as its scratch. So a batch allocates little
-    beyond its code bytes. With no `ws`, the forward builds a fresh one."""
+    beyond its code bytes."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
     taps = forward_collect(weights, tokens, ws)

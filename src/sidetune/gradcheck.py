@@ -17,6 +17,7 @@ from .sidenet import (
     NONLINEARITIES,
     SideConfig,
     SideNetworkParams,
+    Workspace,
     init_side,
     side_backward,
     side_forward,
@@ -79,16 +80,17 @@ def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def check_gradients(seed: int, step: float = 1e-6,
                     config: SideConfig = TINY) -> float:
-    """Max relative error over every parameter coordinate for one seed."""
+    """Max relative error over every parameter coordinate for one seed.
+    Every forward runs in one float64 workspace; the finite differences
+    run only forwards, so the analytic gradient stays in it unchanged."""
     taps, params, labels = random_problem(seed, config)
+    ws = Workspace(config, TINY_BATCH, TINY_SEQ, np.float64)
 
-    logits, ws = side_forward(taps, params, config)
-    loss, d_logits = loss_and_grad(logits, labels)
+    loss, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
     analytic = side_backward(ws, d_logits, params).flat
 
     def scalar_loss(theta: np.ndarray) -> float:
-        out, _ = side_forward(taps, SideNetworkParams(config, theta), config)
-        value, _ = loss_and_grad(out, labels)
+        value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws), labels)
         return value
 
     numeric = finite_diff_grad(scalar_loss, params.flat, step)

@@ -1,25 +1,35 @@
 """The server side: accept one session, train the side-network, serve
 checkpoints; and local mode, the single-process baseline.
 
-A session is one loop on the calling thread: read the next message, act
-on it. Messages are handled strictly in arrival order, so optimizer
-state needs no locking and checkpoint requests are always served at an
-iteration boundary. While a step runs, the transport's own buffer holds
-the frames that arrive, and the device keeps computing. One function,
-:func:`_take_batch`, trains each batch or refuses it, counting it in
-``ServerReport.invalid`` under :func:`validate_batch`'s reason ("scheme",
-"taps", "shape", "label_count", "label_range", "non_finite" or
-"out_of_order"), or under "non_finite" when the step overflows, which
+A session opens with the device's Hello, which fixes the backbone, the
+scheme and the one batch shape [B, S, hidden] of every tap. Before it
+answers, the server builds the session's :class:`TrainState`, with the
+side workspace for that shape, so no step builds a buffer. It answers
+``ACK_BAD_SHAPE`` to a shape no batch can take: S past the backbone's
+``max_seq``, a batch frame past ``wire.MAX_PAYLOAD`` (checked before
+anything is allocated), or a state too large to build. Whatever the
+Hello, :func:`run_server` returns a report.
+
+Then the session is one loop on the calling thread: read the next
+message, act on it. Messages are handled strictly in arrival order, so
+optimizer state needs no locking and checkpoint requests are always
+served at an iteration boundary. While a step runs, the transport's own
+buffer holds the frames that arrive, and the device keeps computing. One
+function, :func:`_take_batch`, trains each batch or refuses it, counting
+it in ``ServerReport.invalid`` under :func:`validate_batch`'s reason
+("scheme", "taps", "shape", "label_count", "label_range", "non_finite"
+or "out_of_order"), or under "non_finite" when the step overflows, which
 leaves the parameters and the optimizer state as they were; the session
 goes on. In a sync session (``Hello.sync``) every batch gets exactly one
 :class:`MetricsSnapshot`: its metrics, or why it was refused. A Hello
 that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
 the session before it starts, with no checkpoint. After it, a frame
-longer than the session's largest batch ends the session at once.
+longer than the session's batch ends the session at once.
 
-Local mode checks the Hello the device would send and hands each batch
-of :func:`sidetune.device.compute_batch` to the same :func:`_take_batch`,
-so it refuses what a split session refuses, and trains bit-equally.
+Local mode checks the Hello the device would send, builds the same
+state, and hands each batch of :func:`sidetune.device.compute_batch` to
+the same :func:`_take_batch`, so it refuses what a split session
+refuses, trains bit-equally, and writes its checkpoint however it ends.
 """
 
 from __future__ import annotations
@@ -35,10 +45,11 @@ import numpy as np
 
 from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
-from .sidenet import SideConfig, init_side, save_side
+from .sidenet import SideConfig, Workspace, init_side, save_side
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_CONFIG,
+    ACK_BAD_SHAPE,
     ACK_BAD_VERSION,
     ACK_OK,
     ACK_REASONS,
@@ -48,6 +59,7 @@ from .wire import (
     CheckpointRequest,
     Hello,
     MAX_HELLO,
+    MAX_PAYLOAD,
     MessageReader,
     MetricsSnapshot,
     PROTOCOL_VERSION,
@@ -76,6 +88,8 @@ class ServerConfig:
         self.side_config()  # refuses a side network the backbone cannot feed
         if not 0 < self.lr < np.inf:
             raise ValueError(f"learning rate {self.lr} must be positive and finite")
+        if not 0 <= self.init_std < np.inf:
+            raise ValueError(f"init std {self.init_std} must be non-negative and finite")
 
     def side_config(self) -> SideConfig:
         return SideConfig(
@@ -108,10 +122,12 @@ class ServerReport:
         return self.invalid["out_of_order"]
 
 
-def _make_state(config: ServerConfig) -> TrainState:
+def _make_state(config: ServerConfig, hello: Hello) -> TrainState:
+    """The session's state, with the side workspace for its batch shape."""
     side_cfg = config.side_config()
     params = init_side(side_cfg, config.side_seed, std=config.init_std)
-    return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr))
+    return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr),
+                      workspace=Workspace(side_cfg, hello.batch_size, hello.seq_len))
 
 
 def _validate_hello(config: ServerConfig, hello: Hello) -> int:
@@ -120,6 +136,9 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     if hello.backbone != config.backbone:
         log.error("device backbone %s does not match %s", hello.backbone, config.backbone)
         return ACK_BAD_CONFIG
+    if hello.seq_len > config.backbone.max_seq or hello.batch_payload() > MAX_PAYLOAD:
+        log.error("no batch of shape %s fits the backbone and the frame", hello.batch_shape)
+        return ACK_BAD_SHAPE
     return ACK_OK
 
 
@@ -131,8 +150,7 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
 
     - "scheme": a tap quantized under another scheme than the Hello's;
     - "taps": not one tap per configured tap block;
-    - "shape": a tap that is not [B, S, hidden] with the Hello's B >= 1,
-      S >= 1 and the first tap's S;
+    - "shape": a tap that is not of the Hello's [B, S, hidden];
     - "label_count": a label count other than B;
     - "label_range": a class label outside [0, classes);
     - "non_finite": a tap whose scale, or whose fp16 codes, hold a NaN or
@@ -143,11 +161,9 @@ def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
         return "scheme"
     if len(batch.taps) != config.backbone.gamma:
         return "taps"
-    b, s, h = batch.taps[0].shape
-    if b != hello.batch_size or min(b, s) < 1 or h != config.backbone.hidden or any(
-            q.shape != (b, s, h) for q in batch.taps):
+    if any(q.shape != hello.batch_shape for q in batch.taps):
         return "shape"
-    if len(batch.labels) != b:
+    if len(batch.labels) != hello.batch_size:
         return "label_count"
     if not all(0 <= y < config.classes for y in batch.labels):
         return "label_range"
@@ -207,14 +223,19 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
         log.error("handshake failed: %s", exc, exc_info=exc)
         return report
     status = _validate_hello(config, hello)
+    if status == ACK_OK:
+        try:
+            report.state = _make_state(config, hello)
+        except MemoryError as exc:
+            log.error("no room for a session of shape %s: %r", hello.batch_shape, exc)
+            status = ACK_BAD_SHAPE
     transport.send(encode(SessionAck(status=status)))
     if status != ACK_OK:
         report.rejected = status
         return report
-    reader.limit_to_batches((hello.batch_size, config.backbone.max_seq, config.backbone.hidden),
-                            hello.scheme, config.backbone.gamma)
+    reader.limit_to_batches(hello)
 
-    state = report.state = _make_state(config)
+    state = report.state
     try:
         with _metrics_log(config) as metrics_fh:
             while True:
@@ -259,13 +280,13 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     if status != ACK_OK:
         raise ValueError(f"the server would refuse this device: {ACK_REASONS[status]}")
     weights = load_device_backbone(device_config)
-    state = _make_state(server_config)
-    report = ServerReport(state=state)
-    ws = ForwardWorkspace(device_config.backbone, device_config.batch_size,
-                          device_config.task.seq_len)
-    with _metrics_log(server_config) as metrics_fh:
-        for i in range(device_config.total_iterations):
-            batch, _ = compute_batch(weights, device_config, i, ws)
-            _take_batch(server_config, hello, batch, report, metrics_fh)
-    _save_checkpoint(server_config, state)
+    report = ServerReport(state=_make_state(server_config, hello))
+    ws = ForwardWorkspace(device_config.backbone, hello.batch_size, hello.seq_len)
+    try:
+        with _metrics_log(server_config) as metrics_fh:
+            for i in range(device_config.total_iterations):
+                batch, _ = compute_batch(weights, device_config, i, ws)
+                _take_batch(server_config, hello, batch, report, metrics_fh)
+    finally:
+        _save_checkpoint(server_config, report.state)
     return report

@@ -17,9 +17,10 @@ adapter's input u, its pre-activation, the activation and, for gelu, the
 tanh inside it, the layer norm's x̂ and 1/σ, which the kernels hand out
 as they compute them, and what the head and the gate need. So the
 backward recomputes neither a layer-norm statistic nor a tanh. The
-buffers are sized for a batch shape and written in place, so a caller
-that keeps the workspace (the server keeps one per session) allocates
-nothing batch-sized after its first step.
+buffers are sized for one batch shape and written in place, and every
+forward runs in a workspace its caller builds, so a caller that keeps
+one (the server builds one per session) allocates nothing batch-sized
+per step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .backbone import BackboneWeights, forward_collect
+from .backbone import BackboneWeights, ForwardWorkspace, forward_collect
 from .binio import (
     FormatError,
     expect_magic,
@@ -164,8 +165,8 @@ class Workspace:
     backward needs a forward of its own.
 
     A caller that keeps one workspace allocates nothing batch-sized per
-    step; the server builds it from its first batch's (B, S) and again
-    only when a batch's shape differs.
+    step; the server builds it once per session, for the (B, S) of the
+    session's Hello, before it accepts the session.
     """
 
     def __init__(self, config: SideConfig, batch: int, seq: int, dtype=np.float32):
@@ -203,33 +204,25 @@ def init_side(config: SideConfig, seed: int, std: float = 0.02) -> SideNetworkPa
     return params
 
 
-def side_forward(
-    taps: list[np.ndarray],
-    params: SideNetworkParams,
-    config: SideConfig,
-    ws: Workspace | None = None,
-):
-    """Run the side stack over dequantized taps; returns (logits [B, C],
-    the workspace), which then holds what :func:`side_backward` reads.
+def side_forward(taps: list[np.ndarray], params: SideNetworkParams, ws: Workspace) -> np.ndarray:
+    """Run the side stack of ``ws.config`` over dequantized taps; returns
+    the logits [B, C], and leaves in `ws` what :func:`side_backward`
+    reads.
 
     `taps` holds either M arrays (one per adapter) or M+1 when the first
     entry is the embedding tap seeding the side state; extra or missing
-    taps are a configuration error. The work runs in `ws` (a fresh
-    workspace when None), built for `config`: each tap is copied into
-    its slot, unless it is that slot already, as
-    :func:`sidetune.quantize.dequantize` leaves it when given the slot as
-    `out`. The caller's own arrays are only read.
+    taps are a configuration error, and so is a tap of another shape
+    than the workspace's. Each tap is copied into its slot, unless it is
+    that slot already, as :func:`sidetune.quantize.dequantize` leaves it
+    when given the slot as `out`. The caller's own arrays are only read.
     """
-    m = config.adapters
+    m = ws.config.adapters
     if len(taps) not in (m, m + 1):
         raise ValueError(
             f"got {len(taps)} taps for {m} adapters (expected {m} or {m + 1})"
         )
-    if ws is None:
-        ws = Workspace(config, *taps[0].shape[:2], taps[0].dtype)
-    if ws.config != config or any(t.shape != ws.shape for t in taps):
-        raise ValueError(f"tap shapes {[t.shape for t in taps]} under {config}, "
-                         f"workspace {ws.shape} under {ws.config}")
+    if any(t.shape != ws.shape for t in taps):
+        raise ValueError(f"tap shapes {[t.shape for t in taps]}, workspace {ws.shape}")
     for tap, slot in zip(taps, ws.tap_slots(len(taps))):
         if tap is not slot:
             np.copyto(slot, tap)
@@ -241,7 +234,7 @@ def side_forward(
     for l, ad in enumerate(params.adapters):
         u = np.add(state, ws.taps[l + 1], out=ws.taps[l])
         pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
-        act = kernels.nonlinearity(pre, config.nonlinearity, out=ws.acts[l],
+        act = kernels.nonlinearity(pre, ws.config.nonlinearity, out=ws.acts[l],
                                    tanh=None if ws.tanh is None else ws.tanh[l])
         kernels.fast_matmul(act, ad.w_up, out=y)
         y += u
@@ -259,7 +252,7 @@ def side_forward(
     z += s
     ws.pooled = kernels.mean_pool(z)
     ws.logits = kernels.fast_matmul(ws.pooled, params.head_weight) + params.head_bias
-    return ws.logits, ws
+    return ws.logits
 
 
 def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch):
@@ -355,14 +348,16 @@ def combined_infer(
     scheme: str = "none_fp16",
 ) -> np.ndarray:
     """Device-style prediction: frozen forward, quantize/dequantize each
-    tap with the session scheme, then the side stack's forward.
+    tap with the session scheme, then the side stack's forward, each in a
+    workspace built for the tokens' [B, S].
 
     Bit-identical to the logits the server computes for the same batch
     and scheme, because it is the same code path.
     """
-    taps = [dequantize(quantize(t, scheme)) for _, t in forward_collect(backbone_weights, tokens)]
-    logits, _ = side_forward(taps, side_params, side_config)
-    return logits
+    b, s = np.shape(tokens)
+    fws = ForwardWorkspace(backbone_weights.config, b, s)
+    taps = [dequantize(quantize(t, scheme)) for _, t in forward_collect(backbone_weights, tokens, fws)]
+    return side_forward(taps, side_params, Workspace(side_config, b, s))
 
 
 def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:

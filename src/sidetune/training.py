@@ -135,15 +135,15 @@ class IterationMetrics:
 class TrainState:
     """Everything the server mutates while consuming activation batches.
 
-    `workspace` holds the side network's buffers for the session's batch
-    shape: built by the first step, and again by a step whose batch has
-    another (B, S)."""
+    `workspace` holds the side network's buffers for the session's one
+    batch shape, the (B, S) of its Hello; the server builds it with the
+    state, before it accepts the session."""
 
     config: SideConfig
     params: SideNetworkParams
     adam: AdamState
+    workspace: Workspace = field(repr=False, compare=False)
     last_batch_id: int = -1
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
 
 class NonFiniteStep(ValueError):
@@ -156,17 +156,15 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
 
     `batch` is an ActBatch-shaped object carrying ``batch_id``, ``labels``
     and ``taps`` (quantized, in block order), which the caller has
-    checked against the session; its id becomes ``state.last_batch_id``.
+    checked against the session, so its taps fit ``state.workspace``; its
+    id becomes ``state.last_batch_id``.
     A finite but huge tap can still overflow the side network; when the
     loss or the gradient is not finite, the step raises
     :class:`NonFiniteStep` before the optimizer moves.
     """
     state.last_batch_id = batch.batch_id
     bytes_in = sum(len(q.codes) for q in batch.taps)
-    b, s, _ = batch.taps[0].shape
     ws = state.workspace
-    if ws is None or ws.shape[:2] != (b, s):
-        ws = state.workspace = Workspace(state.config, b, s)
     slots = ws.tap_slots(len(batch.taps))
 
     t0 = time.perf_counter()
@@ -175,7 +173,7 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
     # a huge tap from the peer may overflow in here; the finiteness checks
     # then refuse the step, so numpy's warnings would only echo peer input
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = side_forward(taps, state.params, state.config, ws)
+        logits = side_forward(taps, state.params, ws)
         labels = np.asarray(batch.labels)
         loss, d_logits = loss_and_grad(logits, labels)
         if not math.isfinite(loss):

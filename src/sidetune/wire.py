@@ -12,13 +12,16 @@ fatal on mismatch.
 
 The session setup, then the steady-state workhorse. The Hello fixes the
 backbone (its config block, as the weight file stores it, names the tap
-blocks), the scheme and the batch size B >= 1; a tap's code length
-follows from its scheme and shape. A Hello of another protocol version
-decodes to that version alone (the other fields empty), whatever its
-body, so the server can refuse it with ``ACK_BAD_VERSION``.
+blocks), the scheme and, since protocol 4, the session's one batch
+shape: B >= 1 sequences of S >= 1 tokens. So every tap of the session
+is [B, S, hidden], and its code length follows from its scheme and that
+shape. A Hello of another protocol version decodes to that version alone
+(the other fields empty), whatever its body, so the server can refuse it
+with ``ACK_BAD_VERSION``. A server answers ``ACK_BAD_CONFIG`` to another
+backbone, and ``ACK_BAD_SHAPE`` to a batch shape it cannot take.
 
-    Hello:      protocol_version u16 | scheme u8 | batch_size u32 | sync u8 |
-                backbone config block (:meth:`BackboneConfig.config_block`)
+    Hello:      protocol_version u16 | scheme u8 | batch_size u32 | seq_len u32 |
+                sync u8 | backbone config block (:meth:`BackboneConfig.config_block`)
     SessionAck: status u8
     ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
                 per tap, in tap-block order: scheme u8 | shape 3 x u32 | scale f32 | codes
@@ -41,7 +44,7 @@ from .quantize import SCHEMES, QuantizedActivation, payload_code_bytes
 
 MAGIC = b"MBLM"
 FRAME_VERSION = 1
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 HEADER_LEN = 12
 MAX_PAYLOAD = 2**31 - 1
 # the longest Hello a server reads: a backbone of about 1,000 cuts
@@ -61,7 +64,7 @@ T_BYE = 7
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 _SCHEME_NAME = {i: name for i, name in enumerate(SCHEMES)}
 
-_HELLO = struct.Struct("<HBIB")  # then the backbone config block
+_HELLO = struct.Struct("<HBIIB")  # then the backbone config block
 _BATCH_HEAD = struct.Struct("<QI")  # batch id, label count
 _TAP_COUNT = struct.Struct("<H")
 # What one tap carries besides its codes: scheme, shape and absmax scale.
@@ -71,11 +74,13 @@ TAP_HEADER = struct.Struct("<B3If")
 ACK_OK = 0
 ACK_BAD_VERSION = 1
 ACK_BAD_CONFIG = 2
+ACK_BAD_SHAPE = 3
 
 ACK_REASONS = {
     ACK_OK: "ok",
     ACK_BAD_VERSION: "protocol version mismatch",
     ACK_BAD_CONFIG: "backbone config mismatch",
+    ACK_BAD_SHAPE: "batch shape refused",
 }
 
 
@@ -100,8 +105,19 @@ class Hello:
     backbone: BackboneConfig
     scheme: str
     batch_size: int
+    seq_len: int
     sync: bool = False  # request a per-iteration ack (forced-serial mode)
     protocol_version: int = PROTOCOL_VERSION
+
+    @property
+    def batch_shape(self) -> tuple[int, int, int]:
+        """[B, S, hidden]: the shape of every tap of the session."""
+        return self.batch_size, self.seq_len, self.backbone.hidden
+
+    def batch_payload(self) -> int:
+        """Payload bytes of each of the session's ActBatch frames."""
+        return (_BATCH_HEAD.size + _TAP_COUNT.size
+                + batch_bytes(self.batch_shape, self.scheme, self.backbone.gamma))
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,7 @@ def encode(msg: WireMessage) -> bytes:
     """Serialize one message into a framed byte string."""
     if isinstance(msg, Hello):
         payload = _HELLO.pack(msg.protocol_version, _SCHEME_CODE[msg.scheme],
-                              msg.batch_size, msg.sync) + msg.backbone.config_block()
+                              msg.batch_size, msg.seq_len, msg.sync) + msg.backbone.config_block()
         return _frame(T_HELLO, payload)
     if isinstance(msg, SessionAck):
         return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
@@ -218,17 +234,17 @@ def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     if msg_type == T_HELLO:
         (ver,) = struct.unpack_from("<H", payload, 0)
         if ver != PROTOCOL_VERSION:
-            return Hello(backbone=None, scheme=None, batch_size=0, protocol_version=ver)
-        _, scheme_code, batch_size, sync = _HELLO.unpack_from(payload, 0)
+            return Hello(backbone=None, scheme=None, batch_size=0, seq_len=0, protocol_version=ver)
+        _, scheme_code, batch_size, seq_len, sync = _HELLO.unpack_from(payload, 0)
         block = BytesIO(payload[_HELLO.size:])
         try:
             backbone = BackboneConfig.from_config_block(block)
         except (EOFError, ValueError) as exc:  # truncated, or refused by __post_init__
             raise FrameError(f"malformed hello: {exc}") from exc
-        if block.read(1) or scheme_code not in _SCHEME_NAME or batch_size < 1:
+        if block.read(1) or scheme_code not in _SCHEME_NAME or min(batch_size, seq_len) < 1:
             raise FrameError("malformed hello")
-        return Hello(backbone=backbone, scheme=_SCHEME_NAME[scheme_code],
-                     batch_size=batch_size, sync=bool(sync), protocol_version=ver)
+        return Hello(backbone=backbone, scheme=_SCHEME_NAME[scheme_code], batch_size=batch_size,
+                     seq_len=seq_len, sync=bool(sync), protocol_version=ver)
     if msg_type == T_SESSION_ACK:
         return SessionAck(*struct.unpack_from("<B", payload, 0))
     if msg_type == T_ACT_BATCH:
@@ -345,8 +361,7 @@ class MessageReader:
             raise ProtocolError(f"unexpected {type(msg).__name__}")
         return msg
 
-    def limit_to_batches(self, shape, scheme: str, gamma: int) -> None:
-        """From now on refuse any frame longer than an ActBatch of `gamma`
-        taps of `shape` under `scheme`."""
-        self._decoder.max_payload = min(
-            MAX_PAYLOAD, _BATCH_HEAD.size + _TAP_COUNT.size + batch_bytes(shape, scheme, gamma))
+    def limit_to_batches(self, hello: Hello) -> None:
+        """From now on refuse any frame longer than an ActBatch of `hello`'s
+        session."""
+        self._decoder.max_payload = min(MAX_PAYLOAD, hello.batch_payload())

@@ -45,6 +45,11 @@ def workspace(config, x):
     return backbone.ForwardWorkspace(config, *x.shape[:2])
 
 
+def collect(weights, toks):
+    """The taps of `toks`, from a forward in a workspace of its own."""
+    return forward_collect(weights, toks, workspace(weights.config, toks))
+
+
 def out_of_place_attention(x, lw, heads):
     """The attention formula with a fresh array for the scale and the mask."""
     b, s, h = x.shape
@@ -127,7 +132,7 @@ def test_attention_never_holds_a_full_score_tensor():
     # the whole forward, its workspace and its taps included
     tracemalloc.start()
     try:
-        forward_collect(weights, toks)
+        collect(weights, toks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -138,10 +143,10 @@ def test_taps_agree_with_the_exact_kernels(monkeypatch):
     # one tile, and three tiles with a short last one
     runs = [(init_backbone(config, 7), tokens(seq=seq))
             for config, seq in ((CONFIG, 15), (LONG, LONG_SEQ))]
-    fast = [forward_collect(weights, toks) for weights, toks in runs]
+    fast = [collect(weights, toks) for weights, toks in runs]
     monkeypatch.setattr(kernels, "fast_matmul", exact_matmul)
     for (weights, toks), fast_taps in zip(runs, fast):
-        exact = forward_collect(weights, toks)
+        exact = collect(weights, toks)
         assert [i for i, _ in fast_taps] == [i for i, _ in exact] == [0, 1, 2, 3, 4]
         for (_, f), (_, e) in zip(fast_taps, exact):
             assert f.dtype == e.dtype == np.float32
@@ -154,8 +159,8 @@ def test_a_position_sees_no_later_token():
     pos = TILE + TILE // 2  # inside the middle tile
     changed = toks.copy()
     changed[:, pos] = (changed[:, pos] + 1) % LONG.vocab_size
-    for (_, a), (_, b) in zip(forward_collect(weights, toks),
-                              forward_collect(weights, changed)):
+    for (_, a), (_, b) in zip(collect(weights, toks),
+                              collect(weights, changed)):
         np.testing.assert_array_equal(a[:, :pos], b[:, :pos])
         assert not np.array_equal(a[:, pos], b[:, pos])
 
@@ -169,7 +174,7 @@ def test_the_benchmark_model_takes_the_shift_free_path(monkeypatch):
     weights = init_backbone(WIDE, 7)
     toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(16, 255))
     shifted = shifted_tiles(monkeypatch)
-    taps = forward_collect(weights, toks)
+    taps = collect(weights, toks)
     assert not shifted
     assert all(np.isfinite(tap).all() for _, tap in taps)
 
@@ -180,8 +185,8 @@ def test_slabs_give_the_taps_of_one_sequence_at_a_time(seq):
     toks = kernels.make_rng(5).integers(0, WIDE.vocab_size, size=(7, seq))
     # the last slab is short: 4 + 3 sequences at S=255, 7 of 11 at S=91
     assert 7 % backbone.slab_sequences(seq, WIDE, np.float32) != 0
-    batched = forward_collect(weights, toks)
-    alone = [forward_collect(weights, toks[j:j + 1]) for j in range(len(toks))]
+    batched = collect(weights, toks)
+    alone = [collect(weights, toks[j:j + 1]) for j in range(len(toks))]
     for n, (_, tap) in enumerate(batched):
         np.testing.assert_array_equal(tap, np.concatenate([a[n][1] for a in alone]))
 
@@ -190,10 +195,10 @@ def test_forward_peak_memory_is_the_taps_and_one_slab():
     b, s = 16, 255
     weights = init_backbone(WIDE, 7)
     toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(b, s))
-    forward_collect(weights, toks)  # warm up outside the trace
+    collect(weights, toks)  # warm up outside the trace
     tracemalloc.start()
     try:
-        forward_collect(weights, toks)
+        collect(weights, toks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,9 +214,9 @@ def test_taps_repeat_after_a_batch_of_another_shape():
     # b is a's first 91 positions: its taps are a's there, up to the tile
     # bound, since the causal mask hides every later token
     b = a[:, :91]
-    first = forward_collect(weights, a)
-    prefix = forward_collect(weights, b)
-    again = forward_collect(weights, a)
+    first = collect(weights, a)
+    prefix = collect(weights, b)
+    again = collect(weights, a)
     for (_, t1), (_, tb), (_, t2) in zip(first, prefix, again):
         assert np.isfinite(t1).all() and np.isfinite(tb).all()
         np.testing.assert_array_equal(t1, t2)
@@ -227,7 +232,7 @@ def test_a_kept_workspace_gives_the_taps_of_fresh_arrays_across_shapes():
     ws = backbone.ForwardWorkspace(WIDE, 7, 255)
     for toks in batches:
         kept = forward_collect(weights, toks, ws)
-        fresh = forward_collect(weights, toks)
+        fresh = collect(weights, toks)
         assert [i for i, _ in kept] == [i for i, _ in fresh]
         for (i, k), (_, f) in zip(kept, fresh):
             assert np.shares_memory(k, ws.acts[i])
@@ -251,7 +256,7 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
         x = backbone.layer_forward(x, lw, config.heads, ws)
         if i in cuts:
             expected.append((i, x))
-    for taps in (forward_collect(weights, toks), forward_collect(weights, toks, ws),
+    for taps in (collect(weights, toks), forward_collect(weights, toks, ws),
                  forward_collect(weights, toks, ws)):
         assert [i for i, _ in taps] == [i for i, _ in expected]
         for (_, got), (_, want) in zip(taps, expected):
@@ -260,8 +265,8 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
 
 def test_forwards_without_a_workspace_share_no_memory():
     weights = init_backbone(CONFIG, 7)
-    first = [tap for _, tap in forward_collect(weights, tokens(seed=1))]
-    second = [tap for _, tap in forward_collect(weights, tokens(seed=2))]
+    first = [tap for _, tap in collect(weights, tokens(seed=1))]
+    second = [tap for _, tap in collect(weights, tokens(seed=2))]
     taps = first + second
     for i, a in enumerate(taps):
         assert not any(np.shares_memory(a, b) for b in taps[i + 1:])

@@ -4,6 +4,7 @@ run at once without a Bye, and every entry of the per-batch log carries
 the same timing keys in serial and pipelined runs. Also the pre-tokenized
 csv task, which the device samples batches from."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -195,13 +196,21 @@ def test_a_serial_entry_times_the_send_alone(monkeypatch):
     ({"task": {"vocab_size": BACKBONE.vocab_size + 1}}, "task vocabulary"),
     ({"task": {"seq_len": -1}}, "sequence length -1 and"),
     ({"task": {"vocab_size": 0}}, "vocabulary size 0 must"),
+    ({"samples_per_epoch": 0}, "samples per epoch"),
+    ({"backbone": {"hidden": 0}}, "hidden 0"),
+    ({"backbone": {"vocab_size": 0}}, "vocab_size 0"),
+    ({"backbone": {"max_seq": 0}}, "max_seq 0"),
+    ({"backbone": {"ffn_dim": -1}}, "ffn_dim -1"),
 ], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size",
-        "seq_len_not_positive", "vocab_size_not_positive"])
+        "seq_len_not_positive", "vocab_size_not_positive", "samples_per_epoch_0",
+        "backbone_hidden_0", "backbone_vocab_size_0", "backbone_max_seq_0",
+        "backbone_ffn_dim_negative"])
 def test_a_device_config_that_cannot_run_is_refused_when_built(fields, message):
     fields = dict(fields)
     with pytest.raises(ValueError, match=message):
         task = SyntheticTask(**{"seq_len": SEQ, **fields.pop("task", {})})
-        DeviceConfig(backbone=BACKBONE, task=task, **fields)
+        backbone = dataclasses.replace(BACKBONE, **fields.pop("backbone", {}))
+        DeviceConfig(backbone=backbone, task=task, **fields)
 
 
 def write_csv(path, rows):
@@ -252,7 +261,7 @@ def test_a_steady_batch_allocates_less_than_its_codes_and_one_tap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    fresh, _ = device.compute_batch(weights, config, 1)
+    fresh, _ = device.compute_batch(weights, config, 1, backbone.ForwardWorkspace(model, 16, 255))
     assert msg.taps == fresh.taps
     tap_bytes = 16 * 255 * model.hidden * 4
     codes = sum(len(q.codes) for q in msg.taps)

@@ -10,9 +10,11 @@ import pytest
 
 from sidetune import (
     BackboneConfig,
+    DeviceConfig,
     ModelSpec,
     ServerConfig,
     SideConfig,
+    SyntheticTask,
     init_backbone,
     init_side,
     load_backbone,
@@ -23,7 +25,7 @@ from sidetune import (
     save_backbone,
     save_side,
 )
-from sidetune import server
+from sidetune import backbone, device, server
 from sidetune.binio import FormatError
 from sidetune.wire import (
     ActBatch,
@@ -53,6 +55,12 @@ SIDE = SideConfig(hidden=32, bottleneck=16, adapters=4, classes=2)
 # frozen: a change to these is a change of file format
 BACKBONE_GOLDEN = (209_715, "90a78769ed088d45f94f8f733a218e9f53166a875e6f3104b2ba1a7d3e249a23")
 SIDE_GOLDEN = (17_699, "9511681fe492d07c83037cc90009fdffac74de797ba35566a803ad65cbfbd028")
+# a change to these is a change of the wire: the protocol-4 Hello of
+# GOLDEN_DEVICE, and the nf4 ActBatch frame of its batch 0
+HELLO_GOLDEN = (73, "4f8aee97a1f549c564bd8751838a8ed887c689cc4c2e2ec4f32fa7bc3f8f13df")
+BATCH_GOLDEN = (2_371, "76c85bd692e45cee7386e65f769700c1e8f7a4e3819b4ae0b854054728e7e4b5")
+GOLDEN_DEVICE = DeviceConfig(backbone=BACKBONE, task=SyntheticTask(seq_len=7), scheme="nf4",
+                             batch_size=4)
 
 
 def backbone_bytes(weights):
@@ -81,9 +89,18 @@ def test_side_checkpoint_matches_golden_and_round_trips():
     assert side_bytes(params, config) == data
 
 
+def test_the_hello_and_a_batch_frame_match_golden():
+    config = GOLDEN_DEVICE
+    ws = backbone.ForwardWorkspace(BACKBONE, config.batch_size, config.task.seq_len)
+    msg, _ = device.compute_batch(device.load_device_backbone(config), config, 0, ws)
+    for data, pinned in ((encode(config.hello()), HELLO_GOLDEN), (encode(msg), BATCH_GOLDEN)):
+        assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
+
+
 def test_a_checkpoint_loads_the_config_it_was_trained_under_at_any_init_std():
     config = ServerConfig(backbone=BACKBONE, bottleneck=16, init_std=0.05)
-    state = server._make_state(config)
+    state = server._make_state(config, Hello(backbone=BACKBONE, scheme="nf4", batch_size=1,
+                                             seq_len=1))
     loaded, params = load_side(io.BytesIO(server._checkpoint_bytes(state)))
     assert loaded == state.config == config.side_config()
     assert params.flat.tobytes() == state.params.flat.tobytes()
@@ -116,7 +133,7 @@ def act_batch(scheme="nf4", batch=4, seq=7):
 
 
 MESSAGES = [
-    Hello(backbone=BACKBONE, scheme="nf4", batch_size=4, sync=True),
+    Hello(backbone=BACKBONE, scheme="nf4", batch_size=4, seq_len=7, sync=True),
     SessionAck(status=2),
     act_batch(),
     MetricsSnapshot(text='{"loss": 0.5}'),
@@ -141,31 +158,43 @@ def test_every_message_type_round_trips(msg):
 def test_a_hello_carries_the_backbone_config(cuts, tap_embedding):
     backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                               block_cuts=cuts, tap_embedding=tap_embedding)
-    msg = Hello(backbone=backbone, scheme="fp8_e4m3", batch_size=3)
+    msg = Hello(backbone=backbone, scheme="fp8_e4m3", batch_size=3, seq_len=5)
     data = encode(msg)
-    assert data[20:-4] == backbone.config_block()  # after the header and the fixed fields
+    assert data[24:-4] == backbone.config_block()  # after the header and the fixed fields
     assert StreamDecoder().feed(data) == [msg]
 
 
-def hello_frame(block: bytes, batch_size: int = 4) -> bytes:
-    """A Hello frame declaring `batch_size`, whose other fixed fields are
-    a valid Hello's and whose config block is `block`."""
-    hello = Hello(backbone=BACKBONE, scheme="nf4", batch_size=batch_size)
-    return _frame(T_HELLO, encode(hello)[12:20] + block)
+def hello_frame(block: bytes, batch_size: int = 4, seq_len: int = 7) -> bytes:
+    """A Hello frame declaring `batch_size` and `seq_len`, whose other
+    fixed fields are a valid Hello's and whose config block is `block`."""
+    hello = Hello(backbone=BACKBONE, scheme="nf4", batch_size=batch_size, seq_len=seq_len)
+    return _frame(T_HELLO, encode(hello)[12:24] + block)
 
 
-@pytest.mark.parametrize("block, batch_size", [
-    (BACKBONE.config_block()[:-1], 4),
-    (BACKBONE.config_block() + b"\0", 4),
+def block_with(offset: int, value: int) -> bytes:
+    """BACKBONE's config block with the u32 at `offset` set to `value`."""
+    block = BACKBONE.config_block()
+    return block[:offset] + struct.pack("<I", value) + block[offset + 4:]
+
+
+@pytest.mark.parametrize("block, batch_size, seq_len", [
+    (BACKBONE.config_block()[:-1], 4, 7),
+    (BACKBONE.config_block() + b"\0", 4, 7),
     # hidden 30 over 4 heads
-    (BACKBONE.config_block()[:4] + struct.pack("<I", 30) + BACKBONE.config_block()[8:], 4),
+    (block_with(4, 30), 4, 7),
     # a valid block, but a session of no batch at all
-    (BACKBONE.config_block(), 0),
-], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads", "batch_size_0"])
-def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block, batch_size):
+    (BACKBONE.config_block(), 0, 7),
+    (BACKBONE.config_block(), 4, 0),
+    # the block's fields: vocab_size, hidden, layers, heads, ffn_dim, max_seq, ...
+    (block_with(0, 0), 4, 7),
+    (block_with(4, 0), 4, 7),
+    (block_with(20, 0), 4, 7),
+], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads", "batch_size_0",
+        "seq_len_0", "vocab_size_0", "hidden_0", "max_seq_0"])
+def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block, batch_size, seq_len):
     assert StreamDecoder().feed(hello_frame(BACKBONE.config_block())) != []
     with pytest.raises(FrameError, match="malformed hello"):
-        StreamDecoder().feed(hello_frame(block, batch_size))
+        StreamDecoder().feed(hello_frame(block, batch_size, seq_len))
 
 
 @pytest.mark.parametrize("scheme", ["none_fp16", "fp8_e4m3", "fp4_grid", "nf4"])

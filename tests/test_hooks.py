@@ -78,6 +78,7 @@ import json, sys
 sys.path[:0] = sys.argv[1:2]
 import run, workloads
 from sidetune import local_mode
+from sidetune.backbone import ForwardWorkspace
 from sidetune.device import compute_batch, load_device_backbone
 from sidetune.wire import encode
 
@@ -86,7 +87,8 @@ for name in sys.argv[2:]:
     w = workloads.WORKLOADS[name]
     config = workloads.device_config(w, 0, steps=workloads.LOCAL_CHECK_STEPS)
     report = local_mode(config, workloads.server_config(w))
-    msg, _ = compute_batch(load_device_backbone(config), config, 0)
+    ws = ForwardWorkspace(config.backbone, config.batch_size, config.task.seq_len)
+    msg, _ = compute_batch(load_device_backbone(config), config, 0, ws)
     out[name] = {"steps": workloads.LOCAL_CHECK_STEPS, "iterations": report.iterations,
                  "refused": dict(report.invalid), "frame_bytes": len(encode(msg)),
                  "expected_frame_bytes": run.expected_frame_bytes(w)}
@@ -181,10 +183,11 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
     config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15), batch_size=4,
                           iterations=3)
     weights = device.load_device_backbone(config)
+    ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
     forwards = counting(monkeypatch, device, "forward_collect")
     layers = counting(monkeypatch, backbone, "layer_forward")
     for i in range(config.total_iterations):
-        device.compute_batch(weights, config, i)
+        device.compute_batch(weights, config, i, ws)
         assert len(forwards) == i + 1
     # one layer call per layer and slab; this small batch is one slab
     assert backbone.slab_sequences(15, model, "float32") >= config.batch_size
@@ -197,12 +200,13 @@ def test_train_iteration_calls_each_patched_server_kernel_once_per_use(monkeypat
     config = DeviceConfig(backbone=model, task=SyntheticTask(seq_len=15), batch_size=4,
                           iterations=2)
     weights = device.load_device_backbone(config)
-    batches = [device.compute_batch(weights, config, i)[0] for i in range(2)]
-    state = server._make_state(ServerConfig(backbone=model, bottleneck=8))
+    ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
+    batches = [device.compute_batch(weights, config, i, ws)[0] for i in range(2)]
+    state = server._make_state(ServerConfig(backbone=model, bottleneck=8), config.hello())
     dequantizes = counting(monkeypatch, training, "dequantize")
     layer_norms = counting(monkeypatch, kernels, "layer_norm")
     mean_pools = counting(monkeypatch, kernels, "mean_pool")
-    for i, batch in enumerate(batches, start=1):  # the first step builds the workspace
+    for i, batch in enumerate(batches, start=1):
         training.train_iteration(state, batch)
         assert len(dequantizes) == i * model.gamma
         assert len(layer_norms) == i * model.num_blocks

@@ -1,10 +1,11 @@
 """A session that ends abnormally still returns promptly, with its report
-and checkpoint; one whose handshake fails returns its report without a
-checkpoint; a frame longer than the session's largest batch ends it at
-once; and a batch that does not fit the session, or whose step
-overflows, is rejected and counted: peer input never hangs or kills the
-server silently. In a sync session every batch gets one snapshot, so a
-serial device never waits out its timeout on a rejected batch."""
+and checkpoint; one whose handshake fails, or whose Hello declares a
+batch shape no batch can take, returns its report without a checkpoint;
+a frame longer than the session's batch ends it at once; and a batch
+that does not fit the session, or whose step overflows, is rejected and
+counted: peer input never hangs or kills the server silently. In a sync
+session every batch gets one snapshot, so a serial device never waits
+out its timeout on a rejected batch."""
 
 import dataclasses
 import io
@@ -32,6 +33,7 @@ from sidetune import server
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ACK_BAD_CONFIG,
+    ACK_BAD_SHAPE,
     ACK_BAD_VERSION,
     ActBatch,
     Bye,
@@ -54,11 +56,12 @@ from sidetune.wire import (
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                           block_cuts=(1, 2, 3, 4))
 RETURN_WITHIN_S = 10.0
-BATCH = 2  # the batch size every session here declares in its Hello
+BATCH, SEQ = 2, 3  # the batch shape every session here declares in its Hello
 
 
-def hello(scheme="nf4", **fields):
-    return encode(Hello(backbone=BACKBONE, scheme=scheme, batch_size=BATCH, **fields))
+def hello(scheme="nf4", batch_size=BATCH, seq_len=SEQ, **fields):
+    return encode(Hello(backbone=BACKBONE, scheme=scheme, batch_size=batch_size,
+                        seq_len=seq_len, **fields))
 
 
 def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme="nf4"):
@@ -100,8 +103,10 @@ def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme=
     ({"bottleneck": 0}, "bottleneck 0 must be at least 1"),
     ({"lr": -1.0}, "learning rate"),
     ({"lr": float("nan")}, "learning rate"),
+    ({"init_std": -1.0}, "init std"),
+    ({"init_std": float("nan")}, "init std"),
 ], ids=["bottleneck_not_below_hidden", "nonlinearity", "bottleneck_not_positive",
-        "lr_negative", "lr_nan"])
+        "lr_negative", "lr_nan", "init_std_negative", "init_std_nan"])
 def test_a_server_config_that_cannot_be_served_is_refused_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
         ServerConfig(backbone=BACKBONE, **fields)
@@ -129,27 +134,30 @@ def test_a_frame_header_past_max_payload_ends_the_session_at_once(tmp_path):
     assert not out["report"].clean_shutdown
 
 
-# a well-formed Hello one cut past MAX_HELLO: 8 + 28 + 4 m + 1 bytes
-LONG_CUTS = (MAX_HELLO - 36) // 4 + 1
+# a well-formed Hello one cut past MAX_HELLO: 12 + 28 + 4 m + 1 bytes
+LONG_CUTS = (MAX_HELLO - 40) // 4 + 1
 LONG_BACKBONE = dataclasses.replace(BACKBONE, layers=LONG_CUTS,
                                     block_cuts=tuple(range(1, LONG_CUTS + 1)))
 
 
-def zero_batch_hello(end):
-    # then hang up, so that a server which takes this Hello ends at once
-    end.send(encode(Hello(backbone=BACKBONE, scheme="nf4", batch_size=0)))
-    end.close()
+def hello_then_hang_up(**fields):
+    def send(end):
+        # then hang up, so that a server which takes this Hello ends at once
+        end.send(hello(**fields))
+        end.close()
+    return send
 
 
 # what the device end does before the server's handshake read gives up;
-# scheme code 9 names no scheme, and a batch of 0 is no batch, so neither
-# Hello decodes
+# scheme code 9 names no scheme, and a batch of 0 sequences or of
+# sequences of 0 tokens is no batch, so none of these Hellos decodes
 HANDSHAKE_FAILURES = {
     "malformed_hello": lambda end: end.send(_frame(T_HELLO, struct.pack(
-        "<HBIB", PROTOCOL_VERSION, 9, BATCH, 0) + BACKBONE.config_block())),
-    "zero_batch_hello": zero_batch_hello,
+        "<HBIIB", PROTOCOL_VERSION, 9, BATCH, SEQ, 0) + BACKBONE.config_block())),
+    "zero_batch_hello": hello_then_hang_up(batch_size=0),
+    "zero_seq_hello": hello_then_hang_up(seq_len=0),
     "oversized_hello": lambda end: end.send(encode(Hello(
-        backbone=LONG_BACKBONE, scheme="nf4", batch_size=BATCH))),
+        backbone=LONG_BACKBONE, scheme="nf4", batch_size=BATCH, seq_len=SEQ))),
     "eof_before_hello": lambda end: end.close(),
     "silent_peer": lambda end: None,
 }
@@ -175,10 +183,13 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
 
 # protocol 2's Hello: the fixed fields, then the sha256 of the config block
 PROTOCOL_2_HELLO = _frame(T_HELLO, struct.pack("<HBIB", 2, 3, BATCH, 0) + bytes(32))
+# protocol 3's Hello: the fixed fields without S, then the config block
+PROTOCOL_3_HELLO = _frame(T_HELLO, struct.pack("<HBIB", 3, 3, BATCH, 0) + BACKBONE.config_block())
 
 
 @pytest.mark.parametrize("frame", [hello(protocol_version=PROTOCOL_VERSION + 1),
-                                   PROTOCOL_2_HELLO], ids=["next", "protocol_2"])
+                                   PROTOCOL_2_HELLO, PROTOCOL_3_HELLO],
+                         ids=["next", "protocol_2", "protocol_3"])
 def test_a_handshake_with_another_protocol_version_is_refused(tmp_path, frame):
     ckpt = tmp_path / "side.bin"
     config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=1.0)
@@ -219,7 +230,47 @@ def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path, fi
     assert not ckpt.exists()
 
 
-def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, 3, BACKBONE.hidden),
+# Hellos whose batch shape no batch can take, and whether the server gets as
+# far as building the session's state: the shape checks allocate nothing
+BAD_SHAPES = {
+    "seq_past_max_seq": ({"seq_len": BACKBONE.max_seq + 1}, False),
+    # its nf4 batch frame would hold gamma x 2^31 x 32 x 32 / 2 bytes of codes
+    "frame_past_max_payload": ({"batch_size": 2**31, "seq_len": 32}, False),
+    "state_out_of_memory": ({}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_a_hello_of_a_shape_no_batch_can_take_is_refused(tmp_path, monkeypatch, case):
+    fields, builds_state = BAD_SHAPES[case]
+    built = []
+
+    def out_of_memory(config, hello):
+        built.append(hello)
+        raise MemoryError("no room for the session's state")
+
+    monkeypatch.setattr(server, "_make_state", out_of_memory)
+    ckpt = tmp_path / "side.bin"
+    config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=1.0)
+    dev_end, srv_end = loopback_pair()
+    out = {}
+    server_thread = threading.Thread(target=lambda: out.update(report=run_server(config, srv_end)),
+                                     daemon=True)
+    server_thread.start()
+    try:
+        dev_end.send(hello(**fields))
+        ack = MessageReader(dev_end).read_expected(SessionAck, timeout=RETURN_WITHIN_S)
+        server_thread.join(timeout=1.0)
+        assert not server_thread.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    assert ack.status == out["report"].rejected == ACK_BAD_SHAPE
+    assert out["report"].state is None and not ckpt.exists()
+    assert len(built) == builds_state
+
+
+def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, SEQ, BACKBONE.hidden),
           scheme="nf4", **fields):
     """An ActBatch frame that fits the session unless an argument says
     otherwise; `fields` replace the taps' scale or codes."""
@@ -227,15 +278,12 @@ def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, 3, BACKB
     return encode(ActBatch(batch_id=batch_id, labels=labels, taps=(q,) * taps))
 
 
-# the longest batch the session allows: S = max_seq
-LONGEST = batch(shape=(BATCH, BACKBONE.max_seq, BACKBONE.hidden))
-
-
-def test_a_batch_of_max_seq_trains_and_a_longer_frame_ends_the_session(tmp_path):
-    out, _ = serve_one(tmp_path, [LONGEST, encode(Bye())])
+def test_a_batch_of_the_session_shape_trains_and_a_longer_frame_ends_the_session(tmp_path):
+    # every batch of the session is as long as this one: its shape is the Hello's
+    out, _ = serve_one(tmp_path, [batch(), encode(Bye())])
     assert out["report"].iterations == 1 and out["report"].clean_shutdown
-    # 16 bytes of frame around the payload; one byte more than the longest
-    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, len(LONGEST) - 16 + 1)
+    # 16 bytes of frame around the payload; one byte more than the session's batch
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, len(batch()) - 16 + 1)
     out, ckpt = serve_one(tmp_path, [header], within_s=1.0)
     assert not out["report"].clean_shutdown
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
@@ -263,37 +311,51 @@ def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_pat
 
 # a batch that passes validate_batch but overflows the step: every code is
 # nf4's +1, and the scale is finite but near float32's largest value
-OVERFLOWING = {"scale": 3e38, "codes": b"\xff" * (BATCH * 3 * BACKBONE.hidden // 2)}
+OVERFLOWING = {"scale": 3e38, "codes": b"\xff" * (BATCH * SEQ * BACKBONE.hidden // 2)}
 
+# A batch with more sequences, longer ones or wider codes than the Hello
+# declared has a longer frame than the session's batch, which ends the
+# session (see above); each batch here is no longer, and is refused
 INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
-    "scheme": ("scheme", "nf4", {"scheme": "fp8_e4m3"}),
+    "scheme": ("scheme", "fp8_e4m3", {"scheme": "nf4"}),
     "tap_count": ("taps", "nf4", {"taps": BACKBONE.gamma - 1}),
-    "batch_size": ("shape", "nf4", {"shape": (BATCH + 1, 3, BACKBONE.hidden),
-                                    "labels": (0, 1, 0)}),
-    "hidden_width": ("shape", "nf4", {"shape": (BATCH, 3, 16)}),
+    "batch_size": ("shape", "nf4", {"shape": (BATCH - 1, SEQ, BACKBONE.hidden),
+                                    "labels": (0,)}),
+    "seq_len": ("shape", "nf4", {"shape": (BATCH, SEQ - 1, BACKBONE.hidden)}),
+    "hidden_width": ("shape", "nf4", {"shape": (BATCH, SEQ, 16)}),
     "label_count": ("label_count", "nf4", {"labels": (0,)}),
     "label_range": ("label_range", "nf4", {"labels": (0, 2)}),
     "non_finite_scale": ("non_finite", "nf4", {"scale": float("nan")}),
     "non_finite_codes": ("non_finite", "none_fp16", {"codes": np.full(
-        (BATCH, 3, BACKBONE.hidden), np.nan, dtype=np.float16).tobytes()}),
+        (BATCH, SEQ, BACKBONE.hidden), np.nan, dtype=np.float16).tobytes()}),
     "non_finite_step": ("non_finite", "nf4", OVERFLOWING),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID))
-def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path, case):
+def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path, monkeypatch,
+                                                                       case):
     reason, scheme, bad = INVALID[case]
+    make_state, built = server._make_state, []
+
+    def recorded(config, hello):
+        built.append(make_state(config, hello))
+        return built[-1]
+
+    monkeypatch.setattr(server, "_make_state", recorded)
     frames = [batch(0, **{"scheme": scheme, **bad}), batch(1, scheme=scheme), encode(Bye())]
     out, _ = serve_one(tmp_path, frames, scheme=scheme)
     report = out["report"]
     assert report.clean_shutdown
     assert report.invalid == {reason: 1}
     assert report.iterations == 1 and report.dropped == 0
+    # the step trained in the workspace built before the ack, whatever came first
+    assert report.state.workspace is built[0].workspace
 
 
 def test_a_step_that_overflows_changes_nothing_the_next_step_reads(tmp_path):
     # nonzero taps, so that the two good steps move the parameters
-    good = {"codes": bytes(range(BATCH * 3 * BACKBONE.hidden // 2))}
+    good = {"codes": bytes(range(BATCH * SEQ * BACKBONE.hidden // 2))}
     runs = {}
     for name, frames in {
         "with": [batch(0, **good), batch(1, **OVERFLOWING), batch(2, **good)],

@@ -1,8 +1,8 @@
 """The side network's step against the formulas it replaced, and its
 workspace: a backward reads only what a forward left in it, after a
 session's first batch a step allocates less than one tap, and a
-workspace kept across steps of changing shape gives the bits of a fresh
-one per step."""
+workspace kept across a session's steps gives the bits of a fresh one
+per step."""
 
 import dataclasses
 import io
@@ -102,15 +102,16 @@ def random_batch(rng, batch_id, shape, scheme="nf4"):
     return ActBatch(batch_id=batch_id, labels=labels, taps=taps)
 
 
-def new_state():
+def new_state(batch, seq):
     params = init_side(CONFIG, 1)
-    return TrainState(config=CONFIG, params=params, adam=init_adam(params, lr=5e-3))
+    return TrainState(config=CONFIG, params=params, adam=init_adam(params, lr=5e-3),
+                      workspace=Workspace(CONFIG, batch, seq))
 
 
 def trained_params():
     """Parameters after 20 steps, so the head is no longer zero."""
     rng = np.random.default_rng(3)
-    state = new_state()
+    state = new_state(8, 15)
     for i in range(20):
         train_iteration(state, random_batch(rng, i, (8, 15, CONFIG.hidden)))
     assert np.abs(state.params.head_weight).min() > 0
@@ -128,7 +129,8 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     labels = rng.integers(0, CONFIG.classes, size=8)
     before = [t.copy() for t in taps]
 
-    logits, ws = side_forward(taps, params, config)
+    ws = Workspace(config, 8, 15)
+    logits = side_forward(taps, params, ws)
     d_logits = loss_and_grad(logits, labels)[1]
     grads = side_backward(ws, d_logits, params)
     expected_logits, expected = oracle_step(taps, params, config, labels)
@@ -146,8 +148,8 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     with pytest.raises(ValueError, match="no forward"):
         side_backward(ws, d_logits, params)
     first = grads.flat.copy()
-    again, kept = side_forward(taps, params, config, ws)
-    assert kept is ws and again.tobytes() == logits.tobytes()
+    again = side_forward(taps, params, ws)
+    assert again.tobytes() == logits.tobytes()
     assert side_backward(ws, d_logits, params).flat.tobytes() == first.tobytes()
 
 
@@ -163,7 +165,7 @@ def test_after_the_first_step_a_step_allocates_less_than_one_tap():
     tap_bytes = np.prod(shape) * 4
     rng = np.random.default_rng(5)
     batches = [random_batch(rng, i, shape) for i in range(3)]
-    state = new_state()
+    state = new_state(*shape[:2])
     train_iteration(state, batches[0])
     tracemalloc.start()
     try:
@@ -180,7 +182,7 @@ def test_after_the_first_step_a_step_allocates_less_than_one_tap():
 def test_a_steady_step_of_a_tiny_batch_allocates_a_few_kilobytes():
     rng = np.random.default_rng(7)
     batches = [random_batch(rng, i, (2, 3, CONFIG.hidden)) for i in range(3)]
-    state = new_state()
+    state = new_state(2, 3)
     train_iteration(state, batches[0])
     train_iteration(state, batches[1])
     tracemalloc.start()
@@ -197,11 +199,12 @@ def test_a_steady_step_of_a_tiny_batch_allocates_a_few_kilobytes():
 
 
 def run(batches, fresh_workspace):
-    state = new_state()
+    shape = batches[0].taps[0].shape[:2]
+    state = new_state(*shape)
     losses = []
     for b in batches:
         if fresh_workspace:
-            state.workspace = None
+            state.workspace = Workspace(CONFIG, *shape)
         losses.append(train_iteration(state, b).loss)
     buf = io.BytesIO()
     save_side(buf, state.params, state.config)
@@ -209,9 +212,10 @@ def run(batches, fresh_workspace):
 
 
 @pytest.mark.parametrize("scheme", ["none_fp16", "nf4"])
-def test_a_workspace_kept_across_changing_shapes_changes_no_bit(scheme):
+def test_a_workspace_kept_across_a_sessions_steps_changes_no_bit(scheme):
+    # a session's batches share its one shape; a batch of another is refused
+    # before its step (test_server's "seq_len" case)
     rng = np.random.default_rng(6)
-    batches = [random_batch(rng, i, (4, s, CONFIG.hidden), scheme)
-               for i, s in enumerate((15, 31, 15, 15))]
+    batches = [random_batch(rng, i, (4, 15, CONFIG.hidden), scheme) for i in range(4)]
     kept = run(batches, fresh_workspace=False)
     assert kept == run(batches, fresh_workspace=True)

@@ -1,7 +1,8 @@
-"""A split run, over loopback or TCP, and a local run train bit-identically
-and refuse the same batches: the server's backward moves where the work
-runs, not what it computes. Inference on the device gives the logits of
-the server's step."""
+"""A split run, over loopback or TCP, and a local run train bit-identically,
+refuse the same batches and, when a step raises, write the same
+checkpoint: the server's backward moves where the work runs, not what
+it computes. Inference on the device gives the logits of the server's
+step."""
 
 import dataclasses
 import io
@@ -33,6 +34,8 @@ from sidetune import (
     train_iteration,
     training,
 )
+from sidetune.backbone import ForwardWorkspace
+from sidetune.sidenet import Workspace
 from sidetune.transport import TcpTransport, loopback_pair
 
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
@@ -129,6 +132,42 @@ def test_split_and_local_runs_refuse_the_same_batch(tmp_path, serial):
     assert (tmp_path / "split.bin").read_bytes() == (tmp_path / "local.bin").read_bytes()
 
 
+def test_a_step_that_raises_ends_split_and_local_runs_with_the_same_checkpoint(tmp_path,
+                                                                              monkeypatch):
+    def fails_on_batch_1(state, batch):
+        if batch.batch_id == 1:
+            raise ValueError("the step failed")
+        return training.train_iteration(state, batch)
+
+    monkeypatch.setattr("sidetune.server.train_iteration", fails_on_batch_1)
+    device_cfg, server_cfg = configs("nf4", False, tmp_path / "split.bin")
+    device_cfg = dataclasses.replace(device_cfg, fetch_checkpoint=False)
+    dev_end, srv_end = loopback_pair()
+    out = {}
+
+    def serve():
+        try:
+            run_server(server_cfg, srv_end)
+        except ValueError as exc:
+            out["error"] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        run_device(device_cfg, dev_end)
+    finally:
+        dev_end.close()
+        server.join(timeout=60)
+    assert not server.is_alive()
+    srv_end.close()
+    assert "the step failed" in str(out["error"])
+
+    _, local_cfg = configs("nf4", False, tmp_path / "local.bin")
+    with pytest.raises(ValueError, match="the step failed"):
+        local_mode(device_cfg, local_cfg)
+    assert (tmp_path / "local.bin").read_bytes() == (tmp_path / "split.bin").read_bytes()
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_combined_infer_gives_the_logits_of_the_server_step(tmp_path, monkeypatch, scheme):
     device_cfg, server_cfg = configs(scheme, False, tmp_path / "side.bin")
@@ -146,8 +185,10 @@ def test_combined_infer_gives_the_logits_of_the_server_step(tmp_path, monkeypatc
         return forwards[-1]
 
     monkeypatch.setattr(training, "side_forward", recorded)
-    batch, _ = device.compute_batch(weights, device_cfg, 0)
-    train_iteration(TrainState(config=side_cfg, params=params, adam=init_adam(params)), batch)
-    step_logits = forwards[0][0]
+    ws = ForwardWorkspace(BACKBONE, BATCH, SEQ)
+    batch, _ = device.compute_batch(weights, device_cfg, 0, ws)
+    train_iteration(TrainState(config=side_cfg, params=params, adam=init_adam(params),
+                               workspace=Workspace(side_cfg, BATCH, SEQ)), batch)
+    step_logits = forwards[0]
     assert inferred.dtype == step_logits.dtype
     assert inferred.tobytes() == step_logits.tobytes()

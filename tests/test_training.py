@@ -24,6 +24,7 @@ from sidetune import (
 )
 from sidetune.cli import GRADCHECK_TOLERANCE
 from sidetune.gradcheck import finite_diff_grad, run_gradcheck
+from sidetune.sidenet import Workspace
 from sidetune.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sidetune.wire import ActBatch
 
@@ -119,7 +120,8 @@ def test_a_flat_state_of_the_wrong_size_is_rejected():
 def step():
     config = SideConfig(hidden=8, bottleneck=4, adapters=2, classes=2)
     params = init_side(config, 0)
-    state = TrainState(config=config, params=params, adam=init_adam(params))
+    state = TrainState(config=config, params=params, adam=init_adam(params),
+                       workspace=Workspace(config, 4, 5))
     rng = np.random.default_rng(0)
     taps = tuple(quantize(rng.normal(size=(4, 5, 8)).astype(np.float32), "none_fp16")
                  for _ in range(3))
