@@ -11,45 +11,36 @@ downstream. Layers follow the post-norm composition
 with causal scaled dot-product attention and learned positional
 embeddings.
 
-The forward is cache-blocked. Each layer runs over slabs of whole
-sequences, sized from the input's shape and dtype so that a slab's
-widest buffer is about SLAB_BYTES, and attention runs over query tiles
-of ATTN_TILE rows. A layer treats each sequence on its own, so the slabs
-change no bit of the taps, unless the attention's score bound, taken
-per slab, falls on both sides of its limit (see :func:`_self_attention`).
+The forward is cache-blocked: each layer runs over slabs of whole
+sequences, whose widest buffer is about SLAB_BYTES, and its attention
+over query tiles of ATTN_TILE rows (:func:`forward_collect`). One
+:class:`ForwardWorkspace`, which the caller builds once for its batch's
+(B, S) and dtype, holds every buffer of a forward, so the layer loop
+allocates nothing.
 
-One :class:`ForwardWorkspace`, built for the batch's (B, S) and dtype,
-holds every buffer of a forward: the intermediates of a slab, reused
-across tiles, slabs and layers, and the activations, so the layer loop
-allocates nothing and each slab's last layer norm writes straight into
-its rows of the layer output. Every forward runs in a workspace its
-caller builds: a session builds one for its batch shape and keeps it.
+The attention projects a slab in one product with a fused QKV weight
+(:func:`_fuse_qkv`), already head-major. As in FlashAttention-2 it
+scores in base 2 and defers the softmax division to the context, and it
+skips the row-max shift when a bound on the scores shows that none can
+overflow (:func:`_self_attention`). So it agrees with the full formula
+to rounding, not bit for bit: within 1e-6 × max |output| (the tests'
+bound; measured gaps are about 2e-7 of it).
 
-The attention projects a slab in one product: a fused weight
-(:func:`_fuse_qkv`) times each sequence's xᵀ gives qᵀ, kᵀ and, per head,
-vᵀ over a row of ones, already head-major, so no projection is copied
-into another layout. The weights are frozen, so that weight is built
-once per layer, and every weight array is read-only. The attention
-defers the softmax division to the context, as FlashAttention does: a
-tile's scores are exponentiated, and one product with the values, whose
-ones row rides along, gives both the numerator and the row sum. The
-scale, times log2(e), is folded into the fused weight's q rows, so the
-exponent is exp2, as in FlashAttention-2. The usual shift of each row by
-its max only guards the exponent against overflow, so it is skipped when
-a Cauchy–Schwarz bound on the scores, max ‖q_i‖·max ‖k_j‖, is at most
-EXP_SAFE·log2(e): then no score can overflow a row sum or underflow a
-whole row to zero. The causal mask is then a 0/1 product after the
-exponent, so exp2 never meets -inf and stays on numpy's fast path. A
-larger or non-finite bound takes the max-shifted path. So the attention
-agrees with the full formula to rounding, not bit for bit: within 1e-6 ×
-max |output| (the tests' bound; measured gaps are about 2e-7 of it).
+The weight file (version 2) holds exactly what the forward reads, in
+the order it reads it (:func:`_layout`): magic, version, config block,
+the two embeddings, then per layer the fused QKV weight and bias, w_o,
+b_o, the first layer norm, the FFN and the second layer norm, all
+little-endian float32. The fused weight is Wqᵀ pre-scaled by
+log2(e)/√hd, Wkᵀ, then per head its Wvᵀ over a constant row, zero
+weights with bias 1, that gives the softmax its row sum; a load refuses
+a file whose constant rows differ. Every weight array is read-only.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +56,7 @@ from .binio import (
 )
 
 WEIGHTS_MAGIC = b"MBWT"
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
 
 INIT_STD = 0.02
 
@@ -151,13 +142,9 @@ class BackboneConfig:
 
 @dataclass
 class LayerWeights:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
+    w_qkv: np.ndarray  # [2H + heads·(hd + 1), H], see :func:`_fuse_qkv`
+    b_qkv: np.ndarray
     w_o: np.ndarray
-    b_q: np.ndarray
-    b_k: np.ndarray
-    b_v: np.ndarray
     b_o: np.ndarray
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
@@ -167,10 +154,6 @@ class LayerWeights:
     b_down: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
-    # (:func:`_fuse_qkv`), set by :func:`_assemble`; None on a copy made
-    # with dataclasses.replace, whose attention then fuses its own
-    qkv: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -179,8 +162,6 @@ class BackboneWeights:
     token_embedding: np.ndarray  # [vocab, H]
     pos_embedding: np.ndarray    # [max_seq, H]
     layers: list[LayerWeights]
-    final_ln_gamma: np.ndarray   # stored in the weight file; the forward never applies it
-    final_ln_beta: np.ndarray
 
     def all_tensors(self):
         """Every tensor in weight-file order."""
@@ -190,11 +171,14 @@ class BackboneWeights:
 
 def _layout(config: BackboneConfig):
     """The one shape declaration of the weight set: (layer index, or None
-    for a model-level tensor, name, shape) in weight-file order."""
-    h, f = config.hidden, config.ffn_dim
+    for a model-level tensor, name, shape) in weight-file order, which is
+    the forward's: the embeddings, then per layer the fused QKV weight
+    [2H + heads·(hd + 1), H] and bias of :func:`_fuse_qkv` (q rows
+    pre-scaled, a constant row under each head's values), w_o, b_o, LN1,
+    the FFN and LN2."""
+    h, f, qkv = config.hidden, config.ffn_dim, _qkv_rows(config.hidden, config.heads)
     per_layer = {
-        "w_q": (h, h), "w_k": (h, h), "w_v": (h, h), "w_o": (h, h),
-        "b_q": (h,), "b_k": (h,), "b_v": (h,), "b_o": (h,),
+        "w_qkv": (qkv, h), "b_qkv": (qkv,), "w_o": (h, h), "b_o": (h,),
         "ln1_gamma": (h,), "ln1_beta": (h,),
         "w_up": (h, f), "b_up": (f,), "w_down": (f, h), "b_down": (h,),
         "ln2_gamma": (h,), "ln2_beta": (h,),
@@ -204,38 +188,44 @@ def _layout(config: BackboneConfig):
     for i in range(config.layers):
         for name, shape in per_layer.items():
             yield i, name, shape
-    yield None, "final_ln_gamma", (h,)
-    yield None, "final_ln_beta", (h,)
 
 
 def _assemble(config: BackboneConfig, tensors) -> BackboneWeights:
-    """Frozen weights from (layer index or None, name, array) triples:
-    each layer's fused QKV is built once, then every array is read-only."""
+    """Frozen (read-only) weights from (layer index or None, name, array) triples."""
     model, layers = {}, [{} for _ in range(config.layers)]
     for layer, name, t in tensors:
-        (model if layer is None else layers[layer])[name] = t
-    weights = BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
-    for lw in weights.layers:
-        lw.qkv = _fuse_qkv(lw, config.heads)
-    for t in (*weights.all_tensors(), *(a for lw in weights.layers for a in lw.qkv)):
         t.flags.writeable = False
-    return weights
+        (model if layer is None else layers[layer])[name] = t
+    return BackboneWeights(config, layers=[LayerWeights(**d) for d in layers], **model)
 
 
 def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
-    """Gaussian(0, 0.02) projection weights, zero biases, unit LN gains."""
+    """Gaussian(0, 0.02) projection weights and embeddings, zero biases,
+    unit LN gains; each layer's Wq, Wk and Wv are fused once and only the
+    fused pair (:func:`_fuse_qkv`) is kept."""
     rng = kernels.make_rng(seed)
+    h, f = config.hidden, config.ffn_dim
 
-    def make(name, shape):
-        if name.startswith("w_") or name.endswith("_embedding"):
-            return rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
-        if name.endswith("_gamma"):
-            return np.ones(shape, dtype=np.float32)
-        return np.zeros(shape, dtype=np.float32)
+    def normal(*shape):
+        return rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
 
-    # the seed's stream draws every layer before the embeddings
-    order = sorted(_layout(config), key=lambda entry: entry[0] is None)
-    return _assemble(config, ((i, name, make(name, shape)) for i, name, shape in order))
+    # the seed's stream draws each layer's Wq, Wk, Wv, Wo, W_up and W_down,
+    # layer by layer, then the embeddings
+    drawn = []
+    for _ in range(config.layers):
+        qkv = _fuse_qkv(*(normal(h, h) for _ in range(3)), *np.zeros((3, h), np.float32),
+                        config.heads)
+        drawn.append(dict(zip(("w_qkv", "b_qkv"), qkv), w_o=normal(h, h),
+                          w_up=normal(h, f), w_down=normal(f, h)))
+    model = {"token_embedding": normal(config.vocab_size, h),
+             "pos_embedding": normal(config.max_seq, h)}
+
+    def make(layer, name, shape):
+        given = model if layer is None else drawn[layer]
+        fill = np.ones if name.endswith("_gamma") else np.zeros
+        return given[name] if name in given else fill(shape, np.float32)
+
+    return _assemble(config, ((i, name, make(i, name, shape)) for i, name, shape in _layout(config)))
 
 
 class ForwardWorkspace:
@@ -303,32 +293,30 @@ def _qkv_rows(hidden: int, heads: int) -> int:
     return 2 * hidden + heads * (hidden // heads + 1)
 
 
-def _fuse_qkv(lw: LayerWeights, heads: int) -> tuple[np.ndarray, np.ndarray]:
+def _fuse_qkv(wq, wk, wv, bq, bk, bv, heads: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight and bias whose product with a sequence's xᵀ [H, S] is its
     attention input, head-major: [2H + heads·(hd + 1), H] and the matching
-    bias.
+    bias, from the [H, H] projections and their [H] biases.
 
     The rows are Wqᵀ scaled by log2(e)/√hd, then Wkᵀ, then for each head
-    its hd rows of Wvᵀ and a zero row; the bias is b_q, scaled the same
-    way, then b_k, then for each head its b_v and a 1. So the product
+    its hd rows of Wvᵀ and a zero row; the bias is bq, scaled the same
+    way, then bk, then for each head its bv and a 1. So the product
     gives qᵀ in the base-2 units of :func:`_self_attention`'s exponent,
     kᵀ, and each head's vᵀ over a row of ones.
     """
-    h = lw.w_q.shape[0]
-    hd = h // heads
-    dtype = lw.w_q.dtype
-    rows = _qkv_rows(h, heads)
+    h, dtype = wq.shape[0], wq.dtype
+    hd, rows = h // heads, _qkv_rows(h, heads)
     w, bias = np.empty((rows, h), dtype), np.empty(rows, dtype)
     scale = dtype.type(LOG2E / np.sqrt(hd))
-    np.multiply(lw.w_q.T, scale, out=w[:h])
-    np.copyto(w[h:2 * h], lw.w_k.T)
-    wv, bv = w[2 * h:].reshape(heads, hd + 1, h), bias[2 * h:].reshape(heads, hd + 1)
-    np.copyto(wv[:, :hd], lw.w_v.T.reshape(heads, hd, h))
-    wv[:, hd] = 0
-    np.multiply(lw.b_q, scale, out=bias[:h])
-    np.copyto(bias[h:2 * h], lw.b_k)
-    np.copyto(bv[:, :hd], lw.b_v.reshape(heads, hd))
-    bv[:, hd] = 1
+    np.multiply(wq.T, scale, out=w[:h])
+    np.copyto(w[h:2 * h], wk.T)
+    w_vals, b_vals = w[2 * h:].reshape(heads, hd + 1, h), bias[2 * h:].reshape(heads, hd + 1)
+    np.copyto(w_vals[:, :hd], wv.T.reshape(heads, hd, h))
+    w_vals[:, hd] = 0
+    np.multiply(bq, scale, out=bias[:h])
+    np.copyto(bias[h:2 * h], bk)
+    np.copyto(b_vals[:, :hd], bv.reshape(heads, hd))
+    b_vals[:, hd] = 1
     return w, bias
 
 
@@ -352,8 +340,8 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     """Causal multi-head attention with per-head scale 1/sqrt(H/heads).
 
     `x` is one slab of `ws`'s batch, and the result is a view of
-    `ws.proj`. One product of the fused weight ``lw.qkv`` (:func:`_fuse_qkv`
-    of `lw`, built here when None) and the slab's xᵀ, plus the fused bias,
+    `ws.proj`. One product of the fused weight ``lw.w_qkv`` (:func:`_fuse_qkv`)
+    and the slab's xᵀ, plus the fused bias ``lw.b_qkv``,
     writes qᵀ, pre-scaled, kᵀ and vᵀ with its ones row head-major into
     ``ws.wide[1]``. Queries then go in tiles of ATTN_TILE rows. A tile
     [r0, r1) scores only the keys [0, r1), since later keys are masked
@@ -387,7 +375,7 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
     """
     b, s, h = x.shape
     hd = h // heads
-    w, bias = _fuse_qkv(lw, heads) if lw.qkv is None else lw.qkv
+    w, bias = lw.w_qkv, lw.b_qkv
     # BLAS takes a contiguous xᵀ in about half the time of a transposed view
     xt = _head(ws.proj.reshape(-1), (b, h, s))
     np.copyto(xt, x.transpose(0, 2, 1))
@@ -527,4 +515,9 @@ def load_backbone(path, config: BackboneConfig | None = None) -> BackboneWeights
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after final tensor")
+    hd = stored.hidden // stored.heads
+    ones = slice(2 * stored.hidden + hd, None, hd + 1)  # each head's constant row
+    # any other row would give the softmax a wrong denominator
+    if any(lw.w_qkv[ones].any() or (lw.b_qkv[ones] != 1).any() for lw in weights.layers):
+        raise FormatError("fused QKV constant rows are not zero weights with bias 1")
     return weights

@@ -55,6 +55,5 @@ def write_f32(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_f32(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(shape)) if shape else 1
-    raw = read_exact(fh, 4 * n)
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    """The next tensor of `shape`: a read-only view of the bytes read."""
+    return np.frombuffer(read_exact(fh, 4 * int(np.prod(shape))), dtype="<f4").reshape(shape)

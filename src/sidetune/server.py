@@ -24,7 +24,8 @@ goes on. In a sync session (``Hello.sync``) every batch gets exactly one
 :class:`MetricsSnapshot`: its metrics, or why it was refused. A Hello
 that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
 the session before it starts, with no checkpoint. After it, a frame
-longer than the session's batch ends the session at once.
+longer than the session's batch ends the session at once, counted in
+``ServerReport.invalid`` as "oversized".
 
 Local mode checks the Hello the device would send, builds the same
 state, and hands each batch of :func:`sidetune.device.compute_batch` to
@@ -62,6 +63,7 @@ from .wire import (
     MAX_PAYLOAD,
     MessageReader,
     MetricsSnapshot,
+    OversizedFrame,
     PROTOCOL_VERSION,
     SessionAck,
     encode,
@@ -242,6 +244,8 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                 try:
                     msg = reader.read()
                 except Exception as exc:  # any failure ends the session, never the server
+                    if isinstance(exc, OversizedFrame):  # longer than the session's batch
+                        report.invalid["oversized"] += 1
                     log.error("session reset: %s", exc, exc_info=exc)
                     break
                 if msg is None:

@@ -92,6 +92,10 @@ class FrameError(Exception):
     """A structurally broken frame (crc mismatch, bad lengths)."""
 
 
+class OversizedFrame(FrameError):
+    """A frame header whose payload length exceeds the reader's cap."""
+
+
 class ProtocolError(Exception):
     """Well-formed frames arriving against the session rules."""
 
@@ -277,7 +281,7 @@ def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLO
     if version != FRAME_VERSION:
         raise FrameError(f"frame version {version} unsupported")
     if payload_len > max_payload:
-        raise FrameError(f"payload length {payload_len} exceeds {max_payload}")
+        raise OversizedFrame(f"payload length {payload_len} exceeds {max_payload}")
     total = HEADER_LEN + payload_len + 4
     if len(view) < total:
         return None

@@ -4,7 +4,7 @@ formula, the choice between the shift-free and the max-shifted softmax,
 slabs of sequences against one sequence at a time, a batch rerun after a
 batch of another shape, the working sets of the attention and of the
 whole forward, the causal mask, and the frozen weights: fused once,
-read-only after."""
+read-only after, and every one of them read."""
 
 import dataclasses
 import tracemalloc
@@ -50,45 +50,68 @@ def collect(weights, toks):
     return forward_collect(weights, toks, workspace(weights.config, toks))
 
 
-def out_of_place_attention(x, lw, heads):
-    """The attention formula with a fresh array for the scale and the mask."""
+# the attention's unfused sources: [H, H] projections and [H] biases
+SOURCES = ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")
+
+
+def attention_sources(config, seed):
+    """Random unfused, unscaled attention weights, every bias nonzero."""
+    rng = kernels.make_rng(seed)
+    h = config.hidden
+    return {name: rng.normal(0.0, backbone.INIT_STD if name.startswith("w_") else 0.5,
+                             size=(h, h) if name.startswith("w_") else h).astype(np.float32)
+            for name in SOURCES}
+
+
+def fused_layer(lw, src, heads, fuse=None):
+    """`lw` with the attention of `src`, its QKV fused as the weight file stores it."""
+    w_qkv, b_qkv = (fuse or backbone._fuse_qkv)(
+        *(src[name] for name in ("w_q", "w_k", "w_v", "b_q", "b_k", "b_v")), heads)
+    return dataclasses.replace(lw, w_qkv=w_qkv, b_qkv=b_qkv, w_o=src["w_o"], b_o=src["b_o"])
+
+
+def out_of_place_attention(x, src, heads):
+    """The attention formula over the unfused sources `src`, with a fresh
+    array for the scale and the mask."""
     b, s, h = x.shape
     hd = h // heads
 
     def split(t):
         return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
 
-    q, k, v = (split(kernels.fast_matmul(x, w) + bias)
-               for w, bias in ((lw.w_q, lw.b_q), (lw.w_k, lw.b_k), (lw.w_v, lw.b_v)))
+    q, k, v = (split(kernels.fast_matmul(x, src["w_" + p]) + src["b_" + p]) for p in "qkv")
     scores = kernels.fast_matmul(q, k.swapaxes(-1, -2)) * x.dtype.type(1.0 / np.sqrt(hd))
     mask = np.triu(np.ones((s, s), dtype=bool), k=1)
     scores = np.where(mask, x.dtype.type(-np.inf), scores)
     ctx = kernels.fast_matmul(kernels.softmax_rows(scores), v).transpose(0, 2, 1, 3).reshape(b, s, h)
-    return kernels.fast_matmul(ctx, lw.w_o) + lw.b_o
+    return kernels.fast_matmul(ctx, src["w_o"]) + src["b_o"]
+
+
+def assert_attention_agrees(x, weights, fuse=None):
+    """Each layer's tiled attention, fused from random sources, against the
+    formula over those sources, on the activations of the layer chain."""
+    config = weights.config
+    ws = workspace(config, x)
+    for i, lw in enumerate(weights.layers):
+        src = attention_sources(config, seed=i)
+        lw = fused_layer(lw, src, config.heads, fuse)
+        full = out_of_place_attention(x, src, config.heads)
+        np.testing.assert_allclose(backbone._self_attention(x, lw, config.heads, ws), full,
+                                   rtol=0, atol=TILED_RTOL * np.abs(full).max())
+        x = backbone.layer_forward(x, lw, config.heads, ws)
 
 
 def test_one_tile_attention_agrees_with_the_out_of_place_formula():
     weights = init_backbone(CONFIG, 7)
-    x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
-    ws = workspace(CONFIG, x)
-    for lw in weights.layers:
-        full = out_of_place_attention(x, lw, CONFIG.heads)
-        np.testing.assert_allclose(backbone._self_attention(x, lw, CONFIG.heads, ws), full,
-                                   rtol=0, atol=TILED_RTOL * np.abs(full).max())
-        x = backbone.layer_forward(x, lw, CONFIG.heads, ws)
+    assert_attention_agrees(weights.token_embedding[tokens()] + weights.pos_embedding[:15],
+                            weights)
 
 
 @pytest.mark.parametrize("seq", [TILE, TILE + 1, LONG_SEQ])
 def test_tiled_attention_agrees_with_the_full_formula(seq):
     weights = init_backbone(LONG, 7)
-    x = weights.token_embedding[tokens(seq=seq)] + weights.pos_embedding[:seq]
-    ws = workspace(LONG, x)
-    for lw in weights.layers:
-        tiled = backbone._self_attention(x, lw, LONG.heads, ws)
-        full = out_of_place_attention(x, lw, LONG.heads)
-        np.testing.assert_allclose(tiled, full, rtol=0,
-                                   atol=TILED_RTOL * np.abs(full).max())
-        x = backbone.layer_forward(x, lw, LONG.heads, ws)
+    assert_attention_agrees(weights.token_embedding[tokens(seq=seq)] + weights.pos_embedding[:seq],
+                            weights)
 
 
 def shifted_tiles(monkeypatch):
@@ -99,15 +122,16 @@ def shifted_tiles(monkeypatch):
 def test_large_query_and_key_weights_take_the_shifted_path(monkeypatch):
     weights = init_backbone(LONG, 7)
     x = weights.token_embedding[tokens(seq=LONG_SEQ)] + weights.pos_embedding[:LONG_SEQ]
-    lw = weights.layers[0]
-    # a score bound of about 39, past EXP_SAFE; the largest score is about
-    # 30, small enough that float32 scores still agree to TILED_RTOL
-    lw = dataclasses.replace(lw, w_q=lw.w_q * 600, w_k=lw.w_k * 600)
+    src = attention_sources(LONG, seed=0)
+    # a score bound of about 47, past EXP_SAFE; the largest score is about
+    # 26, small enough that float32 scores still agree to TILED_RTOL
+    src.update(w_q=src["w_q"] * 600, w_k=src["w_k"] * 600)
+    lw = fused_layer(weights.layers[0], src, LONG.heads)
     shifted = shifted_tiles(monkeypatch)
     tiled = backbone._self_attention(x, lw, LONG.heads, workspace(LONG, x))
     assert len(shifted) == 3
     assert np.isfinite(tiled).all()
-    full = out_of_place_attention(x, lw, LONG.heads)
+    full = out_of_place_attention(x, src, LONG.heads)
     np.testing.assert_allclose(tiled, full, rtol=0, atol=TILED_RTOL * np.abs(full).max())
 
 
@@ -115,10 +139,12 @@ def test_a_non_finite_input_takes_the_shifted_path(monkeypatch):
     weights = init_backbone(CONFIG, 7)
     x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
     x[1, 9, 0] = np.nan  # the score bound is NaN
+    src = attention_sources(CONFIG, seed=0)
+    lw = fused_layer(weights.layers[0], src, CONFIG.heads)
     shifted = shifted_tiles(monkeypatch)
-    tiled = backbone._self_attention(x, weights.layers[0], CONFIG.heads, workspace(CONFIG, x))
+    tiled = backbone._self_attention(x, lw, CONFIG.heads, workspace(CONFIG, x))
     assert len(shifted) == 1
-    full = out_of_place_attention(x, weights.layers[0], CONFIG.heads)
+    full = out_of_place_attention(x, src, CONFIG.heads)
     for j in (0, 2):  # the sequences without the NaN
         np.testing.assert_allclose(tiled[j], full[j], rtol=0,
                                    atol=TILED_RTOL * np.abs(full[j]).max())
@@ -276,15 +302,36 @@ def test_a_forward_reads_the_fused_weights_the_assembly_built(monkeypatch):
     weights = init_backbone(CONFIG, 7)
     fused = counting(monkeypatch, backbone, "_fuse_qkv")
     ws = backbone.ForwardWorkspace(CONFIG, 3, 15)
-    kept = [forward_collect(weights, tokens(seed=seed), ws) for seed in (1, 2)][-1]
+    for seed in (1, 2):
+        forward_collect(weights, tokens(seed=seed), ws)
     assert not fused
-    # a copy made by dataclasses.replace fuses its own, from its weights
-    copies = [dataclasses.replace(lw) for lw in weights.layers]
-    x = weights.token_embedding[tokens(seed=2)] + weights.pos_embedding[:15]
-    for lw in copies:
-        x = backbone.layer_forward(x, lw, CONFIG.heads, workspace(CONFIG, x))
-    assert len(fused) == CONFIG.layers
-    np.testing.assert_array_equal(x, kept[-1][1])
+
+
+def test_the_attention_test_catches_an_unscaled_query_bias():
+    def unscaled_query_bias(wq, wk, wv, bq, bk, bv, heads):
+        w, bias = backbone._fuse_qkv(wq, wk, wv, bq, bk, bv, heads)
+        bias[:len(bq)] = bq
+        return w, bias
+
+    weights = init_backbone(CONFIG, 7)
+    x = weights.token_embedding[tokens()] + weights.pos_embedding[:15]
+    with pytest.raises(AssertionError):
+        assert_attention_agrees(x, weights, fuse=unscaled_query_bias)
+
+
+def test_every_stored_tensor_changes_the_taps():
+    weights = init_backbone(CONFIG, 7)
+    toks = tokens()
+    base = collect(weights, toks)
+    entries = list(zip(backbone._layout(CONFIG), weights.all_tensors()))
+    for n, ((layer, name, _), t) in enumerate(entries):
+        # a ramp, not a constant, which a layer norm would cancel after w_o,
+        # b_o, w_down and b_down
+        bumped = t + np.linspace(0, 0.1, t.size, dtype=np.float32).reshape(t.shape)
+        changed = backbone._assemble(CONFIG, [(i, m, bumped if k == n else a)
+                                              for k, ((i, m, _), a) in enumerate(entries)])
+        gap = max(np.abs(a - b).max() for (_, a), (_, b) in zip(base, collect(changed, toks)))
+        assert gap > 0, (layer, name)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["initialized", "loaded"])
@@ -293,7 +340,7 @@ def test_the_frozen_weights_refuse_an_in_place_write(tmp_path, loaded):
     if loaded:
         backbone.save_backbone(tmp_path / "w.bin", weights)
         weights = backbone.load_backbone(tmp_path / "w.bin")
-    w, bias = weights.layers[0].qkv
-    for t in (weights.token_embedding, weights.layers[0].w_q, weights.final_ln_beta, w, bias):
+    lw = weights.layers[0]
+    for t in (weights.token_embedding, lw.w_qkv, lw.b_qkv, lw.w_o, lw.ln2_beta):
         with pytest.raises(ValueError, match="read-only"):
             t += 1

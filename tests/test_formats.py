@@ -1,6 +1,7 @@
 """Weight-file, checkpoint and wire formats: golden bytes, round-trips,
 and rejection of malformed input."""
 
+import dataclasses
 import hashlib
 import io
 import struct
@@ -53,7 +54,7 @@ BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=3
 SIDE = SideConfig(hidden=32, bottleneck=16, adapters=4, classes=2)
 
 # frozen: a change to these is a change of file format
-BACKBONE_GOLDEN = (209_715, "90a78769ed088d45f94f8f733a218e9f53166a875e6f3104b2ba1a7d3e249a23")
+BACKBONE_GOLDEN = (211_571, "f5fdbae7ae1d6c70c4877a6cf56fcb1544703ce846ad1919396bd5ba8dcd5f7b")
 SIDE_GOLDEN = (17_699, "9511681fe492d07c83037cc90009fdffac74de797ba35566a803ad65cbfbd028")
 # a change to these is a change of the wire: the protocol-4 Hello of
 # GOLDEN_DEVICE, and the nf4 ActBatch frame of its batch 0
@@ -89,12 +90,51 @@ def test_side_checkpoint_matches_golden_and_round_trips():
     assert side_bytes(params, config) == data
 
 
-def test_the_hello_and_a_batch_frame_match_golden():
-    config = GOLDEN_DEVICE
+def batch_zero_frame(config):
     ws = backbone.ForwardWorkspace(BACKBONE, config.batch_size, config.task.seq_len)
     msg, _ = device.compute_batch(device.load_device_backbone(config), config, 0, ws)
-    for data, pinned in ((encode(config.hello()), HELLO_GOLDEN), (encode(msg), BATCH_GOLDEN)):
+    return encode(msg)
+
+
+def test_the_hello_and_a_batch_frame_match_golden():
+    config = GOLDEN_DEVICE
+    for data, pinned in ((encode(config.hello()), HELLO_GOLDEN),
+                         (batch_zero_frame(config), BATCH_GOLDEN)):
         assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
+
+
+def test_a_device_that_loads_its_backbone_from_a_file_sends_the_golden_batch(tmp_path):
+    save_backbone(tmp_path / "w.bin", init_backbone(BACKBONE, GOLDEN_DEVICE.backbone_seed))
+    config = dataclasses.replace(GOLDEN_DEVICE, backbone_path=str(tmp_path / "w.bin"))
+    data = batch_zero_frame(config)
+    assert (len(data), hashlib.sha256(data).hexdigest()) == BATCH_GOLDEN
+
+
+def tensor_offset(data, layer, name):
+    """Byte offset in the weight file `data` of BACKBONE's tensor `name` of `layer`."""
+    sizes = [(i, n, 4 * int(np.prod(shape))) for i, n, shape in backbone._layout(BACKBONE)]
+    offset = len(data) - sum(size for _, _, size in sizes)  # past the header
+    for i, n, size in sizes:
+        if (i, n) == (layer, name):
+            return offset
+        offset += size
+
+
+@pytest.mark.parametrize("name, value", [("b_qkv", 0.5), ("b_qkv", np.nan), ("w_qkv", 1e-3)])
+def test_a_weight_file_whose_constant_rows_differ_is_refused(name, value):
+    data = bytearray(backbone_bytes(init_backbone(BACKBONE, 7)))
+    h, heads = BACKBONE.hidden, BACKBONE.heads
+    row = 2 * h + (heads - 1) * (h // heads + 1) + h // heads  # the last head's constant row
+    at = tensor_offset(data, 2, name) + 4 * row * (h if name == "w_qkv" else 1)
+    data[at:at + 4] = struct.pack("<f", value)
+    with pytest.raises(FormatError, match="constant rows"):
+        load_backbone(io.BytesIO(bytes(data)))
+
+
+def test_a_weight_file_of_version_1_is_refused():
+    data = backbone_bytes(init_backbone(BACKBONE, 7))
+    with pytest.raises(FormatError, match="unsupported version 1"):
+        load_backbone(io.BytesIO(data[:4] + struct.pack("<H", 1) + data[6:]))
 
 
 def test_a_checkpoint_loads_the_config_it_was_trained_under_at_any_init_std():

@@ -286,6 +286,7 @@ def test_a_batch_of_the_session_shape_trains_and_a_longer_frame_ends_the_session
     header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, len(batch()) - 16 + 1)
     out, ckpt = serve_one(tmp_path, [header], within_s=1.0)
     assert not out["report"].clean_shutdown
+    assert out["report"].invalid == {"oversized": 1}
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
