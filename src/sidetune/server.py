@@ -1,31 +1,36 @@
 """The server side: accept one session, train the side-network, serve
 checkpoints; and local mode, the single-process baseline.
 
-A session opens with the device's Hello, which fixes the backbone, the
-scheme and the one batch shape [B, S, hidden] of every tap. Before it
-answers, the server builds the session's :class:`TrainState`, with the
-side workspace for that shape, so no step builds a buffer. It answers
-``ACK_BAD_SHAPE`` to a shape no batch can take: S past the backbone's
-``max_seq``, a batch frame past ``wire.MAX_PAYLOAD`` (checked before
-anything is allocated), or a state too large to build. Whatever the
-Hello, :func:`run_server` returns a report.
+The server draws the side network's initial parameters from its own
+config before it reads the Hello, so the draw overlaps the device's
+set-up. A session opens with the device's Hello, which fixes the
+backbone, the scheme and the one batch shape [B, S, hidden] of every
+tap. Before it answers, the server builds the session's
+:class:`TrainState`, with the side workspace for that shape, so no step
+builds a buffer. It answers ``ACK_BAD_SHAPE`` to a shape no batch can
+take: S past the backbone's ``max_seq``, a batch frame past
+``wire.MAX_PAYLOAD`` (checked before anything is allocated), or a state
+too large to build. Whatever the Hello, :func:`run_server` returns a
+report.
 
 Then the session is one loop on the calling thread: read the next
 message, act on it. Messages are handled strictly in arrival order, so
 optimizer state needs no locking and checkpoint requests are always
 served at an iteration boundary. While a step runs, the transport's own
-buffer holds the frames that arrive, and the device keeps computing. One
-function, :func:`_take_batch`, trains each batch or refuses it, counting
-it in ``ServerReport.invalid`` under :func:`validate_batch`'s reason
-("scheme", "taps", "shape", "label_count", "label_range", "non_finite"
-or "out_of_order"), or under "non_finite" when the step overflows, which
+buffer holds the frames that arrive, and the device keeps computing.
+Each batch decodes against the Hello (see :mod:`sidetune.wire`), so its
+layout is the session's. One function, :func:`_take_batch`, trains each
+batch or refuses it, counting it in ``ServerReport.invalid`` under
+:func:`validate_batch`'s reason ("label_range", "non_finite" or
+"out_of_order"), or under "non_finite" when the step overflows, which
 leaves the parameters and the optimizer state as they were; the session
 goes on. In a sync session (``Hello.sync``) every batch gets exactly one
 :class:`MetricsSnapshot`: its metrics, or why it was refused. A Hello
 that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
-the session before it starts, with no checkpoint. After it, a frame
-longer than the session's batch ends the session at once, counted in
-``ServerReport.invalid`` as "oversized".
+the session before it starts, with no checkpoint. After it, a frame that
+does not decode ends the session at once, with its checkpoint: a batch
+frame of another layout than the session's, or one longer than its
+batch, counted in ``ServerReport.invalid`` as "oversized".
 
 Local mode checks the Hello the device would send, builds the same
 state, and hands each batch of :func:`sidetune.device.compute_batch` to
@@ -46,7 +51,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
-from .sidenet import SideConfig, Workspace, init_side, save_side
+from .sidenet import SideConfig, SideNetworkParams, Workspace, init_side, save_side
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .wire import (
     ACK_BAD_CONFIG,
@@ -102,6 +107,10 @@ class ServerConfig:
             nonlinearity=self.nonlinearity,
         )
 
+    def initial_params(self) -> SideNetworkParams:
+        """The side parameters every session of this config starts from."""
+        return init_side(self.side_config(), self.side_seed, std=self.init_std)
+
 
 @dataclass
 class ServerReport:
@@ -124,10 +133,10 @@ class ServerReport:
         return self.invalid["out_of_order"]
 
 
-def _make_state(config: ServerConfig, hello: Hello) -> TrainState:
-    """The session's state, with the side workspace for its batch shape."""
+def _make_state(config: ServerConfig, hello: Hello, params: SideNetworkParams) -> TrainState:
+    """The session's state from `params`, with the side workspace for its
+    batch shape."""
     side_cfg = config.side_config()
-    params = init_side(side_cfg, config.side_seed, std=config.init_std)
     return TrainState(config=side_cfg, params=params, adam=init_adam(params, lr=config.lr),
                       workspace=Workspace(side_cfg, hello.batch_size, hello.seq_len))
 
@@ -144,29 +153,17 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     return ACK_OK
 
 
-def validate_batch(config: ServerConfig, hello: Hello, batch: ActBatch,
-                   last_batch_id: int) -> str | None:
-    """Why `batch` does not fit the session, or None when it does.
+def validate_batch(config: ServerConfig, batch: ActBatch, last_batch_id: int) -> str | None:
+    """Why `batch`, decoded against its session, is refused, or None when
+    it trains.
 
     The reasons, checked in this order:
 
-    - "scheme": a tap quantized under another scheme than the Hello's;
-    - "taps": not one tap per configured tap block;
-    - "shape": a tap that is not of the Hello's [B, S, hidden];
-    - "label_count": a label count other than B;
     - "label_range": a class label outside [0, classes);
     - "non_finite": a tap whose scale, or whose fp16 codes, hold a NaN or
       an infinity;
     - "out_of_order": a batch id no greater than `last_batch_id`.
     """
-    if any(q.scheme != hello.scheme for q in batch.taps):
-        return "scheme"
-    if len(batch.taps) != config.backbone.gamma:
-        return "taps"
-    if any(q.shape != hello.batch_shape for q in batch.taps):
-        return "shape"
-    if len(batch.labels) != hello.batch_size:
-        return "label_count"
     if not all(0 <= y < config.classes for y in batch.labels):
         return "label_range"
     if any(not np.isfinite(q.scale) or q.scheme == "none_fp16" and not np.isfinite(
@@ -193,11 +190,11 @@ def _metrics_log(config: ServerConfig):
     return open(config.metrics_path, "w") if config.metrics_path else nullcontext()
 
 
-def _take_batch(config: ServerConfig, hello: Hello, batch, report, metrics_fh) -> str | None:
+def _take_batch(config: ServerConfig, batch, report, metrics_fh) -> str | None:
     """Train `batch` on ``report.state``, recording its metrics in `report`
     and the metrics log, or refuse it, counting the refusal in
     ``report.invalid``. Returns None when the batch trained, else why not."""
-    reason = validate_batch(config, hello, batch, report.state.last_batch_id)
+    reason = validate_batch(config, batch, report.state.last_batch_id)
     if reason is None:
         try:
             metrics = train_iteration(report.state, batch)
@@ -218,6 +215,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     Bye, the connection dies or the handshake fails. The caller owns
     `transport` and closes it."""
     report = ServerReport()
+    params = config.initial_params()  # drawn while the device sets up
     reader = MessageReader(transport, max_payload=MAX_HELLO)
     try:
         hello = reader.read_expected(Hello, timeout=config.timeout_s)
@@ -227,7 +225,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
     status = _validate_hello(config, hello)
     if status == ACK_OK:
         try:
-            report.state = _make_state(config, hello)
+            report.state = _make_state(config, hello, params)
         except MemoryError as exc:
             log.error("no room for a session of shape %s: %r", hello.batch_shape, exc)
             status = ACK_BAD_SHAPE
@@ -258,7 +256,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
                     continue
                 if isinstance(msg, ActBatch):
-                    reason = _take_batch(config, hello, msg, report, metrics_fh)
+                    reason = _take_batch(config, msg, report, metrics_fh)
                     if hello.sync:
                         # one answer per batch, so a serial device never waits it out
                         text = report.metrics[-1].to_json() if reason is None else json.dumps(
@@ -284,13 +282,14 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     if status != ACK_OK:
         raise ValueError(f"the server would refuse this device: {ACK_REASONS[status]}")
     weights = load_device_backbone(device_config)
-    report = ServerReport(state=_make_state(server_config, hello))
+    report = ServerReport(state=_make_state(server_config, hello,
+                                            server_config.initial_params()))
     ws = ForwardWorkspace(device_config.backbone, hello.batch_size, hello.seq_len)
     try:
         with _metrics_log(server_config) as metrics_fh:
             for i in range(device_config.total_iterations):
                 batch, _ = compute_batch(weights, device_config, i, ws)
-                _take_batch(server_config, hello, batch, report, metrics_fh)
+                _take_batch(server_config, batch, report, metrics_fh)
     finally:
         _save_checkpoint(server_config, report.state)
     return report

@@ -6,28 +6,33 @@ Every message rides in one frame:
     payload_len u32 | payload | crc32 u32 (of payload)
 
 All integers little-endian. The 12-byte header plus the trailing crc make
-an empty-payload frame exactly 16 bytes. Flag bit 0 marks a frame the
-receiver may skip when it does not know the type; everything else is
-fatal on mismatch.
+an empty-payload frame exactly 16 bytes. The flags byte is written as 0
+and never read. Whatever does not decode is fatal: an unknown message
+type is a ProtocolError, and a control message of another length than
+its own (SessionAck 1 byte, CheckpointRequest and Bye none) a FrameError.
 
 The session setup, then the steady-state workhorse. The Hello fixes the
 backbone (its config block, as the weight file stores it, names the tap
-blocks), the scheme and, since protocol 4, the session's one batch
-shape: B >= 1 sequences of S >= 1 tokens. So every tap of the session
-is [B, S, hidden], and its code length follows from its scheme and that
-shape. A Hello of another protocol version decodes to that version alone
-(the other fields empty), whatever its body, so the server can refuse it
-with ``ACK_BAD_VERSION``. A server answers ``ACK_BAD_CONFIG`` to another
+blocks), the scheme and the session's one batch shape: B >= 1 sequences
+of S >= 1 tokens. So every tap is [B, S, hidden] under the Hello's
+scheme, and on the wire a tap is only its scale and codes. A Hello of
+another protocol version decodes to that version alone (the other fields
+empty), whatever its body, so the server can refuse it with
+``ACK_BAD_VERSION``. A server answers ``ACK_BAD_CONFIG`` to another
 backbone, and ``ACK_BAD_SHAPE`` to a batch shape it cannot take.
 
     Hello:      protocol_version u16 | scheme u8 | batch_size u32 | seq_len u32 |
                 sync u8 | backbone config block (:meth:`BackboneConfig.config_block`)
     SessionAck: status u8
     ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
-                per tap, in tap-block order: scheme u8 | shape 3 x u32 | scale f32 | codes
+                per tap, in tap-block order: scale f32 | codes
 
-:func:`batch_bytes` counts a batch's taps and labels; the frame, batch
-id, label count and tap count add 30 bytes.
+A batch decodes only against its session: a :class:`StreamDecoder` given
+the Hello takes exactly :meth:`Hello.batch_payload` bytes, B labels and
+gamma taps at a fixed stride. Any other ActBatch is a FrameError, and
+one outside a session a ProtocolError. :func:`batch_bytes` counts a
+batch's taps and labels; the frame, batch id, label count and tap count
+add 30 bytes.
 """
 
 from __future__ import annotations
@@ -44,13 +49,11 @@ from .quantize import SCHEMES, QuantizedActivation, payload_code_bytes
 
 MAGIC = b"MBLM"
 FRAME_VERSION = 1
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 HEADER_LEN = 12
 MAX_PAYLOAD = 2**31 - 1
 # the longest Hello a server reads: a backbone of about 1,000 cuts
 MAX_HELLO = 4096
-
-FLAG_OPTIONAL = 0x01
 
 # msg_type codes
 T_HELLO = 1
@@ -63,12 +66,14 @@ T_BYE = 7
 
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 _SCHEME_NAME = {i: name for i, name in enumerate(SCHEMES)}
+# the payload length of each fixed-size control message
+_CONTROL_LEN = {T_SESSION_ACK: 1, T_CKPT_REQUEST: 0, T_BYE: 0}
 
 _HELLO = struct.Struct("<HBIIB")  # then the backbone config block
 _BATCH_HEAD = struct.Struct("<QI")  # batch id, label count
 _TAP_COUNT = struct.Struct("<H")
-# What one tap carries besides its codes: scheme, shape and absmax scale.
-TAP_HEADER = struct.Struct("<B3If")
+# What one tap carries besides its codes: its absmax scale.
+TAP_HEADER = struct.Struct("<f")
 
 # SessionAck status codes
 ACK_OK = 0
@@ -160,7 +165,7 @@ WireMessage = Hello | SessionAck | ActBatch | MetricsSnapshot | CheckpointReques
 
 
 def payload_bytes(shape, scheme: str) -> int:
-    """Wire bytes for one quantized tap: codes + per-tap header."""
+    """Wire bytes for one quantized tap: its codes and its 4-byte scale."""
     return payload_code_bytes(math.prod(int(d) for d in shape), scheme) + TAP_HEADER.size
 
 
@@ -170,10 +175,10 @@ def batch_bytes(shape, scheme: str, gamma: int) -> int:
     return gamma * payload_bytes(shape, scheme) + 4 * int(shape[0])
 
 
-def _frame(msg_type: int, payload: bytes, flags: int = 0) -> bytes:
+def _frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds frame limit")
-    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, msg_type, flags, len(payload))
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, msg_type, 0, len(payload))
     return header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -190,7 +195,7 @@ def encode(msg: WireMessage) -> bytes:
                  struct.pack(f"<{len(msg.labels)}I", *msg.labels),
                  _TAP_COUNT.pack(len(msg.taps))]
         for q in msg.taps:
-            parts.append(TAP_HEADER.pack(_SCHEME_CODE[q.scheme], *q.shape, q.scale))
+            parts.append(TAP_HEADER.pack(q.scale))
             parts.append(q.codes)
         return _frame(T_ACT_BATCH, b"".join(parts))
     if isinstance(msg, MetricsSnapshot):
@@ -204,37 +209,31 @@ def encode(msg: WireMessage) -> bytes:
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
-def _parse_act_batch(payload: memoryview) -> ActBatch:
-    off = 0
-
-    def take(layout: struct.Struct):
-        nonlocal off
-        if off + layout.size > len(payload):
-            raise FrameError("batch payload truncated")
-        vals = layout.unpack_from(payload, off)
-        off += layout.size
-        return vals
-
-    batch_id, n_labels = take(_BATCH_HEAD)
-    labels = take(struct.Struct(f"<{n_labels}I"))
-    (n_taps,) = take(_TAP_COUNT)
-    taps = []
-    for _ in range(n_taps):
-        scheme_code, d0, d1, d2, scale = take(TAP_HEADER)
-        if scheme_code not in _SCHEME_NAME:
-            raise FrameError(f"unknown scheme code {scheme_code}")
-        scheme = _SCHEME_NAME[scheme_code]
-        end = off + payload_code_bytes(d0 * d1 * d2, scheme)
-        if end > len(payload):
-            raise FrameError("tap codes truncated")
-        taps.append(QuantizedActivation(scheme, (d0, d1, d2), scale, bytes(payload[off:end])))
-        off = end
-    if off != len(payload):
-        raise FrameError("trailing bytes in batch payload")
-    return ActBatch(batch_id=batch_id, labels=tuple(labels), taps=tuple(taps))
+def _parse_act_batch(payload: memoryview, session: Hello | None) -> ActBatch:
+    if session is None:
+        raise ProtocolError("an ActBatch outside a session")
+    if len(payload) != session.batch_payload():
+        raise FrameError(f"batch payload of {len(payload)} bytes, not the session's "
+                         f"{session.batch_payload()}")
+    batch_id, n_labels = _BATCH_HEAD.unpack_from(payload, 0)
+    off = _BATCH_HEAD.size + 4 * session.batch_size
+    (n_taps,) = _TAP_COUNT.unpack_from(payload, off)
+    if (n_labels, n_taps) != (session.batch_size, session.backbone.gamma):
+        raise FrameError(f"{n_labels} labels and {n_taps} taps, not the session's "
+                         f"{session.batch_size} and {session.backbone.gamma}")
+    labels = struct.unpack_from(f"<{n_labels}I", payload, _BATCH_HEAD.size)
+    stride = payload_bytes(session.batch_shape, session.scheme)
+    taps = tuple(QuantizedActivation(session.scheme, session.batch_shape,
+                                     TAP_HEADER.unpack_from(payload, at)[0],
+                                     bytes(payload[at + TAP_HEADER.size:at + stride]))
+                 for at in range(off + _TAP_COUNT.size, len(payload), stride))
+    return ActBatch(batch_id=batch_id, labels=labels, taps=taps)
 
 
-def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
+def _parse_payload(msg_type: int, payload: memoryview, session: Hello | None) -> WireMessage:
+    if len(payload) != _CONTROL_LEN.get(msg_type, len(payload)):
+        raise FrameError(f"message type {msg_type} takes {_CONTROL_LEN[msg_type]} payload "
+                         f"bytes, not {len(payload)}")
     if msg_type == T_HELLO:
         (ver,) = struct.unpack_from("<H", payload, 0)
         if ver != PROTOCOL_VERSION:
@@ -252,7 +251,7 @@ def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     if msg_type == T_SESSION_ACK:
         return SessionAck(*struct.unpack_from("<B", payload, 0))
     if msg_type == T_ACT_BATCH:
-        return _parse_act_batch(payload)
+        return _parse_act_batch(payload, session)
     if msg_type == T_METRICS:
         return MetricsSnapshot(text=bytes(payload).decode("utf-8"))
     if msg_type == T_CKPT_REQUEST:
@@ -264,20 +263,22 @@ def _parse_payload(msg_type: int, payload: memoryview) -> WireMessage:
     raise ProtocolError(f"unknown message type {msg_type}")
 
 
-def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD):
-    """Decode one frame from the head of `buf`.
+def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD,
+               session: Hello | None = None):
+    """Decode one frame from the head of `buf`, an ActBatch against
+    `session`'s Hello.
 
     Returns None when more bytes are needed, otherwise (message,
-    consumed). A skippable unknown frame yields (None, consumed). A
-    header whose payload length exceeds `max_payload`, or a payload that
-    does not decode as its message type, is a FrameError.
+    consumed). A header whose payload length exceeds `max_payload`, or a
+    payload that does not decode as its message type, is a FrameError;
+    an unknown message type is a ProtocolError.
     """
     view = memoryview(buf)
     if len(view) < HEADER_LEN:
         return None
     if bytes(view[:4]) != MAGIC:
         raise DesyncError(f"bad magic {bytes(view[:4])!r}")
-    version, msg_type, flags, payload_len = struct.unpack_from("<HBBI", view, 4)
+    version, msg_type, payload_len = struct.unpack_from("<HBxI", view, 4)  # flags unread
     if version != FRAME_VERSION:
         raise FrameError(f"frame version {version} unsupported")
     if payload_len > max_payload:
@@ -290,38 +291,31 @@ def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLO
     if crc != zlib.crc32(payload):
         raise FrameError("crc mismatch")
     try:
-        msg = _parse_payload(msg_type, payload)
-    except ProtocolError:
-        if flags & FLAG_OPTIONAL:
-            return None, total  # skip-with-warning; caller logs
-        raise
+        msg = _parse_payload(msg_type, payload, session)
     except (struct.error, ValueError) as exc:
         raise FrameError(f"payload does not decode as message type {msg_type}: {exc}") from exc
     return msg, total
 
 
 class StreamDecoder:
-    """Incremental frame decoder over an ordered byte stream."""
+    """Incremental frame decoder over an ordered byte stream; it decodes
+    ActBatch frames against `session`, the Hello of their session."""
 
-    def __init__(self, max_payload: int = MAX_PAYLOAD):
+    def __init__(self, max_payload: int = MAX_PAYLOAD, session: Hello | None = None):
         self._buf = bytearray()
-        self.skipped = 0
+        self.skipped = 0  # always 0; the benchmark's wire.frames_skipped reads it
         self.max_payload = max_payload
+        self.session = session
 
     def feed(self, data: bytes) -> list[WireMessage]:
         """Absorb bytes; return every complete message now available."""
         self._buf.extend(data)
         out = []
-        while True:
-            result = try_decode(self._buf, self.max_payload)
-            if result is None:
-                return out
+        while (result := try_decode(self._buf, self.max_payload, self.session)) is not None:
             msg, consumed = result
             del self._buf[:consumed]
-            if msg is None:
-                self.skipped += 1
-                continue
             out.append(msg)
+        return out
 
     @property
     def pending_bytes(self) -> int:
@@ -366,6 +360,7 @@ class MessageReader:
         return msg
 
     def limit_to_batches(self, hello: Hello) -> None:
-        """From now on refuse any frame longer than an ActBatch of `hello`'s
-        session."""
+        """From now on decode each ActBatch against `hello`'s session, and
+        refuse any frame longer than one."""
         self._decoder.max_payload = min(MAX_PAYLOAD, hello.batch_payload())
+        self._decoder.session = hello

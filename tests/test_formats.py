@@ -43,7 +43,10 @@ from sidetune.wire import (
     SessionAck,
     StreamDecoder,
     T_ACT_BATCH,
+    T_BYE,
+    T_CKPT_REQUEST,
     T_HELLO,
+    T_SESSION_ACK,
     WireMessage,
     _frame,
     encode,
@@ -56,10 +59,10 @@ SIDE = SideConfig(hidden=32, bottleneck=16, adapters=4, classes=2)
 # frozen: a change to these is a change of file format
 BACKBONE_GOLDEN = (211_571, "f5fdbae7ae1d6c70c4877a6cf56fcb1544703ce846ad1919396bd5ba8dcd5f7b")
 SIDE_GOLDEN = (17_699, "9511681fe492d07c83037cc90009fdffac74de797ba35566a803ad65cbfbd028")
-# a change to these is a change of the wire: the protocol-4 Hello of
+# a change to these is a change of the wire: the protocol-5 Hello of
 # GOLDEN_DEVICE, and the nf4 ActBatch frame of its batch 0
-HELLO_GOLDEN = (73, "4f8aee97a1f549c564bd8751838a8ed887c689cc4c2e2ec4f32fa7bc3f8f13df")
-BATCH_GOLDEN = (2_371, "76c85bd692e45cee7386e65f769700c1e8f7a4e3819b4ae0b854054728e7e4b5")
+HELLO_GOLDEN = (73, "b7c925567e141194f4d9078803a3010ded5f8c684540b19ed6e32e31ef08e10a")
+BATCH_GOLDEN = (2_306, "f6657c2516adb659a456cde8a8ee5d74b8035bb91e8d0bbf1bd4b6571c564cbd")
 GOLDEN_DEVICE = DeviceConfig(backbone=BACKBONE, task=SyntheticTask(seq_len=7), scheme="nf4",
                              batch_size=4)
 
@@ -140,7 +143,7 @@ def test_a_weight_file_of_version_1_is_refused():
 def test_a_checkpoint_loads_the_config_it_was_trained_under_at_any_init_std():
     config = ServerConfig(backbone=BACKBONE, bottleneck=16, init_std=0.05)
     state = server._make_state(config, Hello(backbone=BACKBONE, scheme="nf4", batch_size=1,
-                                             seq_len=1))
+                                             seq_len=1), config.initial_params())
     loaded, params = load_side(io.BytesIO(server._checkpoint_bytes(state)))
     assert loaded == state.config == config.side_config()
     assert params.flat.tobytes() == state.params.flat.tobytes()
@@ -172,6 +175,16 @@ def act_batch(scheme="nf4", batch=4, seq=7):
     return ActBatch(batch_id=9, labels=tuple(range(batch)), taps=taps)
 
 
+def decoder_for(msg):
+    """A decoder that can decode `msg`: an ActBatch decodes only against
+    the Hello of its session."""
+    if not isinstance(msg, ActBatch):
+        return StreamDecoder()
+    tap = msg.taps[0]
+    return StreamDecoder(session=Hello(backbone=BACKBONE, scheme=tap.scheme,
+                                       batch_size=len(msg.labels), seq_len=tap.shape[1]))
+
+
 MESSAGES = [
     Hello(backbone=BACKBONE, scheme="nf4", batch_size=4, seq_len=7, sync=True),
     SessionAck(status=2),
@@ -186,11 +199,24 @@ MESSAGES = [
 @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: type(m).__name__)
 def test_every_message_type_round_trips(msg):
     data = encode(msg)
-    decoder = StreamDecoder()
+    decoder = decoder_for(msg)
     # split mid-frame: nothing until the last byte arrives
     assert decoder.feed(data[:-1]) == []
     assert decoder.feed(data[-1:]) == [msg]
     assert decoder.pending_bytes == 0
+
+
+def test_a_decoder_outside_a_session_refuses_a_batch():
+    with pytest.raises(ProtocolError, match="outside a session"):
+        StreamDecoder().feed(encode(act_batch()))
+
+
+@pytest.mark.parametrize("msg_type, payload", [
+    (T_SESSION_ACK, b""), (T_SESSION_ACK, b"\0\0"), (T_CKPT_REQUEST, b"\0"), (T_BYE, b"\0"),
+], ids=["ack_empty", "ack_trailing_byte", "checkpoint_request_with_payload", "bye_with_payload"])
+def test_a_control_message_of_another_length_is_a_frame_error(msg_type, payload):
+    with pytest.raises(FrameError, match="payload bytes"):
+        StreamDecoder().feed(_frame(msg_type, payload))
 
 
 @pytest.mark.parametrize("cuts", [(4,), (1, 2, 3, 4)], ids=["1cut", "4cuts"])
@@ -242,7 +268,10 @@ def test_act_batch_frame_is_payload_plus_30_bytes(scheme):
     batch, seq = 4, 7
     spec = ModelSpec(params=1, layers=BACKBONE.layers, hidden=32, heads=4, seq_len=seq,
                      batch_size=batch, gamma=BACKBONE.gamma)
-    frame = encode(act_batch(scheme, batch, seq))
+    msg = act_batch(scheme, batch, seq)
+    frame = encode(msg)
+    # 30 + gamma x (scale and codes) + 4 per label: a tap carries no scheme or shape
+    assert len(frame) == 30 + BACKBONE.gamma * (4 + len(msg.taps[0].codes)) + 4 * batch
     assert len(frame) == payload_per_iteration(spec, scheme) + 30
 
 
@@ -265,12 +294,12 @@ FUZZ_MESSAGES = MESSAGES + [CheckpointData(data=side_bytes(init_side(TINY_SIDE, 
 def test_a_corrupt_frame_decodes_or_raises_a_wire_error(msg):
     data = encode(msg)
     for n in range(len(data)):
-        assert StreamDecoder().feed(data[:n]) == []
+        assert decoder_for(msg).feed(data[:n]) == []
     for bit in range(8 * len(data)):
         flipped = bytearray(data)
         flipped[bit // 8] ^= 1 << (bit % 8)
         try:
-            out = StreamDecoder().feed(bytes(flipped))
+            out = decoder_for(msg).feed(bytes(flipped))
         except (FrameError, DesyncError, ProtocolError):
             continue
         assert all(isinstance(m, WireMessage) for m in out), bit

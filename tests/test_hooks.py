@@ -24,6 +24,7 @@ from sidetune import (
     kernels,
     server,
     training,
+    wire,
 )
 from sidetune.transport import loopback_pair
 
@@ -155,6 +156,8 @@ def test_the_reports_serve_every_field_the_benchmark_records():
                                   "clean_shutdown": True, "rejected": None}
     assert len(recorded["device"]["entries"]) == 2 and not recorded["device"]["aborted"]
     assert all({"t_queue_ms", "queue_depth"} <= e.keys() for e in recorded["device"]["entries"])
+    # the tracer's wire.frames_skipped reads each decoder's count; no frame is ever skipped
+    assert wire.StreamDecoder().skipped == 0
 
 
 @pytest.mark.parametrize("module,path", [(m, p) for m, paths in HOOKS.items() for p in paths])
@@ -202,7 +205,8 @@ def test_train_iteration_calls_each_patched_server_kernel_once_per_use(monkeypat
     weights = device.load_device_backbone(config)
     ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
     batches = [device.compute_batch(weights, config, i, ws)[0] for i in range(2)]
-    state = server._make_state(ServerConfig(backbone=model, bottleneck=8), config.hello())
+    server_cfg = ServerConfig(backbone=model, bottleneck=8)
+    state = server._make_state(server_cfg, config.hello(), server_cfg.initial_params())
     dequantizes = counting(monkeypatch, training, "dequantize")
     layer_norms = counting(monkeypatch, kernels, "layer_norm")
     mean_pools = counting(monkeypatch, kernels, "mean_pool")

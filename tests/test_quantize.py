@@ -401,5 +401,6 @@ class TestPayloadBytes:
         assert abs(fp16 / fp4 - 4.0) < 0.01  # packing/header overhead only
 
     def test_counts_scale_and_header(self):
-        # 10 elements at 4 bits -> 5 code bytes, plus 4 scale + 13 scheme and shape
-        assert payload_bytes((1, 2, 5), "nf4") == 5 + 4 + 13
+        # 10 elements at 4 bits -> 5 code bytes, plus the 4-byte scale; the
+        # scheme and shape are the session's, not the tap's
+        assert payload_bytes((1, 2, 5), "nf4") == 5 + 4

@@ -1,11 +1,12 @@
 """A session that ends abnormally still returns promptly, with its report
 and checkpoint; one whose handshake fails, or whose Hello declares a
 batch shape no batch can take, returns its report without a checkpoint;
-a frame longer than the session's batch ends it at once; and a batch
-that does not fit the session, or whose step overflows, is rejected and
-counted: peer input never hangs or kills the server silently. In a sync
-session every batch gets one snapshot, so a serial device never waits
-out its timeout on a rejected batch."""
+a frame that does not decode, such as a batch frame of another layout
+than the session's or one longer than its batch, ends it at once; and a
+batch whose labels or values do not fit the session, or whose step
+overflows, is rejected and counted: peer input never hangs or kills the
+server silently. In a sync session every batch gets one snapshot, so a
+serial device never waits out its timeout on a rejected batch."""
 
 import dataclasses
 import io
@@ -118,12 +119,50 @@ def initial_checkpoint(config):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("frame", [_frame(0x7F, b""), _frame(T_METRICS, b"\xff\xfe")],
-                         ids=["unknown_type", "metrics_not_utf8"])
-def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, frame):
-    out, ckpt = serve_one(tmp_path, [frame])
+def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, SEQ, BACKBONE.hidden),
+          scheme="nf4", **fields):
+    """An ActBatch frame that fits the session unless an argument says
+    otherwise; `fields` replace the taps' scale or codes."""
+    q = dataclasses.replace(quantize(np.zeros(shape, dtype=np.float32), scheme), **fields)
+    return encode(ActBatch(batch_id=batch_id, labels=labels, taps=(q,) * taps))
+
+
+def batch_with(offset, fmt, value):
+    """The fitting batch frame with the field `fmt` at payload `offset` set
+    to `value`: its length is still the session's."""
+    payload = bytearray(batch()[12:-4])
+    struct.pack_into(fmt, payload, offset, value)
+    return _frame(T_ACT_BATCH, bytes(payload))
+
+
+def flagged(frame):
+    """`frame` with bit 0 of its flags byte set; a receiver reads no flag,
+    so no flag makes an unknown frame skippable."""
+    return frame[:7] + b"\x01" + frame[8:]
+
+
+# Frames that do not decode in a session of the scheme named: a batch frame
+# is exactly the session's layout, whose label and tap counts are the Hello's
+UNDECODABLE = {
+    "unknown_type": ("nf4", _frame(0x7F, b"")),
+    "unknown_type_flagged": ("nf4", flagged(_frame(0x7F, b""))),
+    "metrics_not_utf8": ("nf4", _frame(T_METRICS, b"\xff\xfe")),
+    "batch_one_byte_short": ("nf4", _frame(T_ACT_BATCH, batch()[12:-5])),
+    "label_count": ("nf4", batch_with(8, "<I", BATCH - 1)),
+    "tap_count": ("nf4", batch_with(12 + 4 * BATCH, "<H", BACKBONE.gamma - 1)),
+    "fewer_sequences": ("nf4", batch(shape=(BATCH - 1, SEQ, BACKBONE.hidden), labels=(0,))),
+    "shorter_sequences": ("nf4", batch(shape=(BATCH, SEQ - 1, BACKBONE.hidden))),
+    "narrower_taps": ("nf4", batch(shape=(BATCH, SEQ, 16))),
+    "narrower_scheme": ("fp8_e4m3", batch(scheme="nf4")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, case):
+    scheme, frame = UNDECODABLE[case]
+    out, ckpt = serve_one(tmp_path, [frame], scheme=scheme)
     report = out["report"]
-    assert not report.clean_shutdown
+    assert not report.clean_shutdown and not report.invalid
     assert report.iterations == 0 and report.dropped == 0
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
@@ -185,11 +224,14 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
 PROTOCOL_2_HELLO = _frame(T_HELLO, struct.pack("<HBIB", 2, 3, BATCH, 0) + bytes(32))
 # protocol 3's Hello: the fixed fields without S, then the config block
 PROTOCOL_3_HELLO = _frame(T_HELLO, struct.pack("<HBIB", 3, 3, BATCH, 0) + BACKBONE.config_block())
+# protocol 4's Hello has protocol 5's layout; its batches carried each tap's scheme and shape
+PROTOCOL_4_HELLO = _frame(T_HELLO, struct.pack("<HBIIB", 4, 3, BATCH, SEQ, 0)
+                          + BACKBONE.config_block())
 
 
 @pytest.mark.parametrize("frame", [hello(protocol_version=PROTOCOL_VERSION + 1),
-                                   PROTOCOL_2_HELLO, PROTOCOL_3_HELLO],
-                         ids=["next", "protocol_2", "protocol_3"])
+                                   PROTOCOL_2_HELLO, PROTOCOL_3_HELLO, PROTOCOL_4_HELLO],
+                         ids=["next", "protocol_2", "protocol_3", "protocol_4"])
 def test_a_handshake_with_another_protocol_version_is_refused(tmp_path, frame):
     ckpt = tmp_path / "side.bin"
     config = ServerConfig(backbone=BACKBONE, checkpoint_path=str(ckpt), timeout_s=1.0)
@@ -245,7 +287,7 @@ def test_a_hello_of_a_shape_no_batch_can_take_is_refused(tmp_path, monkeypatch, 
     fields, builds_state = BAD_SHAPES[case]
     built = []
 
-    def out_of_memory(config, hello):
+    def out_of_memory(config, hello, params):
         built.append(hello)
         raise MemoryError("no room for the session's state")
 
@@ -268,14 +310,6 @@ def test_a_hello_of_a_shape_no_batch_can_take_is_refused(tmp_path, monkeypatch, 
     assert ack.status == out["report"].rejected == ACK_BAD_SHAPE
     assert out["report"].state is None and not ckpt.exists()
     assert len(built) == builds_state
-
-
-def batch(batch_id=0, labels=(0, 1), taps=BACKBONE.gamma, shape=(BATCH, SEQ, BACKBONE.hidden),
-          scheme="nf4", **fields):
-    """An ActBatch frame that fits the session unless an argument says
-    otherwise; `fields` replace the taps' scale or codes."""
-    q = dataclasses.replace(quantize(np.zeros(shape, dtype=np.float32), scheme), **fields)
-    return encode(ActBatch(batch_id=batch_id, labels=labels, taps=(q,) * taps))
 
 
 def test_a_batch_of_the_session_shape_trains_and_a_longer_frame_ends_the_session(tmp_path):
@@ -314,17 +348,9 @@ def test_a_failed_step_returns_promptly_while_the_device_stays_connected(tmp_pat
 # nf4's +1, and the scale is finite but near float32's largest value
 OVERFLOWING = {"scale": 3e38, "codes": b"\xff" * (BATCH * SEQ * BACKBONE.hidden // 2)}
 
-# A batch with more sequences, longer ones or wider codes than the Hello
-# declared has a longer frame than the session's batch, which ends the
-# session (see above); each batch here is no longer, and is refused
+# A batch frame of another layout than the session's ends the session (see
+# above); each batch here has the session's layout, and is refused
 INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
-    "scheme": ("scheme", "fp8_e4m3", {"scheme": "nf4"}),
-    "tap_count": ("taps", "nf4", {"taps": BACKBONE.gamma - 1}),
-    "batch_size": ("shape", "nf4", {"shape": (BATCH - 1, SEQ, BACKBONE.hidden),
-                                    "labels": (0,)}),
-    "seq_len": ("shape", "nf4", {"shape": (BATCH, SEQ - 1, BACKBONE.hidden)}),
-    "hidden_width": ("shape", "nf4", {"shape": (BATCH, SEQ, 16)}),
-    "label_count": ("label_count", "nf4", {"labels": (0,)}),
     "label_range": ("label_range", "nf4", {"labels": (0, 2)}),
     "non_finite_scale": ("non_finite", "nf4", {"scale": float("nan")}),
     "non_finite_codes": ("non_finite", "none_fp16", {"codes": np.full(
@@ -339,8 +365,8 @@ def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path,
     reason, scheme, bad = INVALID[case]
     make_state, built = server._make_state, []
 
-    def recorded(config, hello):
-        built.append(make_state(config, hello))
+    def recorded(*args):
+        built.append(make_state(*args))
         return built[-1]
 
     monkeypatch.setattr(server, "_make_state", recorded)
