@@ -1,9 +1,10 @@
 """A frozen GPT-style decoder that exposes intermediate activations.
 
 The backbone is never trained. Each forward pass embeds a token batch,
-runs the decoder layers, and records ("taps") the running activation at
-configured block boundaries; those taps feed the trainable side-network
-downstream. Layers follow the post-norm composition
+runs the decoder layers, and hands ("taps") the running activation at
+configured block boundaries to its caller once no later layer reads it;
+those taps feed the trainable side-network. Layers follow the post-norm
+composition
 
     u        = LN1(MSA(b) + b)
     b_next   = LN2(FFN(u) + u)
@@ -14,9 +15,9 @@ embeddings.
 The forward is cache-blocked: each layer runs over slabs of whole
 sequences, whose widest buffer is about SLAB_BYTES, and its attention
 over query tiles of ATTN_TILE rows (:func:`forward_collect`). One
-:class:`ForwardWorkspace`, which the caller builds once for its batch's
-(B, S) and dtype, holds every buffer of a forward, so the layer loop
-allocates nothing.
+:class:`ForwardWorkspace`, which the caller builds once for its batch,
+holds every buffer of a forward, two activation planes whatever the
+number of taps, so the layer loop allocates nothing.
 
 The attention projects a slab in one product with a fused QKV weight
 (:func:`_fuse_qkv`), already head-major. As in FlashAttention-2 it
@@ -229,9 +230,9 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
 
 
 class ForwardWorkspace:
-    """Every buffer of :func:`forward_collect` for a [b, s] batch of
-    `dtype`, built here once. The taps a forward returns are views of
-    it, so the next forward writes over them.
+    """Every buffer of :func:`forward_collect` under `config` for a [b, s]
+    batch of `dtype`, built here once. The taps a forward emits are views
+    of it, so a later layer, or the next forward, writes over them.
 
     A layer runs over slabs of ``step`` (:func:`slab_sequences`)
     sequences, and the slab buffers, sized for n = min(step, b)
@@ -261,14 +262,14 @@ class ForwardWorkspace:
     `mask` is the same pattern as a [query, key] bool array, for the
     max-shifted path, which writes -inf over its masked scores.
 
-    `acts` holds the activations: one [b, s, H] buffer per tap, and at
-    most two more for the activations between taps.
+    `acts` holds the layer chain's two [b, s, H] buffers: activation i,
+    the embedding (i = 0) or layer i's output, lives in acts[i % 2].
     """
 
     def __init__(self, config: BackboneConfig, b: int, s: int, dtype=np.float32):
         h, heads = config.hidden, config.heads
         hd, tile = h // heads, min(ATTN_TILE, s)
-        self.shape, self.dtype = (b, s), np.dtype(dtype)
+        self.config, self.shape, self.dtype = config, (b, s), np.dtype(dtype)
         self.step = slab_sequences(s, config, dtype)
         n = min(self.step, b)
         wide = n * s * max(config.ffn_dim, heads * tile, _qkv_rows(h, heads))
@@ -279,13 +280,7 @@ class ForwardWorkspace:
         self.mask = np.triu(np.ones((tile, tile), dtype=bool), k=1)
         self.keep = np.ones((tile, n, heads, tile), dtype)
         self.keep.transpose(1, 2, 3, 0)[..., self.mask] = 0
-        tapped = set(config.block_cuts) | ({0} if config.tap_embedding else set())
-        spares = [np.empty((b, s, h), dtype)
-                  for _ in range(min(2, config.layers + 1 - len(tapped)))]
-        # activation i is the embedding (i = 0) or layer i's output; a
-        # spare never holds two activations in a row
-        self.acts = [np.empty((b, s, h), dtype) if i in tapped else spares[i % len(spares)]
-                     for i in range(config.layers + 1)]
+        self.acts = (np.empty((b, s, h), dtype), np.empty((b, s, h), dtype))
 
 
 def _qkv_rows(hidden: int, heads: int) -> int:
@@ -443,16 +438,17 @@ def slab_sequences(seq_len: int, config: BackboneConfig, dtype) -> int:
     return max(1, SLAB_BYTES // (seq_len * widest * np.dtype(dtype).itemsize))
 
 
-def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
-                    ws: ForwardWorkspace) -> list[tuple[int, np.ndarray]]:
-    """Run the frozen decoder and record taps at the configured cuts.
+def forward_collect(weights: BackboneWeights, tokens: np.ndarray, ws: ForwardWorkspace,
+                    emit) -> None:
+    """Run the frozen decoder and hand each tap at the configured cuts to
+    ``emit(block index, [B, S, H] activation)``, in block order.
 
-    Returns (block index, [B, S, H] activation) pairs in block order.
     Weights are read-only here. Block index 0 is the embedding tap (when
     enabled) and block index c is the activation after decoder layer c.
-    Every buffer comes from `ws`, which must be built for the batch's
-    (B, S) and the weights' dtype, so the returned activations are views
-    of it, and the next forward in `ws` writes over them.
+    Every buffer comes from `ws`, which must be built for the weights'
+    config and dtype and the batch's (B, S). A tap is a view of ``ws.acts``,
+    emitted once no later layer reads it: after the next layer, or the
+    last. So `emit` may write over it, and must copy what it keeps.
 
     Each layer runs over slabs of ``ws.step`` whole sequences, and each
     slab's last layer norm writes straight into its rows of the layer's
@@ -473,23 +469,21 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray,
         raise ValueError("token id out of range")
 
     dtype = weights.token_embedding.dtype
-    if (ws.shape, ws.dtype) != ((b, s), dtype):
-        raise ValueError(f"workspace built for {ws.shape} of {ws.dtype}, not {(b, s)} of {dtype}")
+    if (ws.config, ws.shape, ws.dtype) != (cfg, (b, s), dtype):
+        raise ValueError(f"workspace built for another config or {ws.shape} of {ws.dtype}")
     x = ws.acts[0]
     # the ids are in range, so "clip" never clips; it writes straight into x
     np.take(weights.token_embedding, tokens, axis=0, out=x, mode="clip")
     x += weights.pos_embedding[:s]
-    taps = [(0, x)] if cfg.tap_embedding else []
-    step = ws.step
-    cuts = set(cfg.block_cuts)
+    tapped = set(cfg.block_cuts) | ({0} if cfg.tap_embedding else set())
     for i, lw in enumerate(weights.layers, start=1):
-        y = ws.acts[i]
-        for b0 in range(0, b, step):
-            layer_forward(x[b0:b0 + step], lw, cfg.heads, ws, out=y[b0:b0 + step])
+        y = ws.acts[i % 2]
+        for b0 in range(0, b, ws.step):
+            layer_forward(x[b0:b0 + ws.step], lw, cfg.heads, ws, out=y[b0:b0 + ws.step])
+        if i - 1 in tapped:
+            emit(i - 1, x)
         x = y
-        if i in cuts:
-            taps.append((i, x))
-    return taps
+    emit(cfg.layers, x)  # the last cut is the last layer
 
 
 def save_backbone(path, weights: BackboneWeights) -> None:

@@ -87,7 +87,7 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
     full_ft stores every layer's forward intermediates for the backward
     pass and full optimizer state; side_local adds a resident side stack
     (taps kept plus its own optimizer) to the frozen backbone; mobillm
-    keeps only the gamma tap tensors alive until they are shipped, and no
+    holds the forward's two activation planes, not the gamma taps, and no
     optimizer state at all; inference holds a single layer's working set.
     """
     if mode not in MODES:
@@ -107,7 +107,7 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
         optimizer = spec.trainable_params * OPTIMIZER_BYTES_PER_PARAM
         trainable_weights = spec.trainable_params * spec.dtype_bytes
     elif mode == "mobillm":
-        activations = spec.gamma * tap_plane
+        activations = 2 * tap_plane
         optimizer = 0
         trainable_weights = 0
     else:  # inference

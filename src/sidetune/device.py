@@ -1,13 +1,14 @@
 """The device side: forward-only backbone runs feeding a one-way uplink.
 
 A session is one loop on the calling thread: compute batch `i` (sample,
-frozen forward, quantize the taps) and hand it to a single sender
-thread, which encodes and sends the batches in order. At most
-`queue_depth` handed-off batches wait behind the one being sent; past
-that the loop waits for the oldest send, which is the backpressure when
-the uplink is the bottleneck. A serial run waits for each batch's send
-and the server's answer before it computes the next: the baseline the
-overlap is measured against.
+then the frozen forward, quantizing each tap once no later layer reads
+it, in two activation planes for any number of taps) and hand it to a
+single sender thread, which encodes and sends the batches in order. At
+most `queue_depth` handed-off batches wait behind the one being sent;
+past that the loop waits for the oldest send, which is the backpressure
+when the uplink is the bottleneck. A serial run waits for each batch's
+send and the server's answer before it computes the next: the baseline
+the overlap is measured against.
 
 The device never touches gradients or optimizer state -- this module
 deliberately has no import path into the backward/optimizer code. The
@@ -191,20 +192,23 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace):
     """Batch `i` as the device sends it: sample, frozen forward, quantize
     every tap. Returns (ActBatch, timing dict). Local mode calls this too.
 
-    A session builds one :class:`ForwardWorkspace` for its (batch size,
-    sequence length) and hands it to every batch: the forward's buffers
-    and the taps then live there, and each tap, spent once quantized, is
-    lent to :func:`quantize` as its scratch. So a batch allocates little
-    beyond its code bytes."""
+    The forward runs in the session's one :class:`ForwardWorkspace` and
+    emits each tap once no later layer reads it; the spent tap is lent to
+    :func:`quantize` as its scratch, so a batch allocates little beyond
+    its code bytes. t_quant_ms sums the quantize calls, t_fwd_ms the rest."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
-    taps = forward_collect(weights, tokens, ws)
-    t1 = time.perf_counter()
-    qtaps = tuple(quantize(act, config.scheme, scratch=act) for _, act in taps)
-    t2 = time.perf_counter()
-    msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=qtaps)
-    timing = {"iter": i, "t_fwd_ms": (t1 - t0) * 1e3, "t_quant_ms": (t2 - t1) * 1e3}
-    return msg, timing
+    qtaps, quant_s = [], []
+
+    def emit(_, act):
+        t = time.perf_counter()
+        qtaps.append(quantize(act, config.scheme, scratch=act))
+        quant_s.append(time.perf_counter() - t)
+
+    forward_collect(weights, tokens, ws, emit)
+    t_fwd = time.perf_counter() - t0 - sum(quant_s)
+    msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=tuple(qtaps))
+    return msg, {"iter": i, "t_fwd_ms": t_fwd * 1e3, "t_quant_ms": sum(quant_s) * 1e3}
 
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:

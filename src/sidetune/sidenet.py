@@ -348,15 +348,16 @@ def combined_infer(
     scheme: str = "none_fp16",
 ) -> np.ndarray:
     """Device-style prediction: frozen forward, quantize/dequantize each
-    tap with the session scheme, then the side stack's forward, each in a
-    workspace built for the tokens' [B, S].
+    tap with the session scheme as it is emitted, then the side stack's
+    forward, each in a workspace built for the tokens' [B, S].
 
     Bit-identical to the logits the server computes for the same batch
     and scheme, because it is the same code path.
     """
     b, s = np.shape(tokens)
-    fws = ForwardWorkspace(backbone_weights.config, b, s)
-    taps = [dequantize(quantize(t, scheme)) for _, t in forward_collect(backbone_weights, tokens, fws)]
+    taps = []
+    forward_collect(backbone_weights, tokens, ForwardWorkspace(backbone_weights.config, b, s),
+                    lambda _, t: taps.append(dequantize(quantize(t, scheme, scratch=t))))
     return side_forward(taps, side_params, Workspace(side_config, b, s))
 
 

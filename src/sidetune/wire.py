@@ -175,11 +175,15 @@ def batch_bytes(shape, scheme: str, gamma: int) -> int:
     return gamma * payload_bytes(shape, scheme) + 4 * int(shape[0])
 
 
-def _frame(msg_type: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload of {len(payload)} bytes exceeds frame limit")
-    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, msg_type, 0, len(payload))
-    return header + payload + struct.pack("<I", zlib.crc32(payload))
+def _frame(msg_type: int, *parts: bytes) -> bytes:
+    """The frame whose payload is `parts` joined, built with one copy."""
+    size, crc = sum(map(len, parts)), 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    if size > MAX_PAYLOAD:
+        raise ValueError(f"payload of {size} bytes exceeds frame limit")
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, msg_type, 0, size)
+    return b"".join([header, *parts, struct.pack("<I", crc)])
 
 
 def encode(msg: WireMessage) -> bytes:
@@ -191,13 +195,10 @@ def encode(msg: WireMessage) -> bytes:
     if isinstance(msg, SessionAck):
         return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
     if isinstance(msg, ActBatch):
-        parts = [_BATCH_HEAD.pack(msg.batch_id, len(msg.labels)),
-                 struct.pack(f"<{len(msg.labels)}I", *msg.labels),
-                 _TAP_COUNT.pack(len(msg.taps))]
-        for q in msg.taps:
-            parts.append(TAP_HEADER.pack(q.scale))
-            parts.append(q.codes)
-        return _frame(T_ACT_BATCH, b"".join(parts))
+        taps = [part for q in msg.taps for part in (TAP_HEADER.pack(q.scale), q.codes)]
+        return _frame(T_ACT_BATCH, _BATCH_HEAD.pack(msg.batch_id, len(msg.labels)),
+                      struct.pack(f"<{len(msg.labels)}I", *msg.labels),
+                      _TAP_COUNT.pack(len(msg.taps)), *taps)
     if isinstance(msg, MetricsSnapshot):
         return _frame(T_METRICS, msg.text.encode("utf-8"))
     if isinstance(msg, CheckpointRequest):

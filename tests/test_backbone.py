@@ -2,9 +2,10 @@
 reference, the tiled in-place attention against its full out-of-place
 formula, the choice between the shift-free and the max-shifted softmax,
 slabs of sequences against one sequence at a time, a batch rerun after a
-batch of another shape, the working sets of the attention and of the
-whole forward, the causal mask, and the frozen weights: fused once,
-read-only after, and every one of them read."""
+batch of another shape, taps lent to a caller that writes over them, the
+working sets of the attention and of the whole forward, the causal mask,
+and the frozen weights: fused once, read-only after, and every one of
+them read."""
 
 import dataclasses
 import tracemalloc
@@ -45,9 +46,22 @@ def workspace(config, x):
     return backbone.ForwardWorkspace(config, *x.shape[:2])
 
 
-def collect(weights, toks):
-    """The taps of `toks`, from a forward in a workspace of its own."""
-    return forward_collect(weights, toks, workspace(weights.config, toks))
+def collect(weights, toks, ws=None, spoil=False):
+    """The taps of `toks`, each copied as the forward emits it, from a
+    forward in `ws` or in a workspace of its own. Each tap must be a view
+    of the chain buffer of its block; with `spoil`, NaN is written over
+    it once copied, as a caller that lends it as a scratch would."""
+    ws = ws or workspace(weights.config, toks)
+    taps = []
+
+    def emit(i, act):
+        assert np.shares_memory(act, ws.acts[i % 2])
+        taps.append((i, act.copy()))
+        if spoil:
+            act.fill(np.nan)
+
+    forward_collect(weights, toks, ws, emit)
+    return taps
 
 
 # the attention's unfused sources: [H, H] projections and [H] biases
@@ -217,21 +231,26 @@ def test_slabs_give_the_taps_of_one_sequence_at_a_time(seq):
         np.testing.assert_array_equal(tap, np.concatenate([a[n][1] for a in alone]))
 
 
-def test_forward_peak_memory_is_the_taps_and_one_slab():
+def test_forward_peak_memory_is_two_planes_and_one_slab():
     b, s = 16, 255
     weights = init_backbone(WIDE, 7)
     toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(b, s))
-    collect(weights, toks)  # warm up outside the trace
+
+    def forward():  # in a workspace of its own, keeping no tap
+        forward_collect(weights, toks, backbone.ForwardWorkspace(WIDE, b, s), lambda i, act: None)
+
+    forward()  # warm up outside the trace
     tracemalloc.start()
     try:
-        collect(weights, toks)
+        forward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    taps = WIDE.gamma * b * s * WIDE.hidden * 4
-    # the taps stay alive, and a slab's buffers are a few SLAB_BYTES; one
-    # layer over the whole batch needs about 7 MiB besides the taps
-    assert peak < taps + 4 * backbone.SLAB_BYTES
+    planes = 2 * b * s * WIDE.hidden * 4
+    # the layer chain's two activation buffers, whatever the number of
+    # taps, and a slab's buffers of a few SLAB_BYTES; one layer over the
+    # whole batch needs about 7 MiB besides the planes
+    assert peak < planes + 4 * backbone.SLAB_BYTES
 
 
 def test_taps_repeat_after_a_batch_of_another_shape():
@@ -257,17 +276,19 @@ def test_a_kept_workspace_gives_the_taps_of_fresh_arrays_across_shapes():
     batches = [rng.integers(0, WIDE.vocab_size, size=(7, 255)) for _ in range(2)]
     ws = backbone.ForwardWorkspace(WIDE, 7, 255)
     for toks in batches:
-        kept = forward_collect(weights, toks, ws)
+        kept = collect(weights, toks, ws)
         fresh = collect(weights, toks)
         assert [i for i, _ in kept] == [i for i, _ in fresh]
-        for (i, k), (_, f) in zip(kept, fresh):
-            assert np.shares_memory(k, ws.acts[i])
+        for (_, k), (_, f) in zip(kept, fresh):
             np.testing.assert_array_equal(k, f)
-    # a batch of another shape, or weights of another dtype, need their own
-    with pytest.raises(ValueError, match="workspace built for"):
-        forward_collect(weights, batches[0][:3, :91], ws)
-    with pytest.raises(ValueError, match="workspace built for"):
-        forward_collect(weights, batches[0], backbone.ForwardWorkspace(WIDE, 7, 255, np.float64))
+    # a batch of another shape, weights of another dtype, or another
+    # config, even one of fewer layers, need their own
+    fewer = dataclasses.replace(WIDE, layers=3, block_cuts=(1, 2, 3))
+    for toks, other in ((batches[0][:3, :91], ws),
+                        (batches[0], backbone.ForwardWorkspace(WIDE, 7, 255, np.float64)),
+                        (batches[0], backbone.ForwardWorkspace(fewer, 7, 255))):
+        with pytest.raises(ValueError, match="workspace built for"):
+            forward_collect(weights, toks, other, lambda i, act: None)
 
 
 @pytest.mark.parametrize("cuts,embedding", [((2, 4), False), ((1, 3, 4), True), ((4,), False)])
@@ -282,8 +303,11 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
         x = backbone.layer_forward(x, lw, config.heads, ws)
         if i in cuts:
             expected.append((i, x))
-    for taps in (collect(weights, toks), forward_collect(weights, toks, ws),
-                 forward_collect(weights, toks, ws)):
+    # the chain's two buffers, whatever the number of taps
+    assert [a.shape for a in ws.acts] == [x.shape] * 2
+    # a caller that writes over each tap it is given changes no later tap
+    for taps in (collect(weights, toks), collect(weights, toks, ws),
+                 collect(weights, toks, ws, spoil=True), collect(weights, toks, ws)):
         assert [i for i, _ in taps] == [i for i, _ in expected]
         for (_, got), (_, want) in zip(taps, expected):
             np.testing.assert_array_equal(got, want)
@@ -291,11 +315,12 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
 
 def test_forwards_without_a_workspace_share_no_memory():
     weights = init_backbone(CONFIG, 7)
-    first = [tap for _, tap in collect(weights, tokens(seed=1))]
-    second = [tap for _, tap in collect(weights, tokens(seed=2))]
-    taps = first + second
-    for i, a in enumerate(taps):
-        assert not any(np.shares_memory(a, b) for b in taps[i + 1:])
+    first, second = [], []  # the taps as lent, not copied
+    for taps, seed in ((first, 1), (second, 2)):
+        toks = tokens(seed=seed)
+        forward_collect(weights, toks, workspace(CONFIG, toks), lambda i, act: taps.append(act))
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in second)
 
 
 def test_a_forward_reads_the_fused_weights_the_assembly_built(monkeypatch):
@@ -303,7 +328,7 @@ def test_a_forward_reads_the_fused_weights_the_assembly_built(monkeypatch):
     fused = counting(monkeypatch, backbone, "_fuse_qkv")
     ws = backbone.ForwardWorkspace(CONFIG, 3, 15)
     for seed in (1, 2):
-        forward_collect(weights, tokens(seed=seed), ws)
+        collect(weights, tokens(seed=seed), ws)
     assert not fused
 
 

@@ -6,7 +6,8 @@ import json
 import pytest
 
 import sidetune
-from sidetune import costs
+from sidetune import BackboneConfig, costs
+from sidetune.backbone import ForwardWorkspace
 from sidetune.cli import _apply_config_file, build_parser, main
 from sidetune.quantize import SCHEMES
 from sidetune.wire import payload_bytes
@@ -120,6 +121,19 @@ def test_estimate_orders_the_modes_by_device_memory(capsys):
     total = {mode: estimate(capsys, mode)["total_bytes"]
              for mode in ("full_ft", "side_local", "mobillm")}
     assert total["full_ft"] > total["side_local"] > total["mobillm"]
+
+
+@pytest.mark.parametrize("seq", [255, 63], ids=["long_seq", "slow_uplink"])
+def test_the_mobillm_estimate_counts_the_forward_workspace_planes(seq):
+    # the benchmark's model and batch shapes
+    model = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
+                           block_cuts=(1, 2, 3, 4))
+    spec = costs.ModelSpec(params=1, layers=model.layers, hidden=model.hidden,
+                           heads=model.heads, seq_len=seq, batch_size=16, dtype_bytes=4,
+                           gamma=model.gamma)
+    ws = ForwardWorkspace(model, 16, seq)
+    report = costs.device_memory_estimate(spec, "mobillm", "nf4")
+    assert report.activation_bytes == sum(a.nbytes for a in ws.acts)
 
 
 def test_quantbench_prints_one_row_per_scheme(capsys):

@@ -187,11 +187,27 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
                           iterations=3)
     weights = device.load_device_backbone(config)
     ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
-    forwards = counting(monkeypatch, device, "forward_collect")
+    forwards, quantizes = [], []  # each forward's state when it returns; each quantize's forward
+    inner_forward, inner_quantize = device.forward_collect, device.quantize
+
+    def forward(*args, **kwargs):
+        forwards.append("running")
+        result = inner_forward(*args, **kwargs)
+        forwards[-1] = "returned"
+        return result
+
+    def quantize(*args, **kwargs):
+        quantizes.append((len(forwards), forwards[-1] if forwards else None))
+        return inner_quantize(*args, **kwargs)
+
+    monkeypatch.setattr(device, "forward_collect", forward)
+    monkeypatch.setattr(device, "quantize", quantize)
     layers = counting(monkeypatch, backbone, "layer_forward")
     for i in range(config.total_iterations):
         device.compute_batch(weights, config, i, ws)
-        assert len(forwards) == i + 1
+        assert forwards == ["returned"] * (i + 1)
+        # gamma quantizes per batch, each inside that batch's one forward
+        assert quantizes == [(n, "running") for n in range(1, i + 2) for _ in range(model.gamma)]
     # one layer call per layer and slab; this small batch is one slab
     assert backbone.slab_sequences(15, model, "float32") >= config.batch_size
     assert len(layers) == config.total_iterations * model.layers
