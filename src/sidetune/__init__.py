@@ -5,9 +5,10 @@ streams low-bit intermediate activations to a server process, which
 trains a parallel-adapter side-network against them. The uplink carries
 the backbone's config, the quantized taps and the labels in clear, never
 the tokens; yet a server that knows the backbone can recover the tokens
-from the taps (see :mod:`sidetune.device`). The package also ships the
-analytic cost model that accounts for the memory and payload savings of
-the arrangement.
+from the taps (see :mod:`sidetune.device`). The package's cost model
+counts, per mode, the device buffers the code builds: the forward's
+workspace (`inference`), plus a batch's codes (`mobillm`), plus the side
+network's workspace, weights and Adam state (`side_local`).
 
 Layout:
 
@@ -23,7 +24,7 @@ Layout:
 - :mod:`sidetune.server`    session handling, training loop, and local mode,
                             which reuses the device's batches and the
                             server's step
-- :mod:`sidetune.costs`     closed-form memory and payload estimates
+- :mod:`sidetune.costs`     device memory per mode, payload and step time
 - :mod:`sidetune.cli`       the `sidetune` command; opens every TCP connection
 
 `run_device` and `run_server` take a transport from their caller, so the

@@ -264,6 +264,9 @@ class ForwardWorkspace:
 
     `acts` holds the layer chain's two [b, s, H] buffers: activation i,
     the embedding (i = 0) or layer i's output, lives in acts[i % 2].
+
+    `nbytes` counts every buffer; empty ones commit no memory until
+    written, so a workspace may be built only to be counted.
     """
 
     def __init__(self, config: BackboneConfig, b: int, s: int, dtype=np.float32):
@@ -281,6 +284,11 @@ class ForwardWorkspace:
         self.keep = np.ones((tile, n, heads, tile), dtype)
         self.keep.transpose(1, 2, 3, 0)[..., self.mask] = 0
         self.acts = (np.empty((b, s, h), dtype), np.empty((b, s, h), dtype))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (*self.wide, self.tile_ctx, self.proj, self.ctx,
+                                      self.mask, self.keep, *self.acts))
 
 
 def _qkv_rows(hidden: int, heads: int) -> int:

@@ -213,8 +213,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seq", type=int, default=256, help="sequence length")
     p.add_argument("--dtype-bytes", type=int, default=2, help="2 or 4")
     p.add_argument("--gamma", type=int, default=0, help="taps (0 = one per layer)")
-    p.add_argument("--trainable", type=int, default=0,
-                   help="trainable params for side_local mode")
+    p.add_argument("--bottleneck", type=int, default=16,
+                   help="side_local: adapter bottleneck width m of the side network")
     p.add_argument("--rate-mbps", type=float, default=0.0,
                    help="uplink rate; adds an iteration-time estimate")
     p.add_argument("--t-fwd", type=float, default=0.0, help="device forward seconds")
@@ -258,15 +258,23 @@ def _cmd_server(args) -> int:
     return 0 if report.clean_shutdown else 2
 
 
+def _rate_bps(args) -> float:
+    """--rate-mbps in bit/s: 0 means no rate, and one below 0 is refused."""
+    if not 0 <= args.rate_mbps < np.inf:
+        raise ValueError(f"--rate-mbps {args.rate_mbps} must be non-negative and finite")
+    return args.rate_mbps * 1e6
+
+
 def _cmd_device(args) -> int:
+    rate_bps = _rate_bps(args)
     config = _device_config_from_args(
         args, queue_depth=args.queue, serial=args.serial,
         fetch_checkpoint=args.fetch, log_path=args.log or None,
     )
     transport = TcpTransport.connect(*_host_port(args.server, "127.0.0.1"),
                                      timeout=config.timeout_s)
-    if args.rate_mbps > 0:
-        transport = RateLimitedTransport(transport, args.rate_mbps * 1e6)
+    if rate_bps:
+        transport = RateLimitedTransport(transport, rate_bps)
     try:
         report = run_device(config, transport)
     finally:
@@ -297,25 +305,20 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_estimate(args) -> int:
     scheme = SCHEME_ALIASES[args.scheme]
+    rate_bps = _rate_bps(args)
+    shape = dict(batch_size=args.batch, seq_len=args.seq, dtype_bytes=args.dtype_bytes,
+                 gamma=args.gamma, bottleneck=args.bottleneck)
     if args.preset == "custom":
         if not args.params:
             raise ValueError("custom preset needs --params")
-        spec = costs.ModelSpec(
-            params=args.params, layers=args.layers, hidden=args.hidden,
-            heads=args.heads, seq_len=args.seq, batch_size=args.batch,
-            dtype_bytes=args.dtype_bytes, gamma=args.gamma,
-            trainable_params=args.trainable,
-        )
+        spec = costs.ModelSpec(params=args.params, layers=args.layers, hidden=args.hidden,
+                               heads=args.heads, **shape)
     else:
-        spec = costs.preset_spec(
-            args.preset, batch_size=args.batch, seq_len=args.seq,
-            dtype_bytes=args.dtype_bytes, gamma=args.gamma,
-            trainable_params=args.trainable,
-        )
+        spec = costs.preset_spec(args.preset, **shape)
     report = costs.device_memory_estimate(spec, args.mode, scheme)
-    if args.rate_mbps > 0:
+    if rate_bps:
         est = costs.iteration_time_estimate(
-            args.t_fwd, report.payload_bytes_per_iter, args.rate_mbps * 1e6, args.t_server,
+            args.t_fwd, report.payload_bytes_per_iter, rate_bps, args.t_server,
         )
         report = dataclasses.replace(report, est_iter_time_s=est)
     print(report.to_json())

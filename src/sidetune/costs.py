@@ -1,16 +1,25 @@
-"""Analytic memory, payload, and iteration-time accounting.
+"""Device memory, payload, and iteration-time accounting.
 
-Everything here is a closed-form estimate over a model/batch description;
-nothing allocates real tensors. Byte counts are returned raw -- callers
-pick their display unit (the reference accounting uses decimal GB for
-memory tables and MiB for payload tables).
+The memory estimate builds the buffers the code would build for the
+spec's shape and dtype, and counts their bytes; numpy's empty buffers
+commit no memory until written, so even a 1.3B-parameter shape costs
+little RSS. Per mode the device holds: `inference`, one forward
+workspace; `mobillm`, that and one batch's codes, which it quantizes and
+sends; `side_local`, both workspaces, the codes, the side weights and
+their Adam state. `full_ft` stays the one closed-form guess, since no
+code here backpropagates through the backbone. Byte counts are raw.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+import numpy as np
+
+from .backbone import BackboneConfig, ForwardWorkspace
+from .sidenet import SideConfig, Workspace
+from .training import init_adam
 from .wire import batch_bytes
 
 MODES = ("full_ft", "side_local", "mobillm", "inference")
@@ -28,6 +37,9 @@ OPTIMIZER_BYTES_PER_PARAM = 8  # two f32 Adam moments
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A decoder with a 4H-wide FFN and the embedding tap; for side_local,
+    gamma - 1 gelu adapters of width `bottleneck` and 2 classes."""
+
     params: int            # backbone parameter count P
     layers: int
     hidden: int
@@ -35,15 +47,17 @@ class ModelSpec:
     seq_len: int
     batch_size: int
     dtype_bytes: int = 2   # 2 = half precision, 4 = single
-    gamma: int = 0         # taps per iteration; defaults to layers
-    trainable_params: int = 0
+    gamma: int = 0         # taps per iteration, the embedding's included; defaults to layers
+    bottleneck: int = 16   # the server's default
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", self.gamma or self.layers)
         if self.dtype_bytes not in (2, 4):
             raise ValueError("dtype_bytes must be 2 or 4")
-        if self.gamma > self.layers + 1:
-            raise ValueError("cannot tap more than layers + embedding")
+        if not 1 <= self.gamma <= self.layers + 1:
+            raise ValueError(f"gamma {self.gamma} must be between 1 and layers + 1 (embedding)")
+        if min(self.batch_size, self.seq_len) < 1:
+            raise ValueError(f"batch {self.batch_size} and sequence {self.seq_len} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,67 +74,38 @@ class CostReport:
         return self.weights_bytes + self.activation_bytes + self.optimizer_bytes
 
     def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "weights_bytes": self.weights_bytes,
-            "activation_bytes": self.activation_bytes,
-            "optimizer_bytes": self.optimizer_bytes,
-            "total_bytes": self.total_bytes,
-            "payload_bytes_per_iter": self.payload_bytes_per_iter,
-            "est_iter_time_s": self.est_iter_time_s,
-        })
-
-
-def _tokens(spec: ModelSpec) -> int:
-    return spec.batch_size * spec.seq_len
-
-
-def _full_ft_layer_activation(spec: ModelSpec) -> int:
-    per_token = FULL_FT_HIDDEN_COEF * spec.hidden + 2 * spec.heads * spec.seq_len
-    return _tokens(spec) * per_token * spec.dtype_bytes
+        return json.dumps(dict(asdict(self), total_bytes=self.total_bytes))
 
 
 def device_memory_estimate(spec: ModelSpec, mode: str,
                            scheme: str = "none_fp16") -> CostReport:
-    """Device-side memory for one training (or inference) configuration.
-
-    full_ft stores every layer's forward intermediates for the backward
-    pass and full optimizer state; side_local adds a resident side stack
-    (taps kept plus its own optimizer) to the frozen backbone; mobillm
-    holds the forward's two activation planes, not the gamma taps, and no
-    optimizer state at all; inference holds a single layer's working set.
-    """
+    """Device-side memory of one configuration, counted as the module
+    says; the configs built refuse a model the code cannot build."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
-    tap_plane = _tokens(spec) * spec.hidden * spec.dtype_bytes
+    # the forward's buffers do not depend on where the taps are
+    backbone = BackboneConfig(vocab_size=1, hidden=spec.hidden, layers=spec.layers,
+                              heads=spec.heads, max_seq=spec.seq_len)
+    dtype = np.dtype(f"f{spec.dtype_bytes}")
+    shape = (spec.batch_size, spec.seq_len)
     weights = spec.params * spec.dtype_bytes
-    payload = payload_per_iteration(spec, scheme)
 
     if mode == "full_ft":
-        activations = spec.layers * _full_ft_layer_activation(spec)
-        optimizer = spec.params * OPTIMIZER_BYTES_PER_PARAM
-        trainable_weights = 0
-    elif mode == "side_local":
-        # taps plus the side stack's own stored intermediates (inputs,
-        # bottleneck expansion, norm output per adapter ~ 3 planes)
-        activations = spec.gamma * tap_plane + 3 * spec.gamma * tap_plane
-        optimizer = spec.trainable_params * OPTIMIZER_BYTES_PER_PARAM
-        trainable_weights = spec.trainable_params * spec.dtype_bytes
-    elif mode == "mobillm":
-        activations = 2 * tap_plane
-        optimizer = 0
-        trainable_weights = 0
-    else:  # inference
-        activations = _full_ft_layer_activation(spec)
-        optimizer = 0
-        trainable_weights = 0
-
+        per_token = FULL_FT_HIDDEN_COEF * spec.hidden + 2 * spec.heads * spec.seq_len
+        activations = spec.layers * spec.batch_size * spec.seq_len * per_token * spec.dtype_bytes
+        return CostReport(mode, weights, activations, spec.params * OPTIMIZER_BYTES_PER_PARAM, 0)
+    forward = ForwardWorkspace(backbone, *shape, dtype).nbytes
+    if mode == "inference":
+        return CostReport(mode, weights, forward, 0, 0)
+    payload = payload_per_iteration(spec, scheme)
+    if mode == "mobillm":
+        return CostReport(mode, weights, forward + payload, 0, payload)
+    side = Workspace(SideConfig(hidden=spec.hidden, bottleneck=spec.bottleneck,
+                                adapters=spec.gamma - 1, classes=2), *shape, dtype)
+    adam = init_adam(side.grads)  # the gradient has the parameters' layout and dtype
     return CostReport(
-        mode=mode,
-        weights_bytes=weights + trainable_weights,
-        activation_bytes=activations,
-        optimizer_bytes=optimizer,
-        payload_bytes_per_iter=payload if mode == "mobillm" else 0,
+        mode, weights + side.grads.flat.nbytes, forward + side.nbytes + payload,
+        sum(a.nbytes for a in (adam.m, adam.v, adam.scratch)), 0,
     )
 
 
@@ -139,20 +124,17 @@ def iteration_time_estimate(t_fwd_device_s: float, payload_bytes_per_iter: int,
 
 
 # Reference decoder-only configurations used throughout the accounting
-# tables (sequence defaults: batch 16, length 256, per-layer taps).
+# tables (sequence defaults: batch 16, length 256, gamma = layers taps).
 PRESETS = {
     "opt350m": dict(params=331_000_000, layers=24, hidden=1024, heads=16),
     "opt1.3b": dict(params=1_316_000_000, layers=24, hidden=2048, heads=32),
 }
 
 
-def preset_spec(name: str, batch_size: int = 16, seq_len: int = 256,
-                dtype_bytes: int = 2, gamma: int = 0,
-                trainable_params: int = 0) -> ModelSpec:
+def preset_spec(name: str, batch_size: int = 16, seq_len: int = 256, **fields) -> ModelSpec:
+    """The preset's model; `fields` sets the other :class:`ModelSpec` fields."""
     try:
         base = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}") from None
-    return ModelSpec(batch_size=batch_size, seq_len=seq_len,
-                     dtype_bytes=dtype_bytes, gamma=gamma,
-                     trainable_params=trainable_params, **base)
+    return ModelSpec(batch_size=batch_size, seq_len=seq_len, **fields, **base)

@@ -141,6 +141,8 @@ class DeviceConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.queue_depth < 1:
             raise ValueError("queue depth must be at least 1")
+        if not 0 < self.timeout_s < np.inf:
+            raise ValueError(f"timeout {self.timeout_s} s must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.samples_per_epoch < 1:

@@ -97,6 +97,8 @@ class ServerConfig:
             raise ValueError(f"learning rate {self.lr} must be positive and finite")
         if not 0 <= self.init_std < np.inf:
             raise ValueError(f"init std {self.init_std} must be non-negative and finite")
+        if not 0 < self.timeout_s < np.inf:
+            raise ValueError(f"timeout {self.timeout_s} s must be positive and finite")
 
     def side_config(self) -> SideConfig:
         return SideConfig(

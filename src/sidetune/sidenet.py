@@ -69,6 +69,8 @@ class SideConfig:
             raise ValueError(f"unsupported adapter nonlinearity {self.nonlinearity!r}")
         if self.classes < 1:
             raise ValueError("head needs at least one output")
+        if self.adapters < 1:
+            raise ValueError(f"{self.adapters} adapters: a side network needs at least one")
 
 
 @dataclass
@@ -166,7 +168,8 @@ class Workspace:
 
     A caller that keeps one workspace allocates nothing batch-sized per
     step; the server builds it once per session, for the (B, S) of the
-    session's Hello, before it accepts the session.
+    session's Hello, before it accepts the session. `nbytes` counts every
+    buffer above, not what a forward leaves in `gap`, `pooled` or `logits`.
     """
 
     def __init__(self, config: SideConfig, batch: int, seq: int, dtype=np.float32):
@@ -183,6 +186,12 @@ class Workspace:
         self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
         self.grads = SideNetworkParams(config, np.empty(_size(config), dtype))
         self.blend = self.gap = self.pooled = self.logits = None
+
+    @property
+    def nbytes(self) -> int:
+        kept = (*self.taps, *self.work, self.xhat, self.inv_std, self.pre, self.acts,
+                self.tanh, self.grads.flat)
+        return sum(a.nbytes for a in kept if a is not None)
 
     def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
         """The slots that `count` taps go in, in order: the last M of them,

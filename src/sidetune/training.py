@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .quantize import dequantize
 from .sidenet import SideConfig, SideNetworkParams, Workspace, side_backward, side_forward
 
@@ -31,7 +30,8 @@ ADAM_EPS = 1e-8
 
 def loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     """Mean-over-batch cross-entropy and its exact gradient wrt the
-    logits: log-sum-exp stabilized; d = (softmax - one_hot) / B."""
+    logits: log-sum-exp stabilized; d = (softmax - one_hot) / B. Both
+    take one exponential, with :func:`sidetune.kernels.softmax_rows`' bits."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
     b, c = logits.shape
@@ -39,15 +39,15 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(f"batch mismatch: {b} logits vs {labels.shape[0]} labels")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label outside [0, {c})")
+    rows = np.arange(b)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, dtype=logits.dtype))
-    picked = shifted[np.arange(b), labels]
-    loss = float((lse - picked).mean(dtype=logits.dtype))
-    probs = kernels.softmax_rows(logits)
-    one_hot = np.zeros_like(logits)
-    one_hot[np.arange(b), labels] = 1
-    d_logits = (probs - one_hot) / logits.dtype.type(b)
-    return loss, d_logits
+    probs = np.exp(shifted)
+    sums = probs.sum(axis=1, keepdims=True, dtype=logits.dtype)
+    loss = float((np.log(sums[:, 0]) - shifted[rows, labels]).mean(dtype=logits.dtype))
+    probs /= sums
+    probs[rows, labels] -= 1  # minus the one-hot labels
+    probs /= logits.dtype.type(b)
+    return loss, probs
 
 
 @dataclass
@@ -66,7 +66,8 @@ class AdamState:
 
 
 def init_adam(params: SideNetworkParams, lr: float = DEFAULT_LR) -> AdamState:
-    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
+    p = params.flat  # np.zeros, unlike np.zeros_like, commits no page until written
+    return AdamState(m=np.zeros(p.shape, p.dtype), v=np.zeros(p.shape, p.dtype), lr=lr)
 
 
 def adam_step(params: SideNetworkParams, grads: SideNetworkParams,

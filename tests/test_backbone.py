@@ -179,6 +179,19 @@ def test_attention_never_holds_a_full_score_tensor():
     assert peak < b * heads * s * s * 4  # one float32 [B, heads, S, S] tensor
 
 
+@pytest.mark.parametrize("seq", [255, 63])
+def test_a_workspace_counts_every_buffer_it_keeps(seq):
+    config = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255)
+    tracemalloc.start()
+    try:
+        ws = backbone.ForwardWorkspace(config, 16, seq)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # beyond its buffers, only the Python objects that hold them
+    assert ws.nbytes <= kept < ws.nbytes + 4096
+
+
 def test_taps_agree_with_the_exact_kernels(monkeypatch):
     # one tile, and three tiles with a short last one
     runs = [(init_backbone(config, 7), tokens(seq=seq))

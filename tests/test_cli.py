@@ -1,15 +1,30 @@
 """The `sidetune` command's local, estimate and quantbench subcommands,
-its config file, and the package's exports."""
+its config file, and the package's exports. Also the cost model's
+memory figures against the buffers the code builds and the peaks it
+traces."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
 import sidetune
-from sidetune import BackboneConfig, costs
+from sidetune import (
+    BackboneConfig,
+    DeviceConfig,
+    ServerConfig,
+    SyntheticTask,
+    costs,
+    device,
+    local_mode,
+)
 from sidetune.backbone import ForwardWorkspace
 from sidetune.cli import _apply_config_file, build_parser, main
 from sidetune.quantize import SCHEMES
+from sidetune.sidenet import Workspace
 from sidetune.wire import payload_bytes
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
@@ -123,17 +138,110 @@ def test_estimate_orders_the_modes_by_device_memory(capsys):
     assert total["full_ft"] > total["side_local"] > total["mobillm"]
 
 
-@pytest.mark.parametrize("seq", [255, 63], ids=["long_seq", "slow_uplink"])
-def test_the_mobillm_estimate_counts_the_forward_workspace_planes(seq):
-    # the benchmark's model and batch shapes
-    model = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
-                           block_cuts=(1, 2, 3, 4))
-    spec = costs.ModelSpec(params=1, layers=model.layers, hidden=model.hidden,
-                           heads=model.heads, seq_len=seq, batch_size=16, dtype_bytes=4,
-                           gamma=model.gamma)
-    ws = ForwardWorkspace(model, 16, seq)
-    report = costs.device_memory_estimate(spec, "mobillm", "nf4")
-    assert report.activation_bytes == sum(a.nbytes for a in ws.acts)
+def test_the_inference_estimate_counts_the_tiled_forward_not_whole_score_maps(capsys):
+    report = estimate(capsys, "inference")
+    # 218,103,808 B when it counted 24 layers' worth of [16, 16, 256, 256] maps
+    assert report["activation_bytes"] == 22_120_448
+    assert report["payload_bytes_per_iter"] == report["optimizer_bytes"] == 0
+
+
+# the benchmark's model: 4 layers, H = 32, 4 heads, uniform:4 cuts and the
+# embedding tap (gamma = 5), bottleneck 16, 2 classes; its batch is 16 x S
+BENCH_MODEL = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=255,
+                             block_cuts=(1, 2, 3, 4))
+BENCH_SEQ = pytest.mark.parametrize("seq", [255, 63], ids=["long_seq", "slow_uplink"])
+
+
+def bench_spec(seq):
+    # params=0: the reports' totals leave out the frozen weights
+    return costs.ModelSpec(params=0, layers=BENCH_MODEL.layers, hidden=BENCH_MODEL.hidden,
+                           heads=BENCH_MODEL.heads, seq_len=seq, batch_size=16, dtype_bytes=4,
+                           gamma=BENCH_MODEL.gamma, bottleneck=16)
+
+
+@BENCH_SEQ
+def test_the_estimates_count_the_whole_workspaces(seq):
+    spec = bench_spec(seq)
+    report = {mode: costs.device_memory_estimate(spec, mode, "nf4")
+              for mode in ("inference", "mobillm", "side_local")}
+    forward = ForwardWorkspace(BENCH_MODEL, 16, seq).nbytes
+    side = Workspace(ServerConfig(backbone=BENCH_MODEL).side_config(), 16, seq).nbytes
+    payload = costs.payload_per_iteration(spec, "nf4")
+    assert (forward, payload) == {255: (2_435_072, 326_484), 63: (1_885_184, 80_724)}[seq]
+    assert report["inference"].activation_bytes == forward
+    assert report["mobillm"].activation_bytes == forward + payload
+    assert report["side_local"].activation_bytes == forward + side + payload
+    assert report["side_local"].activation_bytes == {255: 11_722_592, 63: 4_193_120}[seq]
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@BENCH_SEQ
+def test_the_mobillm_estimate_is_within_a_fifth_of_two_traced_batches(seq):
+    config = DeviceConfig(backbone=BENCH_MODEL, task=SyntheticTask(seq_len=seq), scheme="nf4",
+                          batch_size=16, iterations=2)
+    weights = device.load_device_backbone(config)
+
+    def two_batches():
+        ws = ForwardWorkspace(BENCH_MODEL, 16, seq)
+        for i in range(2):
+            device.compute_batch(weights, config, i, ws)
+
+    estimate = costs.device_memory_estimate(bench_spec(seq), "mobillm", "nf4").total_bytes
+    assert 0.8 < estimate / traced_peak(two_batches) < 1.2  # 0.92 and 0.96 when written
+
+
+@BENCH_SEQ
+def test_the_side_local_estimate_is_within_a_fifth_of_two_traced_local_steps(seq):
+    config = DeviceConfig(backbone=BENCH_MODEL, task=SyntheticTask(seq_len=seq), scheme="nf4",
+                          batch_size=16, iterations=2)
+    frozen = sum(t.nbytes for t in device.load_device_backbone(config).all_tensors())
+    peak = traced_peak(lambda: local_mode(config, ServerConfig(backbone=BENCH_MODEL)))
+    estimate = costs.device_memory_estimate(bench_spec(seq), "side_local", "nf4").total_bytes
+    assert 0.8 < estimate / (peak - frozen) < 1.2  # 0.95 and 0.96 when written
+
+
+def test_the_opt1_3b_side_local_estimate_commits_almost_none_of_its_buffers():
+    # a fresh process: its peak RSS above what it held once the package was imported
+    code = ("import re; from sidetune.cli import main\n"
+            "kib = lambda key: int(re.search(key + r':\\s+(\\d+)', "
+            "open('/proc/self/status').read()).group(1))\n"
+            "before = kib('VmRSS')\n"
+            "assert main(['estimate', '--preset', 'opt1.3b', '--mode', 'side_local']) == 0\n"
+            "print(kib('VmHWM') - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    report, grew_kib = out.stdout.splitlines()
+    assert json.loads(report)["activation_bytes"] > 10**9
+    # the workspaces are 1.3 GB; a commit of the Adam moments' 6.4 MB would show
+    assert int(grew_kib) < 2 * 1024
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--hidden", "30", "--heads", "7"], "hidden 30 not divisible by heads 7"),
+    (["--mode", "side_local", "--gamma", "1"], "0 adapters"),
+    (["--mode", "side_local", "--bottleneck", "1024"], "bottleneck 1024 must be"),
+    (["--gamma", "-3"], "gamma -3 must be"),
+    (["--batch", "0"], "batch 0 and sequence 256"),
+], ids=["heads_do_not_divide_hidden", "side_local_gamma_1", "bottleneck_not_below_hidden",
+        "gamma_negative", "batch_0"])
+def test_estimate_refuses_a_model_the_code_cannot_build(capsys, flags, message):
+    assert main(["estimate", "--preset", "custom", "--params", "1000", *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["device", "--server", "127.0.0.1:1"]])
+@pytest.mark.parametrize("rate", ["-1", "nan"])
+def test_a_negative_or_nan_rate_is_a_configuration_error(capsys, command, rate):
+    assert main([*command, "--rate-mbps", rate]) == 1
+    assert "--rate-mbps" in capsys.readouterr().err
 
 
 def test_quantbench_prints_one_row_per_scheme(capsys):

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sidetune import (
@@ -197,12 +198,13 @@ def test_a_serial_entry_times_the_send_alone(monkeypatch):
     ({"task": {"seq_len": -1}}, "sequence length -1 and"),
     ({"task": {"vocab_size": 0}}, "vocabulary size 0 must"),
     ({"samples_per_epoch": 0}, "samples per epoch"),
+    ({"timeout_s": 0}, "timeout 0 s must be positive"),
     ({"backbone": {"hidden": 0}}, "hidden 0"),
     ({"backbone": {"vocab_size": 0}}, "vocab_size 0"),
     ({"backbone": {"max_seq": 0}}, "max_seq 0"),
     ({"backbone": {"ffn_dim": -1}}, "ffn_dim -1"),
 ], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size",
-        "seq_len_not_positive", "vocab_size_not_positive", "samples_per_epoch_0",
+        "seq_len_not_positive", "vocab_size_not_positive", "samples_per_epoch_0", "timeout_0",
         "backbone_hidden_0", "backbone_vocab_size_0", "backbone_max_seq_0",
         "backbone_ffn_dim_negative"])
 def test_a_device_config_that_cannot_run_is_refused_when_built(fields, message):
@@ -225,6 +227,19 @@ def test_a_csv_task_takes_its_shape_from_the_file(tmp_path):
     assert task.vocab_size == 12
     assert task.tokens.tolist() == [[3, 0, 11], [5, 7, 2], [1, 1, 1]]
     assert task.labels.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("rows, batch", [(5, 2), (3, 4)], ids=["batch_short_of_rows",
+                                                                "batch_past_rows"])
+def test_a_csv_task_wraps_its_rows_into_batches(rows, batch):
+    task = device.CsvTask(tokens=np.tile(np.arange(rows)[:, None], 2), labels=np.arange(rows) % 2,
+                          seq_len=2, vocab_size=rows)
+    for i in range(4):
+        tokens, labels = device.make_batch(task, i, batch)
+        idx = (i * batch + np.arange(batch)) % rows
+        assert tokens[:, 0].tolist() == idx.tolist() and labels.tolist() == (idx % 2).tolist()
+    config = DeviceConfig(backbone=BACKBONE, task=task, batch_size=batch, epochs=3)
+    assert config.total_iterations == 3 * max(rows // batch, 1)  # 6 and 3
 
 
 @pytest.mark.parametrize("rows, message", [

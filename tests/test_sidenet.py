@@ -160,6 +160,20 @@ def test_a_backward_refuses_a_workspace_that_holds_no_forward():
                       params)
 
 
+@pytest.mark.parametrize("sigma", ["gelu", "relu"])
+def test_a_workspace_counts_every_buffer_it_keeps(sigma):
+    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+    tracemalloc.start()
+    try:
+        ws = Workspace(config, 16, 63)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # beyond its buffers, only the Python objects that hold them and the
+    # gradient's named views
+    assert ws.nbytes <= kept < ws.nbytes + 12 * 1024
+
+
 def test_after_the_first_step_a_step_allocates_less_than_one_tap():
     shape = (16, 127, CONFIG.hidden)
     tap_bytes = np.prod(shape) * 4

@@ -18,7 +18,9 @@ from sidetune import (
     adam_step,
     init_adam,
     init_side,
+    kernels,
     local_mode,
+    loss_and_grad,
     quantize,
     train_iteration,
 )
@@ -85,6 +87,24 @@ def test_adam_over_the_flat_state_equals_the_per_tensor_update(dtype):
     assert state.t == 3
     assert np.array_equal(state.m, np.concatenate([m.ravel() for m, _ in moments.values()]))
     assert np.array_equal(state.v, np.concatenate([v.ravel() for _, v in moments.values()]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_loss_and_its_gradient_keep_the_bits_of_the_softmax_formula(dtype):
+    rng = np.random.default_rng(4)
+    # rows of scale 1 and of scale 30, whose exponentials span many octaves
+    logits = (rng.normal(size=(16, 3)) * np.repeat([1.0, 30.0], 8)[:, None]).astype(dtype)
+    labels = rng.integers(0, 3, size=16)
+    loss, d_logits = loss_and_grad(logits, labels)
+    # the two-pass formula: a log-sum-exp, then a softmax of its own
+    rows = np.arange(16)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, dtype=dtype))
+    one_hot = np.zeros_like(logits)
+    one_hot[rows, labels] = 1
+    assert loss == float((lse - shifted[rows, labels]).mean(dtype=dtype))
+    expected = (kernels.softmax_rows(logits) - one_hot) / dtype(16)
+    assert d_logits.dtype == dtype and np.array_equal(d_logits, expected)
 
 
 def test_adam_rejects_gradients_of_another_layout():
