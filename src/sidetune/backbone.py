@@ -2,9 +2,9 @@
 
 The backbone is never trained. Each forward pass embeds a token batch,
 runs the decoder layers, and hands ("taps") the running activation at
-configured block boundaries to its caller once no later layer reads it;
-those taps feed the trainable side-network. Layers follow the post-norm
-composition
+configured block boundaries to its caller, read-only, right after the
+layer that makes it; those taps feed the trainable side-network. Layers
+follow the post-norm composition
 
     u        = LN1(MSA(b) + b)
     b_next   = LN2(FFN(u) + u)
@@ -16,8 +16,9 @@ The forward is cache-blocked: each layer runs over slabs of whole
 sequences, whose widest buffer is about SLAB_BYTES, and its attention
 over query tiles of ATTN_TILE rows (:func:`forward_collect`). One
 :class:`ForwardWorkspace`, which the caller builds once for its batch,
-holds every buffer of a forward, two activation planes whatever the
-number of taps, so the layer loop allocates nothing.
+holds every buffer of a forward, one activation plane whatever the
+number of taps, in which each layer runs in place, so the layer loop
+allocates nothing.
 
 The attention projects a slab in one product with a fused QKV weight
 (:func:`_fuse_qkv`), already head-major. As in FlashAttention-2 it
@@ -231,8 +232,9 @@ def init_backbone(config: BackboneConfig, seed: int) -> BackboneWeights:
 
 class ForwardWorkspace:
     """Every buffer of :func:`forward_collect` under `config` for a [b, s]
-    batch of `dtype`, built here once. The taps a forward emits are views
-    of it, so a later layer, or the next forward, writes over them.
+    batch of `dtype`, built here once. The taps a forward emits are
+    read-only views of it, so the next layer, or the next forward, writes
+    over them.
 
     A layer runs over slabs of ``step`` (:func:`slab_sequences`)
     sequences, and the slab buffers, sized for n = min(step, b)
@@ -262,8 +264,9 @@ class ForwardWorkspace:
     `mask` is the same pattern as a [query, key] bool array, for the
     max-shifted path, which writes -inf over its masked scores.
 
-    `acts` holds the layer chain's two [b, s, H] buffers: activation i,
-    the embedding (i = 0) or layer i's output, lives in acts[i % 2].
+    `act` is the layer chain's one [b, s, H] plane: it holds the
+    embedding, then each layer's output in turn, written in place over
+    its input (:func:`layer_forward`).
 
     `nbytes` counts every buffer; empty ones commit no memory until
     written, so a workspace may be built only to be counted.
@@ -283,12 +286,12 @@ class ForwardWorkspace:
         self.mask = np.triu(np.ones((tile, tile), dtype=bool), k=1)
         self.keep = np.ones((tile, n, heads, tile), dtype)
         self.keep.transpose(1, 2, 3, 0)[..., self.mask] = 0
-        self.acts = (np.empty((b, s, h), dtype), np.empty((b, s, h), dtype))
+        self.act = np.empty((b, s, h), dtype)
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (*self.wide, self.tile_ctx, self.proj, self.ctx,
-                                      self.mask, self.keep, *self.acts))
+                                      self.mask, self.keep, self.act))
 
 
 def _qkv_rows(hidden: int, heads: int) -> int:
@@ -420,8 +423,10 @@ def layer_forward(x: np.ndarray, lw: LayerWeights, heads: int, ws: ForwardWorksp
 
     `x` is one slab of `ws`'s batch: at most ``ws.step`` of its
     sequences. Every intermediate lives in `ws`, and the result is
-    written into `out` (a fresh array when None). Biases and residuals
-    are added in place, in the order of the formula."""
+    written into `out` (a fresh array when None), which may be `x`
+    itself: `x` is read only before the last layer norm writes `out`.
+    Biases and residuals are added in place, in the order of the
+    formula."""
     b, s, h = x.shape
     f = lw.w_up.shape[1]
     a = _self_attention(x, lw, heads, ws)
@@ -454,13 +459,16 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray, ws: ForwardWor
     Weights are read-only here. Block index 0 is the embedding tap (when
     enabled) and block index c is the activation after decoder layer c.
     Every buffer comes from `ws`, which must be built for the weights'
-    config and dtype and the batch's (B, S). A tap is a view of ``ws.acts``,
-    emitted once no later layer reads it: after the next layer, or the
-    last. So `emit` may write over it, and must copy what it keeps.
+    config and dtype and the batch's (B, S). A tap is a read-only view of
+    ``ws.act``, emitted right after the layer that makes it and before the
+    next layer writes over it: `emit` may only read it, and must copy what
+    it keeps. While `emit` runs no layer holds a slab buffer, so `emit` may
+    use them, ``ws.wide`` among them, as scratch.
 
-    Each layer runs over slabs of ``ws.step`` whole sequences, and each
-    slab's last layer norm writes straight into its rows of the layer's
-    [B, S, H] output. So the layer loop allocates nothing, and its
+    Each layer runs over slabs of ``ws.step`` whole sequences, in place in
+    ``ws.act``: a slab's last layer norm writes its output over its rows,
+    which the layer no longer reads (:func:`layer_forward`). So the layer
+    loop allocates nothing, the forward holds one [B, S, H] plane, and its
     working set stays cache-sized. A layer treats each sequence on its
     own, so the taps are bit-equal to running the whole batch, or each
     sequence alone, unless the attention's score bound falls on both
@@ -479,19 +487,20 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray, ws: ForwardWor
     dtype = weights.token_embedding.dtype
     if (ws.config, ws.shape, ws.dtype) != (cfg, (b, s), dtype):
         raise ValueError(f"workspace built for another config or {ws.shape} of {ws.dtype}")
-    x = ws.acts[0]
+    x = ws.act
     # the ids are in range, so "clip" never clips; it writes straight into x
     np.take(weights.token_embedding, tokens, axis=0, out=x, mode="clip")
     x += weights.pos_embedding[:s]
-    tapped = set(cfg.block_cuts) | ({0} if cfg.tap_embedding else set())
+    tap = x.view()
+    tap.flags.writeable = False
+    if cfg.tap_embedding:
+        emit(0, tap)
     for i, lw in enumerate(weights.layers, start=1):
-        y = ws.acts[i % 2]
         for b0 in range(0, b, ws.step):
-            layer_forward(x[b0:b0 + ws.step], lw, cfg.heads, ws, out=y[b0:b0 + ws.step])
-        if i - 1 in tapped:
-            emit(i - 1, x)
-        x = y
-    emit(cfg.layers, x)  # the last cut is the last layer
+            slab = x[b0:b0 + ws.step]
+            layer_forward(slab, lw, cfg.heads, ws, out=slab)
+        if i in cfg.block_cuts:
+            emit(i, tap)
 
 
 def save_backbone(path, weights: BackboneWeights) -> None:

@@ -4,10 +4,13 @@ The memory estimate builds the buffers the code would build for the
 spec's shape and dtype, and counts their bytes; numpy's empty buffers
 commit no memory until written, so even a 1.3B-parameter shape costs
 little RSS. Per mode the device holds: `inference`, one forward
-workspace; `mobillm`, that and one batch's codes, which it quantizes and
-sends; `side_local`, both workspaces, the codes, the side weights and
-their Adam state. `full_ft` stays the one closed-form guess, since no
-code here backpropagates through the backbone. Byte counts are raw.
+workspace, whose one activation plane the layers run in place in;
+`mobillm`, that and one batch's frame, which each tap is quantized
+straight into and which it sends; `side_local`, both workspaces, the
+frame, the batch decoded from it (its codes and labels), the side
+weights and their Adam state. `full_ft` stays the one closed-form
+guess, since no code here backpropagates through the backbone. Byte
+counts are raw.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .backbone import BackboneConfig, ForwardWorkspace
 from .sidenet import SideConfig, Workspace
 from .training import init_adam
-from .wire import batch_bytes
+from .wire import batch_bytes, batch_frame_bytes
 
 MODES = ("full_ft", "side_local", "mobillm", "inference")
 
@@ -98,13 +101,14 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
     if mode == "inference":
         return CostReport(mode, weights, forward, 0, 0)
     payload = payload_per_iteration(spec, scheme)
+    frame = batch_frame_bytes((spec.batch_size, spec.seq_len, spec.hidden), scheme, spec.gamma)
     if mode == "mobillm":
-        return CostReport(mode, weights, forward + payload, 0, payload)
+        return CostReport(mode, weights, forward + frame, 0, payload)
     side = Workspace(SideConfig(hidden=spec.hidden, bottleneck=spec.bottleneck,
                                 adapters=spec.gamma - 1, classes=2), *shape, dtype)
     adam = init_adam(side.grads)  # the gradient has the parameters' layout and dtype
     return CostReport(
-        mode, weights + side.grads.flat.nbytes, forward + side.nbytes + payload,
+        mode, weights + side.grads.flat.nbytes, forward + side.nbytes + frame + payload,
         sum(a.nbytes for a in (adam.m, adam.v, adam.scratch)), 0,
     )
 

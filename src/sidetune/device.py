@@ -1,14 +1,17 @@
 """The device side: forward-only backbone runs feeding a one-way uplink.
 
-A session is one loop on the calling thread: compute batch `i` (sample,
-then the frozen forward, quantizing each tap once no later layer reads
-it, in two activation planes for any number of taps) and hand it to a
-single sender thread, which encodes and sends the batches in order. At
-most `queue_depth` handed-off batches wait behind the one being sent;
-past that the loop waits for the oldest send, which is the backpressure
-when the uplink is the bottleneck. A serial run waits for each batch's
-send and the server's answer before it computes the next: the baseline
-the overlap is measured against.
+A session is one loop on the calling thread: compute batch `i` and hand
+its frame to a single sender thread, which finishes and sends the frames
+in order. A batch holds one activation plane, whatever the number of
+taps, and one batch-sized buffer, its frame: the forward runs each layer
+in place in the plane, and each tap, right after the layer that makes
+it, is quantized in chunks of an idle slab buffer straight into its slot
+of the frame (:func:`compute_batch`). At most `queue_depth` handed-off
+batches wait behind the one being sent; past that the loop waits for
+the oldest send, which is the backpressure when the uplink is the
+bottleneck. A serial run waits for each batch's send and the server's
+answer before it computes the next: the baseline the overlap is
+measured against.
 
 The device never touches gradients or optimizer state -- this module
 deliberately has no import path into the backward/optimizer code. The
@@ -45,7 +48,7 @@ from .transport import TransportClosed
 from .wire import (
     ACK_OK,
     ACK_REASONS,
-    ActBatch,
+    BatchFrame,
     Bye,
     CheckpointData,
     CheckpointRequest,
@@ -192,25 +195,30 @@ def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
 
 def compute_batch(weights, config, i, ws: ForwardWorkspace):
     """Batch `i` as the device sends it: sample, frozen forward, quantize
-    every tap. Returns (ActBatch, timing dict). Local mode calls this too.
+    every tap into the batch's frame. Returns (:class:`BatchFrame`, timing
+    dict); :func:`encode` finishes the frame. Local mode calls this too.
 
     The forward runs in the session's one :class:`ForwardWorkspace` and
-    emits each tap once no later layer reads it; the spent tap is lent to
-    :func:`quantize` as its scratch, so a batch allocates little beyond
-    its code bytes. t_quant_ms sums the quantize calls, t_fwd_ms the rest."""
+    emits each tap, read-only, right after the layer that makes it.
+    :func:`quantize` writes its codes straight into the tap's slot of the
+    frame, working in chunks of ``ws.wide[0]``, which no layer holds while
+    a tap is emitted; so a batch allocates little beyond its frame.
+    t_quant_ms sums the quantize calls, t_fwd_ms the rest."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
-    qtaps, quant_s = [], []
+    frame = BatchFrame.for_session(config.hello(), i, labels)
+    quant_s = []
 
     def emit(_, act):
         t = time.perf_counter()
-        qtaps.append(quantize(act, config.scheme, scratch=act))
+        k = len(quant_s)
+        frame.put_scale(k, quantize(act, config.scheme, scratch=ws.wide[0],
+                                    out=frame.codes(k)).scale)
         quant_s.append(time.perf_counter() - t)
 
     forward_collect(weights, tokens, ws, emit)
     t_fwd = time.perf_counter() - t0 - sum(quant_s)
-    msg = ActBatch(batch_id=i, labels=tuple(int(v) for v in labels), taps=tuple(qtaps))
-    return msg, {"iter": i, "t_fwd_ms": t_fwd * 1e3, "t_quant_ms": sum(quant_s) * 1e3}
+    return frame, {"iter": i, "t_fwd_ms": t_fwd * 1e3, "t_quant_ms": sum(quant_s) * 1e3}
 
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:
@@ -258,9 +266,9 @@ def run_device(config: DeviceConfig, transport) -> DeviceReport:
 
 
 def _run_batches(config, weights, transport, reader, report) -> None:
-    """Compute every batch on this thread; one sender thread encodes and
-    sends them in order. A batch is recorded in `report` once its send is
-    collected, so a failed send ends the run at the next batch.
+    """Compute every batch on this thread; one sender thread finishes and
+    sends their frames in order. A batch is recorded in `report` once its
+    send is collected, so a failed send ends the run at the next batch.
 
     A serial run waits for each batch's send and for the server's one
     snapshot before it computes the next; a batch the server did not
@@ -270,10 +278,10 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     size = batch_bytes((config.batch_size, config.task.seq_len, config.backbone.hidden),
                        config.scheme, config.backbone.gamma)  # wire bytes a queued batch holds
 
-    def send(msg, timing):
-        depth = handed_off - msg.batch_id - 1  # batches waiting behind this one
+    def send(frame, timing):
+        depth = handed_off - frame.batch_id - 1  # batches waiting behind this one
         t0 = time.perf_counter()
-        data = encode(msg)
+        data = encode(frame)
         transport.send(data)
         timing.update(t_send_ms=(time.perf_counter() - t0) * 1e3, queue_depth=depth)
         return timing, len(data)
@@ -286,14 +294,14 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")
     try:
         for i in range(config.total_iterations):
-            msg, timing = compute_batch(weights, config, i, ws)
+            frame, timing = compute_batch(weights, config, i, ws)
             t0 = time.perf_counter()
             # collect finished sends; wait while more than queue_depth are outstanding
             while pending and (pending[0].done() or len(pending) > config.queue_depth):
                 record(*pending.popleft().result())
             timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
             handed_off = i + 1
-            future = sender.submit(send, msg, timing)
+            future = sender.submit(send, frame, timing)
             if config.serial:
                 _, nbytes = future.result()
                 snap = reader.read_expected(MetricsSnapshot, timeout=config.timeout_s)

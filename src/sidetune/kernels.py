@@ -14,8 +14,8 @@ written into it are bit-equal to those of the fresh-output call.
 :func:`layer_norm` and :func:`gelu` read their input after writing
 `out`, so an `out` that overlaps it raises ValueError. This lets a
 caller keep one set of buffers across many calls instead of allocating
-a result per call; :func:`sidetune.quantize.quantize` takes its scratch
-buffer the same way.
+a result per call; :func:`sidetune.quantize.quantize` also works in a
+caller's scratch buffer and writes its codes into a caller's `out`.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so

@@ -18,6 +18,11 @@ smaller index; fp8 counts on |z|, adds the sign bit, and sends ties to
 the even code by moving each cut below an even code one float32 step
 down; fp4 encodes as rint(7 z), which float32 midpoints would not match.
 
+:func:`quantize` only reads its tensor. It encodes it in even-sized
+chunks of a caller's scratch buffer and can write the codes straight
+into a caller's buffer, such as a tap's slot of a batch frame, so the
+device quantizes a tap without a tap-sized allocation.
+
 The nf4 codebook's normal quantiles come from the standard library's
 ``statistics.NormalDist().inv_cdf``, so the module needs numpy only.
 """
@@ -82,15 +87,17 @@ def pack_nibbles(codes: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
     if flat.size % 2:
         flat = np.concatenate([flat, np.zeros(1, dtype=np.uint8)])
-    return _pack_pairs(flat.view("<u2") & 0x0F0F)
+    return _pack_pairs(flat.view("<u2") & 0x0F0F, np.empty(flat.size // 2, np.uint8)).tobytes()
 
 
-def _pack_pairs(pairs: np.ndarray) -> bytes:
-    """The packed bytes of little-endian code pairs lo + 256 hi, both
-    below 16, working in `pairs`: times 0x110 such a pair is, modulo
-    2^16, 16 lo + 256 (lo + 16 hi), so its high byte is the packed byte."""
+def _pack_pairs(pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the packed bytes of little-endian code pairs
+    lo + 256 hi, both below 16, working in `pairs`: times 0x110 such a
+    pair is, modulo 2^16, 16 lo + 256 (lo + 16 hi), so its high byte is
+    the packed byte."""
     pairs *= 0x110
-    return pairs.view(np.uint8)[1::2].tobytes()
+    np.copyto(out, pairs.view(np.uint8)[1::2])
+    return out
 
 
 def unpack_nibbles(packed: bytes, count: int) -> np.ndarray:
@@ -146,68 +153,98 @@ def _absmax_scale(x: np.ndarray) -> np.float32:
     return np.float32(1.0) if scale == 0 else scale
 
 
-def _count_cuts_below(z: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The number of cuts strictly below each z, as uint8: a left
-    searchsorted, but vector compares beat a binary search per element."""
-    idx = np.zeros(z.shape, dtype=np.uint8)
-    above = np.empty(z.shape, dtype=np.bool_)
+def _count_cuts_below(z: np.ndarray, cuts: np.ndarray, idx: np.ndarray,
+                      above: np.ndarray) -> np.ndarray:
+    """Write into the uint8 `idx` the number of cuts strictly below each
+    z, using the bool `above`: a left searchsorted, but vector compares
+    beat a binary search per element."""
+    idx.fill(0)
     for cut in cuts:
         np.greater(z, cut, out=above)
         idx += above.view(np.uint8)
     return idx
 
 
-def quantize(x: np.ndarray, scheme: str, scratch: np.ndarray | None = None) -> QuantizedActivation:
+def quantize(x: np.ndarray, scheme: str, scratch: np.ndarray | None = None,
+             out=None) -> QuantizedActivation:
     """Quantize a [B, S, H] activation tensor under the given scheme.
 
-    Every scheme saturates (fp16) or normalizes (the rest) x into a
-    float32 buffer: `scratch` when given, a C-contiguous float32 array of
-    x's shape (else ValueError), which may be x itself; the codes are the
-    same. So a caller whose tap is spent once quantized lends the tap, and
-    the encode works in it, allocating per element only 4 B under fp16
-    (the float16 array and its bytes), 3 B under fp8, 2 B under nf4 and
-    1.5 B under fp4.
+    `x` is only read. The codes are written into `out` when given: a
+    writable buffer of exactly :func:`payload_code_bytes` bytes, such as a
+    tap's slot of a batch frame, which the result's codes then view; else
+    into fresh bytes.
+
+    After one pass over `x` for its scale, the encode works through it in
+    chunks of an even number of elements, so 4-bit codes pack into whole
+    bytes, in `scratch` when given: a C-contiguous float32 array that
+    overlaps neither `x` nor `out`. A chunk of c elements takes 6c bytes
+    of it: c float32 for the saturated (fp16) or normalized (the rest)
+    values, then c bytes of per-element code counts and c of compare
+    flags; c is the largest even count that fits, and a scratch of fewer
+    than 3 floats is a ValueError. Without a scratch, one chunk covers
+    the whole tensor. Every step is elementwise, so the codes are the same
+    for every chunk size.
     """
     x = np.asarray(x)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if x.ndim != 3:
         raise ValueError(f"expected a [B, S, H] tensor, got shape {x.shape}")
-    if scratch is not None and (scratch.shape != x.shape or scratch.dtype != np.float32
-                                or not scratch.flags.c_contiguous):
-        raise ValueError(f"scratch is {scratch.dtype}{list(scratch.shape)}, need "
-                         f"C-contiguous float32{list(x.shape)}")
     shape = tuple(int(d) for d in x.shape)
+    n = x.size
+    if scratch is None:
+        scratch = np.empty(3 * (n + n % 2) // 2, np.float32)
+    elif (scratch.dtype != np.float32 or not scratch.flags.c_contiguous or scratch.size < 3
+          or np.may_share_memory(scratch, x)):
+        raise ValueError(f"scratch is {scratch.dtype}{list(scratch.shape)}, need at least 3 "
+                         f"C-contiguous float32 apart from x")
+    nbytes = payload_code_bytes(n, scheme)
+    codes = np.empty(nbytes, np.uint8) if out is None else np.frombuffer(out, np.uint8)
+    if codes.size != nbytes or not codes.flags.writeable or np.may_share_memory(codes, scratch):
+        raise ValueError(f"out must be {nbytes} writable bytes apart from scratch")
 
     # cast first, so a value past float32's range is refused as infinite
     with np.errstate(over="ignore"):
-        x32 = x.astype(np.float32, copy=False)
-    scale = _absmax_scale(x32)
+        flat = x.astype(np.float32, copy=False).reshape(-1)
+    scale = _absmax_scale(flat)
 
-    if scheme == "none_fp16":
-        # binary16 saturated at +/-F16_MAX, not infinite; the scale rides
-        # along for uniformity but is not applied on dequantize
-        h = np.clip(x32, -F16_MAX, F16_MAX, out=scratch).astype(np.float16)
-        return QuantizedActivation(scheme, shape, float(scale), h.tobytes())
-
-    z = np.divide(x32, scale, out=scratch).reshape(-1)
-
-    if scheme == "fp8_e4m3":
-        sign = np.signbit(z).view(np.uint8)  # before |z| overwrites z
-        idx = _count_cuts_below(np.abs(z, out=z), _FP8_CUTS)
-        idx |= np.left_shift(sign, 7, out=sign)
-        return QuantizedActivation(scheme, shape, float(scale), idx.tobytes())
-    if scheme == "fp4_grid":
-        # symmetric signed grid +/-7, stored offset by 8 in one nibble
-        z *= 7
-        np.clip(np.rint(z, out=z), -7, 7, out=z)
-        z += 8
-        idx = z.astype(np.uint8)
-    else:  # nf4
-        idx = _count_cuts_below(z, _NF4_CUTS)
-    # every code is below 16
-    codes = pack_nibbles(idx) if idx.size % 2 else _pack_pairs(idx.view("<u2"))
-    return QuantizedActivation(scheme, shape, float(scale), codes)
+    c = scratch.size * 4 // 6 // 2 * 2
+    work = scratch.reshape(-1)
+    raw = work.view(np.uint8)
+    counts, flags = raw[4 * c:5 * c], raw[5 * c:6 * c].view(np.bool_)
+    for i in range(0, n, c):
+        xc = flat[i:i + c]
+        m = xc.size
+        z = work[:m]
+        if scheme == "none_fp16":
+            # binary16 saturated at +/-F16_MAX, not infinite; the scale rides
+            # along for uniformity but is not applied on dequantize
+            np.clip(xc, -F16_MAX, F16_MAX, out=z)
+            np.copyto(codes[2 * i:2 * (i + m)].view(np.float16), z, casting="same_kind")
+            continue
+        np.divide(xc, scale, out=z)
+        if scheme == "fp8_e4m3":
+            sign = np.signbit(z, out=flags[:m]).view(np.uint8)  # before |z| overwrites z
+            np.left_shift(sign, 7, out=counts[:m])
+            dst = _count_cuts_below(np.abs(z, out=z), _FP8_CUTS, codes[i:i + m], flags[:m])
+            dst |= counts[:m]
+            continue
+        idx = counts[:m]
+        if scheme == "fp4_grid":
+            # symmetric signed grid +/-7, stored offset by 8 in one nibble
+            z *= 7
+            np.clip(np.rint(z, out=z), -7, 7, out=z)
+            z += 8
+            np.copyto(idx, z, casting="unsafe")
+        else:  # nf4
+            _count_cuts_below(z, _NF4_CUTS, idx, flags[:m])
+        if m % 2:  # only the last chunk: pad its last byte with a zero nibble
+            counts[m] = 0
+            idx = counts[:m + 1]
+        # every code is below 16
+        _pack_pairs(idx.view("<u2"), codes[i // 2:(i + idx.size) // 2])
+    return QuantizedActivation(scheme, shape, float(scale),
+                               codes.tobytes() if out is None else codes.data)
 
 
 def dequantize(q: QuantizedActivation, out: np.ndarray | None = None) -> np.ndarray:

@@ -30,12 +30,14 @@ that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
 the session before it starts, with no checkpoint. After it, a frame that
 does not decode ends the session at once, with its checkpoint: a batch
 frame of another layout than the session's, or one longer than its
-batch, counted in ``ServerReport.invalid`` as "oversized".
+batch. ``ServerReport.end`` names how a session that started ended.
 
 Local mode checks the Hello the device would send, builds the same
-state, and hands each batch of :func:`sidetune.device.compute_batch` to
-the same :func:`_take_batch`, so it refuses what a split session
-refuses, trains bit-equally, and writes its checkpoint however it ends.
+state, decodes each frame of :func:`sidetune.device.compute_batch`
+against that Hello, as the server's reader does, and hands the batch to
+the same :func:`_take_batch`. So it trains on the bytes a split session
+would receive, refuses what that session refuses, trains bit-equally,
+and writes its checkpoint however it ends.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
 from .sidenet import SideConfig, SideNetworkParams, Workspace, init_side, save_side
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
+from .transport import TransportClosed
 from .wire import (
     ACK_BAD_CONFIG,
     ACK_BAD_SHAPE,
@@ -72,6 +75,7 @@ from .wire import (
     PROTOCOL_VERSION,
     SessionAck,
     encode,
+    try_decode,
 )
 
 log = logging.getLogger(__name__)
@@ -119,8 +123,16 @@ class ServerReport:
     invalid: Counter = field(default_factory=Counter)  # refused batches by reason
     metrics: list = field(default_factory=list)  # one IterationMetrics per trained batch
     rejected: int | None = None  # ack status when the handshake failed
-    clean_shutdown: bool = False
+    # how the session ended: "bye"; "oversized", a frame header longer than
+    # the session's batch; "undecodable", a frame that does not decode
+    # against the session; "vanished", the stream closed or failed without
+    # a Bye. None when no session started.
+    end: str | None = None
     state: TrainState | None = None
+
+    @property
+    def clean_shutdown(self) -> bool:
+        return self.end == "bye"
 
     @property
     def iterations(self) -> int:
@@ -244,15 +256,17 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                 try:
                     msg = reader.read()
                 except Exception as exc:  # any failure ends the session, never the server
-                    if isinstance(exc, OversizedFrame):  # longer than the session's batch
-                        report.invalid["oversized"] += 1
-                    log.error("session reset: %s", exc, exc_info=exc)
+                    report.end = ("oversized" if isinstance(exc, OversizedFrame)
+                                  else "vanished" if reader.eof or isinstance(exc, TransportClosed)
+                                  else "undecodable")
+                    log.error("session reset (%s): %s", report.end, exc, exc_info=exc)
                     break
                 if msg is None:
                     log.warning("peer vanished without Bye")
+                    report.end = "vanished"
                     break
                 if isinstance(msg, Bye):
-                    report.clean_shutdown = True
+                    report.end = "bye"
                     break
                 if isinstance(msg, CheckpointRequest):
                     transport.send(encode(CheckpointData(data=_checkpoint_bytes(state))))
@@ -272,12 +286,12 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
 
 
 def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> ServerReport:
-    """Single-process baseline: the device's batches, the server's steps,
-    no wire in between.
+    """Single-process baseline: the device's frames, the server's steps,
+    no transport in between.
 
-    Quantize/dequantize still runs (it is part of the model, not the
-    transport), so with matching seeds the loss trajectory, the refused
-    batches and the checkpoint are those of a split run.
+    Each frame is decoded against the session's Hello, as the server's
+    reader decodes it, so with matching seeds the loss trajectory, the
+    refused batches and the checkpoint are those of a split run.
     """
     hello = device_config.hello()
     status = _validate_hello(server_config, hello)
@@ -290,7 +304,8 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     try:
         with _metrics_log(server_config) as metrics_fh:
             for i in range(device_config.total_iterations):
-                batch, _ = compute_batch(weights, device_config, i, ws)
+                frame, _ = compute_batch(weights, device_config, i, ws)
+                batch, _ = try_decode(encode(frame), hello.batch_payload(), hello)
                 _take_batch(server_config, batch, report, metrics_fh)
     finally:
         _save_checkpoint(server_config, report.state)

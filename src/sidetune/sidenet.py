@@ -365,8 +365,9 @@ def combined_infer(
     """
     b, s = np.shape(tokens)
     taps = []
-    forward_collect(backbone_weights, tokens, ForwardWorkspace(backbone_weights.config, b, s),
-                    lambda _, t: taps.append(dequantize(quantize(t, scheme, scratch=t))))
+    ws = ForwardWorkspace(backbone_weights.config, b, s)
+    forward_collect(backbone_weights, tokens, ws,
+                    lambda _, t: taps.append(dequantize(quantize(t, scheme, scratch=ws.wide[0]))))
     return side_forward(taps, side_params, Workspace(side_config, b, s))
 
 
@@ -391,10 +392,13 @@ def load_side(path, config: SideConfig | None = None):
         h, m, n_ad, c, sigma, gate = struct.unpack("<4IBf", read_exact(fh, 21))
         if sigma not in _SIGMA_NAMES:
             raise FormatError(f"unknown nonlinearity code {sigma}")
-        stored = SideConfig(
-            hidden=h, bottleneck=m, adapters=n_ad, classes=c,
-            nonlinearity=_SIGMA_NAMES[sigma],
-        )
+        try:
+            stored = SideConfig(
+                hidden=h, bottleneck=m, adapters=n_ad, classes=c,
+                nonlinearity=_SIGMA_NAMES[sigma],
+            )
+        except ValueError as exc:  # a header no side network can have
+            raise FormatError(f"checkpoint header: {exc}") from exc
         if config is not None and (
             (config.hidden, config.bottleneck, config.adapters, config.classes)
             != (h, m, n_ad, c)

@@ -159,21 +159,22 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
     and ``taps`` (quantized, in block order), which the caller has
     checked against the session, so its taps fit ``state.workspace``; its
     id becomes ``state.last_batch_id``.
-    A finite but huge tap can still overflow the side network; when the
-    loss or the gradient is not finite, the step raises
-    :class:`NonFiniteStep` before the optimizer moves.
+    A finite but huge scale can still overflow the dequantized taps or the
+    side network; when the loss or the gradient is not finite, the step
+    raises :class:`NonFiniteStep` before the optimizer moves.
     """
     state.last_batch_id = batch.batch_id
     bytes_in = sum(len(q.codes) for q in batch.taps)
     ws = state.workspace
     slots = ws.tap_slots(len(batch.taps))
 
-    t0 = time.perf_counter()
-    taps = [dequantize(q, out=slot) for q, slot in zip(batch.taps, slots)]
-    t1 = time.perf_counter()
-    # a huge tap from the peer may overflow in here; the finiteness checks
-    # then refuse the step, so numpy's warnings would only echo peer input
+    # a huge tap from the peer may overflow from its dequantize on; the
+    # finiteness checks then refuse the step, so numpy's warnings would
+    # only echo peer input
     with np.errstate(over="ignore", invalid="ignore"):
+        t0 = time.perf_counter()
+        taps = [dequantize(q, out=slot) for q, slot in zip(batch.taps, slots)]
+        t1 = time.perf_counter()
         logits = side_forward(taps, state.params, ws)
         labels = np.asarray(batch.labels)
         loss, d_logits = loss_and_grad(logits, labels)

@@ -27,12 +27,22 @@ backbone, and ``ACK_BAD_SHAPE`` to a batch shape it cannot take.
     ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
                 per tap, in tap-block order: scale f32 | codes
 
+One writer lays out every ActBatch frame: :class:`BatchFrame` writes
+the header, batch id, labels and tap count into one bytearray, and gives
+each tap a (scale, codes) slot at an offset that the label and tap
+counts and the codes' length fix, so within a session at one fixed by
+the Hello (:meth:`BatchFrame.for_session`). The device quantizes each
+tap's codes straight into its slot; :func:`encode` of an ActBatch copies
+its taps into the slots of the same writer. Either way, encoding
+finishes the frame (its payload length and crc) and returns its
+bytearray, with no copy.
+
 A batch decodes only against its session: a :class:`StreamDecoder` given
 the Hello takes exactly :meth:`Hello.batch_payload` bytes, B labels and
 gamma taps at a fixed stride. Any other ActBatch is a FrameError, and
 one outside a session a ProtocolError. :func:`batch_bytes` counts a
 batch's taps and labels; the frame, batch id, label count and tap count
-add 30 bytes.
+add 30 bytes (:func:`batch_frame_bytes`).
 """
 
 from __future__ import annotations
@@ -69,6 +79,8 @@ _SCHEME_NAME = {i: name for i, name in enumerate(SCHEMES)}
 # the payload length of each fixed-size control message
 _CONTROL_LEN = {T_SESSION_ACK: 1, T_CKPT_REQUEST: 0, T_BYE: 0}
 
+_FRAME_HEAD = struct.Struct("<4sHBBI")  # magic, version, msg_type, flags, payload_len
+_CRC = struct.Struct("<I")
 _HELLO = struct.Struct("<HBIIB")  # then the backbone config block
 _BATCH_HEAD = struct.Struct("<QI")  # batch id, label count
 _TAP_COUNT = struct.Struct("<H")
@@ -125,8 +137,8 @@ class Hello:
 
     def batch_payload(self) -> int:
         """Payload bytes of each of the session's ActBatch frames."""
-        return (_BATCH_HEAD.size + _TAP_COUNT.size
-                + batch_bytes(self.batch_shape, self.scheme, self.backbone.gamma))
+        frame = batch_frame_bytes(self.batch_shape, self.scheme, self.backbone.gamma)
+        return frame - HEADER_LEN - _CRC.size
 
 
 @dataclass(frozen=True)
@@ -175,6 +187,13 @@ def batch_bytes(shape, scheme: str, gamma: int) -> int:
     return gamma * payload_bytes(shape, scheme) + 4 * int(shape[0])
 
 
+def batch_frame_bytes(shape, scheme: str, gamma: int) -> int:
+    """Bytes of the whole ActBatch frame of :func:`batch_bytes`: the
+    header and crc, batch id, label count and tap count add 30."""
+    return (HEADER_LEN + _BATCH_HEAD.size + _TAP_COUNT.size
+            + batch_bytes(shape, scheme, gamma) + _CRC.size)
+
+
 def _frame(msg_type: int, *parts: bytes) -> bytes:
     """The frame whose payload is `parts` joined, built with one copy."""
     size, crc = sum(map(len, parts)), 0
@@ -182,12 +201,55 @@ def _frame(msg_type: int, *parts: bytes) -> bytes:
         crc = zlib.crc32(part, crc)
     if size > MAX_PAYLOAD:
         raise ValueError(f"payload of {size} bytes exceeds frame limit")
-    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, msg_type, 0, size)
-    return b"".join([header, *parts, struct.pack("<I", crc)])
+    header = _FRAME_HEAD.pack(MAGIC, FRAME_VERSION, msg_type, 0, size)
+    return b"".join([header, *parts, _CRC.pack(crc)])
 
 
-def encode(msg: WireMessage) -> bytes:
-    """Serialize one message into a framed byte string."""
+class BatchFrame:
+    """The one writer of the ActBatch layout: batch `batch_id`'s whole
+    frame in one bytearray, ``data``, of B = len(`labels`) labels and
+    `taps` slots of `code_bytes` codes each.
+
+    The header, batch id, labels and tap count are written here. Tap k's
+    slot, its scale (:meth:`put_scale`) then its codes (:meth:`codes`),
+    starts at byte 26 + 4B + k (4 + `code_bytes`) of the frame.
+    :func:`encode` finishes the frame once its slots are filled: it writes
+    the payload length and the crc."""
+
+    def __init__(self, batch_id: int, labels, taps: int, code_bytes: int):
+        n = len(labels)
+        self.batch_id = batch_id
+        self._first = HEADER_LEN + _BATCH_HEAD.size + 4 * n + _TAP_COUNT.size
+        self._stride = TAP_HEADER.size + code_bytes
+        payload = self._first - HEADER_LEN + taps * self._stride
+        if payload > MAX_PAYLOAD:
+            raise ValueError(f"payload of {payload} bytes exceeds frame limit")
+        self.data = bytearray(HEADER_LEN + payload + _CRC.size)
+        _FRAME_HEAD.pack_into(self.data, 0, MAGIC, FRAME_VERSION, T_ACT_BATCH, 0, 0)
+        _BATCH_HEAD.pack_into(self.data, HEADER_LEN, batch_id, n)
+        struct.pack_into(f"<{n}I", self.data, HEADER_LEN + _BATCH_HEAD.size, *map(int, labels))
+        _TAP_COUNT.pack_into(self.data, self._first - _TAP_COUNT.size, taps)
+
+    @classmethod
+    def for_session(cls, hello: Hello, batch_id: int, labels) -> "BatchFrame":
+        """A frame of `hello`'s session: its B `labels` and gamma taps of
+        [B, S, H] under its scheme."""
+        return cls(batch_id, labels, hello.backbone.gamma,
+                   payload_code_bytes(math.prod(hello.batch_shape), hello.scheme))
+
+    def put_scale(self, k: int, scale: float) -> None:
+        TAP_HEADER.pack_into(self.data, self._first + k * self._stride, scale)
+
+    def codes(self, k: int) -> memoryview:
+        """Tap k's code bytes, a writable view of ``data``."""
+        at = self._first + k * self._stride + TAP_HEADER.size
+        return memoryview(self.data)[at:at + self._stride - TAP_HEADER.size]
+
+
+def encode(msg: WireMessage | BatchFrame) -> bytes | bytearray:
+    """Serialize one message into a framed byte string; an ActBatch, or a
+    :class:`BatchFrame` whose slots are filled, into that frame's
+    bytearray."""
     if isinstance(msg, Hello):
         payload = _HELLO.pack(msg.protocol_version, _SCHEME_CODE[msg.scheme],
                               msg.batch_size, msg.seq_len, msg.sync) + msg.backbone.config_block()
@@ -195,10 +257,19 @@ def encode(msg: WireMessage) -> bytes:
     if isinstance(msg, SessionAck):
         return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
     if isinstance(msg, ActBatch):
-        taps = [part for q in msg.taps for part in (TAP_HEADER.pack(q.scale), q.codes)]
-        return _frame(T_ACT_BATCH, _BATCH_HEAD.pack(msg.batch_id, len(msg.labels)),
-                      struct.pack(f"<{len(msg.labels)}I", *msg.labels),
-                      _TAP_COUNT.pack(len(msg.taps)), *taps)
+        # a tap of another length than the first does not fit its slot: ValueError
+        frame = BatchFrame(msg.batch_id, msg.labels, len(msg.taps),
+                           len(msg.taps[0].codes) if msg.taps else 0)
+        for k, q in enumerate(msg.taps):
+            frame.put_scale(k, q.scale)
+            frame.codes(k)[:] = q.codes
+        msg = frame
+    if isinstance(msg, BatchFrame):
+        payload = len(msg.data) - HEADER_LEN - _CRC.size
+        struct.pack_into("<I", msg.data, HEADER_LEN - 4, payload)
+        _CRC.pack_into(msg.data, HEADER_LEN + payload,
+                       zlib.crc32(memoryview(msg.data)[HEADER_LEN:HEADER_LEN + payload]))
+        return msg.data
     if isinstance(msg, MetricsSnapshot):
         return _frame(T_METRICS, msg.text.encode("utf-8"))
     if isinstance(msg, CheckpointRequest):

@@ -2,8 +2,9 @@
 reference, the tiled in-place attention against its full out-of-place
 formula, the choice between the shift-free and the max-shifted softmax,
 slabs of sequences against one sequence at a time, a batch rerun after a
-batch of another shape, taps lent to a caller that writes over them, the
-working sets of the attention and of the whole forward, the causal mask,
+batch of another shape, read-only taps in one plane while a caller writes
+over the idle slab buffers, the working sets of the attention and of the
+whole forward, the causal mask,
 and the frozen weights: fused once, read-only after, and every one of
 them read."""
 
@@ -48,17 +49,19 @@ def workspace(config, x):
 
 def collect(weights, toks, ws=None, spoil=False):
     """The taps of `toks`, each copied as the forward emits it, from a
-    forward in `ws` or in a workspace of its own. Each tap must be a view
-    of the chain buffer of its block; with `spoil`, NaN is written over
-    it once copied, as a caller that lends it as a scratch would."""
+    forward in `ws` or in a workspace of its own. Each tap must be a
+    read-only view of the workspace's one plane; with `spoil`, NaN is
+    written over every slab buffer once the tap is copied, as a caller
+    that quantizes in them would."""
     ws = ws or workspace(weights.config, toks)
     taps = []
 
     def emit(i, act):
-        assert np.shares_memory(act, ws.acts[i % 2])
+        assert np.shares_memory(act, ws.act) and not act.flags.writeable
         taps.append((i, act.copy()))
         if spoil:
-            act.fill(np.nan)
+            for buf in (*ws.wide, ws.tile_ctx, ws.proj, ws.ctx):
+                buf.fill(np.nan)
 
     forward_collect(weights, toks, ws, emit)
     return taps
@@ -244,7 +247,7 @@ def test_slabs_give_the_taps_of_one_sequence_at_a_time(seq):
         np.testing.assert_array_equal(tap, np.concatenate([a[n][1] for a in alone]))
 
 
-def test_forward_peak_memory_is_two_planes_and_one_slab():
+def test_forward_peak_memory_is_one_plane_and_one_slab():
     b, s = 16, 255
     weights = init_backbone(WIDE, 7)
     toks = kernels.make_rng(3).integers(0, WIDE.vocab_size, size=(b, s))
@@ -259,11 +262,12 @@ def test_forward_peak_memory_is_two_planes_and_one_slab():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    planes = 2 * b * s * WIDE.hidden * 4
-    # the layer chain's two activation buffers, whatever the number of
-    # taps, and a slab's buffers of a few SLAB_BYTES; one layer over the
-    # whole batch needs about 7 MiB besides the planes
-    assert peak < planes + 4 * backbone.SLAB_BYTES
+    plane = b * s * WIDE.hidden * 4
+    # the layer chain's one activation plane, whatever the number of taps,
+    # and a slab's buffers of under three SLAB_BYTES (2.76 measured, with
+    # the mask constants); a second plane would add two more, and one layer
+    # over the whole batch needs about 7 MiB besides the plane
+    assert peak < plane + 3 * backbone.SLAB_BYTES
 
 
 def test_taps_repeat_after_a_batch_of_another_shape():
@@ -316,9 +320,10 @@ def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding
         x = backbone.layer_forward(x, lw, config.heads, ws)
         if i in cuts:
             expected.append((i, x))
-    # the chain's two buffers, whatever the number of taps
-    assert [a.shape for a in ws.acts] == [x.shape] * 2
-    # a caller that writes over each tap it is given changes no later tap
+    # the chain's one plane, whatever the number of taps
+    assert ws.act.shape == x.shape
+    # a caller that writes over the slab buffers while it is given a tap
+    # changes no tap
     for taps in (collect(weights, toks), collect(weights, toks, ws),
                  collect(weights, toks, ws, spoil=True), collect(weights, toks, ws)):
         assert [i for i, _ in taps] == [i for i, _ in expected]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sidetune import (
+    SCHEMES,
     BackboneConfig,
     DeviceConfig,
     ModelSpec,
@@ -50,6 +51,7 @@ from sidetune.wire import (
     WireMessage,
     _frame,
     encode,
+    try_decode,
 )
 
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
@@ -106,6 +108,18 @@ def test_the_hello_and_a_batch_frame_match_golden():
         assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_device_frame_is_the_encode_of_the_batch_it_decodes_to(scheme):
+    # the device writes its frame slot by slot; encode lays out an ActBatch
+    # with the same writer
+    config = dataclasses.replace(GOLDEN_DEVICE, scheme=scheme)
+    data = bytes(batch_zero_frame(config))
+    hello = config.hello()
+    msg, used = try_decode(data, hello.batch_payload(), hello)
+    assert used == len(data) == hello.batch_payload() + 16
+    assert encode(msg) == data
+
+
 def test_a_device_that_loads_its_backbone_from_a_file_sends_the_golden_batch(tmp_path):
     save_backbone(tmp_path / "w.bin", init_backbone(BACKBONE, GOLDEN_DEVICE.backbone_seed))
     config = dataclasses.replace(GOLDEN_DEVICE, backbone_path=str(tmp_path / "w.bin"))
@@ -155,6 +169,25 @@ def test_trailing_byte_is_rejected():
         load_backbone(io.BytesIO(backbone_bytes(init_backbone(BACKBONE, 7)) + b"\0"))
     with pytest.raises(FormatError):
         load_side(io.BytesIO(side_bytes(init_side(SIDE, 1)) + b"\0"))
+
+
+# the u32 header fields of a checkpoint, past its magic and version
+SIDE_HEADER = {"hidden": 6, "bottleneck": 10, "adapters": 14}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"hidden": 8, "bottleneck": 8}, "bottleneck 8 must be at least 1 and below hidden 8"),
+    ({"adapters": 0}, "0 adapters"),
+], ids=["bottleneck_not_below_hidden", "no_adapters"])
+def test_a_checkpoint_header_no_side_network_can_have_is_a_format_error(fields, message):
+    data = bytearray(side_bytes(init_side(SIDE, 1)))
+    for name, value in fields.items():
+        struct.pack_into("<I", data, SIDE_HEADER[name], value)
+    with pytest.raises(FormatError, match=message) as refused:
+        load_side(io.BytesIO(bytes(data)))
+    # a bad file from the peer, which the command line reports as a runtime
+    # error (exit 2), not as its own configuration error (exit 1)
+    assert not isinstance(refused.value, ValueError)
 
 
 def test_mismatched_config_is_rejected():

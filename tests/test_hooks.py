@@ -6,6 +6,7 @@ module when it calls it."""
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from sidetune import (
     training,
     wire,
 )
+from sidetune.quantize import payload_code_bytes
 from sidetune.transport import loopback_pair
 
 HOOKS = {
@@ -168,6 +170,14 @@ def test_every_patched_name_resolves_to_a_callable(module, path):
     assert callable(owner)
 
 
+def device_batch(weights, config, i, ws):
+    """Batch `i` as a server receives it: the device's frame decoded
+    against the session's Hello."""
+    frame, _ = device.compute_batch(weights, config, i, ws)
+    hello = config.hello()
+    return wire.try_decode(wire.encode(frame), hello.batch_payload(), hello)[0]
+
+
 def counting(monkeypatch, owner, name):
     """Replace owner.name with a wrapper that counts its calls."""
     calls = []
@@ -187,7 +197,8 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
                           iterations=3)
     weights = device.load_device_backbone(config)
     ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
-    forwards, quantizes = [], []  # each forward's state when it returns; each quantize's forward
+    # each forward's state when it returns; each quantize's forward and code bytes
+    forwards, quantizes = [], []
     inner_forward, inner_quantize = device.forward_collect, device.quantize
 
     def forward(*args, **kwargs):
@@ -197,8 +208,9 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
         return result
 
     def quantize(*args, **kwargs):
-        quantizes.append((len(forwards), forwards[-1] if forwards else None))
-        return inner_quantize(*args, **kwargs)
+        q = inner_quantize(*args, **kwargs)
+        quantizes.append((len(forwards), forwards[-1] if forwards else None, len(q.codes)))
+        return q
 
     monkeypatch.setattr(device, "forward_collect", forward)
     monkeypatch.setattr(device, "quantize", quantize)
@@ -206,8 +218,11 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
     for i in range(config.total_iterations):
         device.compute_batch(weights, config, i, ws)
         assert forwards == ["returned"] * (i + 1)
-        # gamma quantizes per batch, each inside that batch's one forward
-        assert quantizes == [(n, "running") for n in range(1, i + 2) for _ in range(model.gamma)]
+        # gamma quantizes per batch, each inside that batch's one forward,
+        # each with the codes of a whole tap
+        code_bytes = payload_code_bytes(math.prod(config.hello().batch_shape), config.scheme)
+        assert quantizes == [(n, "running", code_bytes)
+                             for n in range(1, i + 2) for _ in range(model.gamma)]
     # one layer call per layer and slab; this small batch is one slab
     assert backbone.slab_sequences(15, model, "float32") >= config.batch_size
     assert len(layers) == config.total_iterations * model.layers
@@ -220,7 +235,7 @@ def test_train_iteration_calls_each_patched_server_kernel_once_per_use(monkeypat
                           iterations=2)
     weights = device.load_device_backbone(config)
     ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
-    batches = [device.compute_batch(weights, config, i, ws)[0] for i in range(2)]
+    batches = [device_batch(weights, config, i, ws) for i in range(2)]
     server_cfg = ServerConfig(backbone=model, bottleneck=8)
     state = server._make_state(server_cfg, config.hello(), server_cfg.initial_params())
     dequantizes = counting(monkeypatch, training, "dequantize")

@@ -1,6 +1,7 @@
 """Quantizer contracts: golden codebook, golden codes and decodes,
-round-trip bounds, brute-force nearest-entry agreement, the working set
-of an encode in a lent tap, packing, and payload arithmetic."""
+round-trip bounds, brute-force nearest-entry agreement, chunked encodes
+into a caller's buffer and their working set, packing, and payload
+arithmetic."""
 
 import hashlib
 import tracemalloc
@@ -17,6 +18,7 @@ from sidetune.quantize import (
     dequantize,
     nf4_codebook,
     pack_nibbles,
+    payload_code_bytes,
     quantize,
     unpack_nibbles,
 )
@@ -235,37 +237,52 @@ class TestQuantize:
     @pytest.mark.parametrize("shape", [(2, 5, 8), (1, 3, 3)])  # an odd count pads
     def test_a_scratch_buffer_gives_the_same_codes(self, scheme, shape):
         x = kernels.make_rng(4).normal(size=shape).astype(np.float32)
-        want = quantize(x, scheme)
-        assert quantize(x, scheme, scratch=np.empty_like(x)) == want
-        assert quantize(x, scheme, scratch=x) == want  # x may lend itself
-
-    # traced bytes per element of a lent tap: fp16 holds its float16 array
-    # and their bytes; fp8 its sign bits, cut count, compare mask and
-    # bytes; nf4 the count and the mask; fp4 one uint8 code per element and
-    # the packed bytes. Measured 4.0, 3.0, 1.5 and 2.0; an fp8 encode that
-    # takes |z| into a fresh array, or an fp4 one that rounds out of place,
-    # peaks at 6.0 or 8.0
-    PEAK_BYTES_PER_ELEMENT = {"none_fp16": 4.25, "fp8_e4m3": 3.25, "fp4_grid": 1.75,
-                              "nf4": 2.25}
+        x.flags.writeable = False  # an encode only reads its tensor
+        want = quantize(x, scheme)  # one chunk of the whole tensor
+        n = payload_code_bytes(x.size, scheme)
+        # a chunk of c elements takes 6c bytes: chunks of 2, of 6, and one of
+        # the whole tensor; at an odd count the last chunk pads a nibble
+        for floats in (3, 9, 3 * (x.size + 1) // 2):
+            assert quantize(x, scheme, scratch=np.empty(floats, np.float32)) == want
+            # straight into a slice of a larger buffer, touching nothing around it
+            big = np.zeros(n + 16, np.uint8)
+            q = quantize(x, scheme, scratch=np.empty(floats, np.float32), out=big[8:8 + n])
+            assert q == want
+            assert np.shares_memory(np.frombuffer(q.codes, np.uint8), big)
+            assert not big[:8].any() and not big[8 + n:].any()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_an_encode_in_a_lent_tap_allocates_little_beyond_its_codes(self, scheme):
+    def test_an_encode_in_a_scratch_into_out_allocates_no_array(self, scheme):
         x = kernels.make_rng(5).normal(size=(16, 255, 32)).astype(np.float32)
-        quantize(x.copy(), scheme)  # warm up outside the trace
+        # as large as a slab buffer of the benchmark's model: two chunks here
+        scratch = np.empty(130_560, np.float32)
+        out = np.empty(payload_code_bytes(x.size, scheme), np.uint8)
+        quantize(x, scheme, scratch=scratch, out=out)  # warm up outside the trace
         tracemalloc.start()
         try:
-            quantize(x, scheme, scratch=x)
+            quantize(x, scheme, scratch=scratch, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.PEAK_BYTES_PER_ELEMENT[scheme] * x.size
+        # only Python objects and array views; an fp4 chunk that rounds out of
+        # place, or a fresh count per element, would add 87,040 B or more
+        assert peak < 4096
 
     def test_a_scratch_of_another_shape_or_dtype_is_rejected(self):
         x = np.ones((2, 3, 4), np.float32)
-        for bad in (np.empty((2, 3, 5), np.float32), np.empty((2, 3, 4), np.float64),
-                    np.empty((2, 4, 3), np.float32).transpose(0, 2, 1)):
-            with pytest.raises(ValueError):
+        # too small for a chunk of 2, float64, not contiguous, and x itself
+        for bad in (np.empty(2, np.float32), np.empty(24, np.float64),
+                    np.empty((6, 4), np.float32).T, x.reshape(-1)):
+            with pytest.raises(ValueError, match="scratch"):
                 quantize(x, "nf4", scratch=bad)
+
+    def test_an_out_that_cannot_take_the_codes_is_rejected(self):
+        x = np.ones((2, 3, 4), np.float32)
+        scratch = np.empty(36, np.float32)
+        # one byte short, read-only, and inside the scratch
+        for bad in (np.empty(11, np.uint8), bytes(12), scratch.view(np.uint8)[:12]):
+            with pytest.raises(ValueError, match="out must be 12 writable bytes"):
+                quantize(x, "nf4", scratch=scratch, out=bad)
 
 
 class TestDequantize:

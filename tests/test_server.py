@@ -163,7 +163,7 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, case)
     scheme, frame = UNDECODABLE[case]
     out, ckpt = serve_one(tmp_path, [frame], scheme=scheme)
     report = out["report"]
-    assert not report.clean_shutdown and not report.invalid
+    assert report.end == "undecodable" and not report.clean_shutdown and not report.invalid
     assert report.iterations == 0 and report.dropped == 0
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
@@ -171,7 +171,13 @@ def test_an_undecodable_frame_ends_the_session_with_a_checkpoint(tmp_path, case)
 def test_a_frame_header_past_max_payload_ends_the_session_at_once(tmp_path):
     header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, 2**32 - 1)
     out, _ = serve_one(tmp_path, [header], within_s=1.0)
-    assert not out["report"].clean_shutdown
+    assert out["report"].end == "oversized" and not out["report"].clean_shutdown
+
+
+def test_a_peer_that_hangs_up_mid_frame_vanishes(tmp_path):
+    out, ckpt = serve_one(tmp_path, [batch()[:-1]], hang_up=True)
+    assert out["report"].end == "vanished" and out["report"].iterations == 0
+    assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
 # a well-formed Hello one cut past MAX_HELLO: 12 + 28 + 4 m + 1 bytes
@@ -216,7 +222,7 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
     finally:
         dev_end.close()
         srv_end.close()
-    assert not report.clean_shutdown
+    assert report.end is None and not report.clean_shutdown
     assert report.iterations == 0 and report.rejected is None and report.state is None
     assert not ckpt.exists()
 
@@ -316,12 +322,14 @@ def test_a_hello_of_a_shape_no_batch_can_take_is_refused(tmp_path, monkeypatch, 
 def test_a_batch_of_the_session_shape_trains_and_a_longer_frame_ends_the_session(tmp_path):
     # every batch of the session is as long as this one: its shape is the Hello's
     out, _ = serve_one(tmp_path, [batch(), encode(Bye())])
-    assert out["report"].iterations == 1 and out["report"].clean_shutdown
+    assert out["report"].iterations == 1 and out["report"].end == "bye"
+    assert out["report"].clean_shutdown
     # 16 bytes of frame around the payload; one byte more than the session's batch
     header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, len(batch()) - 16 + 1)
     out, ckpt = serve_one(tmp_path, [header], within_s=1.0)
-    assert not out["report"].clean_shutdown
-    assert out["report"].invalid == {"oversized": 1}
+    # a session end, not a refused batch
+    assert out["report"].end == "oversized" and not out["report"].clean_shutdown
+    assert not out["report"].invalid
     assert ckpt.read_bytes() == initial_checkpoint(ServerConfig(backbone=BACKBONE))
 
 
@@ -357,6 +365,11 @@ INVALID = {  # case: (reason, the session's scheme, what makes batch 0 not fit)
     "non_finite_codes": ("non_finite", "none_fp16", {"codes": np.full(
         (BATCH, SEQ, BACKBONE.hidden), np.nan, dtype=np.float16).tobytes()}),
     "non_finite_step": ("non_finite", "nf4", OVERFLOWING),
+    # dequantize itself overflows: 448 x 3e38 and -8/7 x 3e38
+    "non_finite_fp8_dequantize": ("non_finite", "fp8_e4m3", {
+        "scale": 3e38, "codes": b"\x7e" * (BATCH * SEQ * BACKBONE.hidden)}),
+    "non_finite_fp4_dequantize": ("non_finite", "fp4_grid", {
+        "scale": 3e38, "codes": bytes(BATCH * SEQ * BACKBONE.hidden // 2)}),
 }
 
 
@@ -374,7 +387,7 @@ def test_a_batch_that_does_not_fit_the_session_is_rejected_and_counted(tmp_path,
     frames = [batch(0, **{"scheme": scheme, **bad}), batch(1, scheme=scheme), encode(Bye())]
     out, _ = serve_one(tmp_path, frames, scheme=scheme)
     report = out["report"]
-    assert report.clean_shutdown
+    assert report.end == "bye"
     assert report.invalid == {reason: 1}
     assert report.iterations == 1 and report.dropped == 0
     # the step trained in the workspace built before the ack, whatever came first

@@ -37,6 +37,7 @@ from sidetune import (
 from sidetune.backbone import ForwardWorkspace
 from sidetune.sidenet import Workspace
 from sidetune.transport import TcpTransport, loopback_pair
+from test_hooks import device_batch
 
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                           block_cuts=(1, 2, 3, 4))
@@ -186,7 +187,7 @@ def test_combined_infer_gives_the_logits_of_the_server_step(tmp_path, monkeypatc
 
     monkeypatch.setattr(training, "side_forward", recorded)
     ws = ForwardWorkspace(BACKBONE, BATCH, SEQ)
-    batch, _ = device.compute_batch(weights, device_cfg, 0, ws)
+    batch = device_batch(weights, device_cfg, 0, ws)
     train_iteration(TrainState(config=side_cfg, params=params, adam=init_adam(params),
                                workspace=Workspace(side_cfg, BATCH, SEQ)), batch)
     step_logits = forwards[0]
