@@ -7,8 +7,8 @@ little RSS. Per mode the device holds: `inference`, one forward
 workspace, whose one activation plane the layers run in place in;
 `mobillm`, that and one batch's frame, which each tap is quantized
 straight into and which it sends; `side_local`, both workspaces, the
-frame, the batch decoded from it (its codes and labels), the side
-weights and their Adam state. `full_ft` stays the one closed-form
+frame, which the batch decoded from it views rather than copies, the
+side weights and their Adam state. `full_ft` stays the one closed-form
 guess, since no code here backpropagates through the backbone. Byte
 counts are raw.
 """
@@ -108,7 +108,7 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
                                 adapters=spec.gamma - 1, classes=2), *shape, dtype)
     adam = init_adam(side.grads)  # the gradient has the parameters' layout and dtype
     return CostReport(
-        mode, weights + side.grads.flat.nbytes, forward + side.nbytes + frame + payload,
+        mode, weights + side.grads.flat.nbytes, forward + side.nbytes + frame,
         sum(a.nbytes for a in (adam.m, adam.v, adam.scratch)), 0,
     )
 

@@ -57,7 +57,7 @@ from .wire import (
     MessageReader,
     MetricsSnapshot,
     SessionAck,
-    batch_bytes,
+    batch_frame_bytes,
     encode,
 )
 
@@ -275,8 +275,9 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     train on is logged and its entry names the server's reason."""
     pending = deque()  # send futures, oldest first
     handed_off = 0  # batches given to the sender so far
-    size = batch_bytes((config.batch_size, config.task.seq_len, config.backbone.hidden),
-                       config.scheme, config.backbone.gamma)  # wire bytes a queued batch holds
+    # a queued batch holds its whole frame
+    size = batch_frame_bytes((config.batch_size, config.task.seq_len, config.backbone.hidden),
+                             config.scheme, config.backbone.gamma)
 
     def send(frame, timing):
         depth = handed_off - frame.batch_id - 1  # batches waiting behind this one

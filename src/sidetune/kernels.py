@@ -5,17 +5,19 @@ float64) and never mutate their inputs, except
 :func:`nonlinearity_backward`, which works in its arguments' buffers.
 Outputs are freshly allocated, except where a caller passes an `out`
 buffer to :func:`fast_matmul`, :func:`layer_norm`, :func:`relu`,
-:func:`gelu`, :func:`nonlinearity`, :func:`exp_rows` or
-:func:`softmax_rows`, or the buffers for what :func:`layer_norm` and
-:func:`gelu` also keep for a backward pass. Such a buffer must have
-exactly the result's shape and dtype (else ValueError), and the values
-written into it are bit-equal to those of the fresh-output call.
-:func:`exp_rows` and :func:`softmax_rows` may write over their input;
-:func:`layer_norm` and :func:`gelu` read their input after writing
-`out`, so an `out` that overlaps it raises ValueError. This lets a
-caller keep one set of buffers across many calls instead of allocating
-a result per call; :func:`sidetune.quantize.quantize` also works in a
-caller's scratch buffer and writes its codes into a caller's `out`.
+:func:`gelu`, :func:`gelu_from_tanh`, :func:`nonlinearity`,
+:func:`exp_rows` or :func:`softmax_rows`, or the buffers for what
+:func:`layer_norm` and :func:`gelu` also keep for a backward pass. Such
+a buffer must have exactly the result's shape and dtype (else
+ValueError), and the values written into it are bit-equal to those of
+the fresh-output call. :func:`exp_rows` and :func:`softmax_rows` may
+write over their input, and so may :func:`layer_norm` when it keeps x̂
+in a buffer of its own; otherwise :func:`layer_norm`, :func:`gelu` and
+:func:`gelu_from_tanh` read their input after writing `out`, so an
+`out` that overlaps it raises ValueError. This lets a caller keep one
+set of buffers across many calls instead of allocating a result per
+call; :func:`sidetune.quantize.quantize` also works in a caller's
+scratch buffer and writes its codes into a caller's `out`.
 
 Two matrix products live here. :func:`matmul` and :func:`batched_matmul`
 accumulate in ascending-k order, one product and one add per step, so
@@ -148,7 +150,8 @@ def layer_norm(
     σ = sqrt(var + eps). Given `xhat` (x's shape), the rows are centred
     and normalized there instead, and kept; given `std` (x's shape
     without the last axis), σ is copied there. Neither costs a pass over
-    the rows, and `out` gets the same bits.
+    the rows, and `out` gets the same bits. With `xhat` given, `x` is
+    read only before `out` is written, so `out` may be `x` itself.
 
     The row sums run in :func:`numpy.einsum` over the rows as one [N, h]
     matrix: its per-row loop beats numpy's reductions over short rows,
@@ -166,7 +169,7 @@ def layer_norm(
         raise ValueError(
             f"affine shape {gamma.shape}/{beta.shape} does not match last extent {h}"
         )
-    out = _out(out, x.shape, x.dtype, x)
+    out = _out(out, x.shape, x.dtype, *(() if xhat is not None else (x,)))
     rows = out if xhat is None else _out(xhat, x.shape, x.dtype, x, out)
     per_row = x.shape[:-1] + (1,)
     size = x.dtype.type(h)
@@ -207,12 +210,12 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None,
     values are the formula's bit for bit outside that range.
 
     Given `tanh` (x's shape), the tanh(...) is written there and kept
-    for :func:`nonlinearity_backward`, with no extra pass.
+    for :func:`nonlinearity_backward`, with no extra pass. The last three
+    operations are :func:`gelu_from_tanh`'s.
     """
     x = np.asarray(x)
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
-    half = x.dtype.type(0.5)
     out = _out(out, x.shape, x.dtype, x)
     t = out if tanh is None else _out(tanh, x.shape, x.dtype, x, out)
     np.multiply(x, a, out=out)
@@ -221,8 +224,19 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None,
     out += x
     out *= c
     np.tanh(out, out=t)
-    np.add(t, 1, out=out)
-    out *= half
+    return gelu_from_tanh(x, t, out=out)
+
+
+def gelu_from_tanh(x: np.ndarray, tanh: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """gelu(x) from the tanh(sqrt(2/pi) (x + 0.044715 x^3)) that
+    :func:`gelu` keeps: (1 + tanh) halved, then times x. These are
+    gelu's own last three operations, so the result is gelu's bit for
+    bit; `out` may be `tanh` itself."""
+    x = np.asarray(x)
+    out = _out(out, x.shape, x.dtype, x)
+    np.add(_out(tanh, x.shape, x.dtype, x), 1, out=out)
+    out *= x.dtype.type(0.5)
     out *= x
     return out
 

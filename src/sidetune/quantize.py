@@ -68,12 +68,15 @@ def nf4_codebook() -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedActivation:
-    """Packed low-bit codes for one activation tensor plus its scale."""
+    """Packed low-bit codes for one activation tensor plus its scale. The
+    codes are bytes, or a view of a caller's buffer: the slot of a batch
+    frame that :func:`quantize` wrote them into, or read-only, the frame
+    a batch was decoded from."""
 
     scheme: str
     shape: tuple[int, int, int]
     scale: float  # absmax of the source tensor, stored single precision
-    codes: bytes
+    codes: bytes | memoryview
 
     def num_elements(self) -> int:
         b, s, h = self.shape

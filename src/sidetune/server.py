@@ -19,12 +19,13 @@ optimizer state needs no locking and checkpoint requests are always
 served at an iteration boundary. While a step runs, the transport's own
 buffer holds the frames that arrive, and the device keeps computing.
 Each batch decodes against the Hello (see :mod:`sidetune.wire`), so its
-layout is the session's. One function, :func:`_take_batch`, trains each
-batch or refuses it, counting it in ``ServerReport.invalid`` under
-:func:`validate_batch`'s reason ("label_range", "non_finite" or
-"out_of_order"), or under "non_finite" when the step overflows, which
-leaves the parameters and the optimizer state as they were; the session
-goes on. In a sync session (``Hello.sync``) every batch gets exactly one
+layout is the session's, and its taps' codes are views of the frame it
+arrived in, which the session lets go before it reads the next. One
+function, :func:`_take_batch`, trains each batch or refuses it, counting
+it in ``ServerReport.invalid`` under :func:`validate_batch`'s reason
+("label_range", "non_finite" or "out_of_order"), or under "non_finite"
+when the step overflows, which leaves the parameters and the optimizer
+state as they were; the session goes on. In a sync session (``Hello.sync``) every batch gets exactly one
 :class:`MetricsSnapshot`: its metrics, or why it was refused. A Hello
 that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
 the session before it starts, with no checkpoint. After it, a frame that
@@ -34,10 +35,11 @@ batch. ``ServerReport.end`` names how a session that started ended.
 
 Local mode checks the Hello the device would send, builds the same
 state, decodes each frame of :func:`sidetune.device.compute_batch`
-against that Hello, as the server's reader does, and hands the batch to
-the same :func:`_take_batch`. So it trains on the bytes a split session
-would receive, refuses what that session refuses, trains bit-equally,
-and writes its checkpoint however it ends.
+against that Hello, as the server's reader does, into views of the
+device's frame, and hands the batch to the same :func:`_take_batch`. So
+it trains on the bytes a split session would receive, refuses what that
+session refuses, trains bit-equally, and writes its checkpoint however
+it ends.
 """
 
 from __future__ import annotations
@@ -278,6 +280,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
                         text = report.metrics[-1].to_json() if reason is None else json.dumps(
                             {"batch_id": msg.batch_id, "rejected": reason})
                         transport.send(encode(MetricsSnapshot(text=text)))
+                    del msg  # its frame goes before the next one arrives
                     continue
                 log.warning("ignoring unexpected %s", type(msg).__name__)
     finally:

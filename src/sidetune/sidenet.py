@@ -13,14 +13,15 @@ the device.
 
 The forward keeps what its exact analytic reverse pass reads in its
 :class:`Workspace`, the one holder of both passes' buffers: each
-adapter's input u, its pre-activation, the activation and, for gelu, the
-tanh inside it, the layer norm's x̂ and 1/σ, which the kernels hand out
-as they compute them, and what the head and the gate need. So the
-backward recomputes neither a layer-norm statistic nor a tanh. The
-buffers are sized for one batch shape and written in place, and every
-forward runs in a workspace its caller builds, so a caller that keeps
-one (the server builds one per session) allocates nothing batch-sized
-per step.
+adapter's input u, its pre-activation and, for gelu, the tanh inside
+it, the layer norm's x̂ and 1/σ, which the kernels hand out as they
+compute them, and what the head and the gate need. So the backward
+recomputes neither a layer-norm statistic nor a tanh; it recomputes
+each adapter's activation from what is kept, with the forward's own
+last operations, so bit for bit. The buffers are sized for one batch
+shape and written in place, and every forward runs in a workspace its
+caller builds, so a caller that keeps one (the server builds one per
+session) allocates nothing batch-sized per step.
 """
 
 from __future__ import annotations
@@ -146,25 +147,29 @@ class Workspace:
       (l = 1) or tap_{l-1}, already added into u_{l-1}. So the slots end
       up holding u_1 … u_M, and slot M keeps tap_M, which the gate blend
       then turns into its output z;
-    - work[0]: each adapter's y = core + u, the layer norm's input; in
-      the backward, the gradient of one adapter's output, then of the
-      one before;
-    - work[1]: each adapter's output s_l; in the backward, the other
-      half of that pair;
-    - pre, acts, tanh (gelu only), xhat, inv_std: per adapter, what the
-      backward reads. It then writes over an adapter's pre, acts and tanh
-      as it finishes with them;
+    - work: each adapter's y = core + u, the layer norm's input, which
+      the layer norm turns into the adapter's output s_l in place; in the
+      backward, the gradient of the last adapter's output;
+    - act: each adapter's activation sigma(pre), in turn; in the
+      backward, the activation recomputed from pre (and tanh), then the
+      gradient of pre;
+    - pre, tanh (gelu only), xhat, inv_std: per adapter, what the
+      backward reads. It then writes over an adapter's pre and tanh as it
+      finishes with them, and over its x̂: first with x̂ · mean(d̂ · x̂),
+      then with the gradient of the adapter's input u, which is the
+      gradient of the output of the adapter before;
     - grads: the gradient in the parameters' flat layout, written over by
       each backward.
 
     The layer norm keeps x̂ and 1/σ rather than its input, so its backward
     needs no statistic of its own; gelu keeps its tanh, from which gelu′
-    takes a few passes instead of a second tanh. A forward also sets
-    `blend`, sigmoid(combine_gate), `gap`, the [B, H] sum over positions
-    of tap_M − s_M (the pooling spreads one gradient evenly over the
-    positions, so the gate's gradient needs no more), `pooled` and
-    `logits`. The backward spends them and clears `logits`, so each
-    backward needs a forward of its own.
+    takes a few passes instead of a second tanh, and the activation
+    gelu's last three (:func:`sidetune.kernels.gelu_from_tanh`). A
+    forward also sets `blend`, sigmoid(combine_gate), `gap`, the [B, H]
+    sum over positions of tap_M − s_M (the pooling spreads one gradient
+    evenly over the positions, so the gate's gradient needs no more),
+    `pooled` and `logits`. The backward spends them and clears `logits`,
+    so each backward needs a forward of its own.
 
     A caller that keeps one workspace allocates nothing batch-sized per
     step; the server builds it once per session, for the (B, S) of the
@@ -177,19 +182,19 @@ class Workspace:
         self.config = config
         self.shape = (batch, seq, h)
         self.taps = tuple(np.empty(self.shape, dtype) for _ in range(n + 1))
-        self.work = (np.empty(self.shape, dtype), np.empty(self.shape, dtype))
+        self.work = np.empty(self.shape, dtype)
         self.xhat = np.empty((n, batch, seq, h), dtype)
         self.inv_std = np.empty((n, batch, seq), dtype)
         narrow = (n, batch, seq, config.bottleneck)
         self.pre = np.empty(narrow, dtype)
-        self.acts = np.empty(narrow, dtype)
+        self.act = np.empty(narrow[1:], dtype)
         self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
         self.grads = SideNetworkParams(config, np.empty(_size(config), dtype))
         self.blend = self.gap = self.pooled = self.logits = None
 
     @property
     def nbytes(self) -> int:
-        kept = (*self.taps, *self.work, self.xhat, self.inv_std, self.pre, self.acts,
+        kept = (*self.taps, self.work, self.xhat, self.inv_std, self.pre, self.act,
                 self.tanh, self.grads.flat)
         return sum(a.nbytes for a in kept if a is not None)
 
@@ -238,16 +243,16 @@ def side_forward(taps: list[np.ndarray], params: SideNetworkParams, ws: Workspac
     if len(taps) == m:
         ws.taps[0].fill(0)
 
-    y, s = ws.work
+    s = ws.work  # each adapter's y, then, in place, its output
     state = ws.taps[0]
     for l, ad in enumerate(params.adapters):
         u = np.add(state, ws.taps[l + 1], out=ws.taps[l])
         pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
-        act = kernels.nonlinearity(pre, ws.config.nonlinearity, out=ws.acts[l],
+        act = kernels.nonlinearity(pre, ws.config.nonlinearity, out=ws.act,
                                    tanh=None if ws.tanh is None else ws.tanh[l])
-        kernels.fast_matmul(act, ad.w_up, out=y)
-        y += u
-        state = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
+        kernels.fast_matmul(act, ad.w_up, out=s)
+        s += u
+        state = kernels.layer_norm(s, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
                                    xhat=ws.xhat[l], std=ws.inv_std[l])
         np.divide(1, ws.inv_std[l], out=ws.inv_std[l])
 
@@ -264,7 +269,7 @@ def side_forward(taps: list[np.ndarray], params: SideNetworkParams, ws: Workspac
     return ws.logits
 
 
-def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch):
+def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams):
     """Layer norm's backward in place: `d` comes in as the gradient of
     the output and leaves as that of the input; the gradients of gamma
     and beta go into `grads`. With d̂ = d · gamma,
@@ -272,7 +277,8 @@ def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch)
         dx = (d̂ - mean(d̂) - x̂ · mean(d̂ · x̂)) / σ,
 
     the means taken over each row. Row and column sums run in
-    :func:`numpy.einsum`, as in the forward; `scratch` holds x̂ · mean(d̂ · x̂).
+    :func:`numpy.einsum`, as in the forward. x̂ · mean(d̂ · x̂) is formed
+    in `xhat`'s own buffer, which the call spends.
     """
     h = d.shape[-1]
     dm, xm = d.reshape(-1, h), xhat.reshape(-1, h)
@@ -285,10 +291,20 @@ def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams, scratch)
     mean_x = np.einsum("ij,ij->i", dm, xm)
     mean_x /= size
     dm -= mean[:, None]
-    sm = np.multiply(xm, mean_x[:, None], out=scratch.reshape(-1, h))
-    dm -= sm
+    xm *= mean_x[:, None]
+    dm -= xm
     dm *= inv_std.reshape(-1, 1)
     return d
+
+
+def _activation(ws: Workspace, l: int) -> np.ndarray:
+    """Adapter l's activation, recomputed into ``ws.act`` from what the
+    forward kept, with the forward's own last operations, so bit for bit:
+    max(pre, 0) for relu, :func:`sidetune.kernels.gelu_from_tanh` for
+    gelu."""
+    if ws.tanh is None:
+        return kernels.relu(ws.pre[l], out=ws.act)
+    return kernels.gelu_from_tanh(ws.pre[l], ws.tanh[l], out=ws.act)
 
 
 def side_backward(
@@ -326,16 +342,15 @@ def side_backward(
     a = dtype(ws.blend)
     d_blend = (d_z * ws.gap).sum(dtype=d_logits.dtype)
     grads.combine_gate[...] = d_blend * a * (1 - a)
-    d_s, spare = ws.work
-    np.multiply(d_z[:, None, :], 1 - a, out=d_s)
+    d_s = np.multiply(d_z[:, None, :], 1 - a, out=ws.work)
 
     rows = lambda t: t.reshape(-1, t.shape[-1])
     for l in reversed(range(len(params.adapters))):
         ad, g = params.adapters[l], grads.adapters[l]
-        d_y = _layer_norm_backward(d_s, ws.xhat[l], ws.inv_std[l], ad.ln_gamma, g, spare)
+        d_y = _layer_norm_backward(d_s, ws.xhat[l], ws.inv_std[l], ad.ln_gamma, g)
 
         # y = act @ w_up + u; act's buffer takes d_act once w_up's gradient has read it
-        act = ws.acts[l]
+        act = _activation(ws, l)
         kernels.fast_matmul(rows(act).T, rows(d_y), out=g.w_up)
         d_pre = kernels.fast_matmul(d_y, ad.w_up.T, out=act)
         kernels.nonlinearity_backward(d_pre, ws.pre[l], ws.config.nonlinearity,
@@ -343,9 +358,8 @@ def side_backward(
         # tap slot l holds this adapter's input u (see Workspace)
         kernels.fast_matmul(rows(ws.taps[l]).T, rows(d_pre), out=g.w_down)
         if l:  # taps are constants; only s_{l-1} carries gradient, and s_0 is a tap
-            d_u = kernels.fast_matmul(d_pre, ad.w_down.T, out=spare)
-            d_u += d_y
-            d_s, spare = d_u, d_y
+            d_s = kernels.fast_matmul(d_pre, ad.w_down.T, out=ws.xhat[l])  # x̂_l is spent
+            d_s += d_y
     return grads
 
 

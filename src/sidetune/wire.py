@@ -43,6 +43,13 @@ gamma taps at a fixed stride. Any other ActBatch is a FrameError, and
 one outside a session a ProtocolError. :func:`batch_bytes` counts a
 batch's taps and labels; the frame, batch id, label count and tap count
 add 30 bytes (:func:`batch_frame_bytes`).
+
+A decoded batch holds its frame once: each tap's codes are a read-only
+memoryview of the frame's bytes, not a copy, and those views keep the
+frame alive for as long as the batch is. A :class:`StreamDecoder` hands
+each finished batch frame's buffer to the batch and keeps only the bytes
+after it. Its buffer grows only as bytes arrive, never ahead of them
+from a length field the peer sent.
 """
 
 from __future__ import annotations
@@ -295,9 +302,10 @@ def _parse_act_batch(payload: memoryview, session: Hello | None) -> ActBatch:
                          f"{session.batch_size} and {session.backbone.gamma}")
     labels = struct.unpack_from(f"<{n_labels}I", payload, _BATCH_HEAD.size)
     stride = payload_bytes(session.batch_shape, session.scheme)
+    # each tap's codes stay a view of the (read-only) payload
     taps = tuple(QuantizedActivation(session.scheme, session.batch_shape,
                                      TAP_HEADER.unpack_from(payload, at)[0],
-                                     bytes(payload[at + TAP_HEADER.size:at + stride]))
+                                     payload[at + TAP_HEADER.size:at + stride])
                  for at in range(off + _TAP_COUNT.size, len(payload), stride))
     return ActBatch(batch_id=batch_id, labels=labels, taps=taps)
 
@@ -335,58 +343,99 @@ def _parse_payload(msg_type: int, payload: memoryview, session: Hello | None) ->
     raise ProtocolError(f"unknown message type {msg_type}")
 
 
+def _frame_head(buf, max_payload: int) -> tuple[int, int] | None:
+    """(message type, whole frame length) from the header at the head of
+    `buf`, or None while the header is incomplete. Bad magic is a
+    DesyncError; another frame version, or a payload length past
+    `max_payload`, a FrameError."""
+    if len(buf) < HEADER_LEN:
+        return None
+    magic, version, msg_type, _, payload_len = _FRAME_HEAD.unpack_from(buf, 0)  # flags unread
+    if magic != MAGIC:
+        raise DesyncError(f"bad magic {magic!r}")
+    if version != FRAME_VERSION:
+        raise FrameError(f"frame version {version} unsupported")
+    if payload_len > max_payload:
+        raise OversizedFrame(f"payload length {payload_len} exceeds {max_payload}")
+    return msg_type, HEADER_LEN + payload_len + _CRC.size
+
+
+def _decode_frame(buf, msg_type: int, total: int, session: Hello | None) -> WireMessage:
+    """The message of the whole `total`-byte frame at the head of `buf`.
+    An ActBatch's codes are read-only views of `buf`."""
+    view = memoryview(buf).toreadonly()
+    payload = view[HEADER_LEN:total - _CRC.size]
+    (crc,) = _CRC.unpack_from(view, total - _CRC.size)
+    if crc != zlib.crc32(payload):
+        raise FrameError("crc mismatch")
+    try:
+        return _parse_payload(msg_type, payload, session)
+    except (struct.error, ValueError) as exc:
+        raise FrameError(f"payload does not decode as message type {msg_type}: {exc}") from exc
+
+
 def try_decode(buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD,
                session: Hello | None = None):
     """Decode one frame from the head of `buf`, an ActBatch against
-    `session`'s Hello.
+    `session`'s Hello; the batch's codes are read-only views of `buf`.
 
     Returns None when more bytes are needed, otherwise (message,
     consumed). A header whose payload length exceeds `max_payload`, or a
     payload that does not decode as its message type, is a FrameError;
     an unknown message type is a ProtocolError.
     """
-    view = memoryview(buf)
-    if len(view) < HEADER_LEN:
+    head = _frame_head(buf, max_payload)
+    if head is None or len(buf) < head[1]:
         return None
-    if bytes(view[:4]) != MAGIC:
-        raise DesyncError(f"bad magic {bytes(view[:4])!r}")
-    version, msg_type, payload_len = struct.unpack_from("<HBxI", view, 4)  # flags unread
-    if version != FRAME_VERSION:
-        raise FrameError(f"frame version {version} unsupported")
-    if payload_len > max_payload:
-        raise OversizedFrame(f"payload length {payload_len} exceeds {max_payload}")
-    total = HEADER_LEN + payload_len + 4
-    if len(view) < total:
-        return None
-    payload = view[HEADER_LEN:HEADER_LEN + payload_len]
-    (crc,) = struct.unpack_from("<I", view, HEADER_LEN + payload_len)
-    if crc != zlib.crc32(payload):
-        raise FrameError("crc mismatch")
-    try:
-        msg = _parse_payload(msg_type, payload, session)
-    except (struct.error, ValueError) as exc:
-        raise FrameError(f"payload does not decode as message type {msg_type}: {exc}") from exc
-    return msg, total
+    msg_type, total = head
+    return _decode_frame(buf, msg_type, total, session), total
 
 
 class StreamDecoder:
     """Incremental frame decoder over an ordered byte stream; it decodes
-    ActBatch frames against `session`, the Hello of their session."""
+    ActBatch frames against `session`, the Hello of their session.
+
+    Its buffer holds the bytes fed so far that finish no frame, and grows
+    only by what :meth:`feed` is given. A finished ActBatch frame keeps
+    the buffer it arrived in, which its codes view, and the decoder goes
+    on in a new buffer with the bytes after the frame; every other
+    message is a copy, and its frame is dropped from the buffer."""
 
     def __init__(self, max_payload: int = MAX_PAYLOAD, session: Hello | None = None):
         self._buf = bytearray()
         self.skipped = 0  # always 0; the benchmark's wire.frames_skipped reads it
         self.max_payload = max_payload
         self.session = session
+        # why a frame did not decode, behind messages already returned
+        self.error: Exception | None = None
 
     def feed(self, data: bytes) -> list[WireMessage]:
-        """Absorb bytes; return every complete message now available."""
+        """Absorb bytes; return every complete message now available.
+
+        A frame that does not decode ends the stream: its error is raised
+        at once when no message precedes it in this call; else the
+        messages before it are returned, and the error is kept in
+        `error` and raised by every later call."""
+        if self.error is not None:
+            raise self.error
         self._buf.extend(data)
         out = []
-        while (result := try_decode(self._buf, self.max_payload, self.session)) is not None:
-            msg, consumed = result
-            del self._buf[:consumed]
-            out.append(msg)
+        try:
+            while (head := _frame_head(self._buf, self.max_payload)) is not None:
+                msg_type, total = head
+                if len(self._buf) < total:
+                    break
+                if msg_type == T_ACT_BATCH:
+                    frame, self._buf = self._buf, self._buf[total:]
+                    del frame[total:]
+                    out.append(_decode_frame(frame, msg_type, total, self.session))
+                else:
+                    out.append(_decode_frame(self._buf, msg_type, total, self.session))
+                    del self._buf[:total]
+        except (DesyncError, FrameError, ProtocolError) as exc:
+            if not out:
+                raise
+            self.error = exc
         return out
 
     @property
@@ -409,6 +458,8 @@ class MessageReader:
         while not self._pending:
             if self.eof:
                 return None
+            if self._decoder.error is not None:  # behind the messages already read
+                raise self._decoder.error
             remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
             if remaining == 0.0:
                 raise TimeoutError("timed out waiting for a message")

@@ -175,9 +175,12 @@ def test_the_estimates_count_the_whole_workspaces(seq):
     assert frame == {255: 326_514, 63: 80_754}[seq]
     assert report["inference"].activation_bytes == forward
     assert report["mobillm"].activation_bytes == forward + frame
-    # local mode holds the frame and the batch decoded from it
-    assert report["side_local"].activation_bytes == forward + side + frame + payload
-    assert report["side_local"].activation_bytes == {255: 11_526_866, 63: 4_144_850}[seq]
+    # local mode holds the frame, which the batch decoded from it views;
+    # per-adapter activations and a second work plane added 1,305,600 /
+    # 322,560 B to the side workspace, and a copy of the codes 326,484 / 80,724 B
+    assert side == {255: 7_655_436, 63: 1_904_652}[seq]
+    assert report["side_local"].activation_bytes == forward + side + frame
+    assert report["side_local"].activation_bytes == {255: 9_894_782, 63: 3_741_566}[seq]
 
 
 def traced_peak(run) -> int:
@@ -211,7 +214,7 @@ def test_the_side_local_estimate_is_within_a_fifth_of_two_traced_local_steps(seq
     frozen = sum(t.nbytes for t in device.load_device_backbone(config).all_tensors())
     peak = traced_peak(lambda: local_mode(config, ServerConfig(backbone=BENCH_MODEL)))
     estimate = costs.device_memory_estimate(bench_spec(seq), "side_local", "nf4").total_bytes
-    assert 0.8 < estimate / (peak - frozen) < 1.2  # 0.96 and 0.95 measured
+    assert 0.8 < estimate / (peak - frozen) < 1.2  # 0.957 and 0.945 measured
 
 
 def test_the_opt1_3b_side_local_estimate_commits_almost_none_of_its_buffers():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ from sidetune import (
 )
 from sidetune import backbone, device, server
 from sidetune.binio import FormatError
+from sidetune.transport import loopback_pair
 from sidetune.wire import (
+    MAX_PAYLOAD,
     ActBatch,
+    BatchFrame,
     Bye,
     CheckpointData,
     CheckpointRequest,
@@ -39,6 +43,7 @@ from sidetune.wire import (
     FrameError,
     Hello,
     MAGIC,
+    MessageReader,
     MetricsSnapshot,
     ProtocolError,
     SessionAck,
@@ -342,3 +347,110 @@ def test_a_frame_header_past_max_payload_is_refused_at_once():
     header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, 2**32 - 1)
     with pytest.raises(FrameError, match="exceeds"):
         StreamDecoder().feed(header)
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_header_declaring_max_payload_allocates_nothing_ahead_of_the_bytes():
+    # the peer's length field is only a promise: the buffer grows as bytes arrive
+    header = MAGIC + struct.pack("<HBBI", FRAME_VERSION, T_ACT_BATCH, 0, MAX_PAYLOAD)
+    decoder = StreamDecoder()
+    assert traced_peak(lambda: decoder.feed(header)) < 64 * 1024
+    assert decoder.pending_bytes == len(header)
+
+    device_end, server_end = loopback_pair()
+    server_end.send(header)
+    server_end.close()
+    reader = MessageReader(device_end)
+
+    def read():
+        with pytest.raises(FrameError, match="mid-frame"):
+            reader.read(timeout=5)
+
+    assert traced_peak(read) < 64 * 1024
+    device_end.close()
+
+
+def session_frame(hello, batch_id=0) -> bytes:
+    """A batch frame of `hello`'s session with random codes."""
+    rng = np.random.default_rng(batch_id)
+    frame = BatchFrame.for_session(hello, batch_id, [0] * hello.batch_size)
+    for k in range(hello.backbone.gamma):
+        frame.put_scale(k, 1.0)
+        codes = frame.codes(k)
+        codes[:] = rng.integers(0, 256, len(codes), dtype=np.uint8).tobytes()
+    return bytes(encode(frame))
+
+
+# the benchmark's long_seq session: 16 x 255 tokens, H = 32, five nf4 taps
+LONG_SEQ = Hello(backbone=BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4,
+                                         max_seq=256, block_cuts=(1, 2, 3, 4)),
+                 scheme="nf4", batch_size=16, seq_len=255)
+SMALL = Hello(backbone=BACKBONE, scheme="nf4", batch_size=4, seq_len=7)
+
+
+def test_a_batch_fed_in_64_kib_chunks_holds_its_frame_once():
+    data = session_frame(LONG_SEQ)
+    assert len(data) == 326_514
+    chunks = [data[i:i + 64 * 1024] for i in range(0, len(data), 64 * 1024)]
+    decoder = StreamDecoder(LONG_SEQ.batch_payload(), session=LONG_SEQ)
+    out = []
+    peak = traced_peak(lambda: [out.extend(decoder.feed(c)) for c in chunks])
+    assert len(out) == 1 and decoder.pending_bytes == 0
+    # 656,058 B when each tap's codes were copied out of the frame
+    assert peak < len(data) + 128 * 1024
+
+
+def test_decoded_codes_are_read_only_views_of_their_frame():
+    data = bytearray(session_frame(SMALL))  # writable, as the device's frame is
+    for batch in (StreamDecoder(session=SMALL).feed(data)[0],
+                  try_decode(data, session=SMALL)[0]):
+        for q in batch.taps:
+            assert isinstance(q.codes, memoryview) and q.codes.readonly
+            with pytest.raises(TypeError):
+                q.codes[0] = 0
+            assert not np.frombuffer(q.codes, np.uint8).flags.writeable
+    # try_decode's batch views the very bytes it was given
+    data[-5] ^= 0xFF
+    assert batch.taps[-1].codes[-1] == data[-5]
+
+
+def test_each_batch_keeps_its_frame_and_the_decoder_the_bytes_after_it():
+    frames = [session_frame(SMALL, i) for i in range(3)]
+    stream = b"".join(frames)
+    decoder = StreamDecoder(SMALL.batch_payload(), session=SMALL)
+    cut = len(frames[0]) + len(frames[1]) + 5
+    got = decoder.feed(stream[:cut])
+    assert [b.batch_id for b in got] == [0, 1] and decoder.pending_bytes == 5
+    got += decoder.feed(stream[cut:])
+    assert decoder.pending_bytes == 0
+    for batch, frame in zip(got, frames, strict=True):
+        assert batch == try_decode(frame, session=SMALL)[0]
+
+
+def test_the_batches_before_a_frame_that_does_not_decode_come_first():
+    good, bad = session_frame(SMALL, 0), bytearray(session_frame(SMALL, 1))
+    bad[-1] ^= 1  # its crc
+    decoder = StreamDecoder(SMALL.batch_payload(), session=SMALL)
+    assert [b.batch_id for b in decoder.feed(good + bad)] == [0]
+    for _ in range(2):
+        with pytest.raises(FrameError, match="crc"):
+            decoder.feed(b"")
+
+    # a reader hands the batch out, then raises without waiting for more bytes
+    device_end, server_end = loopback_pair()
+    device_end.send(good + bad)
+    reader = MessageReader(server_end)
+    reader.limit_to_batches(SMALL)
+    assert reader.read(timeout=5).batch_id == 0
+    with pytest.raises(FrameError, match="crc"):
+        reader.read(timeout=5)
+    device_end.close()
+    server_end.close()

@@ -1,0 +1,178 @@
+"""Fuzzing the server's receive path with a fixed seed: loopback sessions
+of run_server, one per generated stream, under every scheme. Each sends
+a Hello, then batch frames with flipped bits (crc recomputed), extreme
+scales, out-of-range labels, repeated batch ids, a spliced frame of
+another length or a truncated last frame, cut into chunks of 1 B up to
+two frames, and ends with a Bye or a hang-up. Whatever arrives,
+run_server returns a report that names how the session ended, and every
+batch it decoded is either trained or counted as refused, also one that
+arrived in the chunk of a frame that does not decode. The whole module
+takes about a second."""
+
+import random
+import struct
+import threading
+import zlib
+from collections import Counter
+
+import pytest
+
+from sidetune import BackboneConfig, ServerConfig, run_server
+from sidetune.quantize import SCHEMES
+from sidetune.transport import loopback_pair
+from sidetune.wire import (
+    HEADER_LEN,
+    BatchFrame,
+    Bye,
+    DesyncError,
+    FrameError,
+    Hello,
+    MessageReader,
+    OversizedFrame,
+    ProtocolError,
+    SessionAck,
+    batch_frame_bytes,
+    encode,
+    try_decode,
+)
+
+# the tests' tiny shape (as in test_server): gamma = 5 taps of [2, 3, 32]
+BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
+                          block_cuts=(1, 2, 3, 4))
+BATCH, SEQ = 2, 3
+SEED = 2027
+SESSIONS = 60  # per scheme
+RETURN_WITHIN_S = 10.0
+ENDS = {"bye", "oversized", "undecodable", "vanished"}
+REFUSALS = {"label_range", "non_finite", "out_of_order"}
+# each fits a float32, so BatchFrame.put_scale packs it as it is
+EXTREME_SCALES = (float("inf"), float("-inf"), float("nan"), 3.4e38, -3.4e38, 1e-45, 0.0,
+                  -0.0, 65504.0)
+
+
+def session_hello(scheme, batch_size=BATCH, seq_len=SEQ):
+    return Hello(backbone=BACKBONE, scheme=scheme, batch_size=batch_size, seq_len=seq_len)
+
+
+def batch_frame(rng, hello, batch_id):
+    """One batch frame of `hello`'s layout with random codes, perhaps
+    with a label out of range, an extreme scale or flipped payload bits."""
+    labels = [rng.randrange(3 if rng.random() < 0.1 else 2) for _ in range(hello.batch_size)]
+    frame = BatchFrame.for_session(hello, batch_id, labels)
+    for k in range(hello.backbone.gamma):
+        frame.put_scale(k, rng.uniform(0.01, 10.0))
+        codes = frame.codes(k)
+        codes[:] = rng.randbytes(len(codes))
+    if rng.random() < 0.2:
+        frame.put_scale(rng.randrange(hello.backbone.gamma), rng.choice(EXTREME_SCALES))
+    data = encode(frame)
+    if rng.random() < 0.25:
+        payload = memoryview(data)[HEADER_LEN:-4]
+        for _ in range(rng.randint(1, 3)):
+            bit = rng.randrange(8 * len(payload))
+            payload[bit // 8] ^= 1 << bit % 8
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(payload))
+    return bytes(data)
+
+
+def spliced_frame(rng, hello, batch_id):
+    """A batch frame of another session's layout, so of another length."""
+    other = rng.choice([
+        session_hello(hello.scheme, batch_size=BATCH + 1),
+        session_hello(hello.scheme, batch_size=BATCH - 1),
+        session_hello(hello.scheme, seq_len=SEQ + 1),
+        session_hello(rng.choice([s for s in SCHEMES if s != hello.scheme])),
+    ])
+    return batch_frame(rng, other, batch_id)
+
+
+def fuzzed_stream(rng, hello):
+    """The bytes one session sends after its handshake, and whether it
+    ends them with a Bye (else it hangs up)."""
+    frames, batch_id = [], 0
+    for _ in range(rng.randint(0, 4)):
+        batch_id += rng.choice([1, 1, 1, 0, -1])  # now and then a repeated or older id
+        make = spliced_frame if rng.random() < 0.1 else batch_frame
+        frames.append(make(rng, hello, max(batch_id, 0)))
+    if frames and rng.random() < 0.15:
+        frames[-1] = frames[-1][:rng.randrange(1, len(frames[-1]))]
+    bye = rng.random() < 0.7
+    return b"".join(frames) + (encode(Bye()) if bye else b"")
+
+
+def chunks(rng, stream, most):
+    at = 0
+    while at < len(stream):
+        step = rng.randint(1, most)
+        yield stream[at:at + step]
+        at += step
+
+
+def reference_reading(stream, hello):
+    """(batch frames decoded, end reason) of a session's reader that meets
+    `stream`, then the end of the connection."""
+    view, decoded = memoryview(stream), 0
+    while True:
+        try:
+            result = try_decode(view, hello.batch_payload(), hello)
+        except OversizedFrame:
+            return decoded, "oversized"
+        except (DesyncError, FrameError, ProtocolError):
+            return decoded, "undecodable"
+        if result is None:
+            return decoded, "vanished"
+        msg, consumed = result
+        if isinstance(msg, Bye):
+            return decoded, "bye"
+        decoded += 1
+        view = view[consumed:]
+
+
+def serve(hello, stream, rng):
+    """Run one session of `stream`, sent in random chunks, then hang up;
+    returns what run_server returned or raised."""
+    dev_end, srv_end = loopback_pair()
+    out = {}
+
+    def run():
+        try:
+            out["report"] = run_server(ServerConfig(backbone=BACKBONE), srv_end)
+        except Exception as exc:  # the test fails on any escape
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        dev_end.send(encode(hello))
+        MessageReader(dev_end).read_expected(SessionAck, timeout=RETURN_WITHIN_S)
+        frame = batch_frame_bytes(hello.batch_shape, hello.scheme, BACKBONE.gamma)
+        for chunk in chunks(rng, stream, 2 * frame):
+            dev_end.send(chunk)
+        dev_end.close()
+        thread.join(timeout=RETURN_WITHIN_S)
+        assert not thread.is_alive(), "run_server did not return"
+    finally:
+        dev_end.close()
+        srv_end.close()
+    return out
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fuzzed_batch_streams_end_with_a_report_and_every_decoded_batch_counted(scheme):
+    rng = random.Random(f"{SEED}/{scheme}")
+    hello = session_hello(scheme)
+    ends, refusals = Counter(), Counter()
+    for _ in range(SESSIONS):
+        stream = fuzzed_stream(rng, hello)
+        decoded, end = reference_reading(stream, hello)
+        out = serve(hello, stream, rng)
+        assert "error" not in out, repr(out.get("error"))
+        report = out["report"]
+        assert report.end in ENDS and report.end == end
+        assert set(report.invalid) <= REFUSALS
+        assert report.iterations + sum(report.invalid.values()) == decoded
+        ends[end] += 1
+        refusals.update(report.invalid)
+    # with this seed every scheme's sessions reach every end and refuse some batches
+    assert set(ends) == ENDS, ends
+    assert refusals, refusals

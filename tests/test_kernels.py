@@ -314,6 +314,26 @@ class TestOutBuffers:
             with pytest.raises(ValueError):
                 fn(x, gamma, beta, out=out, **{"xhat": xhat, "std": std, **bad})
 
+    def test_layer_norm_that_keeps_xhat_may_write_over_its_input(self):
+        fn, (x, gamma, beta) = out_cases(np.float32)["layer_norm"]
+        fresh = fn(x, gamma, beta)
+        xhat = np.empty_like(x)
+        assert fn(x, gamma, beta, out=x, xhat=xhat) is x
+        np.testing.assert_array_equal(x, fresh)
+        np.testing.assert_array_equal(x, xhat * gamma + beta)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_from_its_tanh_is_gelu_bit_for_bit(self, dtype):
+        fn, (x,) = out_cases(dtype)["gelu"]
+        t = np.empty_like(x)
+        out = fn(x, tanh=t)
+        np.testing.assert_array_equal(kernels.gelu_from_tanh(x, t), out)
+        # into the kept tanh itself, as well as into a buffer of its own
+        assert kernels.gelu_from_tanh(x, t, out=t) is t
+        np.testing.assert_array_equal(t, out)
+        with pytest.raises(ValueError):
+            kernels.gelu_from_tanh(x, t, out=x)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_keeps_its_tanh_without_changing_a_bit(self, dtype):
         fn, (x,) = out_cases(dtype)["gelu"]

@@ -16,6 +16,7 @@ from sidetune.sidenet import (
     NONLINEARITIES,
     SideNetworkParams,
     Workspace,
+    _activation,
     side_backward,
     side_forward,
 )
@@ -151,6 +152,22 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     again = side_forward(taps, params, ws)
     assert again.tobytes() == logits.tobytes()
     assert side_backward(ws, d_logits, params).flat.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+def test_the_backward_recomputes_each_activation_bit_for_bit(sigma):
+    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+    rng = np.random.default_rng(8)
+    taps = [(rng.normal(size=(4, 15, CONFIG.hidden)) * 2).astype(np.float32)
+            for _ in range(GAMMA)]
+    ws = Workspace(config, 4, 15)
+    side_forward(taps, trained_params(), ws)
+    # the forward leaves the last adapter's activation in the one scratch
+    last = ws.act.copy()
+    assert _activation(ws, CONFIG.adapters - 1).tobytes() == last.tobytes()
+    for l in range(CONFIG.adapters):
+        fresh = kernels.nonlinearity(ws.pre[l].copy(), sigma)
+        assert _activation(ws, l).tobytes() == fresh.tobytes()
 
 
 def test_a_backward_refuses_a_workspace_that_holds_no_forward():
