@@ -5,15 +5,14 @@
     sidetune local     --scheme fp16 --iters 500 --ckpt side.bin ...
     sidetune gradcheck
     sidetune estimate  --preset opt350m --mode mobillm --scheme nf4
-    sidetune quantbench
 
 `server` and `device` talk over TCP; this module is the one place that
 opens those connections. `local` runs the same batch and training code in
 one process with no connection at all.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
-Flags beat an optional key=value config file (--config PATH), which beats
-built-in defaults.
+Every setting is a flag; `sidetune COMMAND --help` lists each with its
+default. Exit codes: 0 success, 1 configuration/usage error, 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -27,12 +26,9 @@ import numpy as np
 from . import costs
 from .backbone import BackboneConfig
 from .device import DeviceConfig, SyntheticTask, load_csv_task, run_device
-from .kernels import make_rng
-from .quantize import SCHEMES, dequantize, quantize
 from .server import ServerConfig, local_mode, run_server
-from .sidenet import NONLINEARITIES
 from .transport import RateLimitedTransport, TcpTransport, tcp_listen_one
-from .wire import ACK_REASONS, HandshakeError, payload_bytes
+from .wire import ACK_REASONS, HandshakeError
 
 SCHEME_ALIASES = {"fp16": "none_fp16", "fp8": "fp8_e4m3", "fp4": "fp4_grid", "nf4": "nf4"}
 
@@ -130,10 +126,6 @@ def _add_side_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--bottleneck", type=int, default=16,
                    help="adapter bottleneck width m")
     g.add_argument("--classes", type=int, default=2, help="head outputs")
-    g.add_argument("--sigma", default="gelu", choices=NONLINEARITIES,
-                   help="adapter nonlinearity")
-    g.add_argument("--std", type=float, default=0.02,
-                   help="adapter init standard deviation")
     g.add_argument("--side-seed", type=int, default=1, help="side init seed")
     g.add_argument("--lr", type=float, default=5e-4, help="Adam learning rate")
     g.add_argument("--ckpt", default="", help="final checkpoint path")
@@ -145,8 +137,6 @@ def _server_config_from_args(args, **extra) -> ServerConfig:
         backbone=_backbone_from_args(args),
         bottleneck=args.bottleneck,
         classes=args.classes,
-        nonlinearity=args.sigma,
-        init_std=args.std,
         side_seed=args.side_seed,
         lr=args.lr,
         checkpoint_path=args.ckpt or None,
@@ -155,16 +145,11 @@ def _server_config_from_args(args, **extra) -> ServerConfig:
     )
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default="", help="key=value file supplying flag defaults")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="sidetune",
         description="Server-assisted side-tuning over a one-way activation stream.",
     )
-    _add_config_flag(parser)
     sub = parser.add_subparsers(dest="command")
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -219,13 +204,6 @@ def build_parser() -> _Parser:
                    help="uplink rate; adds an iteration-time estimate")
     p.add_argument("--t-fwd", type=float, default=0.0, help="device forward seconds")
     p.add_argument("--t-server", type=float, default=0.0, help="server step seconds")
-
-    p = sub.add_parser("quantbench", formatter_class=fmt,
-                       help="round-trip error and payload size per scheme")
-    p.add_argument("--batch", type=int, default=16, help="batch size")
-    p.add_argument("--seq", type=int, default=64, help="sequence length")
-    p.add_argument("--hidden", type=int, default=64, help="hidden width")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     return parser
 
 
@@ -294,8 +272,7 @@ def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
     worst = run_gradcheck(seeds=args.seeds, step=args.step)
-    print(f"max relative error over {args.seeds} configs each of "
-          f"{' and '.join(NONLINEARITIES)} adapters: {worst:.3e}")
+    print(f"max relative error over {args.seeds} configs: {worst:.3e}")
     if worst < GRADCHECK_TOLERANCE:
         print(f"PASS (< {GRADCHECK_TOLERANCE:g})")
         return 0
@@ -325,90 +302,17 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_quantbench(args) -> int:
-    rng = make_rng(args.seed)
-    x = rng.normal(size=(args.batch, args.seq, args.hidden)).astype(np.float32)
-    shape = x.shape
-    print(f"{'scheme':<10} {'payload bytes':>14} {'max abs err':>12} {'rms err':>12}")
-    for scheme in SCHEMES:
-        deq = dequantize(quantize(x, scheme))
-        err = np.abs(deq - x)
-        print(f"{scheme:<10} {payload_bytes(shape, scheme):>14} "
-              f"{err.max():>12.5f} {np.sqrt((err ** 2).mean()):>12.5f}")
-    return 0
-
-
 _COMMANDS = {
     "server": _cmd_server,
     "device": _cmd_device,
     "local": _cmd_local,
     "gradcheck": _cmd_gradcheck,
     "estimate": _cmd_estimate,
-    "quantbench": _cmd_quantbench,
 }
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-                 "0": False, "false": False, "no": False, "off": False}
-
-
-def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
-    """Make the --config file's values every subcommand's defaults; a key
-    that no subcommand takes, or a value a flag would refuse, is an error."""
-    pre = _Parser(prog="sidetune", add_help=False)
-    _add_config_flag(pre)  # so every spelling the full parser accepts is found
-    path = pre.parse_known_args(argv)[0].config
-    if not path:
-        return
-    raw = _load_config_file(path)
-    taken = set()
-    for action_parser in parser._subparsers._group_actions[0].choices.values():
-        defaults = {}
-        for action in action_parser._actions:
-            if action.dest in raw:
-                value = raw[action.dest]
-                if action.type is not None:
-                    value = action.type(value)
-                elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                    if value.lower() not in _CONFIG_BOOLS:
-                        raise ValueError(f"{action.dest} = {value!r} is not one of "
-                                         f"{', '.join(_CONFIG_BOOLS)}")
-                    value = _CONFIG_BOOLS[value.lower()]
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(f"{action.dest} = {value!r} is not one of "
-                                     f"{', '.join(map(str, action.choices))}")
-                defaults[action.dest] = value
-        action_parser.set_defaults(**defaults)
-        taken.update(defaults)
-    unknown = sorted(set(raw) - taken)
-    if unknown:
-        raise ValueError(f"no subcommand takes {', '.join(unknown)}")
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        _apply_config_file(parser, argv)
-    except (OSError, ValueError) as exc:
-        print(f"sidetune: config file error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --config without a path
-        return int(exc.code or 0)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,20 +1,17 @@
 """Finite-difference verification of the analytic side-network backward.
 
-Runs double-precision forward/backward on tiny randomized configurations,
-with gelu and with relu adapters, and compares every parameter coordinate
-against central differences of the scalar loss. Used by both the
-`gradcheck` CLI subcommand and the acceptance suite.
+Runs double-precision forward/backward on tiny randomized configurations
+and compares every parameter coordinate against central differences of
+the scalar loss. Used by both the `gradcheck` CLI subcommand and the
+acceptance suite.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from .kernels import make_rng
 from .sidenet import (
-    NONLINEARITIES,
     SideConfig,
     SideNetworkParams,
     Workspace,
@@ -99,7 +96,5 @@ def check_gradients(seed: int, step: float = 1e-6,
 
 
 def run_gradcheck(seeds: int = 5, step: float = 1e-6) -> float:
-    """Worst relative error across `seeds` independent configurations of
-    each adapter nonlinearity."""
-    return max(check_gradients(s, step, dataclasses.replace(TINY, nonlinearity=kind))
-               for kind in NONLINEARITIES for s in range(seeds))
+    """Worst relative error across `seeds` independent configurations."""
+    return max(check_gradients(s, step) for s in range(seeds))

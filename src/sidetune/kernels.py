@@ -1,11 +1,10 @@
 """Deterministic dense-tensor math shared by every other module.
 
 All functions operate on plain numpy arrays (row-major, float32 or
-float64) and never mutate their inputs, except
-:func:`nonlinearity_backward`, which works in its arguments' buffers.
-Outputs are freshly allocated, except where a caller passes an `out`
-buffer to :func:`fast_matmul`, :func:`layer_norm`, :func:`relu`,
-:func:`gelu`, :func:`gelu_from_tanh`, :func:`nonlinearity`,
+float64) and never mutate their inputs, except :func:`gelu_backward`,
+which works in its arguments' buffers. Outputs are freshly allocated,
+except where a caller passes an `out` buffer to :func:`fast_matmul`,
+:func:`layer_norm`, :func:`gelu`, :func:`gelu_from_tanh`,
 :func:`exp_rows` or :func:`softmax_rows`, or the buffers for what
 :func:`layer_norm` and :func:`gelu` also keep for a backward pass. Such
 a buffer must have exactly the result's shape and dtype (else
@@ -192,11 +191,6 @@ def layer_norm(
     return out
 
 
-def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    x = np.asarray(x)
-    return np.maximum(x, 0, out=_out(out, x.shape, x.dtype))
-
-
 def gelu(x: np.ndarray, out: np.ndarray | None = None,
          tanh: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit, tanh approximation.
@@ -210,7 +204,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None,
     values are the formula's bit for bit outside that range.
 
     Given `tanh` (x's shape), the tanh(...) is written there and kept
-    for :func:`nonlinearity_backward`, with no extra pass. The last three
+    for :func:`gelu_backward`, with no extra pass. The last three
     operations are :func:`gelu_from_tanh`'s.
     """
     x = np.asarray(x)
@@ -241,28 +235,20 @@ def gelu_from_tanh(x: np.ndarray, tanh: np.ndarray,
     return out
 
 
-def nonlinearity_backward(d: np.ndarray, x: np.ndarray, kind: str,
-                          tanh: np.ndarray | None = None) -> np.ndarray:
-    """d times the derivative of the nonlinearity at x, in place in `d`.
+def gelu_backward(d: np.ndarray, x: np.ndarray, tanh: np.ndarray) -> np.ndarray:
+    """d times gelu's derivative at x, in place in `d`.
 
     Works without a buffer of its own: it also writes over `x`, and over
-    gelu's `tanh`, which must be what :func:`gelu` kept for this x. For
-    gelu, with t = tanh(c (x + a x^3)) and k = 0.5 c x (1 + 3a x^2),
+    `tanh`, which must be what :func:`gelu` kept for this x. With
+    t = tanh(c (x + a x^3)) and k = 0.5 c x (1 + 3a x^2),
 
         gelu'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2)
                  = (1 + t) (0.5 + k (1 - t)),
 
     with 1 - t taken as 2 - (1 + t): each of those two roundings is at
     most half a unit in the last place of 1, so the derivative agrees
-    with the formula to rounding. For relu the derivative is 1 where
-    x > 0, else 0.
+    with the formula to rounding.
     """
-    if kind == "relu":
-        np.greater(x, 0, out=x)
-        d *= x
-        return d
-    if kind != "gelu":
-        raise ValueError(f"no elementwise gradient for {kind!r}")
     c = x.dtype.type(GELU_COEF)
     a = x.dtype.type(GELU_CUBIC)
     half = x.dtype.type(0.5)
@@ -311,17 +297,6 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sigmoid(x):
     x = np.asarray(x)
     return 1 / (1 + np.exp(-x))
-
-
-def nonlinearity(x: np.ndarray, kind: str, out: np.ndarray | None = None,
-                 tanh: np.ndarray | None = None) -> np.ndarray:
-    """Apply one of {gelu, relu} elementwise, into `out` when given; gelu
-    also keeps its tanh in `tanh` when given (relu has none)."""
-    if kind == "gelu":
-        return gelu(x, out=out, tanh=tanh)
-    if kind == "relu":
-        return relu(x, out=out)
-    raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
 def mean_pool(x: np.ndarray) -> np.ndarray:

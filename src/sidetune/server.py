@@ -88,8 +88,9 @@ class ServerConfig:
     backbone: BackboneConfig  # expected frozen-model identity
     bottleneck: int = 16
     classes: int = 2
+    # unused: gelu is the only adapter sigma; kept only because the
+    # benchmark's server_config passes it
     nonlinearity: str = "gelu"
-    init_std: float = 0.02
     side_seed: int = 1
     lr: float = DEFAULT_LR
     queue_depth: int = 4  # unused: the session reads straight from the transport
@@ -99,10 +100,10 @@ class ServerConfig:
 
     def __post_init__(self):
         self.side_config()  # refuses a side network the backbone cannot feed
+        if self.nonlinearity != "gelu":
+            raise ValueError(f"unsupported adapter nonlinearity {self.nonlinearity!r}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"learning rate {self.lr} must be positive and finite")
-        if not 0 <= self.init_std < np.inf:
-            raise ValueError(f"init std {self.init_std} must be non-negative and finite")
         if not 0 < self.timeout_s < np.inf:
             raise ValueError(f"timeout {self.timeout_s} s must be positive and finite")
 
@@ -112,12 +113,11 @@ class ServerConfig:
             bottleneck=self.bottleneck,
             adapters=self.backbone.num_blocks,
             classes=self.classes,
-            nonlinearity=self.nonlinearity,
         )
 
     def initial_params(self) -> SideNetworkParams:
         """The side parameters every session of this config starts from."""
-        return init_side(self.side_config(), self.side_seed, std=self.init_std)
+        return init_side(self.side_config(), self.side_seed)
 
 
 @dataclass

@@ -4,7 +4,7 @@ Each adapter refines the running side activation ``s`` with the matching
 (dequantized) backbone tap ``a``:
 
     u      = s + a
-    s_next = LN( sigma(u W_down) W_up + u )
+    s_next = LN( gelu(u W_down) W_up + u )
 
 The final side state is blended with the last backbone tap through a
 learnable sigmoid gate, mean-pooled over positions, and classified by a
@@ -13,9 +13,9 @@ the device.
 
 The forward keeps what its exact analytic reverse pass reads in its
 :class:`Workspace`, the one holder of both passes' buffers: each
-adapter's input u, its pre-activation and, for gelu, the tanh inside
-it, the layer norm's x̂ and 1/σ, which the kernels hand out as they
-compute them, and what the head and the gate need. So the backward
+adapter's input u, its pre-activation and the tanh inside its gelu, the
+layer norm's x̂ and 1/σ, which the kernels hand out as they compute
+them, and what the head and the gate need. So the backward
 recomputes neither a layer-norm statistic nor a tanh; it recomputes
 each adapter's activation from what is kept, with the forward's own
 last operations, so bit for bit. The buffers are sized for one batch
@@ -47,10 +47,10 @@ from .quantize import dequantize, quantize
 
 CHECKPOINT_MAGIC = b"MBSN"
 CHECKPOINT_VERSION = 1
+# the checkpoint header's nonlinearity byte: 0, gelu, the only adapter sigma
+GELU_CODE = 0
 
-NONLINEARITIES = ("gelu", "relu")
-_SIGMA_CODES = {name: code for code, name in enumerate(NONLINEARITIES)}
-_SIGMA_NAMES = {v: k for k, v in _SIGMA_CODES.items()}
+INIT_STD = 0.02  # the deviation of the adapters' initial projections
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,12 @@ class SideConfig:
     bottleneck: int
     adapters: int
     classes: int
-    nonlinearity: str = "gelu"
 
     def __post_init__(self):
         if not 1 <= self.bottleneck < self.hidden:
             raise ValueError(
                 f"bottleneck {self.bottleneck} must be at least 1 and below hidden {self.hidden}"
             )
-        if self.nonlinearity not in _SIGMA_CODES:
-            raise ValueError(f"unsupported adapter nonlinearity {self.nonlinearity!r}")
         if self.classes < 1:
             raise ValueError("head needs at least one output")
         if self.adapters < 1:
@@ -150,14 +147,14 @@ class Workspace:
     - work: each adapter's y = core + u, the layer norm's input, which
       the layer norm turns into the adapter's output s_l in place; in the
       backward, the gradient of the last adapter's output;
-    - act: each adapter's activation sigma(pre), in turn; in the
-      backward, the activation recomputed from pre (and tanh), then the
+    - act: each adapter's activation gelu(pre), in turn; in the
+      backward, the activation recomputed from pre and tanh, then the
       gradient of pre;
-    - pre, tanh (gelu only), xhat, inv_std: per adapter, what the
-      backward reads. It then writes over an adapter's pre and tanh as it
-      finishes with them, and over its x̂: first with x̂ · mean(d̂ · x̂),
-      then with the gradient of the adapter's input u, which is the
-      gradient of the output of the adapter before;
+    - pre, tanh, xhat, inv_std: per adapter, what the backward reads.
+      It then writes over an adapter's pre and tanh as it finishes with
+      them, and over its x̂: first with x̂ · mean(d̂ · x̂), then with the
+      gradient of the adapter's input u, which is the gradient of the
+      output of the adapter before;
     - grads: the gradient in the parameters' flat layout, written over by
       each backward.
 
@@ -188,7 +185,7 @@ class Workspace:
         narrow = (n, batch, seq, config.bottleneck)
         self.pre = np.empty(narrow, dtype)
         self.act = np.empty(narrow[1:], dtype)
-        self.tanh = np.empty(narrow, dtype) if config.nonlinearity == "gelu" else None
+        self.tanh = np.empty(narrow, dtype)
         self.grads = SideNetworkParams(config, np.empty(_size(config), dtype))
         self.blend = self.gap = self.pooled = self.logits = None
 
@@ -196,7 +193,7 @@ class Workspace:
     def nbytes(self) -> int:
         kept = (*self.taps, self.work, self.xhat, self.inv_std, self.pre, self.act,
                 self.tanh, self.grads.flat)
-        return sum(a.nbytes for a in kept if a is not None)
+        return sum(a.nbytes for a in kept)
 
     def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
         """The slots that `count` taps go in, in order: the last M of them,
@@ -204,15 +201,15 @@ class Workspace:
         return self.taps[len(self.taps) - count:]
 
 
-def init_side(config: SideConfig, seed: int, std: float = 0.02) -> SideNetworkParams:
-    """Gaussian projections of mean 0 and deviation `std`, identity layer
-    norms, zero head. Tensors are drawn in layout order."""
+def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
+    """Gaussian projections of mean 0 and deviation :data:`INIT_STD`,
+    identity layer norms, zero head. Tensors are drawn in layout order."""
     rng = kernels.make_rng(seed)
     params = SideNetworkParams(config)
     for name, t in params.named_tensors():
         leaf = name.rpartition(".")[2]
         if leaf.startswith("w_"):
-            t[...] = rng.normal(0.0, std, size=t.shape)
+            t[...] = rng.normal(0.0, INIT_STD, size=t.shape)
         elif leaf.endswith("_gamma"):
             t[...] = 1
     return params
@@ -248,8 +245,7 @@ def side_forward(taps: list[np.ndarray], params: SideNetworkParams, ws: Workspac
     for l, ad in enumerate(params.adapters):
         u = np.add(state, ws.taps[l + 1], out=ws.taps[l])
         pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
-        act = kernels.nonlinearity(pre, ws.config.nonlinearity, out=ws.act,
-                                   tanh=None if ws.tanh is None else ws.tanh[l])
+        act = kernels.gelu(pre, out=ws.act, tanh=ws.tanh[l])
         kernels.fast_matmul(act, ad.w_up, out=s)
         s += u
         state = kernels.layer_norm(s, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
@@ -299,11 +295,8 @@ def _layer_norm_backward(d, xhat, inv_std, gamma, grads: AdapterParams):
 
 def _activation(ws: Workspace, l: int) -> np.ndarray:
     """Adapter l's activation, recomputed into ``ws.act`` from what the
-    forward kept, with the forward's own last operations, so bit for bit:
-    max(pre, 0) for relu, :func:`sidetune.kernels.gelu_from_tanh` for
-    gelu."""
-    if ws.tanh is None:
-        return kernels.relu(ws.pre[l], out=ws.act)
+    forward kept, with the forward's own last operations
+    (:func:`sidetune.kernels.gelu_from_tanh`), so bit for bit."""
     return kernels.gelu_from_tanh(ws.pre[l], ws.tanh[l], out=ws.act)
 
 
@@ -353,8 +346,7 @@ def side_backward(
         act = _activation(ws, l)
         kernels.fast_matmul(rows(act).T, rows(d_y), out=g.w_up)
         d_pre = kernels.fast_matmul(d_y, ad.w_up.T, out=act)
-        kernels.nonlinearity_backward(d_pre, ws.pre[l], ws.config.nonlinearity,
-                                      tanh=None if ws.tanh is None else ws.tanh[l])
+        kernels.gelu_backward(d_pre, ws.pre[l], ws.tanh[l])
         # tap slot l holds this adapter's input u (see Workspace)
         kernels.fast_matmul(rows(ws.taps[l]).T, rows(d_pre), out=g.w_down)
         if l:  # taps are constants; only s_{l-1} carries gradient, and s_0 is a tap
@@ -393,7 +385,7 @@ def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:
         fh.write(struct.pack(
             "<4IBf",
             config.hidden, config.bottleneck, config.adapters, config.classes,
-            _SIGMA_CODES[config.nonlinearity], float(params.combine_gate),
+            GELU_CODE, float(params.combine_gate),
         ))
         write_f32(fh, params.flat[:-1])
 
@@ -404,19 +396,13 @@ def load_side(path, config: SideConfig | None = None):
     with open_binary(path, "rb") as fh:
         expect_magic(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         h, m, n_ad, c, sigma, gate = struct.unpack("<4IBf", read_exact(fh, 21))
-        if sigma not in _SIGMA_NAMES:
+        if sigma != GELU_CODE:
             raise FormatError(f"unknown nonlinearity code {sigma}")
         try:
-            stored = SideConfig(
-                hidden=h, bottleneck=m, adapters=n_ad, classes=c,
-                nonlinearity=_SIGMA_NAMES[sigma],
-            )
+            stored = SideConfig(hidden=h, bottleneck=m, adapters=n_ad, classes=c)
         except ValueError as exc:  # a header no side network can have
             raise FormatError(f"checkpoint header: {exc}") from exc
-        if config is not None and (
-            (config.hidden, config.bottleneck, config.adapters, config.classes)
-            != (h, m, n_ad, c)
-        ):
+        if config is not None and config != stored:
             raise FormatError(f"checkpoint config {stored} does not match {config}")
         params = SideNetworkParams(stored)
         params.flat[:-1] = read_f32(fh, (params.flat.size - 1,))

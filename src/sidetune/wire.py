@@ -395,10 +395,10 @@ class StreamDecoder:
     """Incremental frame decoder over an ordered byte stream; it decodes
     ActBatch frames against `session`, the Hello of their session.
 
-    Its buffer holds the bytes fed so far that finish no frame, and grows
-    only by what :meth:`feed` is given. A finished ActBatch frame keeps
-    the buffer it arrived in, which its codes view, and the decoder goes
-    on in a new buffer with the bytes after the frame; every other
+    Its buffer holds the bytes fed so far that it has not decoded, and
+    grows only by what :meth:`feed` is given. A finished ActBatch frame
+    keeps the buffer it arrived in, which its codes view, and the decoder
+    goes on in a new buffer with the bytes after the frame; every other
     message is a copy, and its frame is dropped from the buffer."""
 
     def __init__(self, max_payload: int = MAX_PAYLOAD, session: Hello | None = None):
@@ -410,7 +410,10 @@ class StreamDecoder:
         self.error: Exception | None = None
 
     def feed(self, data: bytes) -> list[WireMessage]:
-        """Absorb bytes; return every complete message now available.
+        """Absorb bytes; return every complete message now available, up
+        to and including the first Hello: the frames after a Hello may
+        belong to the session it opens, so they wait for the next call,
+        which may be given no bytes, under the limits set by then.
 
         A frame that does not decode ends the stream: its error is raised
         at once when no message precedes it in this call; else the
@@ -432,6 +435,8 @@ class StreamDecoder:
                 else:
                     out.append(_decode_frame(self._buf, msg_type, total, self.session))
                     del self._buf[:total]
+                    if msg_type == T_HELLO:
+                        break
         except (DesyncError, FrameError, ProtocolError) as exc:
             if not out:
                 raise
@@ -450,11 +455,17 @@ class MessageReader:
         self._transport = transport
         self._decoder = StreamDecoder(max_payload)
         self._pending: list[WireMessage] = []
+        self._after_hello = False  # the decoder may hold whole frames past it
         self.eof = False
 
     def read(self, timeout: float | None = None) -> WireMessage | None:
-        """Next message, or None once the peer has closed the stream."""
+        """Next message, or None once the peer has closed the stream. The
+        bytes the decoder holds past a Hello are decoded, under the limits
+        in force now, before the transport is waited on."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        if self._after_hello:
+            self._after_hello = False
+            self._pending.extend(self._decoder.feed(b""))
         while not self._pending:
             if self.eof:
                 return None
@@ -470,7 +481,9 @@ class MessageReader:
                     raise FrameError("stream closed mid-frame")
                 return None
             self._pending.extend(self._decoder.feed(chunk))
-        return self._pending.pop(0)
+        msg = self._pending.pop(0)
+        self._after_hello = isinstance(msg, Hello)
+        return msg
 
     def read_expected(self, msg_type, timeout: float | None = None) -> WireMessage:
         """The next message, which must be a `msg_type`; anything else,

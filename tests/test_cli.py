@@ -1,10 +1,11 @@
-"""The `sidetune` command's local, estimate and quantbench subcommands,
-its config file, and the package's exports. Also the cost model's
-memory figures against the buffers the code builds and the peaks it
-traces."""
+"""The `sidetune` command's local and estimate subcommands, each
+subcommand's help, the options it no longer takes, and the package's
+exports. Also the cost model's memory figures against the buffers the
+code builds and the peaks it traces."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,10 +23,8 @@ from sidetune import (
     local_mode,
 )
 from sidetune.backbone import ForwardWorkspace
-from sidetune.cli import _apply_config_file, build_parser, main
-from sidetune.quantize import SCHEMES
+from sidetune.cli import main
 from sidetune.sidenet import Workspace
-from sidetune.wire import payload_bytes
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
         "--bottleneck", "8", "--batch", "4", "--seq", "7", "--iters", "2"]
@@ -52,51 +51,30 @@ def test_local_rejects_a_run_without_iterations(capsys, flags):
     assert "configuration error" in capsys.readouterr().err
 
 
-# TINY without --iters: one iteration unless a config file sets iters
-ONE_ITER = [*TINY[:-2], "--epochs", "1", "--samples", "4"]
+@pytest.mark.parametrize("argv", [
+    ["--config", os.devnull, "local", *TINY],
+    ["quantbench"],
+    ["local", *TINY, "--sigma", "relu"],
+    ["local", *TINY, "--std", "0.05"],
+], ids=["config_file", "quantbench", "sigma", "std"])
+def test_a_removed_option_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    assert "sidetune: error:" in capsys.readouterr().err
 
 
-def config_file(tmp_path, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    return str(path)
+def help_text(*argv):
+    out = subprocess.run([sys.executable, "-m", "sidetune.cli", *argv, "--help"],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 0, (argv, out.stderr)
+    return out.stdout
 
 
-@pytest.mark.parametrize("spelling", ["separate", "joined"])
-def test_a_config_file_supplies_flag_defaults(capsys, tmp_path, spelling):
-    path = config_file(tmp_path, "# a comment\n\niters = 3\n")
-    flag = ["--config", path] if spelling == "separate" else [f"--config={path}"]
-    assert main([*flag, "local", *ONE_ITER]) == 0
-    assert "local run: 3 iterations" in capsys.readouterr().out
-
-
-def test_a_command_line_flag_beats_the_config_file(capsys, tmp_path):
-    assert main(["--config", config_file(tmp_path, "iters = 3\n"), "local", *TINY]) == 0
-    assert "local run: 2 iterations" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("word,value", [("1", True), ("true", True), ("Yes", True),
-                                        ("ON", True), ("0", False), ("FALSE", False),
-                                        ("no", False), ("Off", False)])
-def test_a_config_file_sets_a_boolean_flag_from_any_truth_word(tmp_path, word, value):
-    parser = build_parser()
-    argv = ["--config", config_file(tmp_path, f"no_embedding_tap = {word}\n"), "local", *TINY]
-    _apply_config_file(parser, argv)
-    assert parser.parse_args(argv).no_embedding_tap is value
-
-
-@pytest.mark.parametrize("text", ["batchsize = 4\n", "scheme = bogus\n", "iters 3\n",
-                                  "no_embedding_tap = maybe\n"],
-                         ids=["unknown_key", "value_outside_choices", "line_without_equals",
-                              "boolean_not_a_truth_word"])
-def test_a_bad_config_file_is_a_configuration_error(capsys, tmp_path, text):
-    assert main(["--config", config_file(tmp_path, text), "local", *TINY]) == 1
-    assert "config file error" in capsys.readouterr().err
-
-
-def test_a_missing_config_file_is_a_configuration_error(capsys, tmp_path):
-    assert main([f"--config={tmp_path / 'absent.cfg'}", "local", *TINY]) == 1
-    assert "config file error" in capsys.readouterr().err
+def test_every_subcommand_prints_its_help():
+    commands = re.search(r"\{(.*?)\}", help_text()).group(1).split(",")
+    assert commands == ["server", "device", "local", "gradcheck", "estimate"]
+    for command in commands:
+        assert help_text(command).startswith(f"usage: sidetune {command}")
 
 
 def test_every_exported_name_resolves():
@@ -251,11 +229,3 @@ def test_estimate_refuses_a_model_the_code_cannot_build(capsys, flags, message):
 def test_a_negative_or_nan_rate_is_a_configuration_error(capsys, command, rate):
     assert main([*command, "--rate-mbps", rate]) == 1
     assert "--rate-mbps" in capsys.readouterr().err
-
-
-def test_quantbench_prints_one_row_per_scheme(capsys):
-    assert main(["quantbench"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [row[0] for row in rows] == list(SCHEMES)
-    # defaults: batch 16, seq 64, hidden 64
-    assert [int(row[1]) for row in rows] == [payload_bytes((16, 64, 64), s) for s in SCHEMES]

@@ -159,10 +159,13 @@ def test_a_weight_file_of_version_1_is_refused():
         load_backbone(io.BytesIO(data[:4] + struct.pack("<H", 1) + data[6:]))
 
 
-def test_a_checkpoint_loads_the_config_it_was_trained_under_at_any_init_std():
-    config = ServerConfig(backbone=BACKBONE, bottleneck=16, init_std=0.05)
+def test_a_checkpoint_loads_the_config_and_params_it_was_saved_with():
+    config = ServerConfig(backbone=BACKBONE, bottleneck=16)
+    moved = config.initial_params()
+    rng = np.random.default_rng(0)
+    moved.flat += rng.normal(scale=0.1, size=moved.flat.size).astype(np.float32)
     state = server._make_state(config, Hello(backbone=BACKBONE, scheme="nf4", batch_size=1,
-                                             seq_len=1), config.initial_params())
+                                             seq_len=1), moved)
     loaded, params = load_side(io.BytesIO(server._checkpoint_bytes(state)))
     assert loaded == state.config == config.side_config()
     assert params.flat.tobytes() == state.params.flat.tobytes()
@@ -176,18 +179,21 @@ def test_trailing_byte_is_rejected():
         load_side(io.BytesIO(side_bytes(init_side(SIDE, 1)) + b"\0"))
 
 
-# the u32 header fields of a checkpoint, past its magic and version
-SIDE_HEADER = {"hidden": 6, "bottleneck": 10, "adapters": 14}
+# header fields of a checkpoint, past its magic and version: (offset, format)
+SIDE_HEADER = {"hidden": (6, "<I"), "bottleneck": (10, "<I"), "adapters": (14, "<I"),
+               "nonlinearity": (22, "<B")}
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"hidden": 8, "bottleneck": 8}, "bottleneck 8 must be at least 1 and below hidden 8"),
     ({"adapters": 0}, "0 adapters"),
-], ids=["bottleneck_not_below_hidden", "no_adapters"])
+    ({"nonlinearity": 1}, "unknown nonlinearity code 1"),
+], ids=["bottleneck_not_below_hidden", "no_adapters", "not_gelu"])
 def test_a_checkpoint_header_no_side_network_can_have_is_a_format_error(fields, message):
     data = bytearray(side_bytes(init_side(SIDE, 1)))
     for name, value in fields.items():
-        struct.pack_into("<I", data, SIDE_HEADER[name], value)
+        offset, fmt = SIDE_HEADER[name]
+        struct.pack_into(fmt, data, offset, value)
     with pytest.raises(FormatError, match=message) as refused:
         load_side(io.BytesIO(bytes(data)))
     # a bad file from the peer, which the command line reports as a runtime

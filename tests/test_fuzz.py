@@ -3,7 +3,8 @@ of run_server, one per generated stream, under every scheme. Each sends
 a Hello, then batch frames with flipped bits (crc recomputed), extreme
 scales, out-of-range labels, repeated batch ids, a spliced frame of
 another length or a truncated last frame, cut into chunks of 1 B up to
-two frames, and ends with a Bye or a hang-up. Whatever arrives,
+two frames, and ends with a Bye or a hang-up. Now and then the Hello
+shares its chunk with the stream's first bytes. Whatever arrives,
 run_server returns a report that names how the session ended, and every
 batch it decoded is either trained or counted as refused, also one that
 arrived in the chunk of a frame that does not decode. The whole module
@@ -43,6 +44,7 @@ BATCH, SEQ = 2, 3
 SEED = 2027
 SESSIONS = 60  # per scheme
 RETURN_WITHIN_S = 10.0
+HELLO_SHARES_A_CHUNK = 0.3  # the chance a session's Hello shares its chunk with stream bytes
 ENDS = {"bye", "oversized", "undecodable", "vanished"}
 REFUSALS = {"label_range", "non_finite", "out_of_order"}
 # each fits a float32, so BatchFrame.put_scale packs it as it is
@@ -129,8 +131,9 @@ def reference_reading(stream, hello):
 
 
 def serve(hello, stream, rng):
-    """Run one session of `stream`, sent in random chunks, then hang up;
-    returns what run_server returned or raised."""
+    """Run one session of `stream`, sent in random chunks after the Hello
+    or, now and then, the first of them in one chunk with it, then hang
+    up; returns what run_server returned or raised."""
     dev_end, srv_end = loopback_pair()
     out = {}
 
@@ -143,10 +146,12 @@ def serve(hello, stream, rng):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     try:
-        dev_end.send(encode(hello))
-        MessageReader(dev_end).read_expected(SessionAck, timeout=RETURN_WITHIN_S)
         frame = batch_frame_bytes(hello.batch_shape, hello.scheme, BACKBONE.gamma)
-        for chunk in chunks(rng, stream, 2 * frame):
+        parts = list(chunks(rng, stream, 2 * frame))
+        with_hello = parts.pop(0) if parts and rng.random() < HELLO_SHARES_A_CHUNK else b""
+        dev_end.send(encode(hello) + with_hello)
+        MessageReader(dev_end).read_expected(SessionAck, timeout=RETURN_WITHIN_S)
+        for chunk in parts:
             dev_end.send(chunk)
         dev_end.close()
         thread.join(timeout=RETURN_WITHIN_S)

@@ -180,11 +180,6 @@ class TestLayerNorm:
 
 
 class TestNonlinearities:
-    def test_relu(self):
-        np.testing.assert_array_equal(
-            kernels.nonlinearity(np.array([-1.0, 0.0, 2.0]), "relu"), [0.0, 0.0, 2.0]
-        )
-
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(
             kernels.softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5]
@@ -212,7 +207,7 @@ class TestNonlinearities:
 
     @pytest.mark.parametrize("x,expected", sorted(GELU_REFERENCE.items()))
     def test_gelu_reference_values(self, x, expected):
-        out = kernels.nonlinearity(np.array([x], dtype=np.float64), "gelu")
+        out = kernels.gelu(np.array([x], dtype=np.float64))
         assert abs(float(out[0]) - expected) < 1e-12
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -234,14 +229,10 @@ class TestNonlinearities:
         x = np.linspace(-3, 3, 13)
         t = np.empty_like(x)
         kernels.gelu(x, tanh=t)
-        g = kernels.nonlinearity_backward(np.ones_like(x), x.copy(), "gelu", tanh=t)
+        g = kernels.gelu_backward(np.ones_like(x), x.copy(), t)
         h = 1e-7
         num = (kernels.gelu(x + h) - kernels.gelu(x - h)) / (2 * h)
         np.testing.assert_allclose(g, num, atol=1e-6)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            kernels.nonlinearity(np.zeros(3), "swish")
 
 
 def out_cases(dtype):

@@ -101,14 +101,13 @@ def serve_one(tmp_path, frames, hang_up=False, within_s=RETURN_WITHIN_S, scheme=
 @pytest.mark.parametrize("fields, message", [
     ({"bottleneck": BACKBONE.hidden}, "bottleneck"),
     ({"nonlinearity": "tanh"}, "nonlinearity"),
+    ({"nonlinearity": "relu"}, "nonlinearity 'relu'"),
     ({"bottleneck": 0}, "bottleneck 0 must be at least 1"),
     ({"lr": -1.0}, "learning rate"),
     ({"lr": float("nan")}, "learning rate"),
-    ({"init_std": -1.0}, "init std"),
-    ({"init_std": float("nan")}, "init std"),
     ({"timeout_s": -1.0}, "timeout -1.0 s must be positive"),
-], ids=["bottleneck_not_below_hidden", "nonlinearity", "bottleneck_not_positive",
-        "lr_negative", "lr_nan", "init_std_negative", "init_std_nan", "timeout_negative"])
+], ids=["bottleneck_not_below_hidden", "nonlinearity", "nonlinearity_relu",
+        "bottleneck_not_positive", "lr_negative", "lr_nan", "timeout_negative"])
 def test_a_server_config_that_cannot_be_served_is_refused_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
         ServerConfig(backbone=BACKBONE, **fields)

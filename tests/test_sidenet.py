@@ -4,7 +4,6 @@ session's first batch a step allocates less than one tap, and a
 workspace kept across a session's steps gives the bits of a fresh one
 per step."""
 
-import dataclasses
 import io
 import tracemalloc
 
@@ -12,14 +11,7 @@ import numpy as np
 import pytest
 
 from sidetune import SideConfig, TrainState, init_adam, init_side, kernels, quantize, save_side
-from sidetune.sidenet import (
-    NONLINEARITIES,
-    SideNetworkParams,
-    Workspace,
-    _activation,
-    side_backward,
-    side_forward,
-)
+from sidetune.sidenet import SideNetworkParams, Workspace, _activation, side_backward, side_forward
 from sidetune.training import loss_and_grad, train_iteration
 from sidetune.wire import ActBatch
 
@@ -64,7 +56,7 @@ def oracle_step(taps, params, config, labels):
     for tap, ad in zip(block_taps, params.adapters):
         u = s + tap
         pre = u @ ad.w_down
-        act = kernels.gelu(pre) if config.nonlinearity == "gelu" else np.maximum(pre, 0)
+        act = kernels.gelu(pre)
         y = act @ ad.w_up + u
         s = kernels.layer_norm(y, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS)
         kept.append((u, pre, act, y))
@@ -89,8 +81,7 @@ def oracle_step(taps, params, config, labels):
             d_s, y, ad.ln_gamma, kernels.LN_EPS)
         rows = lambda t: t.reshape(-1, t.shape[-1])
         g.w_up[...] = rows(act).T @ rows(d_y)
-        sigma_grad = oracle_gelu_grad(pre) if config.nonlinearity == "gelu" else pre > 0
-        d_pre = (d_y @ ad.w_up.T) * sigma_grad
+        d_pre = (d_y @ ad.w_up.T) * oracle_gelu_grad(pre)
         g.w_down[...] = rows(u).T @ rows(d_pre)
         d_s = d_y + d_pre @ ad.w_down.T
     return logits, grads
@@ -119,10 +110,8 @@ def trained_params():
     return state.params
 
 
-@pytest.mark.parametrize("sigma", NONLINEARITIES)
 @pytest.mark.parametrize("embedding_tap", [True, False], ids=["embedding_tap", "no_embedding_tap"])
-def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
-    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+def test_the_step_agrees_with_the_recomputing_oracle(embedding_tap):
     params = trained_params()
     rng = np.random.default_rng(4)
     taps = [(rng.normal(size=(8, 15, CONFIG.hidden)) * 2).astype(np.float32)
@@ -130,11 +119,11 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     labels = rng.integers(0, CONFIG.classes, size=8)
     before = [t.copy() for t in taps]
 
-    ws = Workspace(config, 8, 15)
+    ws = Workspace(CONFIG, 8, 15)
     logits = side_forward(taps, params, ws)
     d_logits = loss_and_grad(logits, labels)[1]
     grads = side_backward(ws, d_logits, params)
-    expected_logits, expected = oracle_step(taps, params, config, labels)
+    expected_logits, expected = oracle_step(taps, params, CONFIG, labels)
 
     assert logits.tobytes() == expected_logits.tobytes()
     assert grads is ws.grads
@@ -154,19 +143,17 @@ def test_the_step_agrees_with_the_recomputing_oracle(sigma, embedding_tap):
     assert side_backward(ws, d_logits, params).flat.tobytes() == first.tobytes()
 
 
-@pytest.mark.parametrize("sigma", NONLINEARITIES)
-def test_the_backward_recomputes_each_activation_bit_for_bit(sigma):
-    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+def test_the_backward_recomputes_each_activation_bit_for_bit():
     rng = np.random.default_rng(8)
     taps = [(rng.normal(size=(4, 15, CONFIG.hidden)) * 2).astype(np.float32)
             for _ in range(GAMMA)]
-    ws = Workspace(config, 4, 15)
+    ws = Workspace(CONFIG, 4, 15)
     side_forward(taps, trained_params(), ws)
     # the forward leaves the last adapter's activation in the one scratch
     last = ws.act.copy()
     assert _activation(ws, CONFIG.adapters - 1).tobytes() == last.tobytes()
     for l in range(CONFIG.adapters):
-        fresh = kernels.nonlinearity(ws.pre[l].copy(), sigma)
+        fresh = kernels.gelu(ws.pre[l].copy())
         assert _activation(ws, l).tobytes() == fresh.tobytes()
 
 
@@ -177,12 +164,10 @@ def test_a_backward_refuses_a_workspace_that_holds_no_forward():
                       params)
 
 
-@pytest.mark.parametrize("sigma", ["gelu", "relu"])
-def test_a_workspace_counts_every_buffer_it_keeps(sigma):
-    config = dataclasses.replace(CONFIG, nonlinearity=sigma)
+def test_a_workspace_counts_every_buffer_it_keeps():
     tracemalloc.start()
     try:
-        ws = Workspace(config, 16, 63)
+        ws = Workspace(CONFIG, 16, 63)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
