@@ -31,90 +31,46 @@ Layout:
 same two functions run over loopback, TCP or a rate-limited link.
 """
 
-from .backbone import (
-    BackboneConfig,
-    BackboneWeights,
-    forward_collect,
-    init_backbone,
-    load_backbone,
-    save_backbone,
-)
-from .costs import (
-    CostReport,
-    ModelSpec,
-    device_memory_estimate,
-    iteration_time_estimate,
-    payload_per_iteration,
-    preset_spec,
-)
+from .backbone import BackboneConfig, forward_collect, init_backbone, load_backbone, save_backbone
+from .costs import ModelSpec, payload_per_iteration
 from .device import CsvTask, DeviceConfig, SyntheticTask, load_csv_task, make_batch, run_device
-from .quantize import (
-    QuantizedActivation,
-    SCHEMES,
-    dequantize,
-    nf4_codebook,
-    quantize,
-)
-from .server import ServerConfig, ServerReport, local_mode, run_server
-from .sidenet import (
-    AdapterParams,
-    SideConfig,
-    SideNetworkParams,
-    combined_infer,
-    init_side,
-    load_side,
-    save_side,
-    side_backward,
-    side_forward,
-)
-from .training import AdamState, IterationMetrics, TrainState, adam_step, init_adam, loss_and_grad, train_iteration
+from .quantize import SCHEMES, quantize
+from .server import ServerConfig, local_mode, run_server
+from .sidenet import SideConfig, SideNetworkParams, combined_infer, init_side, load_side, save_side
+from .training import TrainState, adam_step, init_adam, loss_and_grad, train_iteration
 from .wire import payload_bytes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "AdapterParams",
     "BackboneConfig",
-    "BackboneWeights",
-    "CostReport",
     "CsvTask",
     "DeviceConfig",
-    "IterationMetrics",
     "ModelSpec",
-    "QuantizedActivation",
     "SCHEMES",
     "ServerConfig",
-    "ServerReport",
     "SideConfig",
     "SideNetworkParams",
     "SyntheticTask",
     "TrainState",
     "adam_step",
     "combined_infer",
-    "dequantize",
-    "device_memory_estimate",
     "forward_collect",
     "init_adam",
     "init_backbone",
     "init_side",
-    "iteration_time_estimate",
     "load_backbone",
     "load_csv_task",
     "load_side",
     "local_mode",
     "loss_and_grad",
     "make_batch",
-    "nf4_codebook",
     "payload_bytes",
     "payload_per_iteration",
-    "preset_spec",
     "quantize",
     "run_device",
     "run_server",
     "save_backbone",
     "save_side",
-    "side_backward",
-    "side_forward",
     "train_iteration",
 ]

@@ -67,6 +67,11 @@ def _add_backbone_flags(p: argparse.ArgumentParser) -> None:
                    help="tap layout: uniform:M or comma list of layer indices")
     g.add_argument("--no-embedding-tap", action="store_true",
                    help="do not export the embedding output as tap 0")
+
+
+def _add_weight_flags(p: argparse.ArgumentParser) -> None:
+    # only the commands that run the forward read the frozen weights
+    g = p.add_argument_group("backbone weights")
     g.add_argument("--backbone-seed", type=int, default=7,
                    help="seed for the frozen random weights")
     g.add_argument("--backbone", default="", help="weight file path (overrides seed init)")
@@ -171,11 +176,13 @@ def build_parser() -> _Parser:
                    help="throttle the uplink to this rate (0 = unlimited)")
     p.add_argument("--log", default="", help="device timing JSONL path")
     _add_backbone_flags(p)
+    _add_weight_flags(p)
     _add_task_flags(p)
 
     p = sub.add_parser("local", formatter_class=fmt,
                        help="run the identical pipeline in one process")
     _add_backbone_flags(p)
+    _add_weight_flags(p)
     _add_task_flags(p)
     _add_side_flags(p)
 
@@ -272,7 +279,8 @@ def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
     worst = run_gradcheck(seeds=args.seeds, step=args.step)
-    print(f"max relative error over {args.seeds} configs: {worst:.3e}")
+    print(f"max relative error over {2 * args.seeds} configs ({args.seeds} seeds, with and "
+          f"without the embedding tap): {worst:.3e}")
     if worst < GRADCHECK_TOLERANCE:
         print(f"PASS (< {GRADCHECK_TOLERANCE:g})")
         return 0

@@ -56,8 +56,8 @@ from .wire import (
     Hello,
     MessageReader,
     MetricsSnapshot,
+    ProtocolError,
     SessionAck,
-    batch_frame_bytes,
     encode,
 )
 
@@ -275,9 +275,6 @@ def _run_batches(config, weights, transport, reader, report) -> None:
     train on is logged and its entry names the server's reason."""
     pending = deque()  # send futures, oldest first
     handed_off = 0  # batches given to the sender so far
-    # a queued batch holds its whole frame
-    size = batch_frame_bytes((config.batch_size, config.task.seq_len, config.backbone.hidden),
-                             config.scheme, config.backbone.gamma)
 
     def send(frame, timing):
         depth = handed_off - frame.batch_id - 1  # batches waiting behind this one
@@ -306,14 +303,19 @@ def _run_batches(config, weights, transport, reader, report) -> None:
             if config.serial:
                 _, nbytes = future.result()
                 snap = reader.read_expected(MetricsSnapshot, timeout=config.timeout_s)
-                rejected = json.loads(snap.text).get("rejected")
+                try:  # only a JSON object has .get
+                    rejected = json.loads(snap.text).get("rejected")
+                except (ValueError, AttributeError):
+                    raise ProtocolError(f"metrics snapshot {snap.text[:40]!r} is not a JSON "
+                                        "object") from None
                 if rejected is not None:
                     log.warning("server did not train on batch %d: %s", i, rejected)
                     timing["rejected"] = rejected
                 record(timing, nbytes)
                 continue
             pending.append(future)
-            queued = size * sum(not (f.running() or f.done()) for f in pending)
+            # a queued batch holds its whole frame
+            queued = len(frame.data) * sum(not (f.running() or f.done()) for f in pending)
             report.max_queued_bytes = max(report.max_queued_bytes, queued)
         while pending:
             record(*pending.popleft().result())

@@ -77,24 +77,29 @@ def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def check_gradients(seed: int, step: float = 1e-6,
                     config: SideConfig = TINY) -> float:
-    """Max relative error over every parameter coordinate for one seed.
-    Every forward runs in one float64 workspace; the finite differences
-    run only forwards, so the analytic gradient stays in it unchanged."""
-    taps, params, labels = random_problem(seed, config)
+    """Max relative error over every parameter coordinate for one seed,
+    with and without the embedding tap. Every forward runs in one float64
+    workspace; the finite differences run only forwards, so the analytic
+    gradient stays in it unchanged."""
     ws = Workspace(config, TINY_BATCH, TINY_SEQ, np.float64)
+    worst = 0.0
+    for with_embedding_tap in (True, False):
+        taps, params, labels = random_problem(seed, config, with_embedding_tap=with_embedding_tap)
+        _, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
+        analytic = side_backward(ws, d_logits, params).flat
 
-    loss, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
-    analytic = side_backward(ws, d_logits, params).flat
+        def scalar_loss(theta: np.ndarray) -> float:
+            value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws),
+                                     labels)
+            return value
 
-    def scalar_loss(theta: np.ndarray) -> float:
-        value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws), labels)
-        return value
-
-    numeric = finite_diff_grad(scalar_loss, params.flat, step)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_FLOOR)
-    return float((np.abs(analytic - numeric) / denom).max())
+        numeric = finite_diff_grad(scalar_loss, params.flat, step)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_FLOOR)
+        worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
+    return worst
 
 
 def run_gradcheck(seeds: int = 5, step: float = 1e-6) -> float:
-    """Worst relative error across `seeds` independent configurations."""
+    """Worst relative error across `seeds` seeds, each run with and
+    without the embedding tap: 2 x `seeds` configurations."""
     return max(check_gradients(s, step) for s in range(seeds))

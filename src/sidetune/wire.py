@@ -44,6 +44,10 @@ one outside a session a ProtocolError. :func:`batch_bytes` counts a
 batch's taps and labels; the frame, batch id, label count and tap count
 add 30 bytes (:func:`batch_frame_bytes`).
 
+A reader decodes one frame per call, under the frame cap and session in
+force at that call, and the bytes it holds before it waits for more; so
+the frames behind a Hello are read under the session the Hello opens.
+
 A decoded batch holds its frame once: each tap's codes are a read-only
 memoryview of the frame's bytes, not a copy, and those views keep the
 frame alive for as long as the batch is. A :class:`StreamDecoder` hands
@@ -395,6 +399,8 @@ class StreamDecoder:
     """Incremental frame decoder over an ordered byte stream; it decodes
     ActBatch frames against `session`, the Hello of their session.
 
+    One frame per call: :meth:`feed` decodes only the frame at the head
+    of its buffer, under the `max_payload` and `session` in force then.
     Its buffer holds the bytes fed so far that it has not decoded, and
     grows only by what :meth:`feed` is given. A finished ActBatch frame
     keeps the buffer it arrived in, which its codes view, and the decoder
@@ -406,42 +412,32 @@ class StreamDecoder:
         self.skipped = 0  # always 0; the benchmark's wire.frames_skipped reads it
         self.max_payload = max_payload
         self.session = session
-        # why a frame did not decode, behind messages already returned
-        self.error: Exception | None = None
+        self.error: Exception | None = None  # why a frame did not decode
 
     def feed(self, data: bytes) -> list[WireMessage]:
-        """Absorb bytes; return every complete message now available, up
-        to and including the first Hello: the frames after a Hello may
-        belong to the session it opens, so they wait for the next call,
-        which may be given no bytes, under the limits set by then.
-
-        A frame that does not decode ends the stream: its error is raised
-        at once when no message precedes it in this call; else the
-        messages before it are returned, and the error is kept in
-        `error` and raised by every later call."""
+        """Absorb `data`; return [the message of the frame at the head of
+        the buffer], or [] while that frame is incomplete. The frames
+        behind it wait for later calls, which may be given no bytes.
+        A frame that does not decode ends the stream: the call that
+        reaches it raises its error, and so does every later call."""
         if self.error is not None:
             raise self.error
         self._buf.extend(data)
-        out = []
         try:
-            while (head := _frame_head(self._buf, self.max_payload)) is not None:
-                msg_type, total = head
-                if len(self._buf) < total:
-                    break
-                if msg_type == T_ACT_BATCH:
-                    frame, self._buf = self._buf, self._buf[total:]
-                    del frame[total:]
-                    out.append(_decode_frame(frame, msg_type, total, self.session))
-                else:
-                    out.append(_decode_frame(self._buf, msg_type, total, self.session))
-                    del self._buf[:total]
-                    if msg_type == T_HELLO:
-                        break
+            head = _frame_head(self._buf, self.max_payload)
+            if head is None or len(self._buf) < head[1]:
+                return []
+            msg_type, total = head
+            if msg_type == T_ACT_BATCH:
+                frame, self._buf = self._buf, self._buf[total:]
+                del frame[total:]
+                return [_decode_frame(frame, msg_type, total, self.session)]
+            msg = _decode_frame(self._buf, msg_type, total, self.session)
+            del self._buf[:total]
+            return [msg]
         except (DesyncError, FrameError, ProtocolError) as exc:
-            if not out:
-                raise
             self.error = exc
-        return out
+            raise
 
     @property
     def pending_bytes(self) -> int:
@@ -449,28 +445,22 @@ class StreamDecoder:
 
 
 class MessageReader:
-    """Blocking message iterator over a transport's chunk stream."""
+    """Blocking message iterator over a transport's chunk stream: each
+    read decodes one frame, under the limits in force at that read, from
+    the bytes it holds before it waits on the transport."""
 
     def __init__(self, transport, max_payload: int = MAX_PAYLOAD):
         self._transport = transport
         self._decoder = StreamDecoder(max_payload)
-        self._pending: list[WireMessage] = []
-        self._after_hello = False  # the decoder may hold whole frames past it
         self.eof = False
 
     def read(self, timeout: float | None = None) -> WireMessage | None:
-        """Next message, or None once the peer has closed the stream. The
-        bytes the decoder holds past a Hello are decoded, under the limits
-        in force now, before the transport is waited on."""
+        """Next message, or None once the peer has closed the stream."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        if self._after_hello:
-            self._after_hello = False
-            self._pending.extend(self._decoder.feed(b""))
-        while not self._pending:
+        chunk = b""
+        while not (out := self._decoder.feed(chunk)):
             if self.eof:
                 return None
-            if self._decoder.error is not None:  # behind the messages already read
-                raise self._decoder.error
             remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
             if remaining == 0.0:
                 raise TimeoutError("timed out waiting for a message")
@@ -480,10 +470,7 @@ class MessageReader:
                 if self._decoder.pending_bytes:
                     raise FrameError("stream closed mid-frame")
                 return None
-            self._pending.extend(self._decoder.feed(chunk))
-        msg = self._pending.pop(0)
-        self._after_hello = isinstance(msg, Hello)
-        return msg
+        return out[0]
 
     def read_expected(self, msg_type, timeout: float | None = None) -> WireMessage:
         """The next message, which must be a `msg_type`; anything else,

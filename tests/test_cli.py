@@ -56,7 +56,9 @@ def test_local_rejects_a_run_without_iterations(capsys, flags):
     ["quantbench"],
     ["local", *TINY, "--sigma", "relu"],
     ["local", *TINY, "--std", "0.05"],
-], ids=["config_file", "quantbench", "sigma", "std"])
+    ["server", "--backbone-seed", "7"],
+    ["server", "--backbone", os.devnull],
+], ids=["config_file", "quantbench", "sigma", "std", "server_backbone_seed", "server_backbone"])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     assert main(argv) == 1
     assert "sidetune: error:" in capsys.readouterr().err

@@ -2,13 +2,20 @@
 bounded number of batches, a failed send or a failed forward ends the
 run at once without a Bye, and every entry of the per-batch log carries
 the same timing keys in serial and pipelined runs. Also the pre-tokenized
-csv task, which the device samples batches from."""
+csv task, which the device samples batches from, and the device's reader
+of the server's frames, fuzzed with a fixed seed: each read gives the
+message a reference reading of the same bytes predicts, or the same
+wire error or timeout."""
 
 import dataclasses
 import json
+import random
+import struct
 import threading
 import time
 import tracemalloc
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +34,21 @@ from sidetune import (
 )
 from sidetune.cli import main
 from sidetune.transport import TransportClosed, loopback_pair
-from sidetune.wire import T_ACT_BATCH, T_BYE, batch_frame_bytes, encode
+from sidetune.wire import (
+    HEADER_LEN,
+    T_ACT_BATCH,
+    T_BYE,
+    CheckpointData,
+    DesyncError,
+    FrameError,
+    MessageReader,
+    MetricsSnapshot,
+    ProtocolError,
+    SessionAck,
+    batch_frame_bytes,
+    encode,
+    try_decode,
+)
 
 BACKBONE = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
                           block_cuts=(1, 2, 3, 4))
@@ -288,3 +309,105 @@ def test_a_steady_batch_allocates_less_than_its_codes_and_one_tap():
     # about 4 MiB, the taps and a slab
     assert peak - frame_bytes < 128 * 1024
     assert peak < frame_bytes + tap_bytes
+
+
+@pytest.mark.parametrize("text", ["[]", "not json"], ids=["json_list", "not_json"])
+def test_a_serial_answer_that_is_not_a_json_object_is_a_protocol_error(text):
+    # a server that acks the session, then answers the batch with `text`
+    dev_end, srv_end = loopback_pair()
+    srv_end.send(encode(SessionAck()) + encode(MetricsSnapshot(text=text)))
+    try:
+        with pytest.raises(ProtocolError, match="not a JSON object"):
+            run_device(device_config(iterations=1, serial=True), dev_end)
+    finally:
+        dev_end.close()
+        srv_end.close()
+
+
+READER_SEED = 2029
+READER_SESSIONS = 150
+SERVER_MESSAGES = (SessionAck, MetricsSnapshot, CheckpointData)
+WIRE_ERRORS = (DesyncError, FrameError, ProtocolError, TimeoutError)
+
+
+def server_message(rng, msg_type):
+    if msg_type is SessionAck:
+        return SessionAck(status=rng.randrange(4))
+    if msg_type is MetricsSnapshot:
+        return MetricsSnapshot(text=json.dumps({"iter": rng.randrange(100), "loss": rng.random()}))
+    return CheckpointData(data=rng.randbytes(rng.randrange(2048)))
+
+
+def server_frame(rng, msg_type):
+    """A frame the device waits for as a `msg_type`: now and then one of
+    another type, with flipped bits (its crc recomputed or not) or cut."""
+    if rng.random() < 0.1:
+        msg_type = rng.choice([t for t in SERVER_MESSAGES if t is not msg_type])
+    data = bytearray(encode(server_message(rng, msg_type)))
+    roll = rng.random()
+    if roll < 0.15:
+        for _ in range(rng.randint(1, 3)):
+            bit = rng.randrange(8 * len(data))
+            data[bit // 8] ^= 1 << bit % 8
+    elif roll < 0.25 and len(data) > HEADER_LEN + 4:
+        payload = memoryview(data)[HEADER_LEN:-4]
+        bit = rng.randrange(8 * len(payload))
+        payload[bit // 8] ^= 1 << bit % 8
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(payload))
+        del payload
+    elif roll < 0.3:
+        del data[rng.randrange(len(data)):]
+    return bytes(data)
+
+
+def reference_reads(stream, expected, closed):
+    """What a device's reader meeting `stream` gives for each type in
+    `expected`: the message, or the class of the error that ends it."""
+    view, out = memoryview(stream), []
+    for msg_type in expected:
+        try:
+            result = try_decode(view)
+        except (DesyncError, FrameError, ProtocolError) as exc:
+            return out + [type(exc)]
+        if result is None:
+            # a cut frame before the close, the close itself, or a wait that times out
+            return out + [(FrameError if len(view) else ProtocolError) if closed else TimeoutError]
+        msg, used = result
+        if not isinstance(msg, msg_type):
+            return out + [ProtocolError]
+        out.append(msg)
+        view = view[used:]
+    return out
+
+
+def test_fuzzed_server_frames_read_as_expected_or_raise_a_wire_error():
+    rng = random.Random(READER_SEED)
+    outcomes = Counter()
+    t0 = time.monotonic()
+    for _ in range(READER_SESSIONS):
+        expected = [rng.choice(SERVER_MESSAGES) for _ in range(rng.randint(1, 5))]
+        stream = b"".join(server_frame(rng, t) for t in expected)
+        closed = rng.random() < 0.75  # else the server neither answers nor hangs up
+        timeout = WITHIN_S if closed else 0.1
+        dev_end, srv_end = loopback_pair()
+        at = 0
+        while at < len(stream):  # in chunks of 1 B up to the whole stream
+            step = rng.randint(1, len(stream))
+            srv_end.send(stream[at:at + step])
+            at += step
+        if closed:
+            srv_end.close()
+        reader, got = MessageReader(dev_end), []
+        try:
+            for msg_type in expected:
+                got.append(reader.read_expected(msg_type, timeout=timeout))
+        except WIRE_ERRORS as exc:
+            got.append(type(exc))
+        finally:
+            dev_end.close()
+            srv_end.close()
+        assert got == reference_reads(stream, expected, closed)
+        outcomes.update(g if isinstance(g, type) else type(g) for g in got)
+    assert time.monotonic() - t0 < WITHIN_S
+    # with this seed the reads reach every message and every way to fail
+    assert set(outcomes) == {*SERVER_MESSAGES, *WIRE_ERRORS}, outcomes

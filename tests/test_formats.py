@@ -32,6 +32,7 @@ from sidetune import backbone, device, server
 from sidetune.binio import FormatError
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
+    MAX_HELLO,
     MAX_PAYLOAD,
     ActBatch,
     BatchFrame,
@@ -433,12 +434,34 @@ def test_each_batch_keeps_its_frame_and_the_decoder_the_bytes_after_it():
     stream = b"".join(frames)
     decoder = StreamDecoder(SMALL.batch_payload(), session=SMALL)
     cut = len(frames[0]) + len(frames[1]) + 5
+    # one frame per call: the second batch waits for a call of no bytes
     got = decoder.feed(stream[:cut])
-    assert [b.batch_id for b in got] == [0, 1] and decoder.pending_bytes == 5
+    assert [b.batch_id for b in got] == [0]
+    got += decoder.feed(b"")
+    assert [b.batch_id for b in got] == [0, 1]
+    assert decoder.feed(b"") == [] and decoder.pending_bytes == 5
     got += decoder.feed(stream[cut:])
     assert decoder.pending_bytes == 0
     for batch, frame in zip(got, frames, strict=True):
         assert batch == try_decode(frame, session=SMALL)[0]
+        # its codes view a buffer of its own frame's bytes alone
+        assert all(bytes(q.codes.obj) == frame for q in batch.taps)
+
+
+def test_a_reader_decodes_the_frames_behind_a_hello_in_its_chunk_under_its_session():
+    frames = [session_frame(SMALL, i) for i in range(2)]
+    device_end, server_end = loopback_pair()
+    device_end.send(encode(SMALL) + b"".join(frames) + encode(Bye()))
+    reader = MessageReader(server_end, max_payload=MAX_HELLO)
+    try:
+        assert reader.read(timeout=5) == SMALL
+        reader.limit_to_batches(SMALL)
+        for frame in frames:
+            assert reader.read(timeout=5) == try_decode(frame, session=SMALL)[0]
+        assert reader.read(timeout=5) == Bye()
+    finally:
+        device_end.close()
+        server_end.close()
 
 
 def test_the_batches_before_a_frame_that_does_not_decode_come_first():
