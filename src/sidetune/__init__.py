@@ -34,7 +34,7 @@ same two functions run over loopback, TCP or a rate-limited link.
 from .backbone import BackboneConfig, forward_collect, init_backbone, load_backbone, save_backbone
 from .costs import ModelSpec, payload_per_iteration
 from .device import CsvTask, DeviceConfig, SyntheticTask, load_csv_task, make_batch, run_device
-from .quantize import SCHEMES, quantize
+from .quantize import SCHEMES
 from .server import ServerConfig, local_mode, run_server
 from .sidenet import SideConfig, SideNetworkParams, combined_infer, init_side, load_side, save_side
 from .training import TrainState, adam_step, init_adam, loss_and_grad, train_iteration
@@ -67,7 +67,6 @@ __all__ = [
     "make_batch",
     "payload_bytes",
     "payload_per_iteration",
-    "quantize",
     "run_device",
     "run_server",
     "save_backbone",

@@ -8,7 +8,9 @@ workspace, whose one activation plane the layers run in place in;
 `mobillm`, that and one batch's frame, which each tap is quantized
 straight into and which it sends; `side_local`, both workspaces, the
 frame, which the batch decoded from it views rather than copies, the
-side weights and their Adam state. `full_ft` stays the one closed-form
+side weights and their Adam state. The side workspace holds no tap: the
+side network decodes each one from the frame's codes when an adapter
+reads it, forward and backward. `full_ft` stays the one closed-form
 guess, since no code here backpropagates through the backbone. Byte
 counts are raw.
 """

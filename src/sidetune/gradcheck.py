@@ -86,7 +86,7 @@ def check_gradients(seed: int, step: float = 1e-6,
     for with_embedding_tap in (True, False):
         taps, params, labels = random_problem(seed, config, with_embedding_tap=with_embedding_tap)
         _, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
-        analytic = side_backward(ws, d_logits, params).flat
+        analytic = side_backward(ws, d_logits, params, taps).flat
 
         def scalar_loss(theta: np.ndarray) -> float:
             value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws),

@@ -11,8 +11,8 @@ Every scheme normalizes by the tensor's absolute maximum; the resulting
 scale is all that dequantize needs besides the packed codes.
 
 The three low-bit schemes are code tables built at import: a wire byte
-indexes a row of the values of the codes it holds, and dequantize is that
-gather times the scale. nf4 and fp8 encode a normalized value z as the
+indexes a row of the values of the codes it holds, and dequantize is one
+gather from that table times the scale. nf4 and fp8 encode a normalized value z as the
 count of table midpoints ("cuts") strictly below it. nf4 ties go to the
 smaller index; fp8 counts on |z|, adds the sign bit, and sends ties to
 the even code by moving each cut below an even code one float32 step
@@ -272,7 +272,10 @@ def dequantize(q: QuantizedActivation, out: np.ndarray | None = None) -> np.ndar
     if q.scheme == "none_fp16":
         np.copyto(flat, np.frombuffer(q.codes, dtype=np.float16))
         return out
-    table = _DECODE[q.scheme]
+    # fl(v * scale) is the same float whether v is scaled before or after
+    # the gather, so the [256, k] table is scaled once and the gather is
+    # the decode's only pass
+    table = _DECODE[q.scheme] * np.float32(q.scale)
     k = table.shape[1]
     whole = n // k  # bytes whose every code is a value; an odd nibble count pads the last
     raw = np.frombuffer(q.codes, dtype=np.uint8)
@@ -284,7 +287,6 @@ def dequantize(q: QuantizedActivation, out: np.ndarray | None = None) -> np.ndar
         table.take(codes[i:i + _DECODE_CHUNK], axis=0, out=rows[i:i + _DECODE_CHUNK],
                    mode="clip")
     flat[whole * k:] = table[raw[whole:], :n - whole * k].reshape(-1)
-    flat *= np.float32(q.scale)
     return out
 
 

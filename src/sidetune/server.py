@@ -20,7 +20,10 @@ served at an iteration boundary. While a step runs, the transport's own
 buffer holds the frames that arrive, and the device keeps computing.
 Each batch decodes against the Hello (see :mod:`sidetune.wire`), so its
 layout is the session's, and its taps' codes are views of the frame it
-arrived in, which the session lets go before it reads the next. One
+arrived in. The step decodes a tap from those codes each time the side
+network reads it, in the forward and again in the backward, so the
+session holds the frame until the step returns, and lets it go before
+it reads the next. One
 function, :func:`_take_batch`, trains each batch or refuses it, counting
 it in ``ServerReport.invalid`` under :func:`validate_batch`'s reason
 ("label_range", "non_finite" or "out_of_order"), or under "non_finite"

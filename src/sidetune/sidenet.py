@@ -11,17 +11,28 @@ learnable sigmoid gate, mean-pooled over positions, and classified by a
 linear head. Backbone taps are constants, so no gradient ever points at
 the device.
 
+Both passes read tap l through one reader, ``read(tap, out)``, and only
+when adapter l runs, into a single plane: the server's reader decodes
+the batch's codes (:func:`sidetune.quantize.dequantize`), which it holds
+until the step ends, and the default one copies a float array. The
+reader's contract is that a tap reads the same bits each time, so the
+taps must stay unchanged from the forward to its backward.
+
 The forward keeps what its exact analytic reverse pass reads in its
 :class:`Workspace`, the one holder of both passes' buffers: each
-adapter's input u, its pre-activation and the tanh inside its gelu, the
-layer norm's x̂ and 1/σ, which the kernels hand out as they compute
-them, and what the head and the gate need. So the backward
-recomputes neither a layer-norm statistic nor a tanh; it recomputes
-each adapter's activation from what is kept, with the forward's own
-last operations, so bit for bit. The buffers are sized for one batch
-shape and written in place, and every forward runs in a workspace its
-caller builds, so a caller that keeps one (the server builds one per
-session) allocates nothing batch-sized per step.
+adapter's pre-activation and the tanh inside its gelu, the layer norm's
+x̂ and 1/σ, which the kernels hand out as they compute them, and what
+the head and the gate need. It keeps no tap and no adapter input: the
+backward reads each tap again and rebuilds adapter l's input
+u_l = (x̂_{l-1} · γ_{l-1} + β_{l-1}) + a_l, and each activation, from
+what is kept, with the forward's own operations in the forward's order,
+so bit for bit. That is gradient checkpointing's trade of compute for
+memory (Chen et al., 2016, arXiv 1604.06174): 2γ + 1 reads a step for
+γ taps, and one tap plane where M + 1 were kept. It recomputes neither
+a layer-norm statistic nor a tanh. The buffers are sized for one batch shape and written in place,
+and every forward runs in a workspace its caller builds, so a caller
+that keeps one (the server builds one per session) allocates nothing
+batch-sized per step.
 """
 
 from __future__ import annotations
@@ -136,23 +147,26 @@ class Workspace:
     """The buffers of a side forward and backward over [B, S] batches, and
     what the last forward left for the backward.
 
-    Each buffer holds, in turn, arrays that are never alive together:
+    It keeps no tap: each is read into `u` when an adapter needs it (see
+    the module docstring). Each buffer holds, in turn, arrays that are
+    never alive together:
 
-    - taps: M + 1 slots. Slot 0 holds the side state's seed (the
-      embedding tap, or zeros without it), slot l ≥ 1 tap l. Adapter l's
-      input u_l = s_{l-1} + tap_l goes into slot l - 1, which holds s_0
-      (l = 1) or tap_{l-1}, already added into u_{l-1}. So the slots end
-      up holding u_1 … u_M, and slot M keeps tap_M, which the gate blend
-      then turns into its output z;
-    - work: each adapter's y = core + u, the layer norm's input, which
-      the layer norm turns into the adapter's output s_l in place; in the
-      backward, the gradient of the last adapter's output;
+    - u: each adapter's input u_l = s_{l-1} + tap_l, the tap read into
+      it and the state added; then tap_M, read again, which the gate
+      blend turns into its output z. In the backward, each adapter's
+      input again, rebuilt;
+    - work: the embedding tap, the side state's seed s_0, when there is
+      one; then each adapter's y = core + u, the layer norm's input,
+      which the layer norm turns into the adapter's output s_l in place;
+      in the backward, the gradient of the last adapter's output;
     - act: each adapter's activation gelu(pre), in turn; in the
       backward, the activation recomputed from pre and tanh, then the
       gradient of pre;
     - pre, tanh, xhat, inv_std: per adapter, what the backward reads.
       It then writes over an adapter's pre and tanh as it finishes with
-      them, and over its x̂: first with x̂ · mean(d̂ · x̂), then with the
+      them, and over its x̂: first with x̂ · mean(d̂ · x̂), then with
+      the state s_{l-1} that the adapter's input is rebuilt from (the
+      embedding tap, read again, for the first adapter), then with the
       gradient of the adapter's input u, which is the gradient of the
       output of the adapter before;
     - grads: the gradient in the parameters' flat layout, written over by
@@ -178,7 +192,7 @@ class Workspace:
         n, h = config.adapters, config.hidden
         self.config = config
         self.shape = (batch, seq, h)
-        self.taps = tuple(np.empty(self.shape, dtype) for _ in range(n + 1))
+        self.u = np.empty(self.shape, dtype)
         self.work = np.empty(self.shape, dtype)
         self.xhat = np.empty((n, batch, seq, h), dtype)
         self.inv_std = np.empty((n, batch, seq), dtype)
@@ -191,14 +205,9 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        kept = (*self.taps, self.work, self.xhat, self.inv_std, self.pre, self.act,
-                self.tanh, self.grads.flat)
+        kept = (self.u, self.work, self.xhat, self.inv_std, self.pre, self.act, self.tanh,
+                self.grads.flat)
         return sum(a.nbytes for a in kept)
-
-    def tap_slots(self, count: int) -> tuple[np.ndarray, ...]:
-        """The slots that `count` taps go in, in order: the last M of them,
-        or all M + 1 when the first tap is the embedding tap."""
-        return self.taps[len(self.taps) - count:]
 
 
 def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
@@ -215,48 +224,61 @@ def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
     return params
 
 
-def side_forward(taps: list[np.ndarray], params: SideNetworkParams, ws: Workspace) -> np.ndarray:
-    """Run the side stack of ``ws.config`` over dequantized taps; returns
-    the logits [B, C], and leaves in `ws` what :func:`side_backward`
-    reads.
+def copy_tap(tap: np.ndarray, out: np.ndarray) -> None:
+    """The reader of float taps: a copy into `out`, the tap only read."""
+    np.copyto(out, tap)
 
-    `taps` holds either M arrays (one per adapter) or M+1 when the first
-    entry is the embedding tap seeding the side state; extra or missing
-    taps are a configuration error, and so is a tap of another shape
-    than the workspace's. Each tap is copied into its slot, unless it is
-    that slot already, as :func:`sidetune.quantize.dequantize` leaves it
-    when given the slot as `out`. The caller's own arrays are only read.
-    """
+
+def _split_taps(taps, ws: Workspace):
+    """(seed, block taps): the embedding tap that seeds the side state, or
+    None, and the M taps of the adapters. `taps` holds M + 1 taps with
+    the embedding tap or M without it; any other count, or a tap of
+    another shape than the workspace's, is a configuration error."""
     m = ws.config.adapters
     if len(taps) not in (m, m + 1):
         raise ValueError(
             f"got {len(taps)} taps for {m} adapters (expected {m} or {m + 1})"
         )
-    if any(t.shape != ws.shape for t in taps):
+    if any(tuple(t.shape) != ws.shape for t in taps):
         raise ValueError(f"tap shapes {[t.shape for t in taps]}, workspace {ws.shape}")
-    for tap, slot in zip(taps, ws.tap_slots(len(taps))):
-        if tap is not slot:
-            np.copyto(slot, tap)
-    if len(taps) == m:
-        ws.taps[0].fill(0)
+    return (taps[0], taps[1:]) if len(taps) > m else (None, taps)
 
-    s = ws.work  # each adapter's y, then, in place, its output
-    state = ws.taps[0]
+
+def side_forward(taps, params: SideNetworkParams, ws: Workspace, read=copy_tap) -> np.ndarray:
+    """Run the side stack of ``ws.config`` over the taps; returns the
+    logits [B, C], and leaves in `ws` what :func:`side_backward` reads.
+
+    `taps` holds either M taps (one per adapter) or M+1 when the first
+    is the embedding tap seeding the side state. ``read(tap, out)``
+    writes a tap's values into `out`, a plane of the workspace; the
+    default copies float arrays, and the server's step passes
+    :func:`sidetune.quantize.dequantize` with the batch's codes. Each
+    tap is read when its adapter runs, the last once more for the gate
+    blend, and the taps are only read.
+    """
+    seed, block_taps = _split_taps(taps, ws)
+    u, s = ws.u, ws.work  # s: s_0, then each adapter's y and, in place, its output
+    if seed is not None:
+        read(seed, s)
     for l, ad in enumerate(params.adapters):
-        u = np.add(state, ws.taps[l + 1], out=ws.taps[l])
+        read(block_taps[l], u)
+        # u = tap_l + s_{l-1}; without the embedding tap s_0 is zeros, and
+        # adding 0 turns a -0 of the tap into +0, as 0 + tap does
+        u += s if l or seed is not None else 0
         pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
         act = kernels.gelu(pre, out=ws.act, tanh=ws.tanh[l])
         kernels.fast_matmul(act, ad.w_up, out=s)
         s += u
-        state = kernels.layer_norm(s, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
-                                   xhat=ws.xhat[l], std=ws.inv_std[l])
+        kernels.layer_norm(s, ad.ln_gamma, ad.ln_beta, kernels.LN_EPS, out=s,
+                           xhat=ws.xhat[l], std=ws.inv_std[l])
         np.divide(1, ws.inv_std[l], out=ws.inv_std[l])
 
     blend = kernels.sigmoid(params.combine_gate)
-    final_tap = ws.taps[m]
+    final_tap = u  # read again over u_M
+    read(block_taps[-1], final_tap)
     ws.blend = float(blend)
     ws.gap = np.add.reduce(final_tap, axis=1) - np.add.reduce(s, axis=1)
-    # z = blend * tap_M + (1 - blend) * s_M, in the slot of tap_M
+    # z = blend * tap_M + (1 - blend) * s_M, in the plane of tap_M
     z = np.multiply(final_tap, blend, out=final_tap)
     s *= 1 - blend
     z += s
@@ -300,24 +322,54 @@ def _activation(ws: Workspace, l: int) -> np.ndarray:
     return kernels.gelu_from_tanh(ws.pre[l], ws.tanh[l], out=ws.act)
 
 
+def _rebuild_input(ws: Workspace, params: SideNetworkParams, tap, seed, read, l: int):
+    """Adapter l's input u_l = tap_l + s_{l-1}, rebuilt in ``ws.u`` with
+    the forward's operations in the forward's order, so bit for bit. The
+    state is rebuilt in x̂_l's plane, which the adapter's layer-norm
+    backward has spent: s_{l-1} = x̂_{l-1} · γ + β, the last two
+    operations of :func:`sidetune.kernels.layer_norm`, from the kept
+    x̂_{l-1}; for the first adapter, the embedding tap `seed`, read
+    again, or zeros when it is None."""
+    u = ws.u
+    read(tap, u)
+    if l:
+        prev = params.adapters[l - 1]
+        state = np.multiply(ws.xhat[l - 1], prev.ln_gamma, out=ws.xhat[l])
+        state += prev.ln_beta
+    elif seed is not None:
+        state = ws.xhat[0]
+        read(seed, state)
+    else:
+        state = 0
+    u += state
+    return u
+
+
 def side_backward(
     ws: Workspace,
     d_logits: np.ndarray,
     params: SideNetworkParams,
+    taps,
+    read=copy_tap,
 ) -> SideNetworkParams:
     """Exact reverse pass of the forward that `ws` holds; returns
     gradients shaped like `params`.
 
-    Backbone taps are treated as constants -- the gradient set contains
-    only side-network tensors. Works in the workspace, writing over the
-    forward's intermediates, and writes the gradients into its `grads`,
-    so the next backward in it writes over them. A workspace that holds
-    no forward, or one that a backward already spent, is refused.
+    `taps` and `read` are the forward's: each adapter's input is rebuilt
+    from the kept x̂ of the adapter before and a fresh read of its tap
+    (see the module docstring), so the taps must read as they did in the
+    forward. Backbone taps are treated as constants -- the gradient set
+    contains only side-network tensors. Works in the workspace, writing
+    over the forward's intermediates, and writes the gradients into its
+    `grads`, so the next backward in it writes over them. A workspace
+    that holds no forward, or one that a backward already spent, is
+    refused.
     """
     if ws.logits is None:
         raise ValueError("the workspace holds no forward for a backward to read")
     if params.flat.shape != ws.grads.flat.shape or d_logits.shape != ws.logits.shape:
         raise ValueError("workspace does not match the given parameters and output grad")
+    seed, block_taps = _split_taps(taps, ws)
     ws.logits = None
     grads = ws.grads  # every tensor of it is written below
     dtype = d_logits.dtype.type
@@ -347,8 +399,8 @@ def side_backward(
         kernels.fast_matmul(rows(act).T, rows(d_y), out=g.w_up)
         d_pre = kernels.fast_matmul(d_y, ad.w_up.T, out=act)
         kernels.gelu_backward(d_pre, ws.pre[l], ws.tanh[l])
-        # tap slot l holds this adapter's input u (see Workspace)
-        kernels.fast_matmul(rows(ws.taps[l]).T, rows(d_pre), out=g.w_down)
+        u = _rebuild_input(ws, params, block_taps[l], seed, read, l)
+        kernels.fast_matmul(rows(u).T, rows(d_pre), out=g.w_down)
         if l:  # taps are constants; only s_{l-1} carries gradient, and s_0 is a tap
             d_s = kernels.fast_matmul(d_pre, ad.w_down.T, out=ws.xhat[l])  # x̂_l is spent
             d_s += d_y
@@ -362,9 +414,10 @@ def combined_infer(
     tokens: np.ndarray,
     scheme: str = "none_fp16",
 ) -> np.ndarray:
-    """Device-style prediction: frozen forward, quantize/dequantize each
-    tap with the session scheme as it is emitted, then the side stack's
-    forward, each in a workspace built for the tokens' [B, S].
+    """Device-style prediction: frozen forward, quantize each tap with the
+    session scheme as it is emitted, then the side stack's forward, which
+    decodes each tap as the server's step does, each in a workspace built
+    for the tokens' [B, S].
 
     Bit-identical to the logits the server computes for the same batch
     and scheme, because it is the same code path.
@@ -373,8 +426,8 @@ def combined_infer(
     taps = []
     ws = ForwardWorkspace(backbone_weights.config, b, s)
     forward_collect(backbone_weights, tokens, ws,
-                    lambda _, t: taps.append(dequantize(quantize(t, scheme, scratch=ws.wide[0]))))
-    return side_forward(taps, side_params, Workspace(side_config, b, s))
+                    lambda _, t: taps.append(quantize(t, scheme, scratch=ws.wide[0])))
+    return side_forward(taps, side_params, Workspace(side_config, b, s), dequantize)
 
 
 def save_side(path, params: SideNetworkParams, config: SideConfig) -> None:

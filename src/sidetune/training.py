@@ -153,12 +153,16 @@ class NonFiniteStep(ValueError):
 
 
 def train_iteration(state: TrainState, batch) -> IterationMetrics:
-    """Train on one activation batch: dequantize, forward, backward, step.
+    """Train on one activation batch: forward, backward, step.
 
     `batch` is an ActBatch-shaped object carrying ``batch_id``, ``labels``
     and ``taps`` (quantized, in block order), which the caller has
     checked against the session, so its taps fit ``state.workspace``; its
-    id becomes ``state.last_batch_id``.
+    id becomes ``state.last_batch_id``. The side network decodes a tap
+    with :func:`sidetune.quantize.dequantize` each time it reads it, 2γ + 1
+    times a step for γ taps (see :mod:`sidetune.sidenet`), so the codes
+    must stay unchanged until the step returns. t_deq_ms sums the
+    decodes; t_fwd_ms and t_bwd_ms are the passes without them.
     A finite but huge scale can still overflow the dequantized taps or the
     side network; when the loss or the gradient is not finite, the step
     raises :class:`NonFiniteStep` before the optimizer moves.
@@ -166,34 +170,39 @@ def train_iteration(state: TrainState, batch) -> IterationMetrics:
     state.last_batch_id = batch.batch_id
     bytes_in = sum(len(q.codes) for q in batch.taps)
     ws = state.workspace
-    slots = ws.tap_slots(len(batch.taps))
+    taps = batch.taps
+    decode_s = []
+
+    def read(q, out):
+        t = time.perf_counter()
+        dequantize(q, out=out)
+        decode_s.append(time.perf_counter() - t)
 
     # a huge tap from the peer may overflow from its dequantize on; the
     # finiteness checks then refuse the step, so numpy's warnings would
     # only echo peer input
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = time.perf_counter()
-        taps = [dequantize(q, out=slot) for q, slot in zip(batch.taps, slots)]
-        t1 = time.perf_counter()
-        logits = side_forward(taps, state.params, ws)
+        logits = side_forward(taps, state.params, ws, read)
         labels = np.asarray(batch.labels)
         loss, d_logits = loss_and_grad(logits, labels)
         if not math.isfinite(loss):
             raise NonFiniteStep(f"batch {batch.batch_id}: loss {loss}")
-        t2 = time.perf_counter()
-        grads = side_backward(ws, d_logits, state.params)
+        t1, fwd_decodes = time.perf_counter(), sum(decode_s)
+        grads = side_backward(ws, d_logits, state.params, taps, read)
         norm = grad_norm(grads)
     if not math.isfinite(norm):
         raise NonFiniteStep(f"batch {batch.batch_id}: gradient norm {norm}")
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
     adam_step(state.params, grads, state.adam)
-    t4 = time.perf_counter()
+    t3 = time.perf_counter()
 
+    decodes = sum(decode_s)
     return IterationMetrics(
         batch_id=int(batch.batch_id), loss=loss,
         acc=float((logits.argmax(axis=1) == labels).mean()),
         grad_norm=norm,
-        t_deq_ms=(t1 - t0) * 1e3, t_fwd_ms=(t2 - t1) * 1e3,
-        t_bwd_ms=(t3 - t2) * 1e3, t_opt_ms=(t4 - t3) * 1e3,
+        t_deq_ms=decodes * 1e3, t_fwd_ms=(t1 - t0 - fwd_decodes) * 1e3,
+        t_bwd_ms=(t2 - t1 - (decodes - fwd_decodes)) * 1e3, t_opt_ms=(t3 - t2) * 1e3,
         bytes_in=bytes_in,
     )

@@ -24,12 +24,12 @@ from sidetune import (
     load_side,
     payload_bytes,
     payload_per_iteration,
-    quantize,
     save_backbone,
     save_side,
 )
 from sidetune import backbone, device, server
 from sidetune.binio import FormatError
+from sidetune.quantize import quantize
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     MAX_HELLO,

@@ -7,9 +7,16 @@ two frames, and ends with a Bye or a hang-up. Now and then the Hello
 shares its chunk with the stream's first bytes. Whatever arrives,
 run_server returns a report that names how the session ended, and every
 batch it decoded is either trained or counted as refused, also one that
-arrived in the chunk of a frame that does not decode. The whole module
-takes about a second."""
+arrived in the chunk of a frame that does not decode.
 
+The handshake is fuzzed too: Hellos with flipped bits in the backbone's
+config block, the scheme byte, the batch shape (B, S) or the frame's
+length field. Each gets the SessionAck its decoded fields call for, a
+refusal with no side workspace built for it, or, when it does not
+decode, no ack and a logged reason, and never an escape. The whole
+module takes about two seconds."""
+
+import logging
 import random
 import struct
 import threading
@@ -18,11 +25,16 @@ from collections import Counter
 
 import pytest
 
-from sidetune import BackboneConfig, ServerConfig, run_server
+from sidetune import BackboneConfig, ServerConfig, run_server, server
 from sidetune.quantize import SCHEMES
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
+    ACK_BAD_CONFIG,
+    ACK_BAD_SHAPE,
+    ACK_OK,
     HEADER_LEN,
+    MAX_HELLO,
+    MAX_PAYLOAD,
     BatchFrame,
     Bye,
     DesyncError,
@@ -181,3 +193,99 @@ def test_fuzzed_batch_streams_end_with_a_report_and_every_decoded_batch_counted(
     # with this seed every scheme's sessions reach every end and refuse some batches
     assert set(ends) == ENDS, ends
     assert refusals, refusals
+
+
+HELLOS = 100  # per scheme
+# [start, end) of each fuzzed field in a Hello frame: the frame's payload
+# length, then in the payload (u16 version | u8 scheme | u32 B | u32 S |
+# u8 sync | config block) the scheme byte, B, S and the config block
+HELLO_FIELDS = {
+    "length": (HEADER_LEN - 4, HEADER_LEN),
+    "scheme": (HEADER_LEN + 2, HEADER_LEN + 3),
+    "batch_size": (HEADER_LEN + 3, HEADER_LEN + 7),
+    "seq_len": (HEADER_LEN + 7, HEADER_LEN + 11),
+    "config_block": (HEADER_LEN + 12, -4),
+}
+# B's bits 12-23 are never flipped: a B of 2^12 to 2^24 fits a frame of
+# MAX_PAYLOAD, so the server accepts it and reserves a side workspace of
+# up to tens of GB, memory a shared test host should not be asked for
+B_BITS = (*range(12), *range(24, 32))
+
+
+def fuzzed_hello(rng, scheme):
+    """(field, bytes) of a session's Hello frame with 1 to 3 bits flipped
+    in one field; the crc is recomputed unless the flips are in the
+    frame's length, which the crc does not cover."""
+    data = bytearray(encode(session_hello(scheme)))
+    field = rng.choice(sorted(HELLO_FIELDS))
+    start, end = HELLO_FIELDS[field]
+    end %= len(data)
+    for _ in range(rng.randint(1, 3)):
+        bit = rng.choice(B_BITS) if field == "batch_size" else rng.randrange(8 * (end - start))
+        data[start + bit // 8] ^= 1 << bit % 8
+    if field != "length":
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[HEADER_LEN:-4]))
+    return field, bytes(data)
+
+
+def owed_ack(data):
+    """The SessionAck status a server of BACKBONE owes `data`, a Hello and
+    then the end of the stream, or None when `data` is no Hello."""
+    try:
+        result = try_decode(data, MAX_HELLO)
+    except (DesyncError, FrameError, ProtocolError):
+        return None
+    if result is None or not isinstance(result[0], Hello):
+        return None
+    hello = result[0]
+    if hello.backbone != BACKBONE:
+        return ACK_BAD_CONFIG
+    if hello.seq_len > BACKBONE.max_seq or hello.batch_payload() > MAX_PAYLOAD:
+        return ACK_BAD_SHAPE
+    return ACK_OK
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fuzzed_hellos_are_refused_or_acked_and_no_refused_shape_gets_a_workspace(
+        scheme, monkeypatch, caplog):
+    built = []
+    real_workspace = server.Workspace
+
+    def workspace(config, batch, seq):
+        built.append((batch, seq))
+        return real_workspace(config, batch, seq)
+
+    monkeypatch.setattr(server, "Workspace", workspace)
+    rng = random.Random(f"{SEED}/hello/{scheme}")
+    outcomes = Counter()
+    for _ in range(HELLOS):
+        field, data = fuzzed_hello(rng, scheme)
+        owed = owed_ack(data)
+        built.clear()
+        caplog.clear()
+        dev_end, srv_end = loopback_pair()
+        dev_end.send(data)
+        dev_end.close()  # a session the server takes ends at once, "vanished"
+        with caplog.at_level(logging.ERROR, logger=server.__name__):
+            report = run_server(ServerConfig(backbone=BACKBONE, timeout_s=1.0), srv_end)
+        srv_end.close()
+        reader = MessageReader(dev_end)
+        ack = reader.read(timeout=1.0)
+        assert reader.read(timeout=1.0) is None  # at most one answer
+        if owed is None:
+            assert ack is None and report.rejected is None and report.state is None, field
+            assert any("handshake failed" in r.getMessage() for r in caplog.records), field
+            assert not built
+        elif owed == ACK_OK:
+            assert ack == SessionAck(ACK_OK) and report.end == "vanished", field
+            hello, _ = try_decode(data, MAX_HELLO)
+            assert built == [(hello.batch_size, hello.seq_len)]
+            assert report.state.workspace.shape == hello.batch_shape
+        else:
+            assert ack == SessionAck(owed) and report.rejected == owed, field
+            assert report.state is None and report.end is None and not built, field
+        outcomes[field, owed] += 1
+    # with this seed every field's flips are fuzzed, and the Hellos reach
+    # each outcome: undecodable, refused on the backbone or the shape, acked
+    assert {f for f, _ in outcomes} == set(HELLO_FIELDS), outcomes
+    assert {o for _, o in outcomes} == {None, ACK_BAD_CONFIG, ACK_BAD_SHAPE, ACK_OK}, outcomes

@@ -4,16 +4,20 @@ in memory and start-up time for every module it imports, so a new one
 must be a stated dependency. The handshake compares config blocks, not
 digests, so the package needs no hash. (numpy.random still loads
 `hashlib`, through `secrets` and `hmac`, when a role first draws a
-random number; that import is numpy's.)"""
+random number; that import is numpy's.) Each submodule is reachable by
+its name: no re-export in the package shadows one."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import sidetune
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -57,3 +61,14 @@ def test_the_package_imports_only_declared_third_party_modules(added):
 
 def test_neither_role_imports_a_hash_library(added):
     assert {"hashlib", "_hashlib"}.isdisjoint(added)
+
+
+def test_each_submodule_is_the_package_attribute_of_its_name():
+    # a re-export under a submodule's name would shadow it: `import
+    # sidetune.quantize as q` would bind the function of that name
+    import sidetune.quantize as q
+
+    assert isinstance(q, types.ModuleType) and q.SCHEMES == sidetune.SCHEMES
+    for name in ("backbone", "costs", "device", "kernels", "quantize", "server", "sidenet",
+                 "training", "transport", "wire"):
+        assert isinstance(getattr(sidetune, name), types.ModuleType), name

@@ -12,6 +12,7 @@ import pytest
 from sidetune import kernels
 from sidetune.quantize import (
     _NF4_CUTS,
+    _e4m3_values,
     QuantizedActivation,
     SCHEME_BITS,
     SCHEMES,
@@ -285,7 +286,43 @@ class TestQuantize:
                 quantize(x, "nf4", scratch=scratch, out=bad)
 
 
+def two_pass_dequantize(q):
+    """The decode as it was once written: gather each code's value, then
+    scale the whole tensor in a second pass (fp16 takes no scale)."""
+    n = q.num_elements()
+    raw = np.frombuffer(q.codes, np.uint8)
+    if q.scheme == "none_fp16":
+        return np.frombuffer(q.codes, np.float16).astype(np.float32).reshape(q.shape)
+    if q.scheme == "fp8_e4m3":
+        values = _e4m3_values()[raw]
+    else:
+        codes = unpack_nibbles(q.codes, n)
+        values = (nf4_codebook()[codes] if q.scheme == "nf4"
+                  else (codes.astype(np.float32) - 8) / np.float32(7))
+    values = values.astype(np.float32)
+    values *= np.float32(q.scale)
+    return values.reshape(q.shape)
+
+
 class TestDequantize:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", [(2, 5, 8), (1, 3, 3), (3, 1, 7)])  # odd counts pad
+    def test_the_one_pass_decode_equals_the_two_pass_formula(self, scheme, shape):
+        rng = kernels.make_rng(9)
+        n = int(np.prod(shape))
+        for scale in (1.0, 0.37, 3.0e38, 1e-45, 0.0):
+            codes = rng.integers(0, 256, payload_code_bytes(n, scheme), dtype=np.uint8)
+            if scheme == "none_fp16":  # finite halves only, as the server admits
+                codes.view(np.float16)[~np.isfinite(codes.view(np.float16))] = 0
+            q = QuantizedActivation(scheme, shape, scale, codes.tobytes())
+            with np.errstate(over="ignore"):  # a huge scale overflows either way
+                want = two_pass_dequantize(q)
+                fresh = dequantize(q)
+                out = np.full(shape, np.nan, np.float32)
+                given = dequantize(q, out=out)
+            assert given is out
+            assert fresh.tobytes() == want.tobytes() == out.tobytes()
+
     def test_nf4_round_trip_bound(self):
         table = nf4_codebook()
         half_gap = np.diff(table).max() / 2

@@ -25,12 +25,12 @@ from sidetune import (
     ServerConfig,
     SyntheticTask,
     init_side,
-    quantize,
     run_device,
     run_server,
     save_side,
 )
 from sidetune import server
+from sidetune.quantize import quantize
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ACK_BAD_CONFIG,

@@ -1,6 +1,7 @@
 """The side network's step against the formulas it replaced, and its
-workspace: a backward reads only what a forward left in it, after a
-session's first batch a step allocates less than one tap, and a
+workspace: a backward reads only what a forward left in it and the
+taps, and rebuilds each adapter's input and activation bit for bit;
+after a session's first batch a step allocates less than one tap; and a
 workspace kept across a session's steps gives the bits of a fresh one
 per step."""
 
@@ -10,10 +11,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sidetune import SideConfig, TrainState, init_adam, init_side, kernels, quantize, save_side
-from sidetune.sidenet import SideNetworkParams, Workspace, _activation, side_backward, side_forward
+from sidetune import (
+    BackboneConfig,
+    SideConfig,
+    TrainState,
+    init_adam,
+    init_side,
+    kernels,
+    save_side,
+)
+from sidetune.quantize import quantize
+from sidetune.sidenet import (
+    SideNetworkParams,
+    Workspace,
+    _activation,
+    _rebuild_input,
+    copy_tap,
+    side_backward,
+    side_forward,
+)
 from sidetune.training import loss_and_grad, train_iteration
-from sidetune.wire import ActBatch
+from sidetune.wire import ActBatch, Hello, encode, try_decode
 
 CONFIG = SideConfig(hidden=32, bottleneck=16, adapters=4, classes=2)
 GAMMA = CONFIG.adapters + 1  # with the embedding tap
@@ -46,13 +64,13 @@ def oracle_layer_norm_backward(d_out, x, gamma, eps):
     return (d_xhat - mean1 - xhat * mean2) * inv_std, d_gamma, d_beta
 
 
-def oracle_step(taps, params, config, labels):
+def oracle_step(taps, params, config, labels, kept=None):
     """(logits, gradients) of one step with fresh arrays throughout, the
     forward keeping each layer norm's input and the backward recomputing
-    from it."""
+    from it; each adapter's (u, pre, act, y) goes into `kept` when given."""
     s, block_taps = (taps[0], taps[1:]) if len(taps) > config.adapters else (
         np.zeros_like(taps[0]), taps)
-    kept = []
+    kept = [] if kept is None else kept
     for tap, ad in zip(block_taps, params.adapters):
         u = s + tap
         pre = u @ ad.w_down
@@ -122,7 +140,7 @@ def test_the_step_agrees_with_the_recomputing_oracle(embedding_tap):
     ws = Workspace(CONFIG, 8, 15)
     logits = side_forward(taps, params, ws)
     d_logits = loss_and_grad(logits, labels)[1]
-    grads = side_backward(ws, d_logits, params)
+    grads = side_backward(ws, d_logits, params, taps)
     expected_logits, expected = oracle_step(taps, params, CONFIG, labels)
 
     assert logits.tobytes() == expected_logits.tobytes()
@@ -136,11 +154,11 @@ def test_the_step_agrees_with_the_recomputing_oracle(embedding_tap):
     # the backward wrote over the forward it read, so it cannot run twice;
     # a second forward in the same workspace gives the same bits again
     with pytest.raises(ValueError, match="no forward"):
-        side_backward(ws, d_logits, params)
+        side_backward(ws, d_logits, params, taps)
     first = grads.flat.copy()
     again = side_forward(taps, params, ws)
     assert again.tobytes() == logits.tobytes()
-    assert side_backward(ws, d_logits, params).flat.tobytes() == first.tobytes()
+    assert side_backward(ws, d_logits, params, taps).flat.tobytes() == first.tobytes()
 
 
 def test_the_backward_recomputes_each_activation_bit_for_bit():
@@ -157,11 +175,30 @@ def test_the_backward_recomputes_each_activation_bit_for_bit():
         assert _activation(ws, l).tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("embedding_tap", [True, False], ids=["embedding_tap", "no_embedding_tap"])
+def test_the_backward_rebuilds_each_adapter_input_bit_for_bit(embedding_tap):
+    params = trained_params()
+    rng = np.random.default_rng(10)
+    taps = [(rng.normal(size=(4, 15, CONFIG.hidden)) * 2).astype(np.float32)
+            for _ in range(GAMMA)][0 if embedding_tap else 1:]
+    # -0 in the first block tap: without the embedding tap, u_1 = tap_1 + 0 reads +0
+    taps[1 if embedding_tap else 0][0, 0, :4] = -0.0
+    kept = []
+    oracle_step(taps, params, CONFIG, rng.integers(0, CONFIG.classes, size=4), kept)
+    ws = Workspace(CONFIG, 4, 15)
+    side_forward(taps, params, ws)
+    seed, block_taps = (taps[0], taps[1:]) if embedding_tap else (None, taps)
+    # in the backward's order: each rebuild spends x̂_l and reads x̂_{l-1}
+    for l in reversed(range(CONFIG.adapters)):
+        u = _rebuild_input(ws, params, block_taps[l], seed, copy_tap, l)
+        assert u is ws.u and u.tobytes() == kept[l][0].tobytes(), l
+
+
 def test_a_backward_refuses_a_workspace_that_holds_no_forward():
     params = init_side(CONFIG, 1)
     with pytest.raises(ValueError, match="no forward"):
         side_backward(Workspace(CONFIG, 2, 3), np.zeros((2, CONFIG.classes), np.float32),
-                      params)
+                      params, [np.zeros((2, 3, CONFIG.hidden), np.float32)] * GAMMA)
 
 
 def test_a_workspace_counts_every_buffer_it_keeps():
@@ -177,10 +214,18 @@ def test_a_workspace_counts_every_buffer_it_keeps():
 
 
 def test_after_the_first_step_a_step_allocates_less_than_one_tap():
-    shape = (16, 127, CONFIG.hidden)
+    # the benchmark's long_seq shape, each batch decoded from its frame as
+    # the server receives it, so its taps view that frame's codes
+    shape = (16, 255, CONFIG.hidden)
     tap_bytes = np.prod(shape) * 4
     rng = np.random.default_rng(5)
-    batches = [random_batch(rng, i, shape) for i in range(3)]
+    hello = Hello(backbone=BackboneConfig(vocab_size=16, hidden=CONFIG.hidden,
+                                          layers=CONFIG.adapters, heads=4, max_seq=255,
+                                          block_cuts=(1, 2, 3, 4)),
+                  scheme="nf4", batch_size=shape[0], seq_len=shape[1])
+    batches = [try_decode(bytes(encode(random_batch(rng, i, shape))), hello.batch_payload(),
+                          hello)[0] for i in range(3)]
+    assert isinstance(batches[0].taps[0].codes, memoryview)
     state = new_state(*shape[:2])
     train_iteration(state, batches[0])
     tracemalloc.start()
@@ -191,7 +236,10 @@ def test_after_the_first_step_a_step_allocates_less_than_one_tap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # what a steady step still allocates is per-row statistics and smaller
+    # the frames were made before the trace; beyond them a steady step
+    # allocates a decode's gather indices, per-row statistics and smaller,
+    # about 77 KB here, so a temporary of one tap plane (522 KB), such as a
+    # dequantized tap, fails
     assert peak < tap_bytes
 
 

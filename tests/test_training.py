@@ -1,7 +1,9 @@
 """The analytic backward against finite differences, the flat state
 layout and the Adam step over it, the metrics a training step reports,
-and convergence on the synthetic task."""
+convergence on the synthetic task, and the checkpoint a short local run
+writes, pinned bit for bit."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,11 +23,11 @@ from sidetune import (
     kernels,
     local_mode,
     loss_and_grad,
-    quantize,
     train_iteration,
 )
 from sidetune.cli import GRADCHECK_TOLERANCE
 from sidetune.gradcheck import finite_diff_grad, run_gradcheck
+from sidetune.quantize import quantize
 from sidetune.sidenet import Workspace
 from sidetune.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sidetune.wire import ActBatch
@@ -166,3 +168,30 @@ def test_side_tuning_learns_the_synthetic_task():
     assert np.mean(report.losses[:20]) > 0.6
     assert np.mean(report.losses[-20:]) < 0.35
     assert np.mean([m.acc for m in report.metrics[-20:]]) > 0.8
+
+
+# the checkpoint after TRAINED_STEPS local_mode steps on a small model, by
+# (embedding tap, scheme); a change to these is a change of what training
+# computes, not only of how
+TRAINED_STEPS = 4
+TRAINED_GOLDEN = {
+    (True, "nf4"): "62b44e6172a1652b6799d3bdce16e31d43b68eabcd8057cb9d1f8231e6e3d9c3",
+    (True, "none_fp16"): "f3c05fa62842e08826abb98ab7583d7bcb4e1e9447d503c049e2cad69a50f740",
+    (False, "nf4"): "e646d471c00bc7646f6ff615b27def1a12498c5a29447a8cca73fb8635ba3505",
+    (False, "none_fp16"): "9f156c16752d25f37abc3e7c6cf0a17d16ea397b7d164681d1932b6cac4647c1",
+}
+
+
+@pytest.mark.parametrize("tap_embedding,scheme", sorted(TRAINED_GOLDEN),
+                         ids=lambda v: {True: "embedding_tap", False: "no_embedding_tap"}.get(v, v))
+def test_local_training_writes_the_golden_checkpoint(tmp_path, tap_embedding, scheme):
+    backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
+                              block_cuts=(1, 2, 3, 4), tap_embedding=tap_embedding)
+    device = DeviceConfig(backbone=backbone, task=SyntheticTask(seq_len=15, seed=3),
+                          scheme=scheme, batch_size=8, iterations=TRAINED_STEPS)
+    ckpt = tmp_path / "side.bin"
+    report = local_mode(device, ServerConfig(backbone=backbone, lr=5e-3,
+                                             checkpoint_path=str(ckpt)))
+    assert report.iterations == TRAINED_STEPS
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert digest == TRAINED_GOLDEN[tap_embedding, scheme]
