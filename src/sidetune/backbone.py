@@ -1,16 +1,16 @@
 """A frozen GPT-style decoder that exposes intermediate activations.
 
 The backbone is never trained. Each forward pass embeds a token batch,
-runs the decoder layers, and hands ("taps") the running activation at
-configured block boundaries to its caller, read-only, right after the
-layer that makes it; those taps feed the trainable side-network. Layers
-follow the post-norm composition
+hands ("taps") the embedding to its caller as tap 0, runs the decoder
+layers, and taps the running activation at configured block boundaries,
+each read-only, right after the layer that makes it; those taps feed
+the trainable side-network. Layers follow the post-norm composition
 
     u        = LN1(MSA(b) + b)
     b_next   = LN2(FFN(u) + u)
 
-with causal scaled dot-product attention and learned positional
-embeddings.
+with causal scaled dot-product attention, a 4H-wide FFN, as in OPT, and
+learned positional embeddings.
 
 The forward is cache-blocked: each layer runs over slabs of whole
 sequences, whose widest buffer is about SLAB_BYTES, and its attention
@@ -80,25 +80,23 @@ LN2 = 0.6931471805599453
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """One family: a 4H-wide FFN, and the embedding as tap 0, so M cuts give γ = M + 1 taps."""
     vocab_size: int
     hidden: int
     layers: int
     heads: int
     max_seq: int
-    ffn_dim: int = 0  # 0 means the conventional 4 * hidden
     # ascending layer indices after which a tap is emitted; last must be
     # the final layer
     block_cuts: tuple[int, ...] = ()
-    tap_embedding: bool = True
+    tap_embedding: bool = True  # only True; kept because the benchmark passes it
 
     def __post_init__(self):
         if min(self.vocab_size, self.hidden, self.max_seq) < 1:
             raise ValueError(f"vocab_size {self.vocab_size}, hidden {self.hidden} and max_seq "
                              f"{self.max_seq} must be at least 1")
-        if self.ffn_dim < 0:
-            raise ValueError(f"ffn_dim {self.ffn_dim} must be at least 0 (0 means 4 x hidden)")
-        ffn = self.ffn_dim or 4 * self.hidden
-        object.__setattr__(self, "ffn_dim", ffn)
+        if self.tap_embedding is not True:
+            raise ValueError(f"tap_embedding {self.tap_embedding!r}: the embedding is always tap 0")
         cuts = tuple(int(c) for c in self.block_cuts) or (self.layers,)
         object.__setattr__(self, "block_cuts", cuts)
         if self.heads < 1 or self.hidden % self.heads:
@@ -109,23 +107,27 @@ class BackboneConfig:
             raise ValueError(f"block cuts {cuts} must ascend and end at layer {self.layers}")
 
     @property
+    def ffn_dim(self) -> int:
+        return 4 * self.hidden
+
+    @property
     def num_blocks(self) -> int:
         return len(self.block_cuts)
 
     @property
     def gamma(self) -> int:
-        """Taps per forward pass: one per block, plus the embedding tap."""
-        return self.num_blocks + (1 if self.tap_embedding else 0)
+        """Taps per forward pass: the embedding tap, then one per block."""
+        return self.num_blocks + 1
 
     def config_block(self) -> bytes:
-        """Canonical binary form: the weight file's header and the
-        Hello's backbone identity."""
+        """Canonical binary form: the weight file's header and the Hello's
+        backbone identity, with slots for the FFN width and the flags, 1."""
         out = struct.pack(
             "<7I", self.vocab_size, self.hidden, self.layers, self.heads,
             self.ffn_dim, self.max_seq, self.num_blocks,
         )
         out += struct.pack(f"<{self.num_blocks}I", *self.block_cuts)
-        out += struct.pack("<B", 1 if self.tap_embedding else 0)
+        out += struct.pack("<B", 1)  # bit 0, the embedding tap, the one flag
         return out
 
     @classmethod
@@ -135,11 +137,11 @@ class BackboneConfig:
         )
         cuts = struct.unpack(f"<{m}I", read_exact(fh, 4 * m))
         (flags,) = struct.unpack("<B", read_exact(fh, 1))
-        return cls(
-            vocab_size=vocab, hidden=hidden, layers=layers, heads=heads,
-            max_seq=max_seq, ffn_dim=ffn, block_cuts=cuts,
-            tap_embedding=bool(flags & 1),
-        )
+        config = cls(vocab_size=vocab, hidden=hidden, layers=layers, heads=heads,
+                     max_seq=max_seq, block_cuts=cuts)
+        if (ffn, flags) != (config.ffn_dim, 1):  # so each config has one block
+            raise ValueError(f"FFN width {ffn} and flags {flags:#04x}, not 4H and 0x01")
+        return config
 
 
 @dataclass
@@ -252,8 +254,7 @@ class ForwardWorkspace:
       attention output, then the FFN output;
     - ctx: the attention context, then u, the first layer norm's output.
 
-    With the usual FFN width of 4H or more, each wide one is at most
-    SLAB_BYTES.
+    With the FFN 4H wide, each wide one is at most SLAB_BYTES.
 
     Two constant arrays mask a tile's diagonal block, where key j comes
     after query i when j > i. `keep` is the block in the memory order of
@@ -456,8 +457,8 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray, ws: ForwardWor
     """Run the frozen decoder and hand each tap at the configured cuts to
     ``emit(block index, [B, S, H] activation)``, in block order.
 
-    Weights are read-only here. Block index 0 is the embedding tap (when
-    enabled) and block index c is the activation after decoder layer c.
+    Weights are read-only here. Block index 0 is the embedding tap, and
+    block index c is the activation after decoder layer c.
     Every buffer comes from `ws`, which must be built for the weights'
     config and dtype and the batch's (B, S). A tap is a read-only view of
     ``ws.act``, emitted right after the layer that makes it and before the
@@ -493,8 +494,7 @@ def forward_collect(weights: BackboneWeights, tokens: np.ndarray, ws: ForwardWor
     x += weights.pos_embedding[:s]
     tap = x.view()
     tap.flags.writeable = False
-    if cfg.tap_embedding:
-        emit(0, tap)
+    emit(0, tap)
     for i, lw in enumerate(weights.layers, start=1):
         for b0 in range(0, b, ws.step):
             slab = x[b0:b0 + ws.step]

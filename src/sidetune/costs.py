@@ -42,8 +42,8 @@ OPTIMIZER_BYTES_PER_PARAM = 8  # two f32 Adam moments
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A decoder with a 4H-wide FFN and the embedding tap; for side_local,
-    gamma - 1 gelu adapters of width `bottleneck` and 2 classes."""
+    """A decoder of the backbone's one family, a 4H-wide FFN and the embedding
+    as tap 0; for side_local, gamma - 1 gelu adapters of width `bottleneck` and 2 classes."""
 
     params: int            # backbone parameter count P
     layers: int

@@ -27,16 +27,12 @@ TINY_SEQ = 4
 
 
 def random_problem(seed: int, config: SideConfig = TINY,
-                   batch: int = TINY_BATCH, seq: int = TINY_SEQ,
-                   with_embedding_tap: bool = True):
+                   batch: int = TINY_BATCH, seq: int = TINY_SEQ):
     """A double-precision (taps, params, labels) triple with generic
-    gradients: every parameter is perturbed away from its init."""
+    gradients: a forward's M + 1 taps, and every parameter perturbed away
+    from its init."""
     rng = make_rng(seed)
-    n_taps = config.adapters + (1 if with_embedding_tap else 0)
-    taps = [
-        rng.normal(size=(batch, seq, config.hidden)).astype(np.float64)
-        for _ in range(n_taps)
-    ]
+    taps = [rng.normal(size=(batch, seq, config.hidden)) for _ in range(config.adapters + 1)]
     params = SideNetworkParams(config, init_side(config, seed).flat.astype(np.float64))
     params.flat += rng.normal(scale=0.3, size=params.flat.shape)
     labels = rng.integers(0, config.classes, size=batch)
@@ -77,29 +73,23 @@ def finite_diff_grad(f, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def check_gradients(seed: int, step: float = 1e-6,
                     config: SideConfig = TINY) -> float:
-    """Max relative error over every parameter coordinate for one seed,
-    with and without the embedding tap. Every forward runs in one float64
-    workspace; the finite differences run only forwards, so the analytic
-    gradient stays in it unchanged."""
+    """Max relative error over every parameter coordinate for one seed.
+    Every forward runs in one float64 workspace; the finite differences
+    run only forwards, so the analytic gradient stays in it unchanged."""
     ws = Workspace(config, TINY_BATCH, TINY_SEQ, np.float64)
-    worst = 0.0
-    for with_embedding_tap in (True, False):
-        taps, params, labels = random_problem(seed, config, with_embedding_tap=with_embedding_tap)
-        _, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
-        analytic = side_backward(ws, d_logits, params, taps).flat
+    taps, params, labels = random_problem(seed, config)
+    _, d_logits = loss_and_grad(side_forward(taps, params, ws), labels)
+    analytic = side_backward(ws, d_logits, params, taps).flat
 
-        def scalar_loss(theta: np.ndarray) -> float:
-            value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws),
-                                     labels)
-            return value
+    def scalar_loss(theta: np.ndarray) -> float:
+        value, _ = loss_and_grad(side_forward(taps, SideNetworkParams(config, theta), ws), labels)
+        return value
 
-        numeric = finite_diff_grad(scalar_loss, params.flat, step)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_FLOOR)
-        worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
-    return worst
+    numeric = finite_diff_grad(scalar_loss, params.flat, step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_FLOOR)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def run_gradcheck(seeds: int = 5, step: float = 1e-6) -> float:
-    """Worst relative error across `seeds` seeds, each run with and
-    without the embedding tap: 2 x `seeds` configurations."""
+    """Worst relative error across `seeds` seeds, one configuration each."""
     return max(check_gradients(s, step) for s in range(seeds))

@@ -9,9 +9,9 @@ tap. Before it answers, the server builds the session's
 :class:`TrainState`, with the side workspace for that shape, so no step
 builds a buffer. It answers ``ACK_BAD_SHAPE`` to a shape no batch can
 take: S past the backbone's ``max_seq``, a batch frame past
-``wire.MAX_PAYLOAD`` (checked before anything is allocated), or a state
-too large to build. Whatever the Hello, :func:`run_server` returns a
-report.
+``wire.MAX_PAYLOAD`` or a side workspace past ``MAX_WORKSPACE_BYTES``
+(checked before anything is allocated), or a state too large to build.
+Whatever the Hello, :func:`run_server` returns a report.
 
 Then the session is one loop on the calling thread: read the next
 message, act on it. Messages are handled strictly in arrival order, so
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, ForwardWorkspace
 from .device import DeviceConfig, compute_batch, load_device_backbone
-from .sidenet import SideConfig, SideNetworkParams, Workspace, init_side, save_side
+from .sidenet import SideConfig, SideNetworkParams, Workspace, init_side, save_side, workspace_bytes
 from .training import DEFAULT_LR, NonFiniteStep, TrainState, init_adam, train_iteration
 from .transport import TransportClosed
 from .wire import (
@@ -84,6 +85,9 @@ from .wire import (
 )
 
 log = logging.getLogger(__name__)
+
+# the largest side workspace a session may ask for: the host's physical memory
+MAX_WORKSPACE_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass
@@ -166,8 +170,10 @@ def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     if hello.backbone != config.backbone:
         log.error("device backbone %s does not match %s", hello.backbone, config.backbone)
         return ACK_BAD_CONFIG
-    if hello.seq_len > config.backbone.max_seq or hello.batch_payload() > MAX_PAYLOAD:
-        log.error("no batch of shape %s fits the backbone and the frame", hello.batch_shape)
+    side_bytes = workspace_bytes(config.side_config(), hello.batch_size, hello.seq_len)
+    if (hello.seq_len > config.backbone.max_seq or hello.batch_payload() > MAX_PAYLOAD
+            or side_bytes > MAX_WORKSPACE_BYTES):
+        log.error("no batch of shape %s fits the backbone, frame and memory", hello.batch_shape)
         return ACK_BAD_SHAPE
     return ACK_OK
 

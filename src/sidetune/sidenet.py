@@ -6,10 +6,10 @@ Each adapter refines the running side activation ``s`` with the matching
     u      = s + a
     s_next = LN( gelu(u W_down) W_up + u )
 
-The final side state is blended with the last backbone tap through a
-learnable sigmoid gate, mean-pooled over positions, and classified by a
-linear head. Backbone taps are constants, so no gradient ever points at
-the device.
+The side state starts as the embedding tap, s_0 = a_0. The final one
+is blended with the last tap through a learnable sigmoid gate, pooled
+over positions, and classified by a linear head. Backbone taps are
+constants, so no gradient ever points at the device.
 
 Both passes read tap l through one reader, ``read(tap, out)``, and only
 when adapter l runs, into a single plane: the server's reader decodes
@@ -24,15 +24,15 @@ adapter's pre-activation and the tanh inside its gelu, the layer norm's
 x̂ and 1/σ, which the kernels hand out as they compute them, and what
 the head and the gate need. It keeps no tap and no adapter input: the
 backward reads each tap again and rebuilds adapter l's input
-u_l = (x̂_{l-1} · γ_{l-1} + β_{l-1}) + a_l, and each activation, from
-what is kept, with the forward's own operations in the forward's order,
-so bit for bit. That is gradient checkpointing's trade of compute for
-memory (Chen et al., 2016, arXiv 1604.06174): 2γ + 1 reads a step for
-γ taps, and one tap plane where M + 1 were kept. It recomputes neither
-a layer-norm statistic nor a tanh. The buffers are sized for one batch shape and written in place,
-and every forward runs in a workspace its caller builds, so a caller
-that keeps one (the server builds one per session) allocates nothing
-batch-sized per step.
+u_l = (x̂_{l-1} · γ_{l-1} + β_{l-1}) + a_l (a_0 + a_1 for the first),
+and each activation, from what is kept, with the forward's own
+operations in the forward's order, so bit for bit. That is gradient checkpointing's trade
+of compute for memory (Chen et al., 2016, arXiv 1604.06174): 2γ + 1
+reads a step for γ taps, and one tap plane where M + 1 were kept. It
+recomputes neither a layer-norm statistic nor a tanh. The buffers are
+sized for one batch shape and written in place, and every forward runs
+in a workspace its caller builds, so a caller that keeps one (the server
+builds one per session) allocates nothing batch-sized per step.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class Workspace:
       it and the state added; then tap_M, read again, which the gate
       blend turns into its output z. In the backward, each adapter's
       input again, rebuilt;
-    - work: the embedding tap, the side state's seed s_0, when there is
-      one; then each adapter's y = core + u, the layer norm's input,
+    - work: the embedding tap, the side state's seed s_0; then each
+      adapter's y = core + u, the layer norm's input,
       which the layer norm turns into the adapter's output s_l in place;
       in the backward, the gradient of the last adapter's output;
     - act: each adapter's activation gelu(pre), in turn; in the
@@ -185,29 +185,37 @@ class Workspace:
     A caller that keeps one workspace allocates nothing batch-sized per
     step; the server builds it once per session, for the (B, S) of the
     session's Hello, before it accepts the session. `nbytes` counts every
-    buffer above, not what a forward leaves in `gap`, `pooled` or `logits`.
+    buffer above, not what a forward leaves in `gap`, `pooled` or `logits`,
+    as :func:`workspace_bytes` counts them before any is built.
     """
 
     def __init__(self, config: SideConfig, batch: int, seq: int, dtype=np.float32):
-        n, h = config.adapters, config.hidden
         self.config = config
-        self.shape = (batch, seq, h)
-        self.u = np.empty(self.shape, dtype)
-        self.work = np.empty(self.shape, dtype)
-        self.xhat = np.empty((n, batch, seq, h), dtype)
-        self.inv_std = np.empty((n, batch, seq), dtype)
-        narrow = (n, batch, seq, config.bottleneck)
-        self.pre = np.empty(narrow, dtype)
-        self.act = np.empty(narrow[1:], dtype)
-        self.tanh = np.empty(narrow, dtype)
-        self.grads = SideNetworkParams(config, np.empty(_size(config), dtype))
+        self.shape = (batch, seq, config.hidden)
+        for name, shape in _buffer_shapes(config, batch, seq).items():
+            setattr(self, name, np.empty(shape, dtype))
+        self.grads = SideNetworkParams(config, self.grads)
         self.blend = self.gap = self.pooled = self.logits = None
 
     @property
     def nbytes(self) -> int:
-        kept = (self.u, self.work, self.xhat, self.inv_std, self.pre, self.act, self.tanh,
-                self.grads.flat)
-        return sum(a.nbytes for a in kept)
+        return workspace_bytes(self.config, *self.shape[:2], self.grads.flat.dtype)
+
+
+def _buffer_shapes(config: SideConfig, batch: int, seq: int) -> dict:
+    """The shape of each buffer of a :class:`Workspace` over [batch, seq]
+    batches, by attribute name; `grads` is the flat gradient."""
+    n, h = config.adapters, config.hidden
+    narrow = (n, batch, seq, config.bottleneck)
+    return {"u": (batch, seq, h), "work": (batch, seq, h), "xhat": (n, batch, seq, h),
+            "inv_std": (n, batch, seq), "pre": narrow, "act": narrow[1:], "tanh": narrow,
+            "grads": (_size(config),)}
+
+
+def workspace_bytes(config: SideConfig, batch: int, seq: int, dtype=np.float32) -> int:
+    """Bytes of the buffers of a :class:`Workspace` of these arguments, not built."""
+    shapes = _buffer_shapes(config, batch, seq).values()
+    return np.dtype(dtype).itemsize * sum(math.prod(shape) for shape in shapes)
 
 
 def init_side(config: SideConfig, seed: int) -> SideNetworkParams:
@@ -230,26 +238,24 @@ def copy_tap(tap: np.ndarray, out: np.ndarray) -> None:
 
 
 def _split_taps(taps, ws: Workspace):
-    """(seed, block taps): the embedding tap that seeds the side state, or
-    None, and the M taps of the adapters. `taps` holds M + 1 taps with
-    the embedding tap or M without it; any other count, or a tap of
-    another shape than the workspace's, is a configuration error."""
+    """(seed, block taps): the embedding tap that seeds the side state
+    and the M taps of the adapters. `taps` holds the M + 1 taps of a
+    forward; any other count, or a tap of another shape than the
+    workspace's, is a configuration error."""
     m = ws.config.adapters
-    if len(taps) not in (m, m + 1):
-        raise ValueError(
-            f"got {len(taps)} taps for {m} adapters (expected {m} or {m + 1})"
-        )
+    if len(taps) != m + 1:
+        raise ValueError(f"got {len(taps)} taps for {m} adapters (expected {m + 1})")
     if any(tuple(t.shape) != ws.shape for t in taps):
         raise ValueError(f"tap shapes {[t.shape for t in taps]}, workspace {ws.shape}")
-    return (taps[0], taps[1:]) if len(taps) > m else (None, taps)
+    return taps[0], taps[1:]
 
 
 def side_forward(taps, params: SideNetworkParams, ws: Workspace, read=copy_tap) -> np.ndarray:
     """Run the side stack of ``ws.config`` over the taps; returns the
     logits [B, C], and leaves in `ws` what :func:`side_backward` reads.
 
-    `taps` holds either M taps (one per adapter) or M+1 when the first
-    is the embedding tap seeding the side state. ``read(tap, out)``
+    `taps` holds M + 1 taps: the embedding tap, which seeds the side
+    state, then one per adapter. ``read(tap, out)``
     writes a tap's values into `out`, a plane of the workspace; the
     default copies float arrays, and the server's step passes
     :func:`sidetune.quantize.dequantize` with the batch's codes. Each
@@ -258,13 +264,10 @@ def side_forward(taps, params: SideNetworkParams, ws: Workspace, read=copy_tap) 
     """
     seed, block_taps = _split_taps(taps, ws)
     u, s = ws.u, ws.work  # s: s_0, then each adapter's y and, in place, its output
-    if seed is not None:
-        read(seed, s)
+    read(seed, s)
     for l, ad in enumerate(params.adapters):
         read(block_taps[l], u)
-        # u = tap_l + s_{l-1}; without the embedding tap s_0 is zeros, and
-        # adding 0 turns a -0 of the tap into +0, as 0 + tap does
-        u += s if l or seed is not None else 0
+        u += s  # u = tap_l + s_{l-1}
         pre = kernels.fast_matmul(u, ad.w_down, out=ws.pre[l])
         act = kernels.gelu(pre, out=ws.act, tanh=ws.tanh[l])
         kernels.fast_matmul(act, ad.w_up, out=s)
@@ -328,19 +331,17 @@ def _rebuild_input(ws: Workspace, params: SideNetworkParams, tap, seed, read, l:
     state is rebuilt in x̂_l's plane, which the adapter's layer-norm
     backward has spent: s_{l-1} = x̂_{l-1} · γ + β, the last two
     operations of :func:`sidetune.kernels.layer_norm`, from the kept
-    x̂_{l-1}; for the first adapter, the embedding tap `seed`, read
-    again, or zeros when it is None."""
+    x̂_{l-1}; for the first adapter, s_0, the embedding tap `seed`, read
+    again."""
     u = ws.u
     read(tap, u)
     if l:
         prev = params.adapters[l - 1]
         state = np.multiply(ws.xhat[l - 1], prev.ln_gamma, out=ws.xhat[l])
         state += prev.ln_beta
-    elif seed is not None:
+    else:
         state = ws.xhat[0]
         read(seed, state)
-    else:
-        state = 0
     u += state
     return u
 

@@ -15,11 +15,13 @@ The session setup, then the steady-state workhorse. The Hello fixes the
 backbone (its config block, as the weight file stores it, names the tap
 blocks), the scheme and the session's one batch shape: B >= 1 sequences
 of S >= 1 tokens. So every tap is [B, S, hidden] under the Hello's
-scheme, and on the wire a tap is only its scale and codes. A Hello of
-another protocol version decodes to that version alone (the other fields
-empty), whatever its body, so the server can refuse it with
-``ACK_BAD_VERSION``. A server answers ``ACK_BAD_CONFIG`` to another
-backbone, and ``ACK_BAD_SHAPE`` to a batch shape it cannot take.
+scheme, and on the wire a tap is only its scale and codes. Each Hello
+has one encoding: its sync byte is 0 or 1 and its config block
+canonical. A Hello of another protocol version decodes to that version
+alone (the other fields empty), whatever its body, so the server can
+refuse it with ``ACK_BAD_VERSION``. A server answers ``ACK_BAD_CONFIG``
+to another backbone, and ``ACK_BAD_SHAPE`` to a batch shape it cannot
+take.
 
     Hello:      protocol_version u16 | scheme u8 | batch_size u32 | seq_len u32 |
                 sync u8 | backbone config block (:meth:`BackboneConfig.config_block`)
@@ -328,7 +330,8 @@ def _parse_payload(msg_type: int, payload: memoryview, session: Hello | None) ->
             backbone = BackboneConfig.from_config_block(block)
         except (EOFError, ValueError) as exc:  # truncated, or refused by __post_init__
             raise FrameError(f"malformed hello: {exc}") from exc
-        if block.read(1) or scheme_code not in _SCHEME_NAME or min(batch_size, seq_len) < 1:
+        if (block.read(1) or scheme_code not in _SCHEME_NAME or min(batch_size, seq_len) < 1
+                or sync not in (0, 1)):
             raise FrameError("malformed hello")
         return Hello(backbone=backbone, scheme=_SCHEME_NAME[scheme_code], batch_size=batch_size,
                      seq_len=seq_len, sync=bool(sync), protocol_version=ver)

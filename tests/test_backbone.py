@@ -308,13 +308,13 @@ def test_a_kept_workspace_gives_the_taps_of_fresh_arrays_across_shapes():
             forward_collect(weights, toks, other, lambda i, act: None)
 
 
-@pytest.mark.parametrize("cuts,embedding", [((2, 4), False), ((1, 3, 4), True), ((4,), False)])
-def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts, embedding):
-    config = dataclasses.replace(CONFIG, block_cuts=cuts, tap_embedding=embedding)
+@pytest.mark.parametrize("cuts", [(2, 4), (1, 3, 4), (4,)])
+def test_taps_after_untapped_layers_are_those_of_the_layer_chain(cuts):
+    config = dataclasses.replace(CONFIG, block_cuts=cuts)
     weights = init_backbone(config, 7)
     toks = tokens()
     x = weights.token_embedding[toks] + weights.pos_embedding[:15]
-    expected = [(0, x)] if embedding else []
+    expected = [(0, x)]
     ws = workspace(config, x)
     for i, lw in enumerate(weights.layers, start=1):
         x = backbone.layer_forward(x, lw, config.heads, ws)

@@ -1,13 +1,14 @@
-"""The `sidetune` command's local and estimate subcommands, each
-subcommand's help, the options it no longer takes, and the package's
-exports. Also the cost model's memory figures against the buffers the
-code builds and the peaks it traces."""
+"""The `sidetune` command's local and estimate subcommands, a device that
+fetches the checkpoint, each subcommand's help, the options it no longer
+takes, and the package's exports. Also the cost model's memory figures
+against the buffers the code builds and the peaks it traces."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -23,8 +24,10 @@ from sidetune import (
     local_mode,
 )
 from sidetune.backbone import ForwardWorkspace
+from sidetune import cli
 from sidetune.cli import main
 from sidetune.sidenet import Workspace
+from sidetune.transport import loopback_pair
 
 TINY = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2",
         "--bottleneck", "8", "--batch", "4", "--seq", "7", "--iters", "2"]
@@ -58,10 +61,32 @@ def test_local_rejects_a_run_without_iterations(capsys, flags):
     ["local", *TINY, "--std", "0.05"],
     ["server", "--backbone-seed", "7"],
     ["server", "--backbone", os.devnull],
-], ids=["config_file", "quantbench", "sigma", "std", "server_backbone_seed", "server_backbone"])
+    ["local", *TINY, "--no-embedding-tap"],
+    ["local", *TINY, "--ffn-dim", "64"],
+], ids=["config_file", "quantbench", "sigma", "std", "server_backbone_seed", "server_backbone",
+        "no_embedding_tap", "ffn_dim"])
 def test_a_removed_option_is_a_usage_error(capsys, argv):
     assert main(argv) == 1
     assert "sidetune: error:" in capsys.readouterr().err
+
+
+def test_device_fetch_writes_the_checkpoint_the_server_saves(capsys, tmp_path, monkeypatch):
+    dev_end, srv_end = loopback_pair()
+    monkeypatch.setattr(cli, "tcp_listen_one", lambda host, port: (srv_end, port))
+    monkeypatch.setattr(cli.TcpTransport, "connect", lambda host, port, timeout: dev_end)
+    backbone = ["--hidden", "16", "--layers", "2", "--heads", "2", "--cuts", "uniform:2"]
+    saved, fetched = tmp_path / "server.bin", tmp_path / "fetched.bin"
+    codes = {}
+    server = threading.Thread(target=lambda: codes.update(server=main(
+        ["server", *backbone, "--bottleneck", "8", "--ckpt", str(saved)])))
+    server.start()
+    try:
+        codes["device"] = main(["device", *backbone, "--batch", "4", "--seq", "7",
+                                "--iters", "2", "--fetch", str(fetched)])
+    finally:
+        server.join(timeout=60)
+    assert codes == {"server": 0, "device": 0}, capsys.readouterr()
+    assert fetched.read_bytes() == saved.read_bytes()
 
 
 def help_text(*argv):

@@ -223,11 +223,11 @@ def test_a_serial_entry_times_the_send_alone(monkeypatch):
     ({"backbone": {"hidden": 0}}, "hidden 0"),
     ({"backbone": {"vocab_size": 0}}, "vocab_size 0"),
     ({"backbone": {"max_seq": 0}}, "max_seq 0"),
-    ({"backbone": {"ffn_dim": -1}}, "ffn_dim -1"),
+    ({"backbone": {"tap_embedding": False}}, "tap_embedding False"),
 ], ids=["scheme", "queue_depth", "batch_size", "no_iterations", "seq_len", "vocab_size",
         "seq_len_not_positive", "vocab_size_not_positive", "samples_per_epoch_0", "timeout_0",
         "backbone_hidden_0", "backbone_vocab_size_0", "backbone_max_seq_0",
-        "backbone_ffn_dim_negative"])
+        "backbone_tap_embedding_false"])
 def test_a_device_config_that_cannot_run_is_refused_when_built(fields, message):
     fields = dict(fields)
     with pytest.raises(ValueError, match=message):

@@ -154,6 +154,13 @@ def test_a_weight_file_whose_constant_rows_differ_is_refused(name, value):
         load_backbone(io.BytesIO(bytes(data)))
 
 
+def test_a_weight_file_of_another_flags_byte_is_refused():
+    data = bytearray(backbone_bytes(init_backbone(BACKBONE, 7)))
+    data[6 + len(BACKBONE.config_block()) - 1] = 0x81  # past the magic and version
+    with pytest.raises(ValueError, match="flags 0x81"):
+        load_backbone(io.BytesIO(bytes(data)))
+
+
 def test_a_weight_file_of_version_1_is_refused():
     data = backbone_bytes(init_backbone(BACKBONE, 7))
     with pytest.raises(FormatError, match="unsupported version 1"):
@@ -265,21 +272,21 @@ def test_a_control_message_of_another_length_is_a_frame_error(msg_type, payload)
 
 
 @pytest.mark.parametrize("cuts", [(4,), (1, 2, 3, 4)], ids=["1cut", "4cuts"])
-@pytest.mark.parametrize("tap_embedding", [True, False], ids=["embedding", "no_embedding"])
-def test_a_hello_carries_the_backbone_config(cuts, tap_embedding):
+def test_a_hello_carries_the_backbone_config(cuts):
     backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
-                              block_cuts=cuts, tap_embedding=tap_embedding)
+                              block_cuts=cuts)
     msg = Hello(backbone=backbone, scheme="fp8_e4m3", batch_size=3, seq_len=5)
     data = encode(msg)
     assert data[24:-4] == backbone.config_block()  # after the header and the fixed fields
     assert StreamDecoder().feed(data) == [msg]
 
 
-def hello_frame(block: bytes, batch_size: int = 4, seq_len: int = 7) -> bytes:
-    """A Hello frame declaring `batch_size` and `seq_len`, whose other
-    fixed fields are a valid Hello's and whose config block is `block`."""
+def hello_frame(block: bytes, batch_size: int = 4, seq_len: int = 7, sync: int = 0) -> bytes:
+    """A Hello frame declaring `batch_size`, `seq_len` and the sync byte
+    `sync`, whose other fixed fields are a valid Hello's and whose config
+    block is `block`."""
     hello = Hello(backbone=BACKBONE, scheme="nf4", batch_size=batch_size, seq_len=seq_len)
-    return _frame(T_HELLO, encode(hello)[12:24] + block)
+    return _frame(T_HELLO, encode(hello)[12:23] + bytes([sync]) + block)
 
 
 def block_with(offset: int, value: int) -> bytes:
@@ -288,24 +295,40 @@ def block_with(offset: int, value: int) -> bytes:
     return block[:offset] + struct.pack("<I", value) + block[offset + 4:]
 
 
-@pytest.mark.parametrize("block, batch_size, seq_len", [
-    (BACKBONE.config_block()[:-1], 4, 7),
-    (BACKBONE.config_block() + b"\0", 4, 7),
+def block_with_flags(flags: int) -> bytes:
+    """BACKBONE's config block with its last byte, the flags, set to `flags`."""
+    return BACKBONE.config_block()[:-1] + bytes([flags])
+
+
+@pytest.mark.parametrize("block, batch_size, seq_len, sync", [
+    (BACKBONE.config_block()[:-1], 4, 7, 0),
+    (BACKBONE.config_block() + b"\0", 4, 7, 0),
     # hidden 30 over 4 heads
-    (block_with(4, 30), 4, 7),
+    (block_with(4, 30), 4, 7, 0),
     # a valid block, but a session of no batch at all
-    (BACKBONE.config_block(), 0, 7),
-    (BACKBONE.config_block(), 4, 0),
+    (BACKBONE.config_block(), 0, 7, 0),
+    (BACKBONE.config_block(), 4, 0, 0),
     # the block's fields: vocab_size, hidden, layers, heads, ffn_dim, max_seq, ...
-    (block_with(0, 0), 4, 7),
-    (block_with(4, 0), 4, 7),
-    (block_with(20, 0), 4, 7),
+    (block_with(0, 0), 4, 7, 0),
+    (block_with(4, 0), 4, 7, 0),
+    (block_with(20, 0), 4, 7, 0),
+    # the FFN slot holds 4H, the flags byte 1, the sync byte 0 or 1: one
+    # encoding per Hello
+    (block_with(16, 4 * BACKBONE.hidden + 1), 4, 7, 0),
+    (block_with_flags(0), 4, 7, 0),
+    (block_with_flags(2), 4, 7, 0),
+    (block_with_flags(0x81), 4, 7, 0),
+    (BACKBONE.config_block(), 4, 7, 2),
+    (BACKBONE.config_block(), 4, 7, 0x80),
 ], ids=["truncated", "trailing_byte", "hidden_not_divisible_by_heads", "batch_size_0",
-        "seq_len_0", "vocab_size_0", "hidden_0", "max_seq_0"])
-def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block, batch_size, seq_len):
-    assert StreamDecoder().feed(hello_frame(BACKBONE.config_block())) != []
+        "seq_len_0", "vocab_size_0", "hidden_0", "max_seq_0", "ffn_dim_not_4h", "flags_0",
+        "flags_2", "flags_0x81", "sync_2", "sync_0x80"])
+def test_a_hello_whose_config_block_does_not_decode_is_a_frame_error(block, batch_size, seq_len,
+                                                                     sync):
+    for valid in (0, 1):
+        assert StreamDecoder().feed(hello_frame(BACKBONE.config_block(), sync=valid)) != []
     with pytest.raises(FrameError, match="malformed hello"):
-        StreamDecoder().feed(hello_frame(block, batch_size, seq_len))
+        StreamDecoder().feed(hello_frame(block, batch_size, seq_len, sync))
 
 
 @pytest.mark.parametrize("scheme", ["none_fp16", "fp8_e4m3", "fp4_grid", "nf4"])

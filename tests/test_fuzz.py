@@ -11,11 +11,13 @@ arrived in the chunk of a frame that does not decode.
 
 The handshake is fuzzed too: Hellos with flipped bits in the backbone's
 config block, the scheme byte, the batch shape (B, S) or the frame's
-length field. Each gets the SessionAck its decoded fields call for, a
-refusal with no side workspace built for it, or, when it does not
-decode, no ack and a logged reason, and never an escape. The whole
+length field, and one Hello of another vocabulary. Each gets the
+SessionAck its decoded fields call for, a refusal with no side
+workspace built for it, or, when it does not decode, no ack and a
+logged reason, and never an escape. The whole
 module takes about two seconds."""
 
+import dataclasses
 import logging
 import random
 import struct
@@ -27,6 +29,7 @@ import pytest
 
 from sidetune import BackboneConfig, ServerConfig, run_server, server
 from sidetune.quantize import SCHEMES
+from sidetune.sidenet import workspace_bytes
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ACK_BAD_CONFIG,
@@ -207,8 +210,9 @@ HELLO_FIELDS = {
     "config_block": (HEADER_LEN + 12, -4),
 }
 # B's bits 12-23 are never flipped: a B of 2^12 to 2^24 fits a frame of
-# MAX_PAYLOAD, so the server accepts it and reserves a side workspace of
-# up to tens of GB, memory a shared test host should not be asked for
+# MAX_PAYLOAD, and on a host of enough memory server.MAX_WORKSPACE_BYTES,
+# so the server accepts it and reserves a side workspace of up to tens of
+# GB, memory a shared test host should not be asked for
 B_BITS = (*range(12), *range(24, 32))
 
 
@@ -240,7 +244,10 @@ def owed_ack(data):
     hello = result[0]
     if hello.backbone != BACKBONE:
         return ACK_BAD_CONFIG
-    if hello.seq_len > BACKBONE.max_seq or hello.batch_payload() > MAX_PAYLOAD:
+    side = ServerConfig(backbone=BACKBONE).side_config()
+    if (hello.seq_len > BACKBONE.max_seq or hello.batch_payload() > MAX_PAYLOAD
+            or workspace_bytes(side, hello.batch_size, hello.seq_len)
+            > server.MAX_WORKSPACE_BYTES):
         return ACK_BAD_SHAPE
     return ACK_OK
 
@@ -258,8 +265,12 @@ def test_fuzzed_hellos_are_refused_or_acked_and_no_refused_shape_gets_a_workspac
     monkeypatch.setattr(server, "Workspace", workspace)
     rng = random.Random(f"{SEED}/hello/{scheme}")
     outcomes = Counter()
-    for _ in range(HELLOS):
-        field, data = fuzzed_hello(rng, scheme)
+    # most flips in the config block make it malformed; one Hello of another
+    # vocabulary names another backbone by construction
+    other = Hello(backbone=dataclasses.replace(BACKBONE, vocab_size=BACKBONE.vocab_size + 1),
+                  scheme=scheme, batch_size=BATCH, seq_len=SEQ)
+    hellos = [fuzzed_hello(rng, scheme) for _ in range(HELLOS)]
+    for field, data in [*hellos, ("config_block", encode(other))]:
         owed = owed_ack(data)
         built.clear()
         caplog.clear()
@@ -285,7 +296,8 @@ def test_fuzzed_hellos_are_refused_or_acked_and_no_refused_shape_gets_a_workspac
             assert ack == SessionAck(owed) and report.rejected == owed, field
             assert report.state is None and report.end is None and not built, field
         outcomes[field, owed] += 1
-    # with this seed every field's flips are fuzzed, and the Hellos reach
-    # each outcome: undecodable, refused on the backbone or the shape, acked
+    # with this seed every field's flips are fuzzed, and with the one of
+    # another vocabulary the Hellos reach each outcome: undecodable, refused
+    # on the backbone or the shape, acked
     assert {f for f, _ in outcomes} == set(HELLO_FIELDS), outcomes
     assert {o for _, o in outcomes} == {None, ACK_BAD_CONFIG, ACK_BAD_SHAPE, ACK_OK}, outcomes

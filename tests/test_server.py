@@ -31,6 +31,7 @@ from sidetune import (
 )
 from sidetune import server
 from sidetune.quantize import quantize
+from sidetune.sidenet import workspace_bytes
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ACK_BAD_CONFIG,
@@ -253,9 +254,8 @@ def test_a_handshake_with_another_protocol_version_is_refused(tmp_path, frame):
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("field,value", [("tap_embedding", False), ("hidden", 16),
-                                         ("block_cuts", (2, 4))],
-                         ids=["tap_embedding", "hidden", "block_cuts"])
+@pytest.mark.parametrize("field,value", [("hidden", 16), ("block_cuts", (2, 4))],
+                         ids=["hidden", "block_cuts"])
 def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path, field, value):
     ckpt = tmp_path / "side.bin"
     other = dataclasses.replace(BACKBONE, **{field: value})
@@ -278,12 +278,25 @@ def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path, fi
     assert not ckpt.exists()
 
 
+def batch_past_the_workspace_bound(seq_len: int) -> int:
+    """The least B whose side workspace over [B, seq_len] batches is past
+    server.MAX_WORKSPACE_BYTES; a workspace's bytes are affine in B."""
+    side = ServerConfig(backbone=BACKBONE).side_config()
+    fixed = workspace_bytes(side, 0, seq_len)
+    per_sequence = workspace_bytes(side, 1, seq_len) - fixed
+    return (server.MAX_WORKSPACE_BYTES - fixed) // per_sequence + 1
+
+
 # Hellos whose batch shape no batch can take, and whether the server gets as
 # far as building the session's state: the shape checks allocate nothing
 BAD_SHAPES = {
     "seq_past_max_seq": ({"seq_len": BACKBONE.max_seq + 1}, False),
     # its nf4 batch frame would hold gamma x 2^31 x 32 x 32 / 2 bytes of codes
     "frame_past_max_payload": ({"batch_size": 2**31, "seq_len": 32}, False),
+    # on a host of 8 GB, B is about 2 x 10^6, whose nf4 frame of about 0.5 GB
+    # fits MAX_PAYLOAD: only the workspace bound refuses it
+    "workspace_past_host_memory": ({"batch_size": batch_past_the_workspace_bound(3),
+                                    "seq_len": 3}, False),
     "state_out_of_memory": ({}, True),
 }
 

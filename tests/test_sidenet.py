@@ -68,8 +68,7 @@ def oracle_step(taps, params, config, labels, kept=None):
     """(logits, gradients) of one step with fresh arrays throughout, the
     forward keeping each layer norm's input and the backward recomputing
     from it; each adapter's (u, pre, act, y) goes into `kept` when given."""
-    s, block_taps = (taps[0], taps[1:]) if len(taps) > config.adapters else (
-        np.zeros_like(taps[0]), taps)
+    s, block_taps = taps[0], taps[1:]
     kept = [] if kept is None else kept
     for tap, ad in zip(block_taps, params.adapters):
         u = s + tap
@@ -128,12 +127,11 @@ def trained_params():
     return state.params
 
 
-@pytest.mark.parametrize("embedding_tap", [True, False], ids=["embedding_tap", "no_embedding_tap"])
-def test_the_step_agrees_with_the_recomputing_oracle(embedding_tap):
+def test_the_step_agrees_with_the_recomputing_oracle():
     params = trained_params()
     rng = np.random.default_rng(4)
     taps = [(rng.normal(size=(8, 15, CONFIG.hidden)) * 2).astype(np.float32)
-            for _ in range(GAMMA)][0 if embedding_tap else 1:]
+            for _ in range(GAMMA)]
     labels = rng.integers(0, CONFIG.classes, size=8)
     before = [t.copy() for t in taps]
 
@@ -175,22 +173,20 @@ def test_the_backward_recomputes_each_activation_bit_for_bit():
         assert _activation(ws, l).tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("embedding_tap", [True, False], ids=["embedding_tap", "no_embedding_tap"])
-def test_the_backward_rebuilds_each_adapter_input_bit_for_bit(embedding_tap):
+def test_the_backward_rebuilds_each_adapter_input_bit_for_bit():
     params = trained_params()
     rng = np.random.default_rng(10)
     taps = [(rng.normal(size=(4, 15, CONFIG.hidden)) * 2).astype(np.float32)
-            for _ in range(GAMMA)][0 if embedding_tap else 1:]
-    # -0 in the first block tap: without the embedding tap, u_1 = tap_1 + 0 reads +0
-    taps[1 if embedding_tap else 0][0, 0, :4] = -0.0
+            for _ in range(GAMMA)]
+    # -0 in the first block tap: u_1 = s_0 + tap_1 must add the tap as the forward does
+    taps[1][0, 0, :4] = -0.0
     kept = []
     oracle_step(taps, params, CONFIG, rng.integers(0, CONFIG.classes, size=4), kept)
     ws = Workspace(CONFIG, 4, 15)
     side_forward(taps, params, ws)
-    seed, block_taps = (taps[0], taps[1:]) if embedding_tap else (None, taps)
     # in the backward's order: each rebuild spends x̂_l and reads x̂_{l-1}
     for l in reversed(range(CONFIG.adapters)):
-        u = _rebuild_input(ws, params, block_taps[l], seed, copy_tap, l)
+        u = _rebuild_input(ws, params, taps[l + 1], taps[0], copy_tap, l)
         assert u is ws.u and u.tobytes() == kept[l][0].tobytes(), l
 
 

@@ -45,11 +45,11 @@ BATCH, SEQ, ITERS = 8, 15, 5
 FRAME_OVERHEAD = 30  # 16-byte frame, batch id, label count, tap count
 
 
-def configs(scheme, serial, ckpt, backbone=BACKBONE, task=SyntheticTask(seq_len=SEQ, seed=3)):
-    device = DeviceConfig(backbone=backbone, task=task,
+def configs(scheme, serial, ckpt, task=SyntheticTask(seq_len=SEQ, seed=3)):
+    device = DeviceConfig(backbone=BACKBONE, task=task,
                           scheme=scheme, batch_size=BATCH, iterations=ITERS, serial=serial,
                           fetch_checkpoint=True)
-    server = ServerConfig(backbone=backbone, lr=5e-3, checkpoint_path=str(ckpt))
+    server = ServerConfig(backbone=BACKBONE, lr=5e-3, checkpoint_path=str(ckpt))
     return device, server
 
 
@@ -76,23 +76,18 @@ def split_run(device_cfg, server_cfg, link):
     return device_report, out["report"]
 
 
-# without the embedding tap the side state starts from zeros
-NO_EMBEDDING_TAP = dataclasses.replace(BACKBONE, tap_embedding=False)
-
-
-@pytest.mark.parametrize("serial, link, backbone", [
-    pytest.param(False, loopback_pair, BACKBONE, id="pipelined"),
-    pytest.param(True, loopback_pair, BACKBONE, id="serial"),
-    pytest.param(False, tcp_pair, BACKBONE, id="pipelined-tcp"),
-    pytest.param(True, tcp_pair, BACKBONE, id="serial-tcp"),
-    pytest.param(False, loopback_pair, NO_EMBEDDING_TAP, id="pipelined-no-embedding-tap"),
+@pytest.mark.parametrize("serial, link", [
+    pytest.param(False, loopback_pair, id="pipelined"),
+    pytest.param(True, loopback_pair, id="serial"),
+    pytest.param(False, tcp_pair, id="pipelined-tcp"),
+    pytest.param(True, tcp_pair, id="serial-tcp"),
 ])
 @pytest.mark.parametrize("scheme", ["none_fp16", "nf4"])
-def test_split_and_local_runs_are_bit_equal(tmp_path, scheme, serial, link, backbone):
-    device_cfg, server_cfg = configs(scheme, serial, tmp_path / "split.bin", backbone)
+def test_split_and_local_runs_are_bit_equal(tmp_path, scheme, serial, link):
+    device_cfg, server_cfg = configs(scheme, serial, tmp_path / "split.bin")
     device_report, server_report = split_run(device_cfg, server_cfg, link)
 
-    _, local_cfg = configs(scheme, serial, tmp_path / "local.bin", backbone)
+    _, local_cfg = configs(scheme, serial, tmp_path / "local.bin")
     local = local_mode(device_cfg, local_cfg)
 
     assert server_report.clean_shutdown
@@ -103,9 +98,9 @@ def test_split_and_local_runs_are_bit_equal(tmp_path, scheme, serial, link, back
     fetched = io.BytesIO()
     save_side(fetched, fetched_params, fetched_config)
     assert fetched.getvalue() == (tmp_path / "split.bin").read_bytes()
-    spec = ModelSpec(params=1, layers=backbone.layers, hidden=backbone.hidden,
-                     heads=backbone.heads, seq_len=SEQ, batch_size=BATCH,
-                     gamma=backbone.gamma)
+    spec = ModelSpec(params=1, layers=BACKBONE.layers, hidden=BACKBONE.hidden,
+                     heads=BACKBONE.heads, seq_len=SEQ, batch_size=BATCH,
+                     gamma=BACKBONE.gamma)
     frame = payload_per_iteration(spec, scheme) + FRAME_OVERHEAD
     assert device_report.bytes_sent == ITERS * frame
 

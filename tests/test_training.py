@@ -171,22 +171,19 @@ def test_side_tuning_learns_the_synthetic_task():
 
 
 # the checkpoint after TRAINED_STEPS local_mode steps on a small model, by
-# (embedding tap, scheme); a change to these is a change of what training
+# scheme; a change to these is a change of what training
 # computes, not only of how
 TRAINED_STEPS = 4
 TRAINED_GOLDEN = {
-    (True, "nf4"): "62b44e6172a1652b6799d3bdce16e31d43b68eabcd8057cb9d1f8231e6e3d9c3",
-    (True, "none_fp16"): "f3c05fa62842e08826abb98ab7583d7bcb4e1e9447d503c049e2cad69a50f740",
-    (False, "nf4"): "e646d471c00bc7646f6ff615b27def1a12498c5a29447a8cca73fb8635ba3505",
-    (False, "none_fp16"): "9f156c16752d25f37abc3e7c6cf0a17d16ea397b7d164681d1932b6cac4647c1",
+    "nf4": "62b44e6172a1652b6799d3bdce16e31d43b68eabcd8057cb9d1f8231e6e3d9c3",
+    "none_fp16": "f3c05fa62842e08826abb98ab7583d7bcb4e1e9447d503c049e2cad69a50f740",
 }
 
 
-@pytest.mark.parametrize("tap_embedding,scheme", sorted(TRAINED_GOLDEN),
-                         ids=lambda v: {True: "embedding_tap", False: "no_embedding_tap"}.get(v, v))
-def test_local_training_writes_the_golden_checkpoint(tmp_path, tap_embedding, scheme):
+@pytest.mark.parametrize("scheme", sorted(TRAINED_GOLDEN))
+def test_local_training_writes_the_golden_checkpoint(tmp_path, scheme):
     backbone = BackboneConfig(vocab_size=16, hidden=32, layers=4, heads=4, max_seq=32,
-                              block_cuts=(1, 2, 3, 4), tap_embedding=tap_embedding)
+                              block_cuts=(1, 2, 3, 4))
     device = DeviceConfig(backbone=backbone, task=SyntheticTask(seq_len=15, seed=3),
                           scheme=scheme, batch_size=8, iterations=TRAINED_STEPS)
     ckpt = tmp_path / "side.bin"
@@ -194,4 +191,4 @@ def test_local_training_writes_the_golden_checkpoint(tmp_path, tap_embedding, sc
                                              checkpoint_path=str(ckpt)))
     assert report.iterations == TRAINED_STEPS
     digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
-    assert digest == TRAINED_GOLDEN[tap_embedding, scheme]
+    assert digest == TRAINED_GOLDEN[scheme]
