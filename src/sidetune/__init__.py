@@ -7,8 +7,8 @@ the backbone's config, the quantized taps and the labels in clear, never
 the tokens; yet a server that knows the backbone can recover the tokens
 from the taps (see :mod:`sidetune.device`). The package's cost model
 counts, per mode, the device buffers the code builds: the forward's
-workspace (`inference`), plus a batch's codes (`mobillm`), plus the side
-network's workspace, weights and Adam state (`side_local`).
+workspace (`inference`), plus two batch frames (`mobillm`), or one frame
+and the side network's workspace, weights and Adam state (`side_local`).
 
 Layout:
 

@@ -412,7 +412,12 @@ def _self_attention(x: np.ndarray, lw: LayerWeights, heads: int,
             mem[r0:] *= ws.keep[:t, :b, :, :t]
         num = kernels.fast_matmul(vt[..., :r1], scores_t,
                                   out=_head(ws.tile_ctx, (b, heads, hd + 1, t)))
-        np.divide(num[:, :, :hd], num[:, :, hd:], out=ctx[:, r0:r1].transpose(0, 2, 3, 1))
+        # numpy buffers a broadcast divide in up to bufsize elements per
+        # operand; groups of half that many quotients halve the buffers
+        group = max(np.getbufsize() // (2 * h * t), 1)
+        for g in range(0, b, group):
+            np.divide(num[g:g + group, :, :hd], num[g:g + group, :, hd:],
+                      out=ctx[g:g + group, r0:r1].transpose(0, 2, 3, 1))
     out = kernels.fast_matmul(ctx.reshape(b, s, h), lw.w_o, out=ws.proj[:b])
     out += lw.b_o
     return out

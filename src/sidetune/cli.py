@@ -163,7 +163,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("device", formatter_class=fmt,
                        help="stream quantized activations to a server")
     p.add_argument("--server", default="127.0.0.1:9000", help="server host:port")
-    p.add_argument("--queue", type=int, default=4, help="outbound payload queue depth")
     p.add_argument("--serial", action="store_true",
                    help="disable overlap; wait for a per-iteration server ack")
     p.add_argument("--fetch", default="", metavar="PATH",
@@ -249,8 +248,7 @@ def _rate_bps(args) -> float:
 def _cmd_device(args) -> int:
     rate_bps = _rate_bps(args)
     config = _device_config_from_args(
-        args, queue_depth=args.queue, serial=args.serial,
-        fetch_checkpoint=bool(args.fetch), log_path=args.log or None,
+        args, serial=args.serial, fetch_checkpoint=bool(args.fetch), log_path=args.log or None,
     )
     transport = TcpTransport.connect(*_host_port(args.server, "127.0.0.1"),
                                      timeout=config.timeout_s)

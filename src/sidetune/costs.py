@@ -5,14 +5,15 @@ spec's shape and dtype, and counts their bytes; numpy's empty buffers
 commit no memory until written, so even a 1.3B-parameter shape costs
 little RSS. Per mode the device holds: `inference`, one forward
 workspace, whose one activation plane the layers run in place in;
-`mobillm`, that and one batch's frame, which each tap is quantized
-straight into and which it sends; `side_local`, both workspaces, the
-frame, which the batch decoded from it views rather than copies, the
-side weights and their Adam state. The side workspace holds no tap: the
-side network decodes each one from the frame's codes when an adapter
-reads it, forward and backward. `full_ft` stays the one closed-form
-guess, since no code here backpropagates through the backbone. Byte
-counts are raw.
+`mobillm`, that and the session's two batch frames, in turn sent and
+filled, each tap quantized straight into its slot; `side_local`, both
+workspaces, the side weights and their Adam state, and one frame, since
+each batch trains before the next is computed and the batch decoded
+from the frame views its codes rather than copies them. The side
+workspace holds no tap: the side network decodes each one from the
+frame's codes when an adapter reads it, forward and backward. `full_ft`
+stays the one closed-form guess, since no code here backpropagates
+through the backbone. Byte counts are raw.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def device_memory_estimate(spec: ModelSpec, mode: str,
     payload = payload_per_iteration(spec, scheme)
     frame = batch_frame_bytes((spec.batch_size, spec.seq_len, spec.hidden), scheme, spec.gamma)
     if mode == "mobillm":
-        return CostReport(mode, weights, forward + frame, 0, payload)
+        return CostReport(mode, weights, forward + 2 * frame, 0, payload)
     side = Workspace(SideConfig(hidden=spec.hidden, bottleneck=spec.bottleneck,
                                 adapters=spec.gamma - 1, classes=2), *shape, dtype)
     adam = init_adam(side.grads)  # the gradient has the parameters' layout and dtype

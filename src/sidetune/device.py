@@ -1,15 +1,12 @@
 """The device side: forward-only backbone runs feeding a one-way uplink.
 
-A session is one loop on the calling thread: compute batch `i` and hand
-its frame to a single sender thread, which finishes and sends the frames
-in order. A batch holds one activation plane, whatever the number of
-taps, and one batch-sized buffer, its frame: the forward runs each layer
-in place in the plane, and each tap, right after the layer that makes
-it, is quantized in chunks of an idle slab buffer straight into its slot
-of the frame (:func:`compute_batch`). At most `queue_depth` handed-off
-batches wait behind the one being sent; past that the loop waits for
-the oldest send, which is the backpressure when the uplink is the
-bottleneck. A serial run waits for each batch's send and the server's
+A session is one loop on the calling thread: compute batch `i` into
+frame i mod 2 of the session's two (:func:`compute_batch`), hand it to a
+single sender thread, which finishes and sends the frames in order, and
+only then wait for batch i - 1's send, whose frame batch i + 1 is
+computed into. That wait is the backpressure when the uplink is the
+bottleneck: a stalled link holds two computed batches, one sending and
+one waiting. A serial run waits for each batch's send and the server's
 answer before it computes the next: the baseline the overlap is
 measured against.
 
@@ -27,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import BytesIO
@@ -133,7 +129,7 @@ class DeviceConfig:
     epochs: int = 1
     samples_per_epoch: int = 256
     iterations: int = 0  # nonzero overrides epochs * (samples // batch)
-    queue_depth: int = 4
+    queue_depth: int = 4  # unused: two frames take turns; the benchmark passes it
     serial: bool = False  # wait for a per-iteration server ack (no overlap)
     fetch_checkpoint: bool = False
     log_path: str | None = None
@@ -142,8 +138,6 @@ class DeviceConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.queue_depth < 1:
-            raise ValueError("queue depth must be at least 1")
         if not 0 < self.timeout_s < np.inf:
             raise ValueError(f"timeout {self.timeout_s} s must be positive and finite")
         if self.batch_size < 1:
@@ -177,7 +171,7 @@ class DeviceConfig:
 class DeviceReport:
     wall_s: float = 0.0
     bytes_sent: int = 0
-    max_queued_bytes: int = 0
+    max_queued_bytes: int = 0  # a frame, once a batch waited for the send before it
     entries: list = field(default_factory=list)  # one timing dict per sent batch
     fetched_checkpoint: object = None  # (SideConfig, SideNetworkParams)
     aborted: bool = False
@@ -193,20 +187,22 @@ def load_device_backbone(config: DeviceConfig) -> BackboneWeights:
     return init_backbone(config.backbone, config.backbone_seed)
 
 
-def compute_batch(weights, config, i, ws: ForwardWorkspace):
-    """Batch `i` as the device sends it: sample, frozen forward, quantize
-    every tap into the batch's frame. Returns (:class:`BatchFrame`, timing
-    dict); :func:`encode` finishes the frame. Local mode calls this too.
+def compute_batch(weights, config, i, ws: ForwardWorkspace, frame: BatchFrame) -> dict:
+    """Batch `i` as the device sends it, written into `frame`, one of the
+    session's (:meth:`BatchFrame.for_session`): sample, frozen forward,
+    quantize every tap into its slot, so no byte of the frame's last
+    batch is left. Returns the timing dict; :func:`encode` finishes the
+    frame. Local mode calls this too.
 
     The forward runs in the session's one :class:`ForwardWorkspace` and
     emits each tap, read-only, right after the layer that makes it.
-    :func:`quantize` writes its codes straight into the tap's slot of the
-    frame, working in chunks of ``ws.wide[0]``, which no layer holds while
-    a tap is emitted; so a batch allocates little beyond its frame.
-    t_quant_ms sums the quantize calls, t_fwd_ms the rest."""
+    :func:`quantize` writes its codes straight into the tap's slot,
+    working in chunks of ``ws.wide[0]``, which no layer holds while a tap
+    is emitted; so a batch allocates less than a frame. t_quant_ms sums
+    the quantize calls, t_fwd_ms the rest."""
     t0 = time.perf_counter()
     tokens, labels = make_batch(config.task, i, config.batch_size)
-    frame = BatchFrame.for_session(config.hello(), i, labels)
+    frame.set_batch(i, labels)
     quant_s = []
 
     def emit(_, act):
@@ -218,7 +214,7 @@ def compute_batch(weights, config, i, ws: ForwardWorkspace):
 
     forward_collect(weights, tokens, ws, emit)
     t_fwd = time.perf_counter() - t0 - sum(quant_s)
-    return frame, {"iter": i, "t_fwd_ms": t_fwd * 1e3, "t_quant_ms": sum(quant_s) * 1e3}
+    return {"iter": i, "t_fwd_ms": t_fwd * 1e3, "t_quant_ms": sum(quant_s) * 1e3}
 
 
 def _do_handshake(config: DeviceConfig, transport, reader: MessageReader) -> None:
@@ -266,14 +262,15 @@ def run_device(config: DeviceConfig, transport) -> DeviceReport:
 
 
 def _run_batches(config, weights, transport, reader, report) -> None:
-    """Compute every batch on this thread; one sender thread finishes and
-    sends their frames in order. A batch is recorded in `report` once its
+    """Compute every batch on this thread into the session's two frames in
+    turn; one sender thread finishes and sends them in order. Batch i is
+    handed off before the loop waits for batch i - 1's send, so the link
+    never waits for a hand-off. A batch is recorded in `report` once its
     send is collected, so a failed send ends the run at the next batch.
 
     A serial run waits for each batch's send and for the server's one
     snapshot before it computes the next; a batch the server did not
     train on is logged and its entry names the server's reason."""
-    pending = deque()  # send futures, oldest first
     handed_off = 0  # batches given to the sender so far
 
     def send(frame, timing):
@@ -289,19 +286,25 @@ def _run_batches(config, weights, transport, reader, report) -> None:
         report.bytes_sent += nbytes
 
     ws = ForwardWorkspace(config.backbone, config.batch_size, config.task.seq_len)
+    frames = [BatchFrame.for_session(config.hello()) for _ in range(2)]
     sender = ThreadPoolExecutor(max_workers=1, thread_name_prefix="device-send")
+    last = None  # the send of the batch before
     try:
         for i in range(config.total_iterations):
-            frame, timing = compute_batch(weights, config, i, ws)
-            t0 = time.perf_counter()
-            # collect finished sends; wait while more than queue_depth are outstanding
-            while pending and (pending[0].done() or len(pending) > config.queue_depth):
-                record(*pending.popleft().result())
-            timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
+            frame = frames[i % 2]
+            timing = compute_batch(weights, config, i, ws, frame)
             handed_off = i + 1
             future = sender.submit(send, frame, timing)
+            t0 = time.perf_counter()
+            if last is not None:
+                if not last.done():  # batch i waits for it, holding its frame
+                    report.max_queued_bytes = len(frame.data)
+                record(*last.result())  # batch i + 1 is computed into its frame
+            timing["t_queue_ms"] = (time.perf_counter() - t0) * 1e3
+            last = future
             if config.serial:
-                _, nbytes = future.result()
+                record(*last.result())
+                last = None
                 snap = reader.read_expected(MetricsSnapshot, timeout=config.timeout_s)
                 try:  # only a JSON object has .get
                     rejected = json.loads(snap.text).get("rejected")
@@ -311,13 +314,7 @@ def _run_batches(config, weights, transport, reader, report) -> None:
                 if rejected is not None:
                     log.warning("server did not train on batch %d: %s", i, rejected)
                     timing["rejected"] = rejected
-                record(timing, nbytes)
-                continue
-            pending.append(future)
-            # a queued batch holds its whole frame
-            queued = len(frame.data) * sum(not (f.running() or f.done()) for f in pending)
-            report.max_queued_bytes = max(report.max_queued_bytes, queued)
-        while pending:
-            record(*pending.popleft().result())
+        if last is not None:
+            record(*last.result())
     finally:
         sender.shutdown(cancel_futures=True)

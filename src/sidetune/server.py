@@ -9,8 +9,8 @@ tap. Before it answers, the server builds the session's
 :class:`TrainState`, with the side workspace for that shape, so no step
 builds a buffer. It answers ``ACK_BAD_SHAPE`` to a shape no batch can
 take: S past the backbone's ``max_seq``, a batch frame past
-``wire.MAX_PAYLOAD`` or a side workspace past ``MAX_WORKSPACE_BYTES``
-(checked before anything is allocated), or a state too large to build.
+``wire.MAX_PAYLOAD`` or a session past ``MAX_SESSION_BYTES`` (checked
+before anything is allocated), or a state too large to build.
 Whatever the Hello, :func:`run_server` returns a report.
 
 Then the session is one loop on the calling thread: read the next
@@ -34,12 +34,13 @@ that is malformed, longer than ``wire.MAX_HELLO``, missing or late ends
 the session before it starts, with no checkpoint. After it, a frame that
 does not decode ends the session at once, with its checkpoint: a batch
 frame of another layout than the session's, or one longer than its
-batch. ``ServerReport.end`` names how a session that started ended.
+batch. ``ServerReport.end`` names how the session ended.
 
 Local mode checks the Hello the device would send, builds the same
 state, decodes each frame of :func:`sidetune.device.compute_batch`
 against that Hello, as the server's reader does, into views of the
-device's frame, and hands the batch to the same :func:`_take_batch`. So
+device's frame, and hands the batch to the same :func:`_take_batch`,
+which trains it before the next batch is written into that frame. So
 it trains on the bytes a split session would receive, refuses what that
 session refuses, trains bit-equally, and writes its checkpoint however
 it ends.
@@ -69,6 +70,7 @@ from .wire import (
     ACK_OK,
     ACK_REASONS,
     ActBatch,
+    BatchFrame,
     Bye,
     CheckpointData,
     CheckpointRequest,
@@ -80,14 +82,15 @@ from .wire import (
     OversizedFrame,
     PROTOCOL_VERSION,
     SessionAck,
+    batch_frame_bytes,
     encode,
     try_decode,
 )
 
 log = logging.getLogger(__name__)
 
-# the largest side workspace a session may ask for: the host's physical memory
-MAX_WORKSPACE_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# the most a session may hold (session_bytes): the host's physical memory
+MAX_SESSION_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass
@@ -132,10 +135,11 @@ class ServerReport:
     invalid: Counter = field(default_factory=Counter)  # refused batches by reason
     metrics: list = field(default_factory=list)  # one IterationMetrics per trained batch
     rejected: int | None = None  # ack status when the handshake failed
-    # how the session ended: "bye"; "oversized", a frame header longer than
-    # the session's batch; "undecodable", a frame that does not decode
-    # against the session; "vanished", the stream closed or failed without
-    # a Bye. None when no session started.
+    # how the session ended: "handshake", a Hello malformed, missing or late
+    # (None when refused, see `rejected`); "bye"; "oversized", a frame header
+    # longer than the session's batch; "undecodable", a frame that does not
+    # decode against the session; "vanished", the stream closed or failed
+    # without a Bye.
     end: str | None = None
     state: TrainState | None = None
 
@@ -164,15 +168,24 @@ def _make_state(config: ServerConfig, hello: Hello, params: SideNetworkParams) -
                       workspace=Workspace(side_cfg, hello.batch_size, hello.seq_len))
 
 
+def session_bytes(config: ServerConfig, hello: Hello) -> int:
+    """Bytes a session of `hello` holds, counted before any is allocated: the
+    side workspace, one batch frame, and the flat float32 state: the
+    parameters, Adam's m and v and its two scratch vectors."""
+    side = config.side_config()
+    return (workspace_bytes(side, hello.batch_size, hello.seq_len)
+            + batch_frame_bytes(hello.batch_shape, hello.scheme, hello.backbone.gamma)
+            + 5 * 4 * side.param_count)
+
+
 def _validate_hello(config: ServerConfig, hello: Hello) -> int:
     if hello.protocol_version != PROTOCOL_VERSION:
         return ACK_BAD_VERSION
     if hello.backbone != config.backbone:
         log.error("device backbone %s does not match %s", hello.backbone, config.backbone)
         return ACK_BAD_CONFIG
-    side_bytes = workspace_bytes(config.side_config(), hello.batch_size, hello.seq_len)
     if (hello.seq_len > config.backbone.max_seq or hello.batch_payload() > MAX_PAYLOAD
-            or side_bytes > MAX_WORKSPACE_BYTES):
+            or session_bytes(config, hello) > MAX_SESSION_BYTES):
         log.error("no batch of shape %s fits the backbone, frame and memory", hello.batch_shape)
         return ACK_BAD_SHAPE
     return ACK_OK
@@ -246,6 +259,7 @@ def run_server(config: ServerConfig, transport) -> ServerReport:
         hello = reader.read_expected(Hello, timeout=config.timeout_s)
     except Exception as exc:  # a malformed, missing or late Hello ends the session
         log.error("handshake failed: %s", exc, exc_info=exc)
+        report.end = "handshake"
         return report
     status = _validate_hello(config, hello)
     if status == ACK_OK:
@@ -313,10 +327,11 @@ def local_mode(device_config: DeviceConfig, server_config: ServerConfig) -> Serv
     report = ServerReport(state=_make_state(server_config, hello,
                                             server_config.initial_params()))
     ws = ForwardWorkspace(device_config.backbone, hello.batch_size, hello.seq_len)
+    frame = BatchFrame.for_session(hello)
     try:
         with _metrics_log(server_config) as metrics_fh:
             for i in range(device_config.total_iterations):
-                frame, _ = compute_batch(weights, device_config, i, ws)
+                compute_batch(weights, device_config, i, ws, frame)
                 batch, _ = try_decode(encode(frame), hello.batch_payload(), hello)
                 _take_batch(server_config, batch, report, metrics_fh)
     finally:

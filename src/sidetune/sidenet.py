@@ -81,6 +81,11 @@ class SideConfig:
         if self.adapters < 1:
             raise ValueError(f"{self.adapters} adapters: a side network needs at least one")
 
+    @property
+    def param_count(self) -> int:
+        """Elements of the flat parameter state."""
+        return sum(math.prod(shape) for _, _, shape in _layout(self))
+
 
 @dataclass
 class AdapterParams:
@@ -104,11 +109,6 @@ def _layout(config: SideConfig):
     yield None, "combine_gate", ()
 
 
-def _size(config: SideConfig) -> int:
-    """Elements of the flat parameter state."""
-    return sum(math.prod(shape) for _, _, shape in _layout(config))
-
-
 class SideNetworkParams:
     """All trainable state as named views into one 1-D array `flat`, laid
     out by :func:`_layout`. Gradients and the Adam moments share the
@@ -118,7 +118,7 @@ class SideNetworkParams:
     """
 
     def __init__(self, config: SideConfig, flat: np.ndarray | None = None):
-        size = _size(config)
+        size = config.param_count
         if flat is None:
             flat = np.zeros(size, dtype=np.float32)
         if flat.shape != (size,):
@@ -209,7 +209,7 @@ def _buffer_shapes(config: SideConfig, batch: int, seq: int) -> dict:
     narrow = (n, batch, seq, config.bottleneck)
     return {"u": (batch, seq, h), "work": (batch, seq, h), "xhat": (n, batch, seq, h),
             "inv_std": (n, batch, seq), "pre": narrow, "act": narrow[1:], "tanh": narrow,
-            "grads": (_size(config),)}
+            "grads": (config.param_count,)}
 
 
 def workspace_bytes(config: SideConfig, batch: int, seq: int, dtype=np.float32) -> int:

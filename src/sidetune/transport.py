@@ -6,6 +6,10 @@ and plain TCP for real device/server splits. Local mode opens none: it
 hands each batch to the server's step in the same process. All of
 them move opaque byte chunks; framing lives one layer up in
 :mod:`sidetune.wire`.
+
+A transport's ``send(data)`` must send or copy `data` before it returns
+and keep no reference to it: the device then writes a later batch into
+the same frame.
 """
 
 from __future__ import annotations

@@ -29,15 +29,12 @@ take.
     ActBatch:   batch_id u64 | label_count u32 | labels u32 each | tap_count u16 |
                 per tap, in tap-block order: scale f32 | codes
 
-One writer lays out every ActBatch frame: :class:`BatchFrame` writes
-the header, batch id, labels and tap count into one bytearray, and gives
-each tap a (scale, codes) slot at an offset that the label and tap
-counts and the codes' length fix, so within a session at one fixed by
-the Hello (:meth:`BatchFrame.for_session`). The device quantizes each
-tap's codes straight into its slot; :func:`encode` of an ActBatch copies
-its taps into the slots of the same writer. Either way, encoding
-finishes the frame (its payload length and crc) and returns its
-bytearray, with no copy.
+One writer, :class:`BatchFrame`, lays out every ActBatch frame, with
+each tap's slot at an offset the Hello fixes for the whole session, so
+one frame can carry batch after batch. The device quantizes each tap
+straight into its slot; :func:`encode` of an ActBatch copies its taps
+into the slots of the same writer. Either way, encoding finishes the
+frame (its payload length and crc) and returns its bytearray, no copy.
 
 A batch decodes only against its session: a :class:`StreamDecoder` given
 the Hello takes exactly :meth:`Hello.batch_payload` bytes, B labels and
@@ -219,36 +216,40 @@ def _frame(msg_type: int, *parts: bytes) -> bytes:
 
 
 class BatchFrame:
-    """The one writer of the ActBatch layout: batch `batch_id`'s whole
-    frame in one bytearray, ``data``, of B = len(`labels`) labels and
-    `taps` slots of `code_bytes` codes each.
+    """The one writer of the ActBatch layout: the frame of a batch of
+    `batch_size` labels and `taps` slots of `code_bytes` codes each, in one
+    bytearray, ``data``, which batch after batch can be written over.
 
-    The header, batch id, labels and tap count are written here. Tap k's
-    slot, its scale (:meth:`put_scale`) then its codes (:meth:`codes`),
+    The header, label count and tap count are written here, once;
+    :meth:`set_batch` writes a batch's id and labels over the last's. Tap
+    k's slot, its scale (:meth:`put_scale`) then its codes (:meth:`codes`),
     starts at byte 26 + 4B + k (4 + `code_bytes`) of the frame.
     :func:`encode` finishes the frame once its slots are filled: it writes
     the payload length and the crc."""
 
-    def __init__(self, batch_id: int, labels, taps: int, code_bytes: int):
-        n = len(labels)
-        self.batch_id = batch_id
-        self._first = HEADER_LEN + _BATCH_HEAD.size + 4 * n + _TAP_COUNT.size
+    def __init__(self, batch_size: int, taps: int, code_bytes: int):
+        self.batch_id = None  # no batch written yet
+        self._first = HEADER_LEN + _BATCH_HEAD.size + 4 * batch_size + _TAP_COUNT.size
         self._stride = TAP_HEADER.size + code_bytes
         payload = self._first - HEADER_LEN + taps * self._stride
         if payload > MAX_PAYLOAD:
             raise ValueError(f"payload of {payload} bytes exceeds frame limit")
+        self._batch = struct.Struct(f"<QI{batch_size}I")  # batch id, label count, labels
         self.data = bytearray(HEADER_LEN + payload + _CRC.size)
         _FRAME_HEAD.pack_into(self.data, 0, MAGIC, FRAME_VERSION, T_ACT_BATCH, 0, 0)
-        _BATCH_HEAD.pack_into(self.data, HEADER_LEN, batch_id, n)
-        struct.pack_into(f"<{n}I", self.data, HEADER_LEN + _BATCH_HEAD.size, *map(int, labels))
         _TAP_COUNT.pack_into(self.data, self._first - _TAP_COUNT.size, taps)
 
     @classmethod
-    def for_session(cls, hello: Hello, batch_id: int, labels) -> "BatchFrame":
-        """A frame of `hello`'s session: its B `labels` and gamma taps of
+    def for_session(cls, hello: Hello) -> "BatchFrame":
+        """A frame of `hello`'s session: B labels and gamma taps of
         [B, S, H] under its scheme."""
-        return cls(batch_id, labels, hello.backbone.gamma,
+        return cls(hello.batch_size, hello.backbone.gamma,
                    payload_code_bytes(math.prod(hello.batch_shape), hello.scheme))
+
+    def set_batch(self, batch_id: int, labels) -> None:
+        """Write batch `batch_id`'s id and B `labels`; then fill every slot."""
+        self._batch.pack_into(self.data, HEADER_LEN, batch_id, len(labels), *map(int, labels))
+        self.batch_id = batch_id
 
     def put_scale(self, k: int, scale: float) -> None:
         TAP_HEADER.pack_into(self.data, self._first + k * self._stride, scale)
@@ -271,8 +272,9 @@ def encode(msg: WireMessage | BatchFrame) -> bytes | bytearray:
         return _frame(T_SESSION_ACK, struct.pack("<B", msg.status))
     if isinstance(msg, ActBatch):
         # a tap of another length than the first does not fit its slot: ValueError
-        frame = BatchFrame(msg.batch_id, msg.labels, len(msg.taps),
+        frame = BatchFrame(len(msg.labels), len(msg.taps),
                            len(msg.taps[0].codes) if msg.taps else 0)
+        frame.set_batch(msg.batch_id, msg.labels)
         for k, q in enumerate(msg.taps):
             frame.put_scale(k, q.scale)
             frame.codes(k)[:] = q.codes

@@ -103,8 +103,9 @@ def test_side_checkpoint_matches_golden_and_round_trips():
 
 def batch_zero_frame(config):
     ws = backbone.ForwardWorkspace(BACKBONE, config.batch_size, config.task.seq_len)
-    msg, _ = device.compute_batch(device.load_device_backbone(config), config, 0, ws)
-    return encode(msg)
+    frame = BatchFrame.for_session(config.hello())
+    device.compute_batch(device.load_device_backbone(config), config, 0, ws, frame)
+    return encode(frame)
 
 
 def test_the_hello_and_a_batch_frame_match_golden():
@@ -131,6 +132,26 @@ def test_a_device_that_loads_its_backbone_from_a_file_sends_the_golden_batch(tmp
     config = dataclasses.replace(GOLDEN_DEVICE, backbone_path=str(tmp_path / "w.bin"))
     data = batch_zero_frame(config)
     assert (len(data), hashlib.sha256(data).hexdigest()) == BATCH_GOLDEN
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_frames_taken_in_turn_hold_no_byte_of_their_last_batch(scheme):
+    # the device's two session frames, batches 0-3 written into them in turn
+    config = dataclasses.replace(GOLDEN_DEVICE, scheme=scheme)
+    hello, weights = config.hello(), device.load_device_backbone(config)
+    ws = backbone.ForwardWorkspace(BACKBONE, config.batch_size, config.task.seq_len)
+    frames = [BatchFrame.for_session(hello) for _ in range(2)]
+    labels = []
+    for i in range(4):
+        device.compute_batch(weights, config, i, ws, frames[i % 2])
+        fresh = BatchFrame.for_session(hello)
+        device.compute_batch(weights, config, i, backbone.ForwardWorkspace(
+            BACKBONE, config.batch_size, config.task.seq_len), fresh)
+        data = bytes(encode(fresh))
+        assert encode(frames[i % 2]) == data, i
+        labels.append(try_decode(data, hello.batch_payload(), hello)[0].labels)
+    # each batch wrote other labels over those of the batch before it in its frame
+    assert labels[0] != labels[2] and labels[1] != labels[3], labels
 
 
 def tensor_offset(data, layer, name):
@@ -411,7 +432,8 @@ def test_a_header_declaring_max_payload_allocates_nothing_ahead_of_the_bytes():
 def session_frame(hello, batch_id=0) -> bytes:
     """A batch frame of `hello`'s session with random codes."""
     rng = np.random.default_rng(batch_id)
-    frame = BatchFrame.for_session(hello, batch_id, [0] * hello.batch_size)
+    frame = BatchFrame.for_session(hello)
+    frame.set_batch(batch_id, [0] * hello.batch_size)
     for k in range(hello.backbone.gamma):
         frame.put_scale(k, 1.0)
         codes = frame.codes(k)

@@ -29,7 +29,6 @@ import pytest
 
 from sidetune import BackboneConfig, ServerConfig, run_server, server
 from sidetune.quantize import SCHEMES
-from sidetune.sidenet import workspace_bytes
 from sidetune.transport import loopback_pair
 from sidetune.wire import (
     ACK_BAD_CONFIG,
@@ -75,7 +74,8 @@ def batch_frame(rng, hello, batch_id):
     """One batch frame of `hello`'s layout with random codes, perhaps
     with a label out of range, an extreme scale or flipped payload bits."""
     labels = [rng.randrange(3 if rng.random() < 0.1 else 2) for _ in range(hello.batch_size)]
-    frame = BatchFrame.for_session(hello, batch_id, labels)
+    frame = BatchFrame.for_session(hello)
+    frame.set_batch(batch_id, labels)
     for k in range(hello.backbone.gamma):
         frame.put_scale(k, rng.uniform(0.01, 10.0))
         codes = frame.codes(k)
@@ -210,7 +210,7 @@ HELLO_FIELDS = {
     "config_block": (HEADER_LEN + 12, -4),
 }
 # B's bits 12-23 are never flipped: a B of 2^12 to 2^24 fits a frame of
-# MAX_PAYLOAD, and on a host of enough memory server.MAX_WORKSPACE_BYTES,
+# MAX_PAYLOAD, and on a host of enough memory server.MAX_SESSION_BYTES,
 # so the server accepts it and reserves a side workspace of up to tens of
 # GB, memory a shared test host should not be asked for
 B_BITS = (*range(12), *range(24, 32))
@@ -244,10 +244,9 @@ def owed_ack(data):
     hello = result[0]
     if hello.backbone != BACKBONE:
         return ACK_BAD_CONFIG
-    side = ServerConfig(backbone=BACKBONE).side_config()
     if (hello.seq_len > BACKBONE.max_seq or hello.batch_payload() > MAX_PAYLOAD
-            or workspace_bytes(side, hello.batch_size, hello.seq_len)
-            > server.MAX_WORKSPACE_BYTES):
+            or server.session_bytes(ServerConfig(backbone=BACKBONE), hello)
+            > server.MAX_SESSION_BYTES):
         return ACK_BAD_SHAPE
     return ACK_OK
 
@@ -285,6 +284,7 @@ def test_fuzzed_hellos_are_refused_or_acked_and_no_refused_shape_gets_a_workspac
         assert reader.read(timeout=1.0) is None  # at most one answer
         if owed is None:
             assert ack is None and report.rejected is None and report.state is None, field
+            assert report.end == "handshake" and not report.clean_shutdown, field
             assert any("handshake failed" in r.getMessage() for r in caplog.records), field
             assert not built
         elif owed == ACK_OK:

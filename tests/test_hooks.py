@@ -83,7 +83,7 @@ import run, workloads
 from sidetune import local_mode
 from sidetune.backbone import ForwardWorkspace
 from sidetune.device import compute_batch, load_device_backbone
-from sidetune.wire import encode
+from sidetune.wire import BatchFrame, encode
 
 out = {}
 for name in sys.argv[2:]:
@@ -91,9 +91,10 @@ for name in sys.argv[2:]:
     config = workloads.device_config(w, 0, steps=workloads.LOCAL_CHECK_STEPS)
     report = local_mode(config, workloads.server_config(w))
     ws = ForwardWorkspace(config.backbone, config.batch_size, config.task.seq_len)
-    msg, _ = compute_batch(load_device_backbone(config), config, 0, ws)
+    frame = BatchFrame.for_session(config.hello())
+    compute_batch(load_device_backbone(config), config, 0, ws, frame)
     out[name] = {"steps": workloads.LOCAL_CHECK_STEPS, "iterations": report.iterations,
-                 "refused": dict(report.invalid), "frame_bytes": len(encode(msg)),
+                 "refused": dict(report.invalid), "frame_bytes": len(encode(frame)),
                  "expected_frame_bytes": run.expected_frame_bytes(w)}
 print(json.dumps(out))
 """
@@ -172,9 +173,10 @@ def test_every_patched_name_resolves_to_a_callable(module, path):
 
 def device_batch(weights, config, i, ws):
     """Batch `i` as a server receives it: the device's frame decoded
-    against the session's Hello."""
-    frame, _ = device.compute_batch(weights, config, i, ws)
+    against the session's Hello; the batch views a frame of its own."""
     hello = config.hello()
+    frame = wire.BatchFrame.for_session(hello)
+    device.compute_batch(weights, config, i, ws, frame)
     return wire.try_decode(wire.encode(frame), hello.batch_payload(), hello)[0]
 
 
@@ -197,6 +199,7 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
                           iterations=3)
     weights = device.load_device_backbone(config)
     ws = backbone.ForwardWorkspace(model, config.batch_size, config.task.seq_len)
+    frame = wire.BatchFrame.for_session(config.hello())
     # each forward's state when it returns; each quantize's forward and code bytes
     forwards, quantizes = [], []
     inner_forward, inner_quantize = device.forward_collect, device.quantize
@@ -216,7 +219,7 @@ def test_compute_batch_calls_the_patched_forward_once_per_batch(monkeypatch):
     monkeypatch.setattr(device, "quantize", quantize)
     layers = counting(monkeypatch, backbone, "layer_forward")
     for i in range(config.total_iterations):
-        device.compute_batch(weights, config, i, ws)
+        device.compute_batch(weights, config, i, ws, frame)
         assert forwards == ["returned"] * (i + 1)
         # gamma quantizes per batch, each inside that batch's one forward,
         # each with the codes of a whole tap

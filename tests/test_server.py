@@ -222,7 +222,7 @@ def test_a_failed_handshake_ends_the_session_without_a_checkpoint(tmp_path, case
     finally:
         dev_end.close()
         srv_end.close()
-    assert report.end is None and not report.clean_shutdown
+    assert report.end == "handshake" and not report.clean_shutdown
     assert report.iterations == 0 and report.rejected is None and report.state is None
     assert not ckpt.exists()
 
@@ -278,13 +278,24 @@ def test_a_device_with_another_backbone_is_refused_at_the_handshake(tmp_path, fi
     assert not ckpt.exists()
 
 
-def batch_past_the_workspace_bound(seq_len: int) -> int:
-    """The least B whose side workspace over [B, seq_len] batches is past
-    server.MAX_WORKSPACE_BYTES; a workspace's bytes are affine in B."""
-    side = ServerConfig(backbone=BACKBONE).side_config()
-    fixed = workspace_bytes(side, 0, seq_len)
-    per_sequence = workspace_bytes(side, 1, seq_len) - fixed
-    return (server.MAX_WORKSPACE_BYTES - fixed) // per_sequence + 1
+SIDE = ServerConfig(backbone=BACKBONE).side_config()
+
+
+def session_bytes(batch_size: int, seq_len: int) -> int:
+    """What the server counts for a session of [B, seq_len] nf4 batches."""
+    return server.session_bytes(ServerConfig(backbone=BACKBONE), Hello(
+        backbone=BACKBONE, scheme="nf4", batch_size=batch_size, seq_len=seq_len))
+
+
+def batch_past_the_bound(bytes_of_batch) -> int:
+    """The least B for which `bytes_of_batch(B)`, affine in B, is past
+    server.MAX_SESSION_BYTES."""
+    fixed = bytes_of_batch(0)
+    return (server.MAX_SESSION_BYTES - fixed) // (bytes_of_batch(1) - fixed) + 1
+
+
+def batch_past_the_session_bound(seq_len: int) -> int:
+    return batch_past_the_bound(lambda b: session_bytes(b, seq_len))
 
 
 # Hellos whose batch shape no batch can take, and whether the server gets as
@@ -294,11 +305,25 @@ BAD_SHAPES = {
     # its nf4 batch frame would hold gamma x 2^31 x 32 x 32 / 2 bytes of codes
     "frame_past_max_payload": ({"batch_size": 2**31, "seq_len": 32}, False),
     # on a host of 8 GB, B is about 2 x 10^6, whose nf4 frame of about 0.5 GB
-    # fits MAX_PAYLOAD: only the workspace bound refuses it
-    "workspace_past_host_memory": ({"batch_size": batch_past_the_workspace_bound(3),
-                                    "seq_len": 3}, False),
+    # fits MAX_PAYLOAD: only the session bound refuses these two, the
+    # first on its workspace alone
+    "workspace_past_host_memory": ({"batch_size": batch_past_the_bound(
+        lambda b: workspace_bytes(SIDE, b, 3)), "seq_len": 3}, False),
+    "session_past_host_memory": ({"batch_size": batch_past_the_session_bound(3),
+                                  "seq_len": 3}, False),
     "state_out_of_memory": ({}, True),
 }
+
+
+def test_a_session_counts_its_frame_and_state_beside_the_workspace():
+    b = batch_past_the_session_bound(3)
+    # the session_past_host_memory case: its workspace alone fits
+    assert workspace_bytes(SIDE, b, 3) <= server.MAX_SESSION_BYTES < session_bytes(b, 3)
+    frame = Hello(backbone=BACKBONE, scheme="nf4", batch_size=b, seq_len=3).batch_payload() + 16
+    # parameters, Adam's m and v, and its two scratch vectors, in float32;
+    # the gradient is the workspace's
+    state = 5 * init_side(SIDE, 0).flat.nbytes
+    assert session_bytes(b, 3) == workspace_bytes(SIDE, b, 3) + frame + state
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SHAPES))

@@ -1,6 +1,7 @@
 """The rate-limited link behind the slow-uplink runs: a send takes at
 least its bits over the rate, and receives and close pass through to
-the inner transport."""
+the inner transport. And a send keeps no reference to its data, which
+the device writes its next batches into."""
 
 import time
 
@@ -32,3 +33,17 @@ def test_a_rate_must_be_positive():
     near, far = loopback_pair()
     with pytest.raises(ValueError):
         RateLimitedTransport(near, 0)
+
+
+@pytest.mark.parametrize("wrap", [lambda end: end, lambda end: RateLimitedTransport(end, 1e9)],
+                         ids=["loopback", "rate_limited"])
+def test_a_send_has_copied_its_data_when_it_returns(wrap):
+    near, far = loopback_pair()
+    frame = bytearray(b"batch 0")
+    try:
+        wrap(near).send(frame)
+        frame[:] = b"batch 2"  # the device reuses a frame once its send returns
+        assert far.recv(timeout=1.0) == b"batch 0"
+    finally:
+        near.close()
+        far.close()
